@@ -232,7 +232,9 @@ def eval_acceptance(formula, colors):
 
 
 def used_colors(formula, nwords=None):
-    """ColorSet of every color mentioned by the formula."""
+    """ColorSet of every color mentioned by the formula.
+
+    Raises TypeError when the formula holds anything but formula nodes."""
     acc = set()
 
     def walk(f):
@@ -241,6 +243,8 @@ def used_colors(formula, nwords=None):
         elif isinstance(f, (And, Or)):
             for c in f.children:
                 walk(c)
+        elif not isinstance(f, (AccTrue, AccFalse)):
+            raise TypeError("not an acceptance formula: %r" % (f,))
 
     walk(formula)
     if nwords is None:

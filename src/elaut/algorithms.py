@@ -486,7 +486,8 @@ def accepting_run(aut):
         by_src.setdefault(aut.edges[i].src, []).append(i)
     start = aut.edges[witness[0]].src
     prefix = _bfs_path(aut, list(aut.univ_dests(aut.init)), {start})
-    assert prefix is not None
+    if prefix is None:
+        raise RuntimeError("accepting_run: witness not reachable")
 
     cycle = []
     remaining = set(witness)
@@ -494,7 +495,8 @@ def accepting_run(aut):
     while remaining:
         goals = {aut.edges[i].src for i in remaining}
         path = _bfs_path(aut, [at], goals, allowed=witness)
-        assert path is not None
+        if path is None:
+            raise RuntimeError("accepting_run: witness not strongly connected")
         for i in path:
             remaining.discard(i)
         cycle.extend(path)
@@ -509,10 +511,12 @@ def accepting_run(aut):
             remaining.discard(pick)
             at = aut.edges[pick].dst
     back = _bfs_path(aut, [at], {start}, allowed=witness)
-    assert back is not None
+    if back is None:
+        raise RuntimeError("accepting_run: witness not strongly connected")
     cycle.extend(back)
     run = Lasso(prefix, cycle)
-    assert check_run(aut, run)
+    if not check_run(aut, run):
+        raise RuntimeError("accepting_run: the lasso is not accepting")
     return run
 
 

@@ -199,6 +199,8 @@ class Automaton:
         self.reset_flags()
 
     def set_acceptance(self, num_sets, formula):
+        """Set the acceptance; TypeError unless `formula` is a formula
+        tree (see used_colors)."""
         if num_sets < 0 or num_sets > COLORS_PER_WORD * self._nwords:
             raise ValueError("num_sets %d does not fit %d color words"
                              % (num_sets, self._nwords))

@@ -5,10 +5,22 @@ the vector is set iff the guard holds under assignment i, where bit 0 of
 the assignment index is AP 0's truth value.  Guards are interned per
 store, so two guard ids are equal exactly when the functions are equal.
 Id 0 is always the constant false and id 1 the constant true.
+
+Every operation works on whole vectors.  A store keeps, per AP, the mask
+of the minterms where that AP is true (and its complement), so a literal
+is a mask, a cube is an AND of masks and the cofactor of g by AP i=1 is
+`h | (h >> 2**i)` with `h = g & mask_i`.  Moving a guard to another AP
+order permutes variables with delta swaps (Knuth, TAOCP 4A, 7.1.3).
+
+Ids are never reused and a guard never changes, so what is derived from
+an id or a label text stays valid for the life of the store: the cube
+cover and printed text of each guard and the guard of each parsed label
+are memoized in dicts on the store, and freed with it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 FALSE_GUARD = 0
@@ -31,7 +43,20 @@ class GuardStore:
         self._ids = {}            # minterm bits -> id
         self.intern(0)            # FALSE_GUARD
         self.intern(self.full)    # TRUE_GUARD
-        self._lit_cache = {}
+        # _pos[i]: minterms where AP i holds, _neg[i]: where it does not.
+        # Blocks of 2**i zeros then 2**i ones, doubled up to the full width.
+        self._pos, self._neg = [], []
+        for ap in range(ap_count):
+            shift = 1 << ap
+            mask, width = ((1 << shift) - 1) << shift, 2 * shift
+            while width < self.nminterms:
+                mask |= mask << width
+                width *= 2
+            self._pos.append(mask)
+            self._neg.append(mask >> shift)
+        self._cubes = {}          # id -> tuple of cubes (to_cubes)
+        self._texts = {}          # id -> label text (print_label)
+        self._parsed = {}         # label text -> id (parse_label)
 
     def __len__(self):
         return len(self._table)
@@ -55,21 +80,15 @@ class GuardStore:
             raise ValueError("unknown guard id %d" % gid)
         return gid
 
-    def lit(self, ap, positive=True):
-        """Guard for a single AP literal."""
+    def _check_ap(self, ap):
         if not 0 <= ap < self.ap_count:
             raise ValueError("AP index %d out of range" % ap)
-        key = (ap, positive)
-        got = self._lit_cache.get(key)
-        if got is not None:
-            return got
-        bits = 0
-        for m in range(self.nminterms):
-            if ((m >> ap) & 1) == (1 if positive else 0):
-                bits |= 1 << m
-        gid = self.intern(bits)
-        self._lit_cache[key] = gid
-        return gid
+        return ap
+
+    def lit(self, ap, positive=True):
+        """Guard for a single AP literal."""
+        ap = self._check_ap(ap)
+        return self.intern(self._pos[ap] if positive else self._neg[ap])
 
     def g_and(self, a, b):
         return self.intern(self._table[self._check(a)]
@@ -92,12 +111,12 @@ class GuardStore:
     def restrict(self, gid, ap, value):
         """The guard with AP `ap` fixed to `value` (a cofactor)."""
         bits = self._table[self._check(gid)]
-        out = 0
-        for m in range(self.nminterms):
-            if (bits >> m) & 1 and ((m >> ap) & 1) == (1 if value else 0):
-                out |= 1 << m
-                out |= 1 << (m ^ (1 << ap))
-        return self.intern(out)
+        shift = 1 << self._check_ap(ap)
+        if value:
+            half = bits & self._pos[ap]
+            return self.intern(half | (half >> shift))
+        half = bits & self._neg[ap]
+        return self.intern(half | (half << shift))
 
     def exists(self, gid, aps):
         """Existentially quantify the given AP indices away."""
@@ -120,9 +139,9 @@ class GuardStore:
     def cube_bits(self, cube):
         bits = self.full
         for ap in cube.positive:
-            bits &= self._table[self.lit(ap, True)]
+            bits &= self._pos[ap]
         for ap in cube.negative:
-            bits &= self._table[self.lit(ap, False)]
+            bits &= self._neg[ap]
         return bits
 
     def to_cubes(self, gid):
@@ -132,60 +151,90 @@ class GuardStore:
         freeing APs while the cube stays inside the uncovered part, emit,
         subtract, repeat.  Deterministic; true gives one empty cube, false
         gives no cubes, and OR-ing the cubes back reconstructs the guard.
+        Returns a new list on every call.
         """
-        remaining = self._table[self._check(gid)]
-        out = []
+        got = self._cubes.get(self._check(gid))
+        if got is None:
+            got = self._cubes[gid] = tuple(self._cover(self._table[gid]))
+        return list(got)
+
+    def _cover(self, remaining):
         while remaining:
-            m = (remaining & -remaining).bit_length() - 1
-            pos = [ap for ap in range(self.ap_count) if (m >> ap) & 1]
-            neg = [ap for ap in range(self.ap_count) if not (m >> ap) & 1]
-            cube = Cube(frozenset(pos), frozenset(neg))
-            bits = self.cube_bits(cube)
+            low = remaining & -remaining
+            m = low.bit_length() - 1
+            bits, pos, neg = low, [], []
             for ap in range(self.ap_count):
-                widened = Cube(cube.positive - {ap}, cube.negative - {ap})
-                wbits = self.cube_bits(widened)
-                if wbits & ~remaining == 0:
-                    cube, bits = widened, wbits
-            out.append(cube)
+                # the cube's minterms all agree with m on AP ap; freeing it
+                # adds their mirror images across ap
+                up = (m >> ap) & 1
+                shift = 1 << ap
+                widened = bits | (bits >> shift if up else bits << shift)
+                if widened & ~remaining == 0:
+                    bits = widened
+                else:
+                    (pos if up else neg).append(ap)
+            yield Cube(frozenset(pos), frozenset(neg))
             remaining &= ~bits
-        return out
 
     # -- text form ----------------------------------------------------
 
     def print_label(self, gid):
-        gid = self._check(gid)
+        got = self._texts.get(self._check(gid))
+        if got is not None:
+            return got
         if gid == FALSE_GUARD:
-            return "f"
-        if gid == TRUE_GUARD:
-            return "t"
-        parts = []
-        for cube in self.to_cubes(gid):
-            lits = []
-            for ap in sorted(cube.positive | cube.negative):
-                lits.append(("%d" if ap in cube.positive else "!%d") % ap)
-            parts.append("&".join(lits) if lits else "t")
-        return " | ".join(parts)
+            text = "f"
+        elif gid == TRUE_GUARD:
+            text = "t"
+        else:
+            parts = []
+            for cube in self.to_cubes(gid):
+                lits = []
+                for ap in sorted(cube.positive | cube.negative):
+                    lits.append(("%d" if ap in cube.positive else "!%d") % ap)
+                parts.append("&".join(lits) if lits else "t")
+            text = " | ".join(parts)
+        self._texts[gid] = text
+        return text
 
     def parse_label(self, text):
         """Parse "0&!1 | 2" style Boolean expressions over AP indices."""
-        return _LabelParser(self, text).parse()
+        got = self._parsed.get(text)
+        if got is None:
+            got = self._parsed[text] = _parse_label(self, text)
+        return got
 
     def translate_from(self, other, gid, ap_map):
         """Re-express a guard from another store in this one.
 
         ap_map[i] is the index, in this store's AP order, of the other
-        store's AP i.  Works by remapping minterms, so the result is the
-        same Boolean function over the shared APs.
+        store's AP i; the map must be one-to-one.  The result is the same
+        Boolean function over the shared APs.
         """
-        src = other.bits_of(gid)
-        out = 0
-        for m in range(self.nminterms):
-            sm = 0
-            for i in range(other.ap_count):
-                sm |= ((m >> ap_map[i]) & 1) << i
-            if (src >> sm) & 1:
-                out |= 1 << m
-        return self.intern(out)
+        k, n = other.ap_count, self.ap_count
+        dest = [ap_map[i] for i in range(k)]
+        if len(set(dest)) != k or not all(0 <= d < n for d in dest):
+            raise ValueError("AP map %r is not one-to-one into %d APs"
+                             % (dest, n))
+        bits = other.bits_of(gid)
+        # APs k..n-1 are new: the guard does not depend on them
+        for ap in range(k, n):
+            bits |= bits << (1 << ap)
+        # target[p]: the position the variable now at p must move to; the
+        # new APs take the positions no mapped AP takes, in order.  Bubble
+        # sort it, O(n**2) exchanges of neighbouring variables p, p+1, each
+        # a delta swap of the minterms with p set and p+1 clear with their
+        # partners that have p+1 set and p clear.
+        target = dest + [p for p in range(n) if p not in dest]
+        for done in range(n):
+            for p in range(n - 1 - done):
+                if target[p] > target[p + 1]:
+                    shift = 1 << p
+                    t = (((bits >> shift) ^ bits)
+                         & self._pos[p] & self._neg[p + 1])
+                    bits ^= t | (t << shift)
+                    target[p], target[p + 1] = target[p + 1], target[p]
+        return self.intern(bits)
 
 
 @dataclass(frozen=True)
@@ -201,62 +250,84 @@ class LabelParseError(ValueError):
         self.pos = pos
 
 
-class _LabelParser:
-    def __init__(self, store, text):
-        self.store = store
-        self.text = text
-        self.pos = 0
+# one label token after optional blanks: an AP index or any other character
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\S))")
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self):
-        g = self.disjunction()
-        if self.peek() != "":
-            raise LabelParseError("trailing input in label", self.pos)
-        return g
+def _parse_label(store, text):
+    """Operator-precedence parse with explicit stacks, so nesting depth is
+    bounded by memory, not by the interpreter's recursion limit.
 
-    def disjunction(self):
-        g = self.conjunction()
-        while self.peek() == "|":
-            self.pos += 1
-            g = self.store.g_or(g, self.conjunction())
-        return g
+    Binary operators are left-associative, `&` binds tighter than `|` and
+    `!` tightest, and each operator is applied as soon as its operands are
+    complete, so guards are interned in the order a recursive-descent
+    parse would intern them.
+    """
+    tokens = _TOKEN.findall(text)     # (digits, "") or ("", character)
+    tokens.append(("", ""))           # the end
+    values, ops = [], []              # ops holds "!", "(", "&" and "|"
+    depth = i = 0                     # depth: the number of "(" on ops
 
-    def conjunction(self):
-        g = self.primary()
-        while self.peek() == "&":
-            self.pos += 1
-            g = self.store.g_and(g, self.primary())
-        return g
+    def apply_binary():
+        b = values.pop()
+        values[-1] = (store.g_and if ops.pop() == "&"
+                      else store.g_or)(values[-1], b)
 
-    def primary(self):
-        ch = self.peek()
-        if ch == "!":
-            self.pos += 1
-            return self.store.g_not(self.primary())
-        if ch == "(":
-            self.pos += 1
-            g = self.disjunction()
-            if self.peek() != ")":
-                raise LabelParseError("expected ')'", self.pos)
-            self.pos += 1
-            return g
-        if ch == "t":
-            self.pos += 1
-            return TRUE_GUARD
-        if ch == "f":
-            self.pos += 1
-            return FALSE_GUARD
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            ap = int(self.text[start:self.pos])
-            if ap >= self.store.ap_count:
-                raise LabelParseError("AP index %d out of range" % ap, start)
-            return self.store.lit(ap, True)
-        raise LabelParseError("unexpected %r in label" % (ch or "end"),
-                              self.pos)
+    while True:
+        # an operand: prefix "!" and "(", then an atom
+        num, ch = tokens[i]
+        i += 1
+        if num:
+            ap = int(num)
+            if ap >= store.ap_count:
+                raise _label_error(text, i - 1,
+                                   "AP index %d out of range" % ap)
+            values.append(store.intern(store._pos[ap]))   # store.lit(ap)
+        elif ch == "!" or ch == "(":
+            ops.append(ch)
+            depth += ch == "("
+            continue
+        elif ch == "t":
+            values.append(TRUE_GUARD)
+        elif ch == "f":
+            values.append(FALSE_GUARD)
+        else:
+            raise _label_error(text, i - 1,
+                               "unexpected %r in label" % (ch or "end"))
+        # then closing parentheses, and a binary operator or the end; the
+        # stack never holds two binary operators of equal precedence in a
+        # row, nor "|" above "&"
+        while True:
+            while ops and ops[-1] == "!":
+                ops.pop()
+                values[-1] = store.g_not(values[-1])
+            num, ch = tokens[i]
+            i += 1
+            if ch != ")" or not depth:
+                break
+            while ops[-1] != "(":
+                apply_binary()
+            ops.pop()
+            depth -= 1
+        if ch == "&":
+            if ops and ops[-1] == "&":
+                apply_binary()
+        elif ch == "|":
+            while ops and ops[-1] != "(":
+                apply_binary()
+        elif depth:
+            raise _label_error(text, i - 1, "expected ')'")
+        elif num or ch:
+            raise _label_error(text, i - 1, "trailing input in label")
+        else:
+            while ops:
+                apply_binary()
+            return values[0]
+        ops.append(ch)
+
+
+def _label_error(text, k, message):
+    """The error for token k, positioned at its first character."""
+    starts = [m.start(m.lastindex) for m in _TOKEN.finditer(text)]
+    return LabelParseError(message, starts[k] if k < len(starts)
+                           else len(text))

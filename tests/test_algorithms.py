@@ -17,7 +17,8 @@ from elaut import (
     random_automaton, reachable_states, remove_alternation, remove_fin,
     scc_info,
 )
-from elaut.acceptance import AccClass, recognize
+from elaut import algorithms
+from elaut.acceptance import AccClass, And, recognize
 from oracle_helpers import (
     alt_buchi_word_in, build, empty_by_edge_subsets, random_alt_buchi,
     random_words, up_word_in, word_in_gen_buchi,
@@ -222,6 +223,14 @@ def test_check_run_rejects_bad_lassos():
     assert not check_run(aut, Lasso([3], [3]))
     # disconnected prefix/cycle chains fail
     assert not check_run(aut, Lasso([2], [2]))
+
+
+def test_accepting_run_self_check_survives_optimize(monkeypatch):
+    # the final self-check is an explicit error, not an assert that -O drops
+    aut = build([], 1, INF0, [(0, "t", 0, [0])])
+    monkeypatch.setattr(algorithms, "check_run", lambda aut, run: False)
+    with pytest.raises(RuntimeError):
+        accepting_run(aut)
 
 
 # --------------------------------------------------------- Fin removal
@@ -459,3 +468,17 @@ def test_random_automaton_explicit_acceptance():
     assert str(cls.acceptance) == "Inf(0)"
     with pytest.raises(ValueError):
         random_automaton(0, 1)
+
+
+def test_acceptance_must_be_a_formula():
+    # refused when set, not later when accepting_run evaluates it
+    with pytest.raises(TypeError):
+        random_automaton(50, 2, colors=4, acceptance="parity max odd 4",
+                         seed=1)
+    aut = Automaton()
+    for bad in ("Inf(0)", None, 0, [Fin(0)]):
+        with pytest.raises(TypeError):
+            aut.set_acceptance(1, bad)
+    with pytest.raises(TypeError):
+        aut.set_acceptance(1, And((Fin(0), "Inf(0)")))
+    assert aut.acceptance == parse_acceptance("t")

@@ -332,6 +332,21 @@ def test_aut_error_paths(tmp_path, capsys):
     assert "no automata" in capsys.readouterr().err
 
 
+def test_deeply_nested_labels(monkeypatch, capsys):
+    # deep nesting must not crash: an uncaught exception exits 1, which
+    # --is-empty reads as "nonempty"
+    nested = "[%s0%s] 0 {0}" % ("(" * 3000, ")" * 3000)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(BUCHI_AB.replace("[0] 0 {0}", nested)))
+    assert main(["aut", "-", "--is-empty"]) == 1
+    unclosed = "[%s0] 0 {0}" % ("(" * 3000)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(BUCHI_AB.replace("[0] 0 {0}", unclosed)))
+    assert main(["aut", "-", "--is-empty"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("elaut: error: 8:2: bad label: expected ')'")
+
+
 def test_color_words_env(tmp_path, capsys, monkeypatch):
     wide = write(tmp_path, "wide.hoa", """HOA: v1
 States: 1

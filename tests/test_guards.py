@@ -196,3 +196,196 @@ def test_width_limit():
     assert st.is_sat(st.lit(15))
     with pytest.raises(ValueError):
         st.lit(16)
+
+
+# ------------------------------------------- brute-force reference
+#
+# The store works on whole minterm vectors.  These definitions go minterm
+# by minterm over a list of truth values, and the tests below require the
+# store to give identical results.
+
+def truth(store, gid):
+    n = 1 << store.ap_count
+    return [c == "1" for c in bin(store.bits_of(gid))[2:].zfill(n)[::-1]]
+
+
+def ref_lit(naps, ap, positive):
+    return [((m >> ap) & 1) == positive for m in range(1 << naps)]
+
+
+def ref_restrict(f, ap, value):
+    bit = 1 << ap
+    return [f[m | bit] if value else f[m & ~bit] for m in range(len(f))]
+
+
+def ref_exists(f, aps):
+    for ap in aps:
+        f = [a or b for a, b in zip(ref_restrict(f, ap, False),
+                                    ref_restrict(f, ap, True))]
+    return f
+
+
+def ref_support(f, naps):
+    return [ap for ap in range(naps)
+            if ref_restrict(f, ap, False) != ref_restrict(f, ap, True)]
+
+
+def ref_cube_members(naps, cube):
+    return {m for m in range(1 << naps)
+            if all(m >> ap & 1 for ap in cube.positive)
+            and not any(m >> ap & 1 for ap in cube.negative)}
+
+
+def ref_to_cubes(f, naps):
+    remaining = {m for m, v in enumerate(f) if v}
+    out = []
+    while remaining:
+        m = min(remaining)
+        cube = Cube(frozenset(ap for ap in range(naps) if m >> ap & 1),
+                    frozenset(ap for ap in range(naps) if not m >> ap & 1))
+        for ap in range(naps):
+            widened = Cube(cube.positive - {ap}, cube.negative - {ap})
+            if ref_cube_members(naps, widened) <= remaining:
+                cube = widened
+        out.append(cube)
+        remaining -= ref_cube_members(naps, cube)
+    return out
+
+
+def ref_translate(f, src_naps, naps, ap_map):
+    return [f[sum(((m >> ap_map[i]) & 1) << i for i in range(src_naps))]
+            for m in range(1 << naps)]
+
+
+def random_guard(store, rng):
+    return store.intern(rng.getrandbits(1 << store.ap_count))
+
+
+def cube_guard(store, rng, ncubes):
+    """An OR of a few random cubes: few cubes to cover at any width."""
+    g = FALSE_GUARD
+    for _ in range(ncubes):
+        c = TRUE_GUARD
+        for ap in rng.sample(range(store.ap_count), 3):
+            c = store.g_and(c, store.lit(ap, rng.random() < 0.5))
+        g = store.g_or(g, c)
+    return g
+
+
+def check_against_reference(store, gid, rng, cubes=True):
+    n = store.ap_count
+    f = truth(store, gid)
+    for ap in range(n):
+        assert truth(store, store.lit(ap, ap % 2 == 0)) == \
+            ref_lit(n, ap, ap % 2 == 0)
+        for value in (False, True):
+            assert truth(store, store.restrict(gid, ap, value)) == \
+                ref_restrict(f, ap, value)
+    aps = rng.sample(range(n), rng.randint(0, n))
+    assert truth(store, store.exists(gid, aps)) == ref_exists(f, aps)
+    assert store.support(gid) == ref_support(f, n)
+    if cubes:
+        assert store.to_cubes(gid) == ref_to_cubes(f, n)
+    # into a store with the same or more APs, in a shuffled order
+    wide = GuardStore(rng.randint(n, min(n + 3, 16)))
+    ap_map = rng.sample(range(wide.ap_count), n)
+    assert truth(wide, wide.translate_from(store, gid, ap_map)) == \
+        ref_translate(f, n, wide.ap_count, ap_map)
+
+
+def test_matches_reference_up_to_8_aps():
+    rng = random.Random(2024)
+    for naps in range(9):
+        st = GuardStore(naps)
+        for _ in range(12 if naps < 7 else 3):
+            check_against_reference(st, random_guard(st, rng), rng)
+
+
+def test_matches_reference_at_16_aps():
+    rng = random.Random(16)
+    st = GuardStore(16)
+    for ncubes in (1, 3):
+        check_against_reference(st, cube_guard(st, rng, ncubes), rng,
+                                cubes=False)
+    g = cube_guard(st, rng, 3)
+    cubes = st.to_cubes(g)
+    covered = 0
+    for cube in cubes:
+        bits = st.cube_bits(cube)
+        assert covered & bits == 0
+        covered |= bits
+    assert covered == st.bits_of(g)
+    assert st.parse_label(st.print_label(g)) == g
+
+
+def test_translate_rejects_maps_that_merge_aps():
+    src, dst = GuardStore(2), GuardStore(3)
+    with pytest.raises(ValueError):
+        dst.translate_from(src, src.lit(0), [1, 1])
+    with pytest.raises(ValueError):
+        dst.translate_from(src, src.lit(0), [0, 3])
+
+
+# ------------------------------------------------------------ memos
+
+def test_to_cubes_returns_a_fresh_list():
+    st = GuardStore(3)
+    g = st.parse_label("0&1 | !2")
+    first = st.to_cubes(g)
+    expect = list(first)
+    first.append(Cube(frozenset(), frozenset()))
+    second = st.to_cubes(g)
+    assert second == expect and second is not first
+    second.clear()
+    assert st.to_cubes(g) == expect
+
+
+def test_failed_parse_raises_again():
+    st = GuardStore(2)
+    for bad in ["(0", "2", "0 1"]:
+        for _ in range(2):
+            with pytest.raises(LabelParseError):
+                st.parse_label(bad)
+
+
+def test_memo_hits_match_a_cold_store():
+    rng = random.Random(41)
+    warm = GuardStore(4)
+    for _ in range(100):
+        bits = rng.getrandbits(16)
+        g = warm.intern(bits)
+        text = warm.print_label(g)
+        assert warm.print_label(g) == text
+        assert warm.parse_label(text) == g == warm.parse_label(text)
+        cold = GuardStore(4)
+        assert cold.print_label(cold.intern(bits)) == text
+        cold = GuardStore(4)
+        assert cold.bits_of(cold.parse_label(text)) == bits
+
+
+def test_label_error_positions():
+    st = GuardStore(2)
+    for bad, message, pos in [
+            ("", "unexpected 'end' in label", 0),
+            ("0 &", "unexpected 'end' in label", 3),
+            ("(0", "expected ')'", 2),
+            ("(0 1)", "expected ')'", 3),
+            (" 2", "AP index 2 out of range", 1),
+            ("0 1", "trailing input in label", 2),
+            ("0)", "trailing input in label", 1),
+            ("&1", "unexpected '&' in label", 0),
+            ("!", "unexpected 'end' in label", 1)]:
+        with pytest.raises(LabelParseError) as err:
+            st.parse_label(bad)
+        assert err.value.pos == pos
+        assert str(err.value) == "%s at position %d" % (message, pos)
+
+
+def test_deep_labels_parse_without_recursion():
+    st = GuardStore(2)
+    depth = 3000
+    assert st.parse_label("(" * depth + "0" + ")" * depth) == st.lit(0)
+    assert st.parse_label("!" * (depth + 1) + "1") == st.lit(1, False)
+    with pytest.raises(LabelParseError) as err:
+        st.parse_label("(" * depth + "0")
+    assert err.value.pos == depth + 1

@@ -13,10 +13,11 @@ from elaut import (
     Automaton, ColorSet, GuardStore, MealyMachine, Solution,
     automaton_to_mealy, colorize_parity, make_class, make_game,
     mealy_to_aiger, mealy_to_automaton, parity, parse_acceptance,
-    print_aiger, simulate_aig, simulate_mealy, solve_game,
+    print_aiger, print_hoa, simulate_aig, simulate_mealy, solve_game,
     solve_parity_max_odd, solve_safety, state_players, strategy_to_mealy,
     validate_mealy,
 )
+from elaut.cli import main
 from oracle_helpers import (
     build, check_parity_strategy, parity_winners_by_enumeration,
     random_parity_game, safety_winners_by_enumeration,
@@ -357,3 +358,34 @@ def test_simulate_aig_input_width():
     aig = mealy_to_aiger(two_state_memory_machine())
     with pytest.raises(ValueError, match="input bits"):
         simulate_aig(aig, ["11"])
+
+
+def test_sixteen_ap_machine_end_to_end(tmp_path, capsys):
+    # 8 inputs and 8 outputs fill the 16-AP limit of a guard store
+    aps = ["i%d" % k for k in range(8)] + ["o%d" % k for k in range(8)]
+    store = GuardStore(16)
+
+    def outs(bits):
+        return store.parse_label("&".join(
+            ("%d" if bits >> k & 1 else "!%d") % (8 + k) for k in range(8)))
+
+    label = store.parse_label
+    edges = [
+        [(label("0"), outs(0b01010101), 1), (label("!0"), outs(0), 0)],
+        [(label("0 & (1 | 7)"), outs(0b11111111), 1),
+         (label("0 & !1 & !7"), outs(0b10000001), 1),
+         (label("!0"), outs(0b00001111), 0)],
+    ]
+    m = MealyMachine(aps, list(range(8)), list(range(8, 16)), store, 2, 0,
+                     edges)
+    validate_mealy(m)
+    aig = mealy_to_aiger(m)
+    assert (aig.num_inputs, aig.num_latches, len(aig.outputs)) == (8, 1, 8)
+    rng = random.Random(16)
+    steps = ["".join(rng.choice("01") for _ in range(8)) for _ in range(50)]
+    assert simulate_aig(aig, steps) == simulate_mealy(m, steps)
+
+    f = tmp_path / "m16.hoa"
+    f.write_text(print_hoa(mealy_to_automaton(m)))
+    assert main(["mealy", str(f), "--to-aiger"]) == 0
+    assert capsys.readouterr().out == print_aiger(aig)
