@@ -17,6 +17,7 @@ storage of every parsed automaton to at least that many 32-bit words.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,7 +259,9 @@ def cmd_mealy(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="elaut",
         description="transition-based automata with Emerson-Lei acceptance")

@@ -54,6 +54,7 @@ FLAG_NAMES = (
     "semi_deterministic",
     "stutter_invariant",
 )
+_ALL_MAYBE = dict.fromkeys(FLAG_NAMES, MAYBE)
 
 # checkers are registered by the algorithms module at import time
 flag_checkers = {}
@@ -100,7 +101,7 @@ class Automaton:
         self.init = 0
         self.num_sets = 0
         self.acceptance = TRUE
-        self.flags = {name: MAYBE for name in FLAG_NAMES}
+        self.flags = _ALL_MAYBE.copy()
         self.named_props = {}
 
     # -- basic shape --------------------------------------------------
@@ -257,8 +258,7 @@ class Automaton:
     # -- flags --------------------------------------------------------
 
     def reset_flags(self):
-        for name in FLAG_NAMES:
-            self.flags[name] = MAYBE
+        self.flags = _ALL_MAYBE.copy()
 
     def set_flag(self, name, value):
         if name not in self.flags:

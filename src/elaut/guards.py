@@ -128,11 +128,11 @@ class GuardStore:
 
     def support(self, gid):
         """APs the guard actually depends on."""
-        out = []
-        for ap in range(self.ap_count):
-            if self.restrict(gid, ap, False) != self.restrict(gid, ap, True):
-                out.append(ap)
-        return out
+        bits = self._table[self._check(gid)]
+        # it depends on AP i iff its minterms with i set, moved onto their
+        # partners with i clear, differ from its minterms with i clear
+        return [ap for ap in range(self.ap_count)
+                if (bits & self._pos[ap]) >> (1 << ap) != bits & self._neg[ap]]
 
     # -- cube extraction ----------------------------------------------
 
@@ -255,24 +255,21 @@ _TOKEN = re.compile(r"\s*(?:([0-9]+)|(\S))")
 
 
 def _parse_label(store, text):
-    """Operator-precedence parse with explicit stacks, so nesting depth is
-    bounded by memory, not by the interpreter's recursion limit.
+    """Operator-precedence parse on minterm vectors, with an explicit stack
+    of open parentheses, so nesting depth is bounded by memory, not by the
+    interpreter's recursion limit.
 
-    Binary operators are left-associative, `&` binds tighter than `|` and
-    `!` tightest, and each operator is applied as soon as its operands are
-    complete, so guards are interned in the order a recursive-descent
-    parse would intern them.
+    `&` binds tighter than `|` and `!` tightest.  Each nesting level keeps
+    the OR of its finished conjunctions (`disj`), the conjunction being
+    built (`conj`) and whether a `!` waits for the next operand; only the
+    guard of the whole label is interned.
     """
     tokens = _TOKEN.findall(text)     # (digits, "") or ("", character)
     tokens.append(("", ""))           # the end
-    values, ops = [], []              # ops holds "!", "(", "&" and "|"
-    depth = i = 0                     # depth: the number of "(" on ops
-
-    def apply_binary():
-        b = values.pop()
-        values[-1] = (store.g_and if ops.pop() == "&"
-                      else store.g_or)(values[-1], b)
-
+    full = store.full
+    saved = []                        # the levels outside each open "("
+    disj, conj, negate = 0, full, False
+    i = 0
     while True:
         # an operand: prefix "!" and "(", then an atom
         num, ch = tokens[i]
@@ -282,48 +279,43 @@ def _parse_label(store, text):
             if ap >= store.ap_count:
                 raise _label_error(text, i - 1,
                                    "AP index %d out of range" % ap)
-            values.append(store.intern(store._pos[ap]))   # store.lit(ap)
-        elif ch == "!" or ch == "(":
-            ops.append(ch)
-            depth += ch == "("
+            value = store._pos[ap]
+        elif ch == "!":
+            negate = not negate
+            continue
+        elif ch == "(":
+            saved.append((disj, conj, negate))
+            disj, conj, negate = 0, full, False
             continue
         elif ch == "t":
-            values.append(TRUE_GUARD)
+            value = full
         elif ch == "f":
-            values.append(FALSE_GUARD)
+            value = 0
         else:
             raise _label_error(text, i - 1,
                                "unexpected %r in label" % (ch or "end"))
-        # then closing parentheses, and a binary operator or the end; the
-        # stack never holds two binary operators of equal precedence in a
-        # row, nor "|" above "&"
+        # then closing parentheses, each ending a level whose value is the
+        # next operand one level out, and a binary operator or the end
         while True:
-            while ops and ops[-1] == "!":
-                ops.pop()
-                values[-1] = store.g_not(values[-1])
+            conj &= value ^ full if negate else value
             num, ch = tokens[i]
             i += 1
-            if ch != ")" or not depth:
+            if ch != ")" or not saved:
                 break
-            while ops[-1] != "(":
-                apply_binary()
-            ops.pop()
-            depth -= 1
-        if ch == "&":
-            if ops and ops[-1] == "&":
-                apply_binary()
-        elif ch == "|":
-            while ops and ops[-1] != "(":
-                apply_binary()
-        elif depth:
+            value = disj | conj
+            disj, conj, negate = saved.pop()
+        negate = False
+        if ch == "|":
+            disj |= conj
+            conj = full
+        elif ch == "&":
+            pass
+        elif saved:
             raise _label_error(text, i - 1, "expected ')'")
         elif num or ch:
             raise _label_error(text, i - 1, "trailing input in label")
         else:
-            while ops:
-                apply_binary()
-            return values[0]
-        ops.append(ch)
+            return store.intern(disj | conj)
 
 
 def _label_error(text, k, message):

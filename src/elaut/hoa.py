@@ -9,6 +9,14 @@ Two extension headers are used: `spot-state-player:` carries the per-state
 ownership vector of games, and `controllable-AP:` the output-AP indices of
 synthesized machines.  Both are lowercase, so other tools can ignore
 them.
+
+Reading is one pass of a compiled regular expression over the text
+(`_lex`), which turns one automaton at a time into a list of tokens,
+each with the character offset where it starts; a whole [label] is one
+token.  The parser walks that list, and only a HoaParseError turns an
+offset into line:col.  A label's guard is evaluated on whole minterm
+vectors and interned once per distinct label text and store
+(`GuardStore.parse_label`).
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from .acceptance import (FALSE, TRUE, acc_name, eval_acceptance,
 from .graph import MAYBE, NO, YES, Automaton, FLAG_NAMES
 from .guards import LabelParseError, TRUE_GUARD
 
-_IDENT_RE = re.compile(r"[a-zA-Z_][0-9a-zA-Z_-]*")
 
 # properties: tokens for the trivalent flags (state_acc is special-cased)
 _FLAG_TOKENS = (
@@ -44,374 +51,364 @@ class HoaParseError(ValueError):
         self.col = col
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self._pending = None
+# One token after optional blanks.  The number of the last group that
+# matched (`lastindex`) is the token's kind, as _lex reads it; None is the
+# end of the text.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    ([0-9]+)                            # 1 integer
+  | \[([^\]]*)\]                        # 2 label text
+  | ([{}()&|!\]])                       # 3 punctuation
+  | ([a-zA-Z_][0-9a-zA-Z_-]*)(:?)       # 4 identifier, 5 header colon
+  | "([^"\\]*(?:\\.[^"\\]*)*)"          # 6 string body
+  | --(BODY|END|ABORT)--                # 7 section marker
+  | (/\*)                               # 8 comment
+  | (\S)                                # 9 where no token starts
+  | \Z
+)""", re.VERBOSE | re.DOTALL)
+_COMMENT_RE = re.compile(r"/\*|\*/")
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
-    def error(self, message, line=None, col=None):
-        raise HoaParseError(message,
-                            self.line if line is None else line,
-                            self.col if col is None else col)
 
-    def _advance(self, n):
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+def _lex(text, pos):
+    """The tokens of the automaton that starts at offset `pos`, and the
+    offset where it ends.
 
-    def _skip_space(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace():
-                self._advance(1)
-            elif self.text.startswith("/*", self.pos):
-                line, col = self.line, self.col
-                depth = 1
-                self._advance(2)
-                while self.pos < len(self.text) and depth:
-                    if self.text.startswith("/*", self.pos):
-                        depth += 1
-                        self._advance(2)
-                    elif self.text.startswith("*/", self.pos):
-                        depth -= 1
-                        self._advance(2)
-                    else:
-                        self._advance(1)
-                if depth:
-                    self.error("unterminated comment", line, col)
-            else:
+    A token is (kind, value, offset of its first character).  Integers,
+    labels (the text between the brackets), strings (unescaped),
+    identifiers and headers (the name before the colon) have the kinds
+    "int", "label", "string", "ident" and "header"; a punctuation
+    character is its own kind and value.  Blanks and nested comments are
+    skipped.  Lexing stops after --END-- or --ABORT--, at the end of the
+    text with an "eof" token, and where no token can start with an
+    "error" token that holds the message.  The parser raises that error
+    only when it reaches the token, so the error reported is the first
+    one in the text.
+    """
+    toks = []
+    append = toks.append
+    while True:                       # once more after each comment
+        for m in _TOKEN_RE.finditer(text, pos):
+            k = m.lastindex
+            if k == 1:
+                append(("int", int(m.group(1)), m.start(1)))
+            elif k == 2:
+                append(("label", m.group(2), m.start(2) - 1))
+            elif k == 3:
+                ch = m.group(3)
+                append((ch, ch, m.start(3)))
+            elif k == 5:
+                append(("header" if m.group(5) else "ident", m.group(4),
+                        m.start(4)))
+            elif k == 6:
+                append(("string", _ESCAPE_RE.sub(r"\1", m.group(6)),
+                        m.start(6) - 1))
+            elif k == 7:
+                kind = m.group(7).lower()
+                append((kind, None, m.start(7) - 2))
+                if kind != "body":
+                    return toks, m.end()
+            elif k == 8:
                 break
-
-    def peek(self):
-        if self._pending is None:
-            self._pending = self._lex()
-        return self._pending
-
-    def next(self):
-        tok = self.peek()
-        self._pending = None
-        return tok
-
-    def raw_until(self, closing):
-        """Consume raw text up to (and past) the given closing character."""
-        assert self._pending is None
-        line, col = self.line, self.col
-        end = self.text.find(closing, self.pos)
-        if end < 0:
-            self.error("missing '%s'" % closing, line, col)
-        raw = self.text[self.pos:end]
-        self._advance(end + 1 - self.pos)
-        return raw, line, col
-
-    def _lex(self):
-        self._skip_space()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return ("eof", "", line, col)
-        ch = self.text[self.pos]
-        if self.text.startswith("--", self.pos):
-            for word, kind in (("--BODY--", "body"), ("--END--", "end"),
-                               ("--ABORT--", "abort")):
-                if self.text.startswith(word, self.pos):
-                    self._advance(len(word))
-                    return (kind, word, line, col)
-            self.error("stray '--'")
-        if ch == '"':
-            self._advance(1)
-            out = []
-            while True:
-                if self.pos >= len(self.text):
-                    self.error("unterminated string", line, col)
-                c = self.text[self.pos]
-                if c == "\\":
-                    if self.pos + 1 >= len(self.text):
-                        self.error("unterminated string", line, col)
-                    out.append(self.text[self.pos + 1])
-                    self._advance(2)
-                elif c == '"':
-                    self._advance(1)
-                    return ("string", "".join(out), line, col)
+            elif k is None:
+                append(("eof", None, len(text)))
+                return toks, len(text)
+            else:
+                start = m.start(9)
+                ch = text[start]
+                if ch == '"':
+                    message = "unterminated string"
+                elif ch == "[":
+                    message, start = "missing ']'", start + 1
+                elif text.startswith("--", start):
+                    message = "stray '--'"
                 else:
-                    out.append(c)
-                    self._advance(1)
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self._advance(1)
-            return ("int", int(self.text[start:self.pos]), line, col)
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            word = m.group()
-            self._advance(len(word))
-            if self.pos < len(self.text) and self.text[self.pos] == ":":
-                self._advance(1)
-                return ("header", word, line, col)
-            return ("ident", word, line, col)
-        if ch in "{}[]()&|!":
-            self._advance(1)
-            return ("punct", ch, line, col)
-        self.error("unexpected character %r" % ch)
+                    message = "unexpected character %r" % ch
+                append(("error", message, start))
+                return toks, m.end()
+        depth = 0
+        for c in _COMMENT_RE.finditer(text, m.start(8)):
+            depth += 1 if c.group() == "/*" else -1
+            if not depth:
+                pos = c.end()
+                break
+        else:
+            append(("error", "unterminated comment", m.start(8)))
+            return toks, len(text)
+
+
+# what an unknown header's values and an acceptance formula are made of
+_VALUE_KINDS = frozenset(("ident", "int", "string", "label", "{", "}", "(",
+                          ")", "&", "|", "!", "]"))
+_FORMULA_KINDS = frozenset(("ident", "int", "(", ")", "&", "|"))
 
 
 class _Parser:
-    def __init__(self, text, min_nwords=1):
-        self.lx = _Lexer(text)
+    """The grammar walk over the tokens of one automaton (see _lex)."""
+
+    def __init__(self, text, toks, min_nwords):
+        self.text = text
+        self.toks = toks
+        self.i = 0
         self.min_nwords = min_nwords
 
-    def at_eof(self):
-        return self.lx.peek()[0] == "eof"
+    def error(self, message, offset):
+        """The HoaParseError at a character offset into the text."""
+        text = self.text
+        return HoaParseError(message, text.count("\n", 0, offset) + 1,
+                             offset - text.rfind("\n", 0, offset))
 
-    def expect_int(self, what):
-        kind, val, line, col = self.lx.next()
-        if kind != "int":
-            raise HoaParseError("expected %s" % what, line, col)
-        return val
+    def fail(self, tok, message):
+        """Raise `message` at an unexpected token, or the lexing error
+        that the token stands for."""
+        kind, val, offset = tok
+        raise self.error(val if kind == "error" else message, offset)
 
-    def expect_string(self, what):
-        kind, val, line, col = self.lx.next()
-        if kind != "string":
-            raise HoaParseError("expected %s" % what, line, col)
-        return val
+    def peek(self):
+        return self.toks[self.i][0]
+
+    def next(self):
+        self.i += 1
+        return self.toks[self.i - 1]
+
+    def expect(self, kind, what):
+        tok = self.next()
+        if tok[0] != kind:
+            self.fail(tok, "expected " + what)
+        return tok[1]
 
     def parse_automaton(self):
-        kind, val, line, col = self.lx.next()
-        if kind != "header" or val != "HOA":
-            raise HoaParseError("expected HOA: header", line, col)
-        kind, val, line, col = self.lx.next()
-        if kind != "ident" or val != "v1":
-            raise HoaParseError("unsupported format version", line, col)
+        tok = self.next()
+        if tok[:2] != ("header", "HOA"):
+            self.fail(tok, "expected HOA: header")
+        tok = self.next()
+        if tok[:2] != ("ident", "v1"):
+            self.fail(tok, "unsupported format version")
 
         h = {
             "states": None, "start": None, "aps": None,
             "num_sets": None, "acceptance": None, "name": None,
             "properties": [], "players": None, "controllable": None,
         }
-        seen = set()
+        at = {}   # header name -> offset of its last occurrence
 
         while True:
-            kind, val, line, col = self.lx.peek()
+            tok = self.next()
+            kind, val, off = tok
             if kind == "body":
-                self.lx.next()
                 break
             if kind == "eof":
-                raise HoaParseError("missing --BODY--", line, col)
+                raise self.error("missing --BODY--", off)
             if kind != "header":
-                raise HoaParseError("expected a header", line, col)
-            self.lx.next()
+                self.fail(tok, "expected a header")
             if val in ("States", "Start", "AP", "Acceptance", "name",
-                       "acc-name", "tool") and val in seen:
-                raise HoaParseError("duplicate %s: header" % val, line, col)
-            seen.add(val)
+                       "acc-name", "tool") and val in at:
+                raise self.error("duplicate %s: header" % val, off)
+            at[val] = off
             if val == "States":
-                h["states"] = self.expect_int("state count")
+                h["states"] = self.expect("int", "state count")
             elif val == "Start":
-                h["start"] = [self.expect_int("initial state")]
-                while self.lx.peek()[:2] == ("punct", "&"):
-                    self.lx.next()
-                    h["start"].append(self.expect_int("initial state"))
+                h["start"] = [self.expect("int", "initial state")]
+                while self.peek() == "&":
+                    self.i += 1
+                    h["start"].append(self.expect("int", "initial state"))
             elif val == "AP":
-                n = self.expect_int("AP count")
-                h["aps"] = [self.expect_string("AP name") for _ in range(n)]
+                n = self.expect("int", "AP count")
+                h["aps"] = [self.expect("string", "AP name")
+                            for _ in range(n)]
             elif val == "Acceptance":
-                h["num_sets"] = self.expect_int("acceptance set count")
-                h["acceptance"] = self._acceptance_formula(
-                    h["num_sets"], line, col)
+                h["num_sets"] = self.expect("int", "acceptance set count")
+                h["acceptance"] = self._acceptance_formula(h["num_sets"],
+                                                           off)
             elif val == "name":
-                h["name"] = self.expect_string("automaton name")
+                h["name"] = self.expect("string", "automaton name")
             elif val == "acc-name":
-                while self.lx.peek()[0] in ("ident", "int"):
-                    self.lx.next()
+                while self.peek() in ("ident", "int"):
+                    self.i += 1
             elif val == "tool":
-                while self.lx.peek()[0] == "string":
-                    self.lx.next()
+                while self.peek() == "string":
+                    self.i += 1
             elif val == "properties":
                 while True:
-                    kind2, val2, line2, col2 = self.lx.peek()
-                    if kind2 == "ident":
-                        self.lx.next()
-                        h["properties"].append(val2)
-                    elif (kind2, val2) == ("punct", "!"):
-                        self.lx.next()
-                        kind3, val3, line3, col3 = self.lx.next()
-                        if kind3 != "ident":
-                            raise HoaParseError("expected a property token",
-                                                line3, col3)
-                        h["properties"].append("!" + val3)
+                    kind = self.peek()
+                    if kind == "ident":
+                        h["properties"].append(self.next()[1])
+                    elif kind == "!":
+                        self.i += 1
+                        h["properties"].append(
+                            "!" + self.expect("ident", "a property token"))
                     else:
                         break
             elif val == "spot-state-player":
                 h["players"] = []
-                while self.lx.peek()[0] == "int":
-                    h["players"].append(self.lx.next()[1])
+                while self.peek() == "int":
+                    h["players"].append(self.next()[1])
             elif val == "controllable-AP":
                 h["controllable"] = []
-                while self.lx.peek()[0] == "int":
-                    h["controllable"].append(self.lx.next()[1])
+                while self.peek() == "int":
+                    h["controllable"].append(self.next()[1])
             elif val[0].isupper():
-                raise HoaParseError("unknown header %s: requires support"
-                                    % val, line, col)
+                raise self.error("unknown header %s: requires support" % val,
+                                 off)
             else:
                 # unknown lowercase header: skip its values
-                while self.lx.peek()[0] in ("ident", "int", "string",
-                                            "punct"):
-                    self.lx.next()
-        return self._parse_body(h)
+                while self.peek() in _VALUE_KINDS:
+                    self.i += 1
+        return self._parse_body(h, at, off)
 
-    def _acceptance_formula(self, num_sets, line, col):
+    def _acceptance_formula(self, num_sets, off):
         parts = []
-        while True:
-            kind, val, _, _ = self.lx.peek()
-            if kind in ("ident", "int"):
-                parts.append(str(val))
-                self.lx.next()
-            elif kind == "punct" and val in "()&|":
-                parts.append(val)
-                self.lx.next()
-            else:
-                break
+        while self.peek() in _FORMULA_KINDS:
+            parts.append(str(self.next()[1]))
+        if self.peek() == "error":        # it comes first in the text
+            self.fail(self.toks[self.i], "")
         try:
             return parse_acceptance(" ".join(parts), max_colors=num_sets)
         except AcceptanceParseError as exc:
-            raise HoaParseError("bad acceptance condition: %s" % exc,
-                                line, col) from exc
+            raise self.error("bad acceptance condition: %s" % exc,
+                             off) from exc
 
-    def _parse_body(self, h):
-        if h["num_sets"] is None:
-            raise HoaParseError("missing Acceptance: header",
-                                self.lx.line, self.lx.col)
+    def _parse_body(self, h, at, body_at):
+        num_sets = h["num_sets"]
+        if num_sets is None:
+            raise self.error("missing Acceptance: header", body_at)
         aps = h["aps"] if h["aps"] is not None else []
-        nwords = max(self.min_nwords, (h["num_sets"] + 31) // 32, 1)
+        nwords = max(self.min_nwords, (num_sets + 31) // 32, 1)
         aut = Automaton(aps, nwords=nwords)
         declared = h["states"]
         if declared is not None:
             aut.new_states(declared)
+        toks = self.toks
 
-        def ensure_state(idx, line, col):
+        def ensure_state(idx, off):
             if idx < aut.num_states:
-                return idx
+                return
             if declared is not None:
-                raise HoaParseError(
-                    "state %d not below the declared count %d"
-                    % (idx, declared), line, col)
-            while aut.num_states <= idx:
-                aut.new_state()
-            return idx
+                raise self.error("state %d not below the declared count %d"
+                                 % (idx, declared), off)
+            aut.new_states(idx + 1 - aut.num_states)
 
-        def parse_colors():
-            # { int* } following a state or an edge
-            colors = []
-            self.lx.next()  # '{'
-            while True:
-                kind, val, line, col = self.lx.next()
-                if (kind, val) == ("punct", "}"):
-                    break
-                if kind != "int":
-                    raise HoaParseError("expected a color index", line, col)
-                if val >= h["num_sets"]:
-                    raise HoaParseError(
-                        "color %d not below the declared count %d"
-                        % (val, h["num_sets"]), line, col)
-                colors.append(val)
-            return colors
-
-        def parse_label_guard():
-            raw, line, col = self.lx.raw_until("]")
+        def label_guard(text, off):
             try:
-                return aut.store.parse_label(raw)
+                return aut.store.parse_label(text)
             except LabelParseError as exc:
-                raise HoaParseError("bad label: %s" % exc, line, col) from exc
+                raise self.error("bad label: %s" % exc, off + 1) from exc
 
-        def parse_dest(line, col):
-            first = self.expect_int("a destination state")
-            ensure_state(first, line, col)
-            members = [first]
-            while self.lx.peek()[:2] == ("punct", "&"):
-                self.lx.next()
-                nxt = self.expect_int("a destination state")
-                ensure_state(nxt, line, col)
-                members.append(nxt)
-            if len(members) == 1:
-                return members[0]
-            return aut.new_univ_dest_group(members)
+        def colors_at(i):
+            """The colors of the {...} at toks[i], and the index after."""
+            colors = []
+            while True:
+                i += 1
+                kind, val, off = tok = toks[i]
+                if kind == "}":
+                    return colors, i + 1
+                if kind != "int":
+                    self.fail(tok, "expected a color index")
+                if val >= num_sets:
+                    raise self.error("color %d not below the declared count %d"
+                                     % (val, num_sets), off)
+                colors.append(val)
 
-        cur_state = None
-        cur_label = None
-        cur_colors = ()
+        # print_hoa writes the colors of a state-acc automaton on its
+        # states, so its edges may not carry colors of their own
+        state_acc = "state-acc" in h["properties"]
+        cur_state = cur_label = None
+        cur_colors = []
+        defined = set()
         names = {}
-        saw_state_colors = False
-        saw_edge_colors = False
-
+        saw_state_colors = saw_edge_colors = False
+        i = self.i
         while True:
-            kind, val, line, col = self.lx.peek()
-            if kind == "end":
-                self.lx.next()
-                break
-            if kind == "eof":
-                raise HoaParseError("missing --END--", line, col)
-            if kind == "abort":
-                raise HoaParseError("aborted automaton", line, col)
-            if kind == "header" and val == "State":
-                self.lx.next()
+            kind, val, off = toks[i]
+            i += 1
+            if kind == "label" or kind == "int":
+                if cur_state is None:
+                    raise self.error("edge before any State:", off)
+                if kind == "label":
+                    guard = label_guard(val, off)
+                elif cur_label is None:
+                    raise self.error("implicit labels are not supported",
+                                     off)
+                else:
+                    guard = cur_label
+                    i -= 1            # the token is the destination
+                tok = toks[i]
+                i += 1
+                if tok[0] != "int":
+                    self.fail(tok, "expected a destination state")
+                dst = tok[1]
+                ensure_state(dst, off)
+                members = [dst]
+                while toks[i][0] == "&":
+                    tok = toks[i + 1]
+                    i += 2
+                    if tok[0] != "int":
+                        self.fail(tok, "expected a destination state")
+                    ensure_state(tok[1], off)
+                    members.append(tok[1])
+                if len(members) > 1:
+                    dst = aut.new_univ_dest_group(members)
+                colors = cur_colors
+                if toks[i][0] == "{":
+                    if state_acc:
+                        raise self.error("edge colors under state-acc",
+                                         toks[i][2])
+                    colors, i = colors_at(i)
+                    colors += cur_colors
+                    saw_edge_colors = True
+                aut.new_edge(cur_state, dst, guard, colors)
+            elif kind == "header" and val == "State":
                 cur_label = None
-                if self.lx.peek()[:2] == ("punct", "["):
-                    self.lx.next()
-                    cur_label = parse_label_guard()
-                idx = self.expect_int("a state index")
-                cur_state = ensure_state(idx, line, col)
-                if self.lx.peek()[0] == "string":
-                    names[cur_state] = self.lx.next()[1]
-                cur_colors = ()
-                if self.lx.peek()[:2] == ("punct", "{"):
-                    cur_colors = tuple(parse_colors())
+                tok = toks[i]
+                i += 1
+                if tok[0] == "label":
+                    cur_label = label_guard(tok[1], tok[2])
+                    tok = toks[i]
+                    i += 1
+                if tok[0] != "int":
+                    self.fail(tok, "expected a state index")
+                cur_state = tok[1]
+                ensure_state(cur_state, off)
+                if cur_state in defined:
+                    raise self.error("duplicate State: %d" % cur_state, off)
+                defined.add(cur_state)
+                if toks[i][0] == "string":
+                    names[cur_state] = toks[i][1]
+                    i += 1
+                cur_colors = []
+                if toks[i][0] == "{":
+                    cur_colors, i = colors_at(i)
                     saw_state_colors = True
-                continue
-            if cur_state is None:
-                raise HoaParseError("edge before any State:", line, col)
-            if kind == "punct" and val == "[":
-                self.lx.next()
-                guard = parse_label_guard()
-            elif kind == "int":
-                if cur_label is None:
-                    raise HoaParseError(
-                        "implicit labels are not supported", line, col)
-                guard = cur_label
+            elif kind == "end":
+                break
+            elif kind == "eof":
+                raise self.error("missing --END--", off)
+            elif kind == "abort":
+                raise self.error("aborted automaton", off)
+            elif cur_state is None and kind != "error":
+                raise self.error("edge before any State:", off)
             else:
-                raise HoaParseError("expected an edge or --END--", line, col)
-            dst = parse_dest(line, col)
-            colors = list(cur_colors)
-            if self.lx.peek()[:2] == ("punct", "{"):
-                colors += parse_colors()
-                saw_edge_colors = True
-            aut.new_edge(cur_state, dst, guard, colors)
+                self.fail(toks[i - 1], "expected an edge or --END--")
 
         # initial designator
         if h["start"] is not None:
-            kind, val, line, col = self.lx.peek()
             for s in h["start"]:
-                ensure_state(s, line, col)
+                ensure_state(s, at["Start"])
             if len(h["start"]) == 1:
                 aut.set_init(h["start"][0])
             else:
                 aut.set_init(aut.new_univ_dest_group(h["start"]))
 
         if h["players"] is not None and len(h["players"]) != aut.num_states:
-            raise HoaParseError(
+            raise self.error(
                 "spot-state-player lists %d entries for %d states"
                 % (len(h["players"]), aut.num_states),
-                self.lx.line, self.lx.col)
+                at["spot-state-player"])
         if h["controllable"] is not None:
-            for i in h["controllable"]:
-                if i >= len(aut.aps):
-                    raise HoaParseError(
-                        "controllable-AP index %d out of range" % i,
-                        self.lx.line, self.lx.col)
+            for ap in h["controllable"]:
+                if ap >= len(aut.aps):
+                    raise self.error(
+                        "controllable-AP index %d out of range" % ap,
+                        at["controllable-AP"])
 
         aut.num_sets = h["num_sets"]
         aut.acceptance = h["acceptance"]
@@ -444,22 +441,24 @@ class _Parser:
 
 def parse_hoa(text, min_nwords=1):
     """Parse one HOA automaton; trailing input is an error."""
-    p = _Parser(text, min_nwords)
+    toks, end = _lex(text, 0)
+    p = _Parser(text, toks, min_nwords)
     aut = p.parse_automaton()
-    if not p.at_eof():
-        kind, val, line, col = p.lx.peek()
-        raise HoaParseError("trailing input after --END--", line, col)
+    tok = _lex(text, end)[0][0]
+    if tok[0] != "eof":
+        p.fail(tok, "trailing input after --END--")
     return aut
 
 
 def parse_hoa_stream(text, min_nwords=1):
     """Parse a stream of back-to-back HOA automata."""
-    p = _Parser(text, min_nwords)
     out = []
-    while not p.at_eof():
-        out.append(p.parse_automaton())
-    return out
-
+    pos = 0
+    while True:
+        toks, pos = _lex(text, pos)
+        if toks[0][0] == "eof":
+            return out
+        out.append(_Parser(text, toks, min_nwords).parse_automaton())
 
 # ---------------------------------------------------------------------------
 # Printing.

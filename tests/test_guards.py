@@ -103,6 +103,15 @@ def test_support():
     assert st.support(f) == [2]
 
 
+def test_support_keeps_cofactors_out_of_the_store():
+    st = GuardStore(16)
+    g = st.intern(random.Random(5).getrandbits(1 << 16))
+    size = len(st)
+    assert st.support(g) == list(range(16))
+    assert st.support(g) == list(range(16))
+    assert len(st) == size
+
+
 def test_cubes_partition_and_reconstruct():
     st = GuardStore(4)
     rng = random.Random(99)

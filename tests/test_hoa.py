@@ -1,6 +1,7 @@
 """HOA parsing and printing, DOT output, stats."""
 
 import os
+import random
 
 import pytest
 
@@ -445,3 +446,115 @@ def test_stats():
     assert blob["acceptance"] == "Inf(0)"
     assert blob["acc-name"] == "Buchi"
     assert blob["sccs"] == 1
+
+
+_BODY_HEAD = ('HOA: v1\nStates: 2\nStart: 0\nAP: 2 "a" "b"\n'
+              'Acceptance: 1 Inf(0)\n--BODY--\n')
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    ('HOA: v1\nname: "abc', "unterminated string", 2, 7),
+    ('HOA: v1\nname: "abc\\', "unterminated string", 2, 7),
+    ("HOA: v1\nStates: 1 /* never\nclosed", "unterminated comment", 2, 11),
+    (_BODY_HEAD + "State: 0\n[0 & 1", "missing ']'", 8, 2),
+    ("HOA: v1 /* a\n /* b */ c\n */ States: 1 @",
+     "unexpected character '@'", 3, 15),
+    ("HOA: v1\nStates: 1\n--BOD--", "stray '--'", 3, 1),
+    ("HOA: v1\n\tStates:\t1\t$", "unexpected character '$'", 2, 12),
+    ("HOA: v1\r\nStates: 2\r\nStart: 0\r\n  %",
+     "unexpected character '%'", 4, 3),
+    (_BODY_HEAD.replace("\n", "\r\n") + "State: 0\r\n[0] 3\r\n--END--\r\n",
+     "state 3 not below the declared count 2", 8, 1),
+    ('HOA: v1\nname: "a\\"b\nc" ~', "unexpected character '~'", 3, 4),
+    (_BODY_HEAD + "State: 0\n[0] 1\n[0 & & 1] 0\nState: 1\n[t] 1\n--END--\n",
+     "bad label: unexpected '&' in label at position 4", 9, 2),
+    (_BODY_HEAD + "State: 0\n[0]  1\n  [!2] 0\n--END--\n",
+     "bad label: AP index 2 out of range at position 1", 9, 4),
+    (_BODY_HEAD + "State: 0\n[0] 1\n  ", "missing --END--", 9, 3),
+    ("HOA: v1\nStates: 1\n  7", "expected a header", 3, 3),
+    (_BODY_HEAD + "[0] 1\n--END--\n", "edge before any State:", 7, 1),
+    (_BODY_HEAD + "State: 0\n[t] 0\n--END--\n\n  x",
+     "trailing input after --END--", 11, 3),
+    (_BODY_HEAD + "State: 0\n[t] 0 {0 1}\n--END--\n",
+     "color 1 not below the declared count 1", 8, 10),
+])
+def test_error_line_and_column(text, message, line, col):
+    e = parse_err(text)
+    assert (str(e), e.line, e.col) == ("%d:%d: %s" % (line, col, message),
+                                       line, col)
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    # what is checked after the body points at the header it concerns
+    ("HOA: v1\nStates: 1\nStart: 3\nAP: 0\nAcceptance: 0 t\n--BODY--\n"
+     "State: 0\n--END--\n", "state 3 not below the declared count 1", 3, 1),
+    ("HOA: v1\nStates: 2\nAP: 0\nAcceptance: 0 t\nspot-state-player: 0\n"
+     "--BODY--\nState: 0\nState: 1\n--END--\n",
+     "spot-state-player lists 1 entries for 2 states", 5, 1),
+    ('HOA: v1\nStates: 1\nAP: 1 "a"\nAcceptance: 0 t\n  controllable-AP: 3\n'
+     "--BODY--\nState: 0\n--END--\n",
+     "controllable-AP index 3 out of range", 5, 3),
+    ("HOA: v1\nStates: 1\nAP: 0\n--BODY--\nState: 0\n--END--\n",
+     "missing Acceptance: header", 4, 1),
+    # parses that print_hoa could not print
+    (_BODY_HEAD + "State: 0 {0}\n[0] 0\n  State: 0\n[!0] 0\n--END--\n",
+     "duplicate State: 0", 9, 3),
+    (_BODY_HEAD.replace("--BODY--", "properties: state-acc\n--BODY--")
+     + "State: 0\n[0] 0 {0}\n[!0] 0\n--END--\n",
+     "edge colors under state-acc", 9, 7),
+])
+def test_semantic_error_line_and_column(text, message, line, col):
+    e = parse_err(text)
+    assert (str(e), e.line, e.col) == ("%d:%d: %s" % (line, col, message),
+                                       line, col)
+
+
+_MUTATION_PIECES = ("State: 0", "State: 1", "--END--", "--BODY--", "/*", "*/",
+                    "{0}", "[t]", "&", "!", '"', "\\", "\r\n", "Inf(0)",
+                    "properties: state-acc")
+_MUTATION_CHARS = '0123456789 \n\t[]{}()&|!"/*-:\\tfAPS'
+
+
+def _mutate(rng, text):
+    """One to three random edits: delete a span, insert a character or a
+    piece of HOA, overwrite a character, or duplicate or swap lines."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(6)
+        p = rng.randrange(len(text) + 1)
+        if kind == 0:
+            text = text[:p] + text[p + rng.randint(1, 8):]
+        elif kind == 1:
+            text = text[:p] + rng.choice(_MUTATION_CHARS) + text[p:]
+        elif kind == 2:
+            text = text[:p] + rng.choice(_MUTATION_PIECES) + text[p:]
+        elif kind == 3:
+            text = text[:p] + rng.choice(_MUTATION_CHARS) + text[p + 1:]
+        else:
+            lines = text.split("\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if kind == 4:
+                lines.insert(j, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+def test_mutated_goldens_are_rejected_in_place_or_round_trip():
+    rng = random.Random(2015)
+    sources = [read(os.path.join(GOLDEN, name + ".in.hoa"))
+               for name in golden_names()]
+    parsed = 0
+    for _ in range(10000):
+        text = _mutate(rng, rng.choice(sources))
+        try:
+            aut = parse_hoa(text)
+        except HoaParseError as e:
+            lines = text.split("\n")
+            assert 1 <= e.line <= len(lines), text
+            assert 1 <= e.col <= len(lines[e.line - 1]) + 1, text
+            continue
+        parsed += 1
+        once = print_hoa(aut)
+        assert print_hoa(parse_hoa(once)) == once, text
+    assert parsed > 500
