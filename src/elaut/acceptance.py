@@ -17,6 +17,12 @@ from dataclasses import dataclass
 COLORS_PER_WORD = 32
 
 
+def words_for(ncolors):
+    """The number of color words that hold colors 0 .. ncolors-1 (at
+    least one)."""
+    return max(1, (ncolors + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
+
+
 class ColorSet:
     """Fixed-width set of colors, 32*nwords bits wide."""
 
@@ -249,7 +255,7 @@ def used_colors(formula, nwords=None):
     walk(formula)
     if nwords is None:
         top = max(acc) if acc else 0
-        nwords = top // COLORS_PER_WORD + 1
+        nwords = words_for(top + 1)
     return ColorSet.of(acc, nwords)
 
 
@@ -878,7 +884,7 @@ def change_parity(aut, target):
             c = n - 1 - c
         return c + post_shift
 
-    nwords = max(1, (total + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
+    nwords = words_for(total)
     for e, c in zip(out.edge_records(), per_edge):
         e.acc = ColorSet.of([mapped(c)], nwords)
     out._nwords = nwords

@@ -5,6 +5,8 @@ Edges whose guard is the false label are never traversable, so every
 algorithm here skips them.  Universal destination groups count each
 member as a successor; algorithms that need a plain (nonalternating)
 transition structure say so and reject inputs with universal branching.
+The model-checking path (product, is_empty, accepting_run) reads each
+edge table once into flat per-state lists of ints and works on those.
 """
 
 from __future__ import annotations
@@ -14,16 +16,96 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .acceptance import (BUCHI, COLORS_PER_WORD, TRUE, AccClass, AccFalse,
-                         ColorSet, Fin, Inf, dnf_disjuncts, dual,
-                         eval_acceptance, f_and, f_or, is_finless, make_class,
-                         recognize, shift_colors, subst, used_colors)
+from .acceptance import (BUCHI, TRUE, AccClass, AccFalse, ColorSet, Fin,
+                         Inf, dnf_disjuncts, dual, eval_acceptance, f_and,
+                         f_or, is_finless, make_class, recognize,
+                         shift_colors, subst, used_colors, words_for)
 from .graph import YES, Automaton, flag_checkers, get_or_compute_flag
 from .guards import FALSE_GUARD, TRUE_GUARD
 
 
 # ---------------------------------------------------------------------------
 # Strongly connected components.
+#
+# One routine, _tarjan, finds the components of a graph given as flat
+# per-state successor lists succ[v] = [dst, ...]; SccInfo runs it on a
+# whole automaton and the emptiness search on edge subsets.
+
+def _tarjan(succ, roots):
+    """Tarjan's algorithm, iterative, over the states reachable from roots.
+
+    Returns the members of each component, numbered in reverse
+    topological order, and the component id of each state (-1 where
+    none is reached).
+    """
+    n = len(succ)
+    scc_of = [-1] * n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    cid = len(comps)
+                    comp = []
+                    while True:
+                        x = stack.pop()
+                        on_stack[x] = False
+                        scc_of[x] = cid
+                        comp.append(x)
+                        if x == v:
+                            break
+                    comps.append(comp)
+    return comps, scc_of
+
+
+def _successors(aut):
+    """Per state s, the destinations and the indices of the non-false
+    out-edges of s in order, as two parallel lists dsts[s] and idxs[s]
+    with one entry per destination member."""
+    dsts = [[] for _ in range(aut.num_states)]
+    idxs = [[] for _ in range(aut.num_states)]
+    edges = aut.edges
+    for i in range(1, len(edges)):
+        e = edges[i]
+        if e.cond == FALSE_GUARD:
+            continue
+        if e.dst >= 0:
+            dsts[e.src].append(e.dst)
+            idxs[e.src].append(i)
+        else:
+            members = aut.group_members(e.dst)
+            dsts[e.src].extend(members)
+            idxs[e.src].extend([i] * len(members))
+    return dsts, idxs
+
 
 class SccInfo:
     """SCC decomposition of the part reachable from the initial designator.
@@ -38,76 +120,22 @@ class SccInfo:
 
     def __init__(self, aut):
         self.aut = aut
-        n = aut.num_states
-        self.scc_of = [-1] * n
-        self.members = []
-        self.internal = []
-        self.colors = []
-        if n == 0:
-            return
-
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack = []
-        counter = 0
-
-        def succs(v):
-            for e in aut.out(v):
-                if e.cond == FALSE_GUARD:
-                    continue
-                yield from aut.univ_dests(e)
-
-        for root in aut.univ_dests(aut.init):
-            if index[root] != -1:
-                continue
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
-            work = [(root, succs(root))]
-            while work:
-                v, it = work[-1]
-                w = next(it, None)
-                if w is None:
-                    work.pop()
-                    if work:
-                        u = work[-1][0]
-                        if low[v] < low[u]:
-                            low[u] = low[v]
-                    if low[v] == index[v]:
-                        cid = len(self.members)
-                        comp = []
-                        while True:
-                            x = stack.pop()
-                            on_stack[x] = False
-                            self.scc_of[x] = cid
-                            comp.append(x)
-                            if x == v:
-                                break
-                        self.members.append(comp)
-                elif index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, succs(w)))
-                elif on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-
+        dsts, idxs = _successors(aut)
+        roots = aut.univ_dests(aut.init) if aut.num_states else ()
+        self.members, self.scc_of = _tarjan(dsts, roots)
+        scc_of = self.scc_of
         self.internal = [[] for _ in self.members]
-        self.colors = [ColorSet(0, aut.nwords) for _ in self.members]
-        for idx in range(1, len(aut.edges)):
-            e = aut.edges[idx]
-            if e.cond == FALSE_GUARD:
-                continue
-            cid = self.scc_of[e.src]
+        bits = [0] * len(self.members)
+        for v, cid in enumerate(scc_of):
             if cid < 0:
                 continue
-            if any(self.scc_of[d] == cid for d in aut.univ_dests(e)):
-                self.internal[cid].append(idx)
-                self.colors[cid] = self.colors[cid] | e.acc
+            last = 0             # a group edge counts once
+            for d, i in zip(dsts[v], idxs[v]):
+                if i != last and scc_of[d] == cid:
+                    self.internal[cid].append(i)
+                    bits[cid] |= aut.edges[i].acc.bits
+                    last = i
+        self.colors = [ColorSet(b, aut.nwords) for b in bits]
 
     @property
     def num(self):
@@ -128,25 +156,15 @@ def reachable_states(aut):
     """States reachable from the initial designator, in discovery order."""
     if aut.num_states == 0:
         return []
-    seen = []
-    seen_set = set()
-    queue = deque()
-    for s in aut.univ_dests(aut.init):
-        if s not in seen_set:
-            seen_set.add(s)
-            seen.append(s)
-            queue.append(s)
-    while queue:
-        s = queue.popleft()
-        for e in aut.out(s):
-            if e.cond == FALSE_GUARD:
-                continue
-            for d in aut.univ_dests(e):
-                if d not in seen_set:
-                    seen_set.add(d)
-                    seen.append(d)
-                    queue.append(d)
-    return seen
+    dsts = _successors(aut)[0]
+    order = list(dict.fromkeys(aut.univ_dests(aut.init)))
+    seen = set(order)
+    for s in order:                   # breadth first: order grows behind s
+        for d in dsts[s]:
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +221,12 @@ def _check_inherently_weak(aut):
         raise ValueError("inherently_weak needs a nonalternating automaton")
     info = scc_info(aut)
     rejecting = dual(aut.acceptance)
-    for edges in info.internal:
+    for edges, colors in zip(info.internal, info.colors):
         if not edges:
             continue
-        if _search_edges(aut, edges, aut.acceptance) is None:
+        if _search_scc(aut, edges, colors.bits, aut.acceptance) is None:
             continue
-        if _search_edges(aut, edges, rejecting) is not None:
+        if _search_scc(aut, edges, colors.bits, rejecting) is not None:
             return False
     return True
 
@@ -280,125 +298,75 @@ def is_terminal(aut):
 # sound because the formula is monotone in its atoms).
 
 def _subgraph_sccs(aut, edge_idxs):
-    adj = {}
-    nodes = []
-    node_set = set()
+    """(internal edges, their colors as an int) of each nontrivial SCC of
+    the subgraph made of the given plain edges, in reverse topological
+    order."""
+    edges = aut.edges
+    succ = [[] for _ in range(aut.num_states)]
     for i in edge_idxs:
-        e = aut.edges[i]
-        assert e.dst >= 0
-        adj.setdefault(e.src, []).append(i)
-        for v in (e.src, e.dst):
-            if v not in node_set:
-                node_set.add(v)
-                nodes.append(v)
-
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = 0
-    out = []
-
-    def succs(v):
-        for i in adj.get(v, ()):
-            yield aut.edges[i].dst
-
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, succs(root))]
-        while work:
-            v, it = work[-1]
-            w = next(it, None)
-            if w is None:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = set()
-                    while True:
-                        x = stack.pop()
-                        on_stack.discard(x)
-                        comp.add(x)
-                        if x == v:
-                            break
-                    internal = [i for x in comp for i in adj.get(x, ())
-                                if aut.edges[i].dst in comp]
-                    out.append((comp, internal))
-            elif w not in index:
-                index[w] = low[w] = counter
-                counter += 1
-                stack.append(w)
-                on_stack.add(w)
-                work.append((w, succs(w)))
-            elif w in on_stack:
-                if index[w] < low[v]:
-                    low[v] = index[w]
-    return out
+        e = edges[i]
+        succ[e.src].append(e.dst)
+    comps, scc_of = _tarjan(succ, [edges[i].src for i in edge_idxs])
+    internal = [[] for _ in comps]
+    colors = [0] * len(comps)
+    for i in edge_idxs:
+        e = edges[i]
+        cid = scc_of[e.src]
+        if cid == scc_of[e.dst]:
+            internal[cid].append(i)
+            colors[cid] |= e.acc.bits
+    return [pair for pair in zip(internal, colors) if pair[0]]
 
 
 def _first_fin(formula):
     if isinstance(formula, Fin):
         return formula.color
-    if hasattr(formula, "children"):
-        for c in formula.children:
-            got = _first_fin(c)
+    for c in getattr(formula, "children", ()):
+        got = _first_fin(c)
+        if got is not None:
+            return got
+    return None
+
+
+def _search_scc(aut, internal, present, formula):
+    """A strongly connected edge set inside the component made of the
+    `internal` edges, whose colors are the int `present`, such that a
+    closed walk over all of it satisfies the formula; or None."""
+    absent = [c for c in used_colors(formula).colors()
+              if not present >> c & 1]
+    g = subst(formula, {c: True for c in absent}, {c: False for c in absent})
+    if isinstance(g, AccFalse):
+        return None
+    if is_finless(g):
+        # a walk over all internal edges sees every present color
+        return internal
+    c = _first_fin(g)
+    sub = [i for i in internal if not aut.edges[i].acc.bits >> c & 1]
+    for part, colors in _subgraph_sccs(aut, sub):
+        got = _search_scc(aut, part, colors, g)
+        if got is not None:
+            return got
+    return _search_scc(aut, internal, present, subst(g, {c: False}, {}))
+
+
+def _witness(aut):
+    """An accepting strongly connected edge set of a nonalternating
+    automaton, or None when its language is empty."""
+    if aut.has_universal_branches():
+        raise ValueError("emptiness needs a nonalternating automaton")
+    info = SccInfo(aut)
+    for cid, internal in enumerate(info.internal):
+        if internal:
+            got = _search_scc(aut, internal, info.colors[cid].bits,
+                              aut.acceptance)
             if got is not None:
                 return got
     return None
 
 
-def _search_edges(aut, edge_idxs, formula):
-    """A strongly connected edge set whose closed walks satisfy the
-    formula, or None."""
-    if isinstance(formula, AccFalse):
-        return None
-    for comp, internal in _subgraph_sccs(aut, edge_idxs):
-        if not internal:
-            continue
-        present = ColorSet(0, aut.nwords)
-        for i in internal:
-            present = present | aut.edges[i].acc
-        absent = [c for c in used_colors(formula).colors()
-                  if not present.has(c)]
-        g = subst(formula, {c: True for c in absent},
-                  {c: False for c in absent})
-        if isinstance(g, AccFalse):
-            continue
-        if is_finless(g):
-            # a walk over all internal edges sees every present color
-            return internal
-        c = _first_fin(g)
-        sub = [i for i in internal if not aut.edges[i].acc.has(c)]
-        got = _search_edges(aut, sub, g)
-        if got is not None:
-            return got
-        g2 = subst(g, {c: False}, {})
-        got = _search_edges(aut, internal, g2)
-        if got is not None:
-            return got
-    return None
-
-
-def _accepting_edge_set(aut):
-    if aut.has_universal_branches():
-        raise ValueError("emptiness needs a nonalternating automaton")
-    reach = set(reachable_states(aut))
-    edges = [i for i in range(1, len(aut.edges))
-             if aut.edges[i].cond != FALSE_GUARD
-             and aut.edges[i].src in reach]
-    return _search_edges(aut, edges, aut.acceptance)
-
-
 def is_empty(aut):
     """True iff the automaton accepts no word."""
-    return _accepting_edge_set(aut) is None
+    return _witness(aut) is None
 
 
 @dataclass
@@ -438,82 +406,82 @@ def check_run(aut, run):
     return eval_acceptance(aut.acceptance, seen)
 
 
-def _bfs_path(aut, sources, goals, allowed=None):
-    """Shortest edge path from any source to any goal state.
+def _bfs_path(dsts, idxs, sources, goal):
+    """Shortest edge path from a source state whose last edge is the
+    first one for which goal(edge, dst) holds, or None.
 
-    allowed restricts the usable edge indices; None means every
-    non-false edge.  Returns a list of edge indices (may be empty when a
-    source already is a goal)."""
-    prev = {}
-    queue = deque()
-    for s in sources:
-        if s in goals:
-            return []
-        prev[s] = None
-        queue.append(s)
+    dsts[v] and idxs[v] are the parallel destination and edge lists of
+    state v, as _successors gives them; they need an entry for every
+    state the search reaches.
+    """
+    prev = dict.fromkeys(sources)     # state -> (edge, state) entering it
+    queue = deque(prev)
     while queue:
         v = queue.popleft()
-        idxs = aut.out_indices(v) if allowed is None else \
-            [i for i in allowed if aut.edges[i].src == v]
-        for i in idxs:
-            e = aut.edges[i]
-            if e.cond == FALSE_GUARD or e.dst < 0:
-                continue
-            if e.dst in prev:
-                continue
-            prev[e.dst] = i
-            if e.dst in goals:
-                path = []
-                at = e.dst
-                while prev[at] is not None:
-                    path.append(prev[at])
-                    at = aut.edges[prev[at]].src
+        for d, i in zip(dsts[v], idxs[v]):
+            if goal(i, d):
+                path = [i]
+                while prev[v] is not None:
+                    i, v = prev[v]
+                    path.append(i)
                 path.reverse()
                 return path
-            queue.append(e.dst)
+            if d not in prev:
+                prev[d] = (i, v)
+                queue.append(d)
     return None
 
 
 def accepting_run(aut):
-    """An accepting Lasso, or None when the language is empty."""
-    witness = _accepting_edge_set(aut)
+    """An accepting Lasso, or None when the language is empty.
+
+    The cycle stays inside the witness edge set W found by the emptiness
+    search and sees each of W's k colors: it takes one W edge, then
+    repeatedly a shortest path through W to the nearest edge bearing a
+    color not seen yet, then a shortest path back to its start.  So the
+    prefix is shorter than the number of states and the cycle has at
+    most (k + 1) * |states of W| edges.
+    """
+    witness = _witness(aut)
     if witness is None:
         return None
-    # `witness` is a strongly connected edge set; a closed walk covering
-    # all of it sees exactly its colors, which satisfy the acceptance.
-    by_src = {}
+    # a closed walk through the witness that sees all of its colors
+    # sees exactly the colors of a walk covering it, which satisfy the
+    # acceptance
+    edges = aut.edges
+    w_dsts, w_idxs = {}, {}
+    missing = 0
     for i in witness:
-        by_src.setdefault(aut.edges[i].src, []).append(i)
-    start = aut.edges[witness[0]].src
-    prefix = _bfs_path(aut, list(aut.univ_dests(aut.init)), {start})
+        e = edges[i]
+        w_dsts.setdefault(e.src, []).append(e.dst)
+        w_idxs.setdefault(e.src, []).append(i)
+        missing |= e.acc.bits
+    start = edges[witness[0]].src
+
+    def new_color(i, d):
+        return edges[i].acc.bits & missing
+
+    def home(i, d):
+        return d == start
+
+    prefix = [] if start == aut.init else _bfs_path(
+        *_successors(aut), [aut.init], home)
     if prefix is None:
         raise RuntimeError("accepting_run: witness not reachable")
-
     cycle = []
-    remaining = set(witness)
-    at = start
-    while remaining:
-        goals = {aut.edges[i].src for i in remaining}
-        path = _bfs_path(aut, [at], goals, allowed=witness)
-        if path is None:
-            raise RuntimeError("accepting_run: witness not strongly connected")
-        for i in path:
-            remaining.discard(i)
+    path = [witness[0]]
+    while True:
         cycle.extend(path)
-        at = aut.edges[path[-1]].dst if path else at
-        pick = None
-        for i in by_src.get(at, ()):
-            if i in remaining:
-                pick = i
-                break
-        if pick is not None:
-            cycle.append(pick)
-            remaining.discard(pick)
-            at = aut.edges[pick].dst
-    back = _bfs_path(aut, [at], {start}, allowed=witness)
-    if back is None:
-        raise RuntimeError("accepting_run: witness not strongly connected")
-    cycle.extend(back)
+        for i in path:
+            missing &= ~edges[i].acc.bits
+        at = edges[path[-1]].dst
+        if not missing and at == start:
+            break
+        path = _bfs_path(w_dsts, w_idxs, [at],
+                         new_color if missing else home)
+        if path is None:
+            raise RuntimeError("accepting_run: witness not strongly "
+                               "connected")
     run = Lasso(prefix, cycle)
     if not check_run(aut, run):
         raise RuntimeError("accepting_run: the lasso is not accepting")
@@ -551,9 +519,8 @@ def remove_fin(aut):
         inf_map.append({c: next_color + k for k, c in enumerate(sorted(infs))})
         next_color += len(infs)
     total = next_color
-    nwords = max(1, (total + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
 
-    out = Automaton(aut.aps, nwords, aut.store)
+    out = Automaton(aut.aps, words_for(total), aut.store)
     out.new_states(n * (1 + len(disjuncts)))
     for e in aut.edge_records():
         out.new_edge(e.src, e.dst, e.cond, None)
@@ -585,18 +552,42 @@ def remove_fin(aut):
 # ---------------------------------------------------------------------------
 # Products.
 
-def _translated(store, cache, other_store, gid, ap_map):
-    if gid not in cache:
-        cache[gid] = store.translate_from(other_store, gid, ap_map)
-    return cache[gid]
-
-
 def _weak_product_side(weak, other):
     # the optimization drops the weak side's colors entirely; it needs
     # the other acceptance to be Fin-free and to reject colorless cycles
     return (weak.get_flag("weak") is YES
             and is_finless(other.acceptance)
             and not eval_acceptance(other.acceptance, ColorSet(0, 1)))
+
+
+def _accepting_scc_mask(aut):
+    """Per state, -1 (all colors) in an accepting SCC, else 0."""
+    info = scc_info(aut)
+    ok = [bool(internal) and eval_acceptance(aut.acceptance, colors)
+          for internal, colors in zip(info.internal, info.colors)]
+    return [-1 if cid >= 0 and ok[cid] else 0 for cid in info.scc_of]
+
+
+def _flat_successors(aut, store, ap_map, shift, keep):
+    """succ[s] = [(guard bits, dst, colors), ...] over the edges of s in
+    order, with guards moved into `store` and false ones dropped.
+
+    Colors beyond the declared count are inert and masked off; the rest
+    are shifted left by `shift`, or all dropped when `keep` is false.
+    """
+    mask = ((1 << aut.num_sets) - 1) if keep else 0
+    bits_of = {}                      # guard id in aut -> bits in store
+    succ = [[] for _ in range(aut.num_states)]
+    edges = aut.edges
+    for i in range(1, len(edges)):
+        e = edges[i]
+        g = bits_of.get(e.cond)
+        if g is None:
+            g = bits_of[e.cond] = store.bits_of(
+                store.translate_from(aut.store, e.cond, ap_map))
+        if g:
+            succ[e.src].append((g, e.dst, (e.acc.bits & mask) << shift))
+    return succ
 
 
 def product(a, b):
@@ -606,6 +597,13 @@ def product(a, b):
     When one operand is known weak and the other side's acceptance is
     Fin-free and rejects colorless cycles, the weak side contributes no
     colors: its accepting SCCs simply let the partner's colors through.
+
+    Each operand is first flattened into per-state lists of (guard
+    bits, destination, colors), with guards translated once per guard
+    id and false edges dropped.  A pair of edges then costs one AND of
+    two ints, and only nonempty conjunctions are interned.  States are
+    numbered in breadth-first discovery order from the initial pair and
+    each state's edges follow a's edge order, then b's.
     """
     if a.has_universal_branches() or b.has_universal_branches():
         raise ValueError("product needs nonalternating automata")
@@ -613,76 +611,55 @@ def product(a, b):
     for p in b.aps:
         if p not in aps:
             aps.append(p)
-    map_a = [aps.index(p) for p in a.aps]
-    map_b = [aps.index(p) for p in b.aps]
 
     weak_a = _weak_product_side(a, b)
-    weak_b = False if weak_a else _weak_product_side(b, a)
+    weak_b = not weak_a and _weak_product_side(b, a)
     if weak_a:
         num_sets = b.num_sets
         acceptance = b.acceptance
-        gate_info = scc_info(a)
     elif weak_b:
         num_sets = a.num_sets
         acceptance = a.acceptance
-        gate_info = scc_info(b)
     else:
         num_sets = a.num_sets + b.num_sets
         acceptance = f_and([a.acceptance,
                             shift_colors(b.acceptance, a.num_sets)])
-        gate_info = None
-    nwords = max(1, (num_sets + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
-
-    gate_ok = None
-    if gate_info is not None:
-        side = a if weak_a else b
-        gate_ok = [bool(gate_info.internal[cid])
-                   and eval_acceptance(side.acceptance, gate_info.colors[cid])
-                   for cid in range(gate_info.num)]
-
+    nwords = words_for(num_sets)
     out = Automaton(aps, nwords)
-    if a.num_states == 0 or b.num_states == 0:
-        out.set_acceptance(num_sets, acceptance)
-        out.set_named_prop("product-states", [])
-        return out
 
-    cache_a = {}
-    cache_b = {}
-    # colors beyond an operand's declared count are inert; mask them off
-    mask_a = (1 << a.num_sets) - 1
-    mask_b = (1 << b.num_sets) - 1
-    pairs = [(a.init, b.init)]
-    index = {pairs[0]: out.new_state()}
-    queue = deque(pairs)
-    while queue:
-        s, t = queue.popleft()
-        src = index[(s, t)]
-        for ea in a.out(s):
-            ga = _translated(out.store, cache_a, a.store, ea.cond, map_a)
-            if ga == FALSE_GUARD:
-                continue
-            for eb in b.out(t):
-                gb = _translated(out.store, cache_b, b.store, eb.cond, map_b)
-                g = out.store.g_and(ga, gb)
-                if g == FALSE_GUARD:
+    # the partner's colors pass only where the weak side sits in an
+    # accepting SCC
+    gate_a = _accepting_scc_mask(a) if weak_a else [-1] * a.num_states
+    gate_b = _accepting_scc_mask(b) if weak_b else [-1] * b.num_states
+    store = out.store
+    succ_a = _flat_successors(a, store, [aps.index(p) for p in a.aps], 0,
+                              not weak_a)
+    succ_b = _flat_successors(b, store, [aps.index(p) for p in b.aps],
+                              0 if weak_a or weak_b else a.num_sets,
+                              not weak_b)
+
+    intern = store.intern
+    new_edge = out.new_edge
+    pairs = [(a.init, b.init)] if a.num_states and b.num_states else []
+    index = {pair: out.new_state() for pair in pairs}
+    for src, (s, t) in enumerate(pairs):
+        keep = gate_a[s] & gate_b[t]
+        row_b = succ_b[t]
+        for ga, da, ca in succ_a[s]:
+            for gb, db, cb in row_b:
+                g = ga & gb
+                if not g:
                     continue
-                key = (ea.dst, eb.dst)
-                if key not in index:
-                    index[key] = out.new_state()
+                key = (da, db)
+                dst = index.get(key)
+                if dst is None:
+                    dst = index[key] = out.new_state()
                     pairs.append(key)
-                    queue.append(key)
-                if weak_a:
-                    bits = (eb.acc.bits & mask_b) \
-                        if gate_ok[gate_info.scc_of[s]] else 0
-                elif weak_b:
-                    bits = (ea.acc.bits & mask_a) \
-                        if gate_ok[gate_info.scc_of[t]] else 0
-                else:
-                    bits = (ea.acc.bits & mask_a) \
-                        | ((eb.acc.bits & mask_b) << a.num_sets)
-                out.new_edge(src, index[key], g, ColorSet(bits, nwords))
+                new_edge(src, dst, intern(g),
+                         ColorSet((ca | cb) & keep, nwords))
     out.set_acceptance(num_sets, acceptance)
-    out.set_init(0)
+    if pairs:
+        out.set_init(0)
     out.set_named_prop("product-states", pairs)
     return out
 
@@ -786,9 +763,8 @@ def _dealternate_weak(aut):
     bcolor = 0 if use_break else None
     pcolor = {q: (1 if use_break else 0) + k for k, q in enumerate(singles)}
     total = (1 if use_break else 0) + len(singles)
-    nwords = max(1, (total + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
 
-    out = Automaton(aut.aps, nwords, aut.store)
+    out = Automaton(aut.aps, words_for(total), aut.store)
     s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
     o0 = tuple(s for s in s0 if s in multi)
     start = (s0, o0)
@@ -906,7 +882,7 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
     names = ["p%d" % i for i in range(aps)] if isinstance(aps, int) \
         else list(aps)
     nminterms = 1 << len(names)
-    nwords = max(1, (colors + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
+    nwords = words_for(colors)
     aut = Automaton(names, nwords)
     aut.new_states(states)
     for s in range(states):

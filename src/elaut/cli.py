@@ -8,7 +8,9 @@ written as HOA to stdout.
 
 Exit status: 0 on success (and on all-yes answers for the query modes),
 1 when a query answers no (a non-empty automaton under --is-empty, a
-failed --check, an unrealizable game), 2 on usage or processing errors.
+failed --check, an unrealizable game), 2 on usage or processing errors
+and on any other exception, which is reported as an internal error with
+its traceback.
 
 The ELAUT_COLOR_WORDS environment variable widens the per-edge color
 storage of every parsed automaton to at least that many 32-bit words.
@@ -21,6 +23,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 from . import algorithms, synthesis
 from .acceptance import (AccClass, acc_name, change_parity, class_colors,
@@ -234,8 +237,7 @@ def cmd_game(args):
             sys.stdout.write(print_hoa(synthesis.mealy_to_automaton(machine)))
         else:
             print("winners: " + " ".join(str(w) for w in sol.winners))
-            print("strategy: " + " ".join(
-                "-" if i is None else str(i) for i in sol.strategy))
+            print("strategy: " + " ".join(str(i) for i in sol.strategy))
     return status
 
 
@@ -315,8 +317,6 @@ def build_parser():
 
     p = sub.add_parser("game", help="solve ownership-annotated automata")
     p.add_argument("files", nargs="*")
-    p.add_argument("--solve", action="store_true",
-                   help="print winners and strategy (the default)")
     p.add_argument("--print-winners", action="store_true")
     p.add_argument("--print-strategy-dot", action="store_true")
     p.add_argument("--to-mealy", action="store_true",
@@ -342,6 +342,12 @@ def main(argv=None):
         return 0
     except (ValueError, TypeError, OSError) as exc:
         print("elaut: error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash must not exit 1, which --is-empty reads as "nonempty"
+        traceback.print_exc(file=sys.stderr)
+        print("elaut: internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 2
 
 

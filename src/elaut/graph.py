@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import types
 from dataclasses import dataclass
 
 from .acceptance import COLORS_PER_WORD, TRUE, ColorSet, used_colors
@@ -54,7 +55,8 @@ FLAG_NAMES = (
     "semi_deterministic",
     "stutter_invariant",
 )
-_ALL_MAYBE = dict.fromkeys(FLAG_NAMES, MAYBE)
+# shared and read-only: set_flag gives an automaton its own copy first
+_ALL_MAYBE = types.MappingProxyType(dict.fromkeys(FLAG_NAMES, MAYBE))
 
 # checkers are registered by the algorithms module at import time
 flag_checkers = {}
@@ -101,7 +103,7 @@ class Automaton:
         self.init = 0
         self.num_sets = 0
         self.acceptance = TRUE
-        self.flags = _ALL_MAYBE.copy()
+        self.flags = _ALL_MAYBE
         self.named_props = {}
 
     # -- basic shape --------------------------------------------------
@@ -258,11 +260,13 @@ class Automaton:
     # -- flags --------------------------------------------------------
 
     def reset_flags(self):
-        self.flags = _ALL_MAYBE.copy()
+        self.flags = _ALL_MAYBE
 
     def set_flag(self, name, value):
         if name not in self.flags:
             raise ValueError("unknown flag %r" % name)
+        if self.flags is _ALL_MAYBE:
+            self.flags = dict(_ALL_MAYBE)
         self.flags[name] = Trivalent.of(value)
 
     def get_flag(self, name):

@@ -275,7 +275,11 @@ def _parse_label(store, text):
         num, ch = tokens[i]
         i += 1
         if num:
-            ap = int(num)
+            try:
+                ap = int(num)
+            except ValueError:        # more digits than int() converts
+                raise _label_error(text, i - 1, "AP index of %d digits out "
+                                   "of range" % len(num)) from None
             if ap >= store.ap_count:
                 raise _label_error(text, i - 1,
                                    "AP index %d out of range" % ap)

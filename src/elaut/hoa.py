@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .acceptance import (FALSE, TRUE, acc_name, eval_acceptance,
-                         parse_acceptance, AcceptanceParseError)
+                         parse_acceptance, words_for, AcceptanceParseError)
 from .graph import MAYBE, NO, YES, Automaton, FLAG_NAMES
 from .guards import LabelParseError, TRUE_GUARD
 
@@ -90,7 +90,12 @@ def _lex(text, pos):
         for m in _TOKEN_RE.finditer(text, pos):
             k = m.lastindex
             if k == 1:
-                append(("int", int(m.group(1)), m.start(1)))
+                try:
+                    append(("int", int(m.group(1)), m.start(1)))
+                except ValueError:    # more digits than int() converts
+                    append(("error", "integer of %d digits too large"
+                            % len(m.group(1)), m.start(1)))
+                    return toks, m.end()
             elif k == 2:
                 append(("label", m.group(2), m.start(2) - 1))
             elif k == 3:
@@ -272,8 +277,7 @@ class _Parser:
         if num_sets is None:
             raise self.error("missing Acceptance: header", body_at)
         aps = h["aps"] if h["aps"] is not None else []
-        nwords = max(self.min_nwords, (num_sets + 31) // 32, 1)
-        aut = Automaton(aps, nwords=nwords)
+        aut = Automaton(aps, max(self.min_nwords, words_for(num_sets)))
         declared = h["states"]
         if declared is not None:
             aut.new_states(declared)

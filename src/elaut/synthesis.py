@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .acceptance import (COLORS_PER_WORD, TRUE, AccTrue, ColorSet,
-                         make_class, parity, parity_readings)
+from .acceptance import (TRUE, AccTrue, ColorSet, make_class, parity,
+                         parity_readings, words_for)
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
@@ -147,7 +147,7 @@ def colorize_parity(aut):
         raise ValueError("acceptance %s has no max-odd parity reading"
                          % aut.acceptance)
     total = n + 2
-    nwords = max(aut.nwords, (total + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
+    nwords = max(aut.nwords, words_for(total))
     out = aut.clone()
     for e in out.edge_records():
         # only the largest color on an edge can be the maximum of a

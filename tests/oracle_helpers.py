@@ -8,9 +8,10 @@ the library's own graph algorithms, so a shared bug cannot hide.
 import random
 from itertools import product as iproduct
 
-from elaut.acceptance import AccTrue, And, ColorSet, Inf, eval_acceptance, \
-    make_class, parity, parse_acceptance
-from elaut.graph import Automaton
+from elaut.acceptance import AccTrue, And, ColorSet, Fin, Inf, \
+    eval_acceptance, f_and, make_class, parity, parse_acceptance, \
+    shift_colors
+from elaut.graph import YES, Automaton
 from elaut.guards import FALSE_GUARD
 
 
@@ -175,6 +176,108 @@ def empty_by_edge_subsets(aut):
     rows, reach = graph_of(aut)
     return not rows_nonempty(rows, reach, aut.acceptance,
                              nwords=max(4, aut.nwords))
+
+
+# ------------------------------------------------------------ products
+
+def _has_fin(formula):
+    return isinstance(formula, Fin) or any(
+        _has_fin(c) for c in getattr(formula, "children", ()))
+
+
+def _accepting_scc_states(aut):
+    """States of the reachable SCCs whose internal edges carry an
+    accepting set of colors."""
+    rows, reach = graph_of(aut)
+    rows = [r for r in rows if r[1] in reach]
+    out = set()
+    for comp in _sccs_of_rows(rows):
+        colors = set()
+        internal = False
+        for (_, s, d, cols) in rows:
+            if s in comp and d in comp:
+                internal = True
+                colors |= cols
+        if internal and eval_acceptance(
+                aut.acceptance, ColorSet.of(colors, max(4, aut.nwords))):
+            out |= comp
+    return out
+
+
+def product_by_pairs(a, b):
+    """The intersection product as product() defines it, built pair by
+    pair with guards conjoined minterm by minterm.
+
+    States are numbered in breadth-first discovery order from the initial
+    pair; a state's edges pair each edge of a (in order) with each edge
+    of b.  Colors are a's then b's shifted by a's count, except that an
+    operand flagged weak contributes none, and lets b's (a's) through
+    only from its accepting SCCs, when the partner's acceptance has no
+    Fin and rejects colorless cycles.
+    """
+    aps = list(a.aps) + [p for p in b.aps if p not in a.aps]
+
+    def weak_side(x, y):
+        return (x.get_flag("weak") is YES
+                and not _has_fin(y.acceptance)
+                and not eval_acceptance(y.acceptance, ColorSet(0, 1)))
+
+    weak_a = weak_side(a, b)
+    weak_b = not weak_a and weak_side(b, a)
+    if weak_a:
+        num_sets, acceptance = b.num_sets, b.acceptance
+        gate = _accepting_scc_states(a)
+    elif weak_b:
+        num_sets, acceptance = a.num_sets, a.acceptance
+        gate = _accepting_scc_states(b)
+    else:
+        num_sets = a.num_sets + b.num_sets
+        acceptance = f_and([a.acceptance,
+                            shift_colors(b.acceptance, a.num_sets)])
+    out = Automaton(aps, nwords=max(1, (num_sets + 31) // 32))
+
+    def letter(aut, m):
+        # assignment m over `aps`, seen over aut's own AP list
+        return sum(((m >> aps.index(p)) & 1) << j
+                   for j, p in enumerate(aut.aps))
+
+    def out_edges(aut, s):
+        return [aut.edges[i] for i in range(1, len(aut.edges))
+                if aut.edges[i].src == s]
+
+    pairs = []
+    if a.num_states and b.num_states:
+        pairs.append((a.init, b.init))
+        out.new_state()
+    k = 0
+    while k < len(pairs):
+        s, t = pairs[k]
+        for ea in out_edges(a, s):
+            for eb in out_edges(b, t):
+                bits = sum(1 << m for m in range(1 << len(aps))
+                           if a.store.holds(ea.cond, letter(a, m))
+                           and b.store.holds(eb.cond, letter(b, m)))
+                if not bits:
+                    continue
+                if (ea.dst, eb.dst) not in pairs:
+                    pairs.append((ea.dst, eb.dst))
+                    out.new_state()
+                ca = [c for c in ea.acc.colors() if c < a.num_sets]
+                cb = [c for c in eb.acc.colors() if c < b.num_sets]
+                if weak_a:
+                    colors = cb if s in gate else []
+                elif weak_b:
+                    colors = ca if t in gate else []
+                else:
+                    colors = ca + [a.num_sets + c for c in cb]
+                out.new_edge(k, pairs.index((ea.dst, eb.dst)),
+                             out.store.intern(bits), colors)
+        k += 1
+    out.set_acceptance(num_sets, acceptance)
+    if pairs:
+        out.set_init(0)
+    out.set_named_prop("product-states", pairs)
+    return out
 
 
 # --------------------------------------------- ultimately periodic words

@@ -18,10 +18,10 @@ from elaut import (
     scc_info,
 )
 from elaut import algorithms
-from elaut.acceptance import AccClass, And, recognize
+from elaut.acceptance import AccClass, And, parity, recognize
 from oracle_helpers import (
-    alt_buchi_word_in, build, empty_by_edge_subsets, random_alt_buchi,
-    random_words, up_word_in, word_in_gen_buchi,
+    alt_buchi_word_in, build, empty_by_edge_subsets, product_by_pairs,
+    random_alt_buchi, random_words, up_word_in, word_in_gen_buchi,
 )
 
 INF0 = parse_acceptance("Inf(0)")
@@ -199,7 +199,34 @@ def test_emptiness_edge_cases():
                           [(0, "t", 1, [])]))
 
 
-def test_accepting_run_is_always_valid():
+@pytest.fixture
+def witnesses(monkeypatch):
+    """The witness edge set of every emptiness search, in call order."""
+    seen = []
+    real = algorithms._witness
+
+    def spy(aut):
+        seen.append(real(aut))
+        return seen[-1]
+
+    monkeypatch.setattr(algorithms, "_witness", spy)
+    return seen
+
+
+def _check_short_lasso(aut, run, witness):
+    # the prefix is a shortest path, and the cycle stays in the witness
+    # with at most (k + 1) * |witness states| edges for its k colors
+    states = {aut.edges[i].src for i in witness}
+    colors = set()
+    for i in witness:
+        colors.update(aut.edges[i].acc.colors())
+    assert check_run(aut, run)
+    assert len(run.prefix) < aut.num_states
+    assert set(run.cycle) <= set(witness)
+    assert len(run.cycle) <= (len(colors) + 1) * len(states)
+
+
+def test_accepting_run_is_always_valid(witnesses):
     corpus = small_corpus(150, seed_base=5000)
     nonempty = 0
     for aut in corpus:
@@ -209,8 +236,17 @@ def test_accepting_run_is_always_valid():
             continue
         nonempty += 1
         assert run.cycle
-        assert check_run(aut, run)
+        _check_short_lasso(aut, run, witnesses[-1])
     assert nonempty > 30
+
+
+def test_accepting_run_is_short_on_a_large_automaton(witnesses):
+    aut = random_automaton(2000, 3, density=0.3, colors=4,
+                           acceptance=parity("max", "odd", 4), seed=1)
+    assert aut.num_edges == 6773
+    run = accepting_run(aut)
+    _check_short_lasso(aut, run, witnesses[-1])
+    assert len(run.cycle) < aut.num_edges
 
 
 def test_check_run_rejects_bad_lassos():
@@ -287,6 +323,45 @@ def test_product_language_is_intersection():
             expect = up_word_in(a, pre, cyc) and up_word_in(b, pre, cyc)
             assert up_word_in(prod, pre, cyc) == expect
         assert is_empty(prod) == empty_by_edge_subsets(prod)
+
+
+def _weak_by_scc(aut, seed):
+    """The automaton with one color set per SCC (color 0 or none), known
+    weak."""
+    rng = random.Random(seed)
+    info = scc_info(aut)
+    marked = [rng.random() < 0.5 for _ in range(info.num)]
+    for e in aut.edge_records():
+        cid = info.scc_of[e.src]
+        e.acc = ColorSet(1 if cid >= 0 and marked[cid] else 0, aut.nwords)
+    assert is_weak(aut)
+    return aut
+
+
+def test_product_matches_pairwise_construction():
+    rng = random.Random(4242)
+    gated = 0
+    for k in range(60):
+        a = random_automaton(states=rng.randint(1, 8),
+                             aps=["p0", "p1", "p2"][:rng.randint(0, 3)],
+                             density=rng.uniform(0.1, 0.5),
+                             colors=rng.randint(1, 3), color_density=0.4,
+                             seed=11000 + k)
+        b = random_automaton(states=rng.randint(1, 5),
+                             aps=["p1", "p3"][:rng.randint(0, 2)],
+                             density=rng.uniform(0.2, 0.9),
+                             colors=rng.randint(1, 3), color_density=0.4,
+                             seed=12000 + k)
+        if k % 3 == 0:
+            # a weak operand against a Buchi one takes the gated path
+            a = _weak_by_scc(a, k)
+            b.set_acceptance(b.num_sets, INF0)
+        if k % 2 == 0:
+            a, b = b, a
+        gated += algorithms._weak_product_side(a, b) \
+            or algorithms._weak_product_side(b, a)
+        assert print_hoa(product(a, b)) == print_hoa(product_by_pairs(a, b))
+    assert gated == 20
 
 
 def test_product_merges_ap_lists():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from elaut import is_empty, parse_hoa, parse_hoa_stream
+from elaut import algorithms, is_empty, parse_hoa, parse_hoa_stream
 from elaut.cli import main
 
 BUCHI_AB = """HOA: v1
@@ -200,6 +200,21 @@ def test_aut_accepting_run(tmp_path, capsys):
     empty = write(tmp_path, "empty.hoa", EMPTY_LANG)
     assert main(["aut", empty, "--accepting-run"]) == 1
     assert capsys.readouterr().out == "no accepting run\n"
+
+
+def test_internal_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # 1 means "nonempty" to --is-empty and "no run" to --accepting-run,
+    # so a crash must not exit 1
+    def crash(aut):
+        raise RuntimeError("accepting_run: the lasso is not accepting")
+
+    monkeypatch.setattr(algorithms, "accepting_run", crash)
+    full = write(tmp_path, "full.hoa", BUCHI_AB)
+    assert main(["aut", full, "--accepting-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("elaut: internal error: RuntimeError: "
+                        "accepting_run: the lasso is not accepting\n")
+    assert "Traceback" in err
 
 
 def test_aut_check_flag(tmp_path, capsys):

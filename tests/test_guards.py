@@ -383,7 +383,9 @@ def test_label_error_positions():
             ("0 1", "trailing input in label", 2),
             ("0)", "trailing input in label", 1),
             ("&1", "unexpected '&' in label", 0),
-            ("!", "unexpected 'end' in label", 1)]:
+            ("!", "unexpected 'end' in label", 1),
+            ("9" * 5000, "AP index of 5000 digits out of range", 0),
+            ("0 & " + "9" * 5000, "AP index of 5000 digits out of range", 4)]:
         with pytest.raises(LabelParseError) as err:
             st.parse_label(bad)
         assert err.value.pos == pos

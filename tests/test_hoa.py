@@ -477,6 +477,10 @@ _BODY_HEAD = ('HOA: v1\nStates: 2\nStart: 0\nAP: 2 "a" "b"\n'
      "trailing input after --END--", 11, 3),
     (_BODY_HEAD + "State: 0\n[t] 0 {0 1}\n--END--\n",
      "color 1 not below the declared count 1", 8, 10),
+    ("HOA: v1\nStates: " + "9" * 5000, "integer of 5000 digits too large",
+     2, 9),
+    (_BODY_HEAD + "State: 0\n[0 | %s] 0\n--END--\n" % ("7" * 5000),
+     "bad label: AP index of 5000 digits out of range at position 4", 8, 2),
 ])
 def test_error_line_and_column(text, message, line, col):
     e = parse_err(text)
