@@ -19,15 +19,11 @@ from .acceptance import (AccClass, AccFalse, AccTrue, AcceptanceParseError,
 from .guards import (Cube, FALSE_GUARD, GuardStore, LabelParseError,
                      TRUE_GUARD)
 from .graph import (Automaton, FLAG_NAMES, MAYBE, NO, Trivalent, YES,
-                    get_or_compute_flag, trim)
+                    trim)
 from .hoa import HoaParseError, parse_hoa, parse_hoa_stream, print_dot, \
     print_hoa, stats
-
-# Importing these modules registers the structural flag checkers and the
-# synthesis entry points; keep the imports even though nothing below
-# names the modules themselves.
 from .algorithms import (Lasso, SccInfo, accepting_run, check_run,
-                         is_complete, is_empty, is_inherently_weak,
+                         get_or_compute_flag, is_complete, is_empty, is_inherently_weak,
                          is_terminal, is_universal, is_very_weak, is_weak,
                          product, random_automaton, reachable_states,
                          remove_alternation, remove_fin, scc_info)

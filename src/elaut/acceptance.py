@@ -24,7 +24,11 @@ def words_for(ncolors):
 
 
 class ColorSet:
-    """Fixed-width set of colors, 32*nwords bits wide."""
+    """Fixed-width set of colors, 32*nwords bits wide.
+
+    Instances are treated as immutable: every operation returns a new
+    set, so automata share one instance among all edges of equal colors.
+    """
 
     __slots__ = ("bits", "nwords")
 
@@ -884,9 +888,8 @@ def change_parity(aut, target):
             c = n - 1 - c
         return c + post_shift
 
-    nwords = words_for(total)
+    out.nwords = words_for(total)
     for e, c in zip(out.edge_records(), per_edge):
-        e.acc = ColorSet.of([mapped(c)], nwords)
-    out._nwords = nwords
+        e.acc = out.color_set(1 << mapped(c))
     out.set_acceptance(total, make_class(parity(tgt_mm, tgt_eo, total)))
     return out

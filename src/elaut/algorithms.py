@@ -20,7 +20,7 @@ from .acceptance import (BUCHI, TRUE, AccClass, AccFalse, ColorSet, Fin,
                          Inf, dnf_disjuncts, dual, eval_acceptance, f_and,
                          f_or, is_finless, make_class, recognize,
                          shift_colors, subst, used_colors, words_for)
-from .graph import YES, Automaton, flag_checkers, get_or_compute_flag
+from .graph import MAYBE, YES, Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
 
@@ -254,12 +254,20 @@ def _check_terminal(aut):
     return True
 
 
-flag_checkers["universal"] = _check_universal
-flag_checkers["complete"] = _check_complete
-flag_checkers["weak"] = _check_weak
-flag_checkers["very_weak"] = _check_very_weak
-flag_checkers["inherently_weak"] = _check_inherently_weak
-flag_checkers["terminal"] = _check_terminal
+def get_or_compute_flag(aut, name):
+    """Cached trivalent read: compute once, then answer from the flag."""
+    val = aut.get_flag(name)
+    if val is not MAYBE:
+        return val is YES
+    checker = {"universal": _check_universal, "complete": _check_complete,
+               "weak": _check_weak, "very_weak": _check_very_weak,
+               "inherently_weak": _check_inherently_weak,
+               "terminal": _check_terminal}.get(name)
+    if checker is None:
+        raise ValueError("no checker registered for flag %r" % name)
+    result = bool(checker(aut))
+    aut.set_flag(name, result)
+    return result
 
 
 def is_universal(aut):
@@ -529,8 +537,9 @@ def remove_fin(aut):
             out.new_edge(e.src, n * (d + 1) + e.dst, e.cond, None)
     for d, (fins, infs) in enumerate(disjuncts):
         base = n * (d + 1)
+        fin_bits = sum(1 << c for c in fins)
         for e in aut.edge_records():
-            if any(e.acc.has(c) for c in fins):
+            if e.acc.bits & fin_bits:
                 continue
             cid = info.scc_of[e.src]
             if cid < 0 or info.scc_of[e.dst] != cid:
@@ -655,8 +664,7 @@ def product(a, b):
                 if dst is None:
                     dst = index[key] = out.new_state()
                     pairs.append(key)
-                new_edge(src, dst, intern(g),
-                         ColorSet((ca | cb) & keep, nwords))
+                new_edge(src, dst, intern(g), (ca | cb) & keep)
     out.set_acceptance(num_sets, acceptance)
     if pairs:
         out.set_init(0)
@@ -674,20 +682,16 @@ def _macro_name(s, o=None):
     return "{%s}|{%s}" % (inner, ",".join(str(x) for x in o))
 
 
-def _dealternate_buchi(aut):
-    """Breakpoint construction for alternating automata with Inf(0).
+def _explore_macro(aut, out, start, name, step):
+    """Build `out` from macro states (S, O), breadth first from `start`.
 
-    Macro states are pairs (S, O): the set of active states and the
-    subset still owing a visit to color 0 since the last breakpoint.
-    When every owed state delivers, the macro edge shows color 0 and the
-    obligation restarts from the full successor set.  At most 3^n macro
-    states.
+    For each choice of one out-edge per state of S whose guards meet,
+    step(S, O, combo) gives the successor's S and O and the macro edge's
+    color bits; choices with the same result share one edge under the
+    union of their guards.  name(S, O) labels each macro state.
     """
-    out = Automaton(aut.aps, 1, aut.store)
-    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
-    start = (s0, s0)
     index = {start: out.new_state()}
-    names = [_macro_name(*start)]
+    names = [name(*start)]
     queue = deque([start])
     while queue:
         S, O = queue.popleft()
@@ -700,33 +704,48 @@ def _dealternate_buchi(aut):
                 g = aut.store.g_and(g, aut.edges[i].cond)
                 if g == FALSE_GUARD:
                     break
-            if g == FALSE_GUARD:
-                continue
-            succ = set()
-            owing = set()
-            for s, i in zip(S, combo):
-                e = aut.edges[i]
-                dests = list(aut.univ_dests(e))
-                succ.update(dests)
-                if s in O and not e.acc.has(0):
-                    owing.update(dests)
-            s_next = tuple(sorted(succ))
-            if owing:
-                key = (s_next, tuple(sorted(owing)), False)
-            else:
-                key = (s_next, s_next, True)
-            merged[key] = aut.store.g_or(merged.get(key, FALSE_GUARD), g)
-        for (s_next, o_next, hit), g in merged.items():
+            if g != FALSE_GUARD:
+                key = step(S, O, combo)
+                merged[key] = aut.store.g_or(merged.get(key, FALSE_GUARD), g)
+        for (s_next, o_next, colors), g in merged.items():
             key = (s_next, o_next)
             if key not in index:
                 index[key] = out.new_state()
-                names.append(_macro_name(*key))
+                names.append(name(*key))
                 queue.append(key)
-            out.new_edge(src, index[key], g, [0] if hit else None)
-    out.set_acceptance(1, Inf(0))
+            out.new_edge(src, index[key], g, colors)
     out.set_init(0)
     out.set_named_prop("state-names", names)
     return out
+
+
+def _dealternate_buchi(aut):
+    """Breakpoint construction for alternating automata with Inf(0).
+
+    Macro states are pairs (S, O): the set of active states and the
+    subset still owing a visit to color 0 since the last breakpoint.
+    When every owed state delivers, the macro edge shows color 0 and the
+    obligation restarts from the full successor set.  At most 3^n macro
+    states.
+    """
+    def step(S, O, combo):
+        succ = set()
+        owing = set()
+        for s, i in zip(S, combo):
+            e = aut.edges[i]
+            dests = list(aut.univ_dests(e))
+            succ.update(dests)
+            if s in O and not e.acc.has(0):
+                owing.update(dests)
+        s_next = tuple(sorted(succ))
+        if owing:
+            return s_next, tuple(sorted(owing)), 0
+        return s_next, s_next, 1
+
+    out = Automaton(aut.aps, 1, aut.store)
+    out.set_acceptance(1, Inf(0))
+    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
+    return _explore_macro(aut, out, (s0, s0), _macro_name, step)
 
 
 def _dealternate_weak(aut):
@@ -746,82 +765,51 @@ def _dealternate_weak(aut):
         if len({aut.edges[i].acc for i in edges}) > 1:
             raise ValueError("weak dealternation needs SCC-uniform colors")
 
-    rejecting = [bool(info.internal[cid])
-                 and not eval_acceptance(aut.acceptance, info.colors[cid])
-                 for cid in range(info.num)]
-    multi = set()
-    singles = []
-    for cid in range(info.num):
-        if not rejecting[cid]:
-            continue
-        if len(info.members[cid]) > 1:
-            multi.update(info.members[cid])
-        else:
-            singles.append(info.members[cid][0])
+    multi = set()         # states of multi-state rejecting components
+    singles = []          # states that are a rejecting component alone
+    for cid, members in enumerate(info.members):
+        if info.internal[cid] and not eval_acceptance(aut.acceptance,
+                                                      info.colors[cid]):
+            if len(members) > 1:
+                multi.update(members)
+            else:
+                singles.append(members[0])
     singles.sort()
     use_break = bool(multi)
-    bcolor = 0 if use_break else None
-    pcolor = {q: (1 if use_break else 0) + k for k, q in enumerate(singles)}
-    total = (1 if use_break else 0) + len(singles)
+    first = 1 if use_break else 0     # color 0 marks breakpoints
+    total = first + len(singles)
+
+    def step(S, O, combo):
+        succ = set()
+        owing = set()
+        dests_of = {}
+        for s, i in zip(S, combo):
+            dests = set(aut.univ_dests(aut.edges[i]))
+            dests_of[s] = dests
+            succ.update(dests)
+            if s in O:
+                owing.update(d for d in dests
+                             if info.scc_of[d] == info.scc_of[s])
+        colors = 0
+        s_next = tuple(sorted(succ))
+        if not use_break:
+            o_next = ()
+        elif owing:
+            o_next = tuple(sorted(owing))
+        else:
+            colors = 1
+            o_next = tuple(s for s in s_next if s in multi)
+        for k, q in enumerate(singles):
+            if not (q in dests_of and q in dests_of[q]):
+                colors |= 1 << (first + k)
+        return s_next, o_next, colors
 
     out = Automaton(aut.aps, words_for(total), aut.store)
-    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
-    o0 = tuple(s for s in s0 if s in multi)
-    start = (s0, o0)
-    index = {start: out.new_state()}
-    names = [_macro_name(*start) if use_break else _macro_name(s0)]
-    queue = deque([start])
-    while queue:
-        S, O = queue.popleft()
-        src = index[(S, O)]
-        merged = {}
-        for combo in itertools.product(
-                *[list(aut.out_indices(s)) for s in S]):
-            g = TRUE_GUARD
-            for i in combo:
-                g = aut.store.g_and(g, aut.edges[i].cond)
-                if g == FALSE_GUARD:
-                    break
-            if g == FALSE_GUARD:
-                continue
-            succ = set()
-            owing = set()
-            dests_of = {}
-            for s, i in zip(S, combo):
-                e = aut.edges[i]
-                dests = set(aut.univ_dests(e))
-                dests_of[s] = dests
-                succ.update(dests)
-                if s in O:
-                    owing.update(d for d in dests
-                                 if info.scc_of[d] == info.scc_of[s])
-            colors = []
-            s_next = tuple(sorted(succ))
-            if use_break:
-                if owing:
-                    o_next = tuple(sorted(owing))
-                else:
-                    colors.append(bcolor)
-                    o_next = tuple(s for s in s_next if s in multi)
-            else:
-                o_next = ()
-            for q in singles:
-                if not (q in dests_of and q in dests_of[q]):
-                    colors.append(pcolor[q])
-            key = (s_next, o_next, tuple(colors))
-            merged[key] = aut.store.g_or(merged.get(key, FALSE_GUARD), g)
-        for (s_next, o_next, colors), g in merged.items():
-            key = (s_next, o_next)
-            if key not in index:
-                index[key] = out.new_state()
-                names.append(_macro_name(*key) if use_break
-                             else _macro_name(s_next))
-                queue.append(key)
-            out.new_edge(src, index[key], g, list(colors))
     out.set_acceptance(total, f_and([Inf(c) for c in range(total)]))
-    out.set_init(0)
-    out.set_named_prop("state-names", names)
-    return out
+    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
+    start = (s0, tuple(s for s in s0 if s in multi))
+    name = _macro_name if use_break else (lambda s, o: _macro_name(s))
+    return _explore_macro(aut, out, start, name, step)
 
 
 def remove_alternation(aut):
@@ -903,7 +891,7 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
             for c in range(colors):
                 if rng.random() < color_density:
                     bits |= 1 << c
-            e.acc = ColorSet(bits, nwords)
+            e.acc = aut.color_set(bits)
     if acceptance is None:
         formula = random_acceptance(colors, rng)
     elif isinstance(acceptance, AccClass):

@@ -30,7 +30,8 @@ from .acceptance import (AccClass, acc_name, change_parity, class_colors,
                          generalized_buchi, generalized_co_buchi,
                          generalized_rabin, parity, rabin, streett,
                          AcceptanceParseError, parse_acceptance)
-from .graph import FLAG_NAMES, get_or_compute_flag, trim
+from .algorithms import get_or_compute_flag
+from .graph import FLAG_NAMES, trim
 from .hoa import parse_hoa_stream, print_dot, print_hoa, stats
 
 

@@ -1,10 +1,11 @@
 """Automaton storage.
 
-States and edges live in two flat tables.  A state records the indices of
-its first and last outgoing edges; each edge records the next edge of the
-same source, so the out-edges of a state form a singly linked list in
-insertion order.  Edge index 0 is reserved as the list terminator and
-never denotes a real edge.
+States and edges live in flat tables.  States are two int columns,
+`_succ` and `_tail`, holding each state's first and last out-edge (0 for
+none).  Each EdgeRecord names the next edge of its source, so a state's
+out-edges form a singly linked list in insertion order; edge index 0 is
+the reserved terminator.  A new state is one append per column, a new
+edge a few comparisons, one append and one link.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -12,8 +13,15 @@ table (so it is negative).  At that offset the table holds the group size
 n followed by the n member states.  The initial designator is a single
 destination word, so it too may name a universal group.
 
-With one 32-bit color word an edge record packs into five 32-bit fields:
-src, dst, cond, acc, next -- 20 bytes; each extra color word adds 4.
+Equal color sets are shared: an automaton keeps one ColorSet per value
+(`color_set`), and `new_edge` gives edges with equal colors that one
+object.  ColorSets are never changed in place; an edge gets new colors
+only by assigning `e.acc`.
+
+Packed (`pack_edges`), an edge is five 32-bit fields with one color
+word: src, dst, cond, acc, next -- 20 bytes, plus 4 per extra word.
+That is the binary layout only; live Python objects take several times
+more.
 """
 
 from __future__ import annotations
@@ -58,15 +66,6 @@ FLAG_NAMES = (
 # shared and read-only: set_flag gives an automaton its own copy first
 _ALL_MAYBE = types.MappingProxyType(dict.fromkeys(FLAG_NAMES, MAYBE))
 
-# checkers are registered by the algorithms module at import time
-flag_checkers = {}
-
-
-@dataclass(slots=True)
-class StateRecord:
-    succ: int = 0       # first outgoing edge, 0 if none
-    succ_tail: int = 0  # last outgoing edge, 0 if none
-
 
 @dataclass(slots=True)
 class EdgeRecord:
@@ -95,8 +94,10 @@ class Automaton:
             raise ValueError("guard store has %d APs, automaton has %d"
                              % (store.ap_count, len(self.aps)))
         self.store = store
-        self._nwords = nwords
-        self.states = []
+        self.nwords = nwords
+        self._succ = []               # per state: first out-edge, 0 if none
+        self._tail = []               # per state: last out-edge, 0 if none
+        self._nguards = 0             # guard ids below this are known valid
         self.edges = [None]           # index 0 reserved
         self.dests = []
         self._group_offsets = set()
@@ -112,9 +113,15 @@ class Automaton:
     def nwords(self):
         return self._nwords
 
+    @nwords.setter
+    def nwords(self, nwords):
+        # edges already made keep their sets; later ones get the new width
+        self._nwords = nwords
+        self._colors = {0: ColorSet(0, nwords)}
+
     @property
     def num_states(self):
-        return len(self.states)
+        return len(self._succ)
 
     @property
     def num_edges(self):
@@ -126,52 +133,70 @@ class Automaton:
     # -- construction -------------------------------------------------
 
     def new_state(self):
-        self.states.append(StateRecord())
-        self.reset_flags()
-        return len(self.states) - 1
+        return self.new_states(1)
 
     def new_states(self, n):
-        first = len(self.states)
-        for _ in range(n):
-            self.states.append(StateRecord())
+        first = len(self._succ)
+        self._succ.extend([0] * n)
+        self._tail.extend([0] * n)
         self.reset_flags()
         return first
 
     def _check_word(self, word):
         if word >= 0:
-            if word >= len(self.states):
+            if word >= len(self._succ):
                 raise ValueError("destination %d is not a state" % word)
-        else:
-            if ~word not in self._group_offsets:
-                raise ValueError("destination word %d names no group" % word)
+        elif ~word not in self._group_offsets:
+            raise ValueError("destination word %d names no group" % word)
         return word
 
-    def _make_acc(self, acc):
-        if acc is None:
-            return ColorSet(0, self._nwords)
-        if isinstance(acc, ColorSet):
-            if acc.nwords != self._nwords:
-                raise ValueError("color set width mismatch")
-            return acc
-        return ColorSet.of(acc, self._nwords)
+    def color_set(self, bits):
+        """The automaton's shared ColorSet holding `bits`."""
+        cs = self._colors.get(bits)
+        if cs is None:
+            cs = self._colors[bits] = ColorSet(bits, self._nwords)
+        return cs
 
     def new_edge(self, src, dst, cond=1, acc=None):
-        """Append an edge and link it after src's current out-edges."""
-        if not 0 <= src < len(self.states):
+        """Append an edge and link it after src's current out-edges.
+
+        `acc` is None, an int of color bits, a ColorSet of this width or an
+        iterable of colors; the edge gets the shared set of that value."""
+        tail = self._tail
+        if not 0 <= src < len(tail):
             raise ValueError("source %d is not a state" % src)
-        self._check_word(dst)
-        if not 0 <= cond < len(self.store):
-            raise ValueError("unknown guard id %d" % cond)
-        rec = EdgeRecord(src, dst, cond, self._make_acc(acc), 0)
-        self.edges.append(rec)
-        idx = len(self.edges) - 1
-        st = self.states[src]
-        if st.succ == 0:
-            st.succ = idx
+        if dst >= len(tail):
+            raise ValueError("destination %d is not a state" % dst)
+        if dst < 0 and ~dst not in self._group_offsets:
+            raise ValueError("destination word %d names no group" % dst)
+        if not 0 <= cond < self._nguards:
+            # the store only grows: re-read its size past the largest id
+            self._nguards = len(self.store)
+            if not 0 <= cond < self._nguards:
+                raise ValueError("unknown guard id %d" % cond)
+        if acc is None:
+            bits = 0
+        elif acc.__class__ is int:
+            bits = acc
+        elif isinstance(acc, ColorSet):
+            if acc.nwords != self._nwords:
+                raise ValueError("color set width mismatch")
+            bits = acc.bits
         else:
-            self.edges[st.succ_tail].next_succ = idx
-        st.succ_tail = idx
-        self.reset_flags()
+            bits = ColorSet.of(acc, self._nwords).bits
+        acc = self._colors.get(bits)
+        if acc is None:
+            acc = self.color_set(bits)      # checks the width
+        edges = self.edges
+        idx = len(edges)
+        edges.append(EdgeRecord(src, dst, cond, acc, 0))
+        last = tail[src]
+        if last:
+            edges[last].next_succ = idx
+        else:
+            self._succ[src] = idx
+        tail[src] = idx
+        self.flags = _ALL_MAYBE
         return idx
 
     def new_univ_dest_group(self, members):
@@ -182,7 +207,7 @@ class Automaton:
         """
         seen = []
         for s in members:
-            if not 0 <= s < len(self.states):
+            if not 0 <= s < len(self._succ):
                 raise ValueError("group member %d is not a state" % s)
             if s not in seen:
                 seen.append(s)
@@ -218,7 +243,7 @@ class Automaton:
     # -- traversal ----------------------------------------------------
 
     def out_indices(self, state):
-        idx = self.states[state].succ
+        idx = self._succ[state]
         while idx:
             yield idx
             idx = self.edges[idx].next_succ
@@ -253,9 +278,9 @@ class Automaton:
             yield from self.group_members(word)
 
     def has_universal_branches(self):
-        if self.is_group(self.init):
-            return True
-        return any(e.dst < 0 for e in self.edge_records())
+        # O(1) when no group was ever interned, so nothing can name one
+        return bool(self._group_offsets) and (
+            self.init < 0 or any(e.dst < 0 for e in self.edge_records()))
 
     # -- flags --------------------------------------------------------
 
@@ -297,7 +322,9 @@ class Automaton:
 
     def clone(self, keep_flags=False):
         out = Automaton(self.aps, self._nwords, self.store)
-        out.states = [StateRecord(s.succ, s.succ_tail) for s in self.states]
+        out._succ = list(self._succ)
+        out._tail = list(self._tail)
+        out._colors = dict(self._colors)
         out.edges = [None] + [
             EdgeRecord(e.src, e.dst, e.cond, e.acc, e.next_succ)
             for e in self.edge_records()]
@@ -333,48 +360,44 @@ class Automaton:
     # -- integrity ----------------------------------------------------
 
     def check(self):
-        """Validate the storage invariants; raises AssertionError."""
-        assert self.edges[0] is None
+        """Validate the storage invariants; raises ValueError."""
+        def need(ok, message, *args):
+            if not ok:
+                raise ValueError(message % args)
+
+        edges = self.edges
+        need(edges[0] is None, "edge 0 is not the terminator")
+        need(len(self._succ) == len(self._tail), "state columns differ")
         seen = set()
-        for s, st in enumerate(self.states):
-            idx = st.succ
+        for s, idx in enumerate(self._succ):
             last = 0
             while idx:
-                assert idx not in seen, "edge %d linked twice" % idx
+                need(0 < idx < len(edges), "edge %d does not exist", idx)
+                need(idx not in seen, "edge %d linked twice", idx)
                 seen.add(idx)
-                e = self.edges[idx]
-                assert e.src == s, "edge %d strays from state %d" % (idx, s)
+                e = edges[idx]
+                need(e.src == s, "edge %d strays from state %d", idx, s)
                 self._check_word(e.dst)
-                assert 0 <= e.cond < len(self.store)
-                assert e.acc.nwords == self._nwords
+                need(0 <= e.cond < len(self.store), "unknown guard id %d",
+                     e.cond)
+                need(e.acc.nwords == self._nwords, "color set width mismatch")
                 last = idx
                 idx = e.next_succ
-            assert st.succ_tail == last, "bad tail for state %d" % s
-        assert len(seen) == self.num_edges, "orphaned edges"
+            need(self._tail[s] == last, "bad tail for state %d", s)
+        need(len(seen) == self.num_edges, "orphaned edges")
         for off in self._group_offsets:
             n = self.dests[off]
-            assert n >= 1 and off + n < len(self.dests)
+            need(n >= 1 and off + n < len(self.dests), "bad group %d", ~off)
             for m in self.dests[off + 1:off + 1 + n]:
-                assert 0 <= m < len(self.states)
-        assert self.num_sets <= COLORS_PER_WORD * self._nwords
+                need(0 <= m < len(self._succ), "group member %d is not a state",
+                     m)
+        need(self.num_sets <= self.max_color() + 1, "num_sets too large")
         uc = used_colors(self.acceptance)
-        assert not uc or uc.max_color() < self.num_sets
-        if self.states:
+        need(not uc or uc.max_color() < self.num_sets,
+             "acceptance mentions a color >= num_sets")
+        if self._succ:
             self._check_word(self.init)
         return True
-
-
-def get_or_compute_flag(aut, name):
-    """Cached trivalent read: compute once, then answer from the flag."""
-    val = aut.get_flag(name)
-    if val is not MAYBE:
-        return val is YES
-    checker = flag_checkers.get(name)
-    if checker is None:
-        raise ValueError("no checker registered for flag %r" % name)
-    result = bool(checker(aut))
-    aut.set_flag(name, result)
-    return result
 
 
 # per-state / per-edge named properties that trim() rewrites
@@ -389,45 +412,36 @@ def trim(aut):
     state indices to new ones (None for removed states).  Per-state list
     properties and highlight/strategy annotations are rewritten to match.
     """
-    reach = set()
-    if aut.num_states:
-        stack = list(aut.univ_dests(aut.init))
-        reach.update(stack)
-        while stack:
-            s = stack.pop()
-            for e in aut.out(s):
-                if e.cond == FALSE_GUARD:
-                    continue
+    stack = list(aut.univ_dests(aut.init)) if aut.num_states else []
+    reach = set(stack)
+    while stack:
+        for e in aut.out(stack.pop()):
+            if e.cond != FALSE_GUARD:
                 for d in aut.univ_dests(e):
                     if d not in reach:
                         reach.add(d)
                         stack.append(d)
 
-    state_map = {}
     order = [s for s in range(aut.num_states) if s in reach]
-    for new, old in enumerate(order):
-        state_map[old] = new
-
+    state_map = {old: new for new, old in enumerate(order)}
     out = Automaton(aut.aps, aut.nwords, aut.store)
     out.new_states(len(order))
+
+    def word(w):
+        if w >= 0:
+            return state_map[w]
+        return out.new_univ_dest_group(
+            [state_map[m] for m in aut.group_members(w)])
+
     edge_map = {0: 0}
     for old in order:
         for idx in aut.out_indices(old):
             e = aut.edges[idx]
-            if e.cond == FALSE_GUARD:
-                continue
-            if e.dst >= 0:
-                dst = state_map[e.dst]
-            else:
-                dst = out.new_univ_dest_group(
-                    [state_map[m] for m in aut.group_members(e.dst)])
-            edge_map[idx] = out.new_edge(state_map[old], dst, e.cond, e.acc)
+            if e.cond != FALSE_GUARD:
+                edge_map[idx] = out.new_edge(state_map[old], word(e.dst),
+                                             e.cond, e.acc)
     if aut.num_states:
-        if aut.init >= 0:
-            out.init = state_map[aut.init]
-        else:
-            out.init = out.new_univ_dest_group(
-                [state_map[m] for m in aut.group_members(aut.init)])
+        out.init = word(aut.init)
     out.num_sets = aut.num_sets
     out.acceptance = aut.acceptance
 
@@ -449,5 +463,4 @@ def trim(aut):
             out.named_props[name] = value
     out.named_props["trim-map"] = [state_map.get(s) for s
                                    in range(aut.num_states)]
-    out.reset_flags()
     return out

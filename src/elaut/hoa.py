@@ -298,8 +298,8 @@ class _Parser:
                 raise self.error("bad label: %s" % exc, off + 1) from exc
 
         def colors_at(i):
-            """The colors of the {...} at toks[i], and the index after."""
-            colors = []
+            """The color bits of the {...} at toks[i], and the index after."""
+            colors = 0
             while True:
                 i += 1
                 kind, val, off = tok = toks[i]
@@ -310,13 +310,13 @@ class _Parser:
                 if val >= num_sets:
                     raise self.error("color %d not below the declared count %d"
                                      % (val, num_sets), off)
-                colors.append(val)
+                colors |= 1 << val
 
         # print_hoa writes the colors of a state-acc automaton on its
         # states, so its edges may not carry colors of their own
         state_acc = "state-acc" in h["properties"]
         cur_state = cur_label = None
-        cur_colors = []
+        cur_colors = 0
         defined = set()
         names = {}
         saw_state_colors = saw_edge_colors = False
@@ -357,7 +357,7 @@ class _Parser:
                         raise self.error("edge colors under state-acc",
                                          toks[i][2])
                     colors, i = colors_at(i)
-                    colors += cur_colors
+                    colors |= cur_colors
                     saw_edge_colors = True
                 aut.new_edge(cur_state, dst, guard, colors)
             elif kind == "header" and val == "State":
@@ -378,7 +378,7 @@ class _Parser:
                 if toks[i][0] == "string":
                     names[cur_state] = toks[i][1]
                     i += 1
-                cur_colors = []
+                cur_colors = 0
                 if toks[i][0] == "{":
                     cur_colors, i = colors_at(i)
                     saw_state_colors = True

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .acceptance import (TRUE, AccTrue, ColorSet, make_class, parity,
-                         parity_readings, words_for)
+from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
+                         words_for)
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
@@ -147,15 +147,14 @@ def colorize_parity(aut):
         raise ValueError("acceptance %s has no max-odd parity reading"
                          % aut.acceptance)
     total = n + 2
-    nwords = max(aut.nwords, words_for(total))
     out = aut.clone()
+    out.nwords = max(aut.nwords, words_for(total))
     for e in out.edge_records():
         # only the largest color on an edge can be the maximum of a
         # cycle, so the rest are inert and get dropped
-        kept = [c for c in e.acc.colors() if c < n]
-        new = max(kept) + 2 if kept else 1
-        e.acc = ColorSet.of([new], nwords)
-    out._nwords = nwords
+        kept = e.acc.bits & ((1 << n) - 1)
+        new = kept.bit_length() + 1 if kept else 1     # max(kept) + 2
+        e.acc = out.color_set(1 << new)
     out.set_acceptance(total, make_class(parity("max", "odd", total)))
     return out
 

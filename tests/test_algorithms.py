@@ -106,6 +106,25 @@ def test_universal_flag():
     assert not is_universal(grouped)
 
 
+def test_flag_dispatch(monkeypatch):
+    from elaut import NO, YES, get_or_compute_flag
+    aut = build([], 1, INF0, [(0, "t", 0, [0])])
+    # every checked flag is computed once, then read back from the flag
+    for name in ("universal", "complete", "weak", "very_weak",
+                 "inherently_weak", "terminal"):
+        assert get_or_compute_flag(aut, name) is True
+        assert aut.get_flag(name) is YES
+    aut.set_flag("weak", NO)
+    assert get_or_compute_flag(aut, "weak") is False
+    with pytest.raises(ValueError) as exc:
+        get_or_compute_flag(aut, "stutter_invariant")
+    assert str(exc.value) == \
+        "no checker registered for flag 'stutter_invariant'"
+    with pytest.raises(ValueError) as exc:
+        get_or_compute_flag(aut, "shiny")
+    assert str(exc.value) == "unknown flag 'shiny'"
+
+
 def test_complete_flag():
     comp = build(["a"], 1, INF0, [(0, "0", 0, [0]), (0, "!0", 0, [])])
     assert is_complete(comp)

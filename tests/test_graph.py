@@ -1,13 +1,16 @@
 """Automaton storage: edge lists, destination groups, flags, properties."""
 
+import hashlib
 import random
 
 import pytest
 
 from elaut.acceptance import ColorSet, Inf, TRUE
+from elaut.algorithms import product, random_automaton, remove_fin
 from elaut.graph import (Automaton, FLAG_NAMES, MAYBE, NO, Trivalent, YES,
                          edge_record_size, trim)
 from elaut.guards import GuardStore, TRUE_GUARD
+from elaut.hoa import print_hoa
 
 
 def fresh(nstates=0, naps=1, nwords=1):
@@ -236,3 +239,247 @@ def test_trim_keeps_group_reachable_members():
     assert mapping[3] is None
     e = next(iter(out.out(0)))
     assert sorted(out.univ_dests(e.dst)) == [mapping[1], mapping[2]]
+
+
+# ---------------------------------------------------------------- errors
+
+def _err_fixture():
+    aut = fresh(3, nwords=1)
+    aut.new_univ_dest_group([1, 2])       # word ~0
+    return aut
+
+
+# one row per check in new_edge / new_univ_dest_group / set_init, each
+# with its exact message; a failed call must leave the automaton as it was
+ERROR_ROWS = [
+    ("bad source", lambda a: a.new_edge(3, 0), "source 3 is not a state"),
+    ("negative source", lambda a: a.new_edge(-1, 0),
+     "source -1 is not a state"),
+    ("source checked first", lambda a: a.new_edge(5, 9, 999, [99]),
+     "source 5 is not a state"),
+    ("destination out of range", lambda a: a.new_edge(0, 3),
+     "destination 3 is not a state"),
+    ("unknown group word", lambda a: a.new_edge(0, -2),
+     "destination word -2 names no group"),
+    ("destination before guard", lambda a: a.new_edge(0, 7, 999),
+     "destination 7 is not a state"),
+    ("guard id out of range", lambda a: a.new_edge(0, 1, 999),
+     "unknown guard id 999"),
+    ("negative guard id", lambda a: a.new_edge(0, 1, -1),
+     "unknown guard id -1"),
+    ("guard before colors", lambda a: a.new_edge(0, 1, 999, [32]),
+     "unknown guard id 999"),
+    ("color beyond the width", lambda a: a.new_edge(0, 1, TRUE_GUARD, [32]),
+     "color 32 out of range for 32-bit set"),
+    ("ColorSet of another width",
+     lambda a: a.new_edge(0, 1, TRUE_GUARD, ColorSet.of([1], 2)),
+     "color set width mismatch"),
+    ("group member not a state", lambda a: a.new_univ_dest_group([0, 3]),
+     "group member 3 is not a state"),
+    ("empty group", lambda a: a.new_univ_dest_group([]),
+     "empty destination group"),
+    ("initial state out of range", lambda a: a.set_init(3),
+     "destination 3 is not a state"),
+    ("initial group word unknown", lambda a: a.set_init(-5),
+     "destination word -5 names no group"),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in ERROR_ROWS],
+                         ids=[r[0] for r in ERROR_ROWS])
+def test_construction_error_table(call, message):
+    aut = _err_fixture()
+    before = (aut.num_states, aut.num_edges, list(aut.dests), aut.init)
+    with pytest.raises(ValueError) as exc:
+        call(aut)
+    assert str(exc.value) == message
+    assert (aut.num_states, aut.num_edges, list(aut.dests), aut.init) \
+        == before
+    aut.check()
+
+
+# ------------------------------------------------------ universal branches
+
+def test_universal_branches_group_interned_but_unused():
+    aut = fresh(3)
+    aut.new_univ_dest_group([1, 2])
+    aut.new_edge(0, 1, TRUE_GUARD)
+    aut.set_init(0)
+    assert not aut.has_universal_branches()
+
+
+def test_universal_branches_group_only_initial():
+    aut = fresh(3)
+    aut.new_edge(0, 1, TRUE_GUARD)
+    aut.set_init(aut.new_univ_dest_group([0, 2]))
+    assert aut.has_universal_branches()
+
+
+def test_universal_branches_group_on_one_edge():
+    aut = fresh(3)
+    aut.new_edge(0, 1, TRUE_GUARD)
+    aut.new_edge(1, aut.new_univ_dest_group([1, 2]), TRUE_GUARD)
+    aut.new_edge(2, 0, TRUE_GUARD)
+    aut.set_init(0)
+    assert aut.has_universal_branches()
+
+
+# ------------------------------------------------- storage stays identical
+
+def _digest(aut):
+    h = hashlib.sha256(aut.pack_edges())
+    h.update(print_hoa(aut).encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of pack_edges() + print_hoa() for seeded automata;
+# both encodings are part of the storage contract and may not drift
+RANDOM_DIGESTS = {
+    (3, 0): "16d0567a0dedd8e8", (3, 1): "157ed6d8d9dc3e82",
+    (3, 2): "890ca496b72b67d8", (3, 3): "f711d673afbbd5fc",
+    (40, 0): "bd0317369a7536ad", (40, 1): "cce77da9b5f886b1",
+    (40, 2): "7c2f663b153275fd", (40, 3): "98b002de8944daa1",
+}
+DERIVED_DIGESTS = [
+    ("cd30e8d7ea9d1cb1", "fa73973ba544ade7", "3e06fef2bc1d4bbc"),
+    ("f442d9bbc998828a", "62f211ac4c33f81c", "c29a0944d026b7e4"),
+    ("e00da5e5079e3f42", "0e6a12c72658eb84", "9a6f04062cb48d38"),
+    ("3a76480faa67cc11", "a5736fd7ae22e782", "38711bcd22d56aee"),
+]
+
+
+@pytest.mark.parametrize("colors,seed", sorted(RANDOM_DIGESTS))
+def test_random_automaton_encodings_are_stable(colors, seed):
+    aut = random_automaton(5 + 4 * seed, 2, density=0.4, colors=colors,
+                           color_density=0.3, seed=seed)
+    assert aut.nwords == (1 if colors <= 32 else 2)
+    assert _digest(aut) == RANDOM_DIGESTS[colors, seed]
+
+
+@pytest.mark.parametrize("seed", range(len(DERIVED_DIGESTS)))
+def test_derived_automaton_encodings_are_stable(seed):
+    a = random_automaton(6, 2, density=0.5, colors=3, seed=100 + seed)
+    b = random_automaton(5, ["p1", "q"], density=0.5, colors=2,
+                         seed=200 + seed)
+    got = (_digest(product(a, b)), _digest(remove_fin(a)),
+           _digest(trim(remove_fin(b))))
+    assert got == DERIVED_DIGESTS[seed]
+
+
+# ------------------------------------------------------------ check()
+
+def _checked_fixture():
+    aut = fresh(3)
+    aut.new_edge(0, 1, TRUE_GUARD)
+    aut.new_edge(0, 2, TRUE_GUARD)
+    aut.new_edge(1, 0, TRUE_GUARD)
+    aut.new_univ_dest_group([1, 2])       # word ~0, unused
+    aut.set_init(0)
+    assert aut.check()
+    return aut
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda a: setattr(a.edges[1], "next_succ", 1), "edge 1 linked twice"),
+    (lambda a: setattr(a.edges[1], "next_succ", 3),
+     "edge 3 strays from state 0"),
+    (lambda a: setattr(a.edges[2], "next_succ", 9), "edge 9 does not exist"),
+    (lambda a: setattr(a.edges[1], "next_succ", 0), "bad tail for state 0"),
+    (lambda a: a._tail.__setitem__(1, 0), "bad tail for state 1"),
+    (lambda a: a._tail.__setitem__(2, 3), "bad tail for state 2"),
+    (lambda a: a._tail.pop(), "state columns differ"),
+    (lambda a: (a._succ.__setitem__(1, 0), a._tail.__setitem__(1, 0)),
+     "orphaned edges"),
+    (lambda a: setattr(a.edges[3], "cond", 999), "unknown guard id 999"),
+    (lambda a: setattr(a.edges[3], "acc", ColorSet(0, 2)),
+     "color set width mismatch"),
+    (lambda a: setattr(a.edges[3], "dst", 5), "destination 5 is not a state"),
+    (lambda a: setattr(a, "num_sets", 40), "num_sets too large"),
+    (lambda a: setattr(a, "acceptance", Inf(0)),
+     "acceptance mentions a color >= num_sets"),
+    (lambda a: a.dests.__setitem__(2, 7), "group member 7 is not a state"),
+    (lambda a: a.dests.__setitem__(0, 5), "bad group -1"),
+])
+def test_check_raises_value_error(corrupt, message):
+    # explicit errors, so the checks survive python -O
+    aut = _checked_fixture()
+    corrupt(aut)
+    with pytest.raises(ValueError) as exc:
+        aut.check()
+    assert str(exc.value) == message
+
+
+# -------------------------------------------------------- shared colors
+
+def test_equal_colors_share_one_color_set():
+    aut = fresh(2, nwords=2)
+    made = [aut.new_edge(0, 1, TRUE_GUARD, [3, 40]),
+            aut.new_edge(1, 0, TRUE_GUARD, ColorSet.of([40, 3], 2)),
+            aut.new_edge(1, 1, TRUE_GUARD, aut.color_set(1 << 3 | 1 << 40))]
+    plain = [aut.new_edge(0, 0, TRUE_GUARD),
+             aut.new_edge(1, 1, TRUE_GUARD, []),
+             aut.new_edge(0, 1, TRUE_GUARD, ColorSet(0, 2))]
+    assert len({id(aut.edges[i].acc) for i in made}) == 1
+    assert len({id(aut.edges[i].acc) for i in plain}) == 1
+    assert aut.edges[made[0]].acc is aut.color_set(1 << 3 | 1 << 40)
+    assert aut.edges[plain[0]].acc is aut.color_set(0)
+    assert aut.color_set(5).nwords == 2
+    with pytest.raises(ValueError):
+        aut.color_set(1 << 64)
+    # a derived automaton shares within itself too
+    out = trim(aut)
+    assert out.edges[1].acc is out.color_set(aut.edges[1].acc.bits)
+
+
+def test_new_edge_takes_color_bits():
+    aut = fresh(2)
+    i = aut.new_edge(0, 1, TRUE_GUARD, 0b1010)
+    assert aut.edges[i].acc is aut.color_set(0b1010)
+    assert list(aut.edges[i].acc.colors()) == [1, 3]
+    for bad in (1 << 32, -1):
+        with pytest.raises(ValueError) as exc:
+            aut.new_edge(0, 1, TRUE_GUARD, bad)
+        assert str(exc.value) == "color set does not fit in 32 bits"
+    assert aut.num_edges == 1
+    aut.check()
+
+
+def test_reassigning_one_edge_leaves_sharers_alone():
+    aut = fresh(2)
+    i = aut.new_edge(0, 1, TRUE_GUARD, [1])
+    j = aut.new_edge(1, 0, TRUE_GUARD, [1])
+    shared = aut.edges[i].acc
+    aut.edges[i].acc = aut.color_set(0b101)
+    assert aut.edges[j].acc is shared
+    assert list(aut.edges[j].acc.colors()) == [1]
+    assert list(shared.colors()) == [1]
+    assert list(aut.edges[i].acc.colors()) == [0, 2]
+
+
+def test_clone_edges_are_independent():
+    aut = fresh(2)
+    aut.new_edge(0, 1, TRUE_GUARD, [1])
+    aut.new_edge(1, 0, TRUE_GUARD, [1])
+    aut.set_init(0)
+    blob, text = aut.pack_edges(), print_hoa(aut)
+    copy = aut.clone()
+    copy.edges[1].acc = copy.color_set(0b11)
+    copy.edges[2].dst = 1
+    copy.edges[1].cond = copy.store.lit(0)
+    copy.new_edge(0, 0, TRUE_GUARD, [0])
+    copy.new_state()
+    assert aut.pack_edges() == blob and print_hoa(aut) == text
+    assert aut.num_states == 2 and list(aut.out_indices(0)) == [1]
+    assert copy.edges[1].acc is copy.color_set(0b11)
+    aut.check()
+    copy.check()
+
+
+def test_width_change_renews_the_shared_sets():
+    aut = fresh(2)
+    aut.new_edge(0, 1, TRUE_GUARD, [1])
+    aut.nwords = 2
+    aut.edges[1].acc = aut.color_set(1 << 33)
+    j = aut.new_edge(1, 0, TRUE_GUARD)
+    assert aut.edges[j].acc.nwords == 2
+    aut.check()
