@@ -246,17 +246,15 @@ def used_colors(formula, nwords=None):
 
     Raises TypeError when the formula holds anything but formula nodes."""
     acc = set()
-
-    def walk(f):
+    stack = [formula]
+    while stack:
+        f = stack.pop()
         if isinstance(f, (Fin, Inf)):
             acc.add(f.color)
         elif isinstance(f, (And, Or)):
-            for c in f.children:
-                walk(c)
+            stack.extend(reversed(f.children))     # children in order
         elif not isinstance(f, (AccTrue, AccFalse)):
             raise TypeError("not an acceptance formula: %r" % (f,))
-
-    walk(formula)
     if nwords is None:
         top = max(acc) if acc else 0
         nwords = words_for(top + 1)
@@ -322,6 +320,37 @@ def shift_colors(formula, by):
     return formula
 
 
+def _dnf_terms(f):
+    # each result is a list of (fins, infs) frozenset pairs, or True
+    if isinstance(f, AccTrue):
+        return True
+    if isinstance(f, AccFalse):
+        return []
+    if isinstance(f, Fin):
+        return [(frozenset([f.color]), frozenset())]
+    if isinstance(f, Inf):
+        return [(frozenset(), frozenset([f.color]))]
+    if isinstance(f, Or):
+        out = []
+        for c in f.children:
+            got = _dnf_terms(c)
+            if got is True:
+                return True
+            out.extend(got)
+        return out
+    # And
+    acc = [(frozenset(), frozenset())]
+    for c in f.children:
+        got = _dnf_terms(c)
+        if got is True:
+            continue
+        if not got:
+            return []
+        acc = [(fa | fb, ia | ib)
+               for (fa, ia) in acc for (fb, ib) in got]
+    return acc
+
+
 def to_dnf(formula):
     """Disjunctive normal form, eval-equivalent to the input.
 
@@ -330,37 +359,7 @@ def to_dnf(formula):
     contradictions and get dropped; duplicates are removed, first
     occurrence wins.
     """
-    def walk(f):
-        # each result is a list of (fins, infs) frozenset pairs, or True
-        if isinstance(f, AccTrue):
-            return True
-        if isinstance(f, AccFalse):
-            return []
-        if isinstance(f, Fin):
-            return [(frozenset([f.color]), frozenset())]
-        if isinstance(f, Inf):
-            return [(frozenset(), frozenset([f.color]))]
-        if isinstance(f, Or):
-            out = []
-            for c in f.children:
-                got = walk(c)
-                if got is True:
-                    return True
-                out.extend(got)
-            return out
-        # And
-        acc = [(frozenset(), frozenset())]
-        for c in f.children:
-            got = walk(c)
-            if got is True:
-                continue
-            if not got:
-                return []
-            acc = [(fa | fb, ia | ib)
-                   for (fa, ia) in acc for (fb, ib) in got]
-        return acc
-
-    got = walk(formula)
+    got = _dnf_terms(formula)
     if got is True:
         return TRUE
     disjuncts = []
@@ -821,6 +820,28 @@ def _parse_parity_target(target):
     return parts[0], parts[1]
 
 
+def recolor_parity(aut, n, min_max, scale, offset):
+    """Give every edge of `aut` one color, scale * c + offset, in place.
+
+    c is the edge's relevant color under a min_max ("min" or "max")
+    parity reading with n colors: only the smallest color on an edge can
+    ever be the minimum of a cycle, so the rest are inert (dually for
+    max), and colors from n up are inert too.  An edge with no color
+    below n reads as c = n under min and c = -1 under max, just outside
+    the range on the side that never decides a mixed cycle.
+    """
+    mask = (1 << n) - 1
+    color_set = aut.color_set
+    for e in aut.edge_records():
+        bits = e.acc.bits & mask
+        if min_max == "min":
+            bits |= 1 << n
+            c = (bits & -bits).bit_length() - 1
+        else:
+            c = bits.bit_length() - 1
+        e.acc = color_set(1 << (scale * c + offset))
+
+
 def change_parity(aut, target):
     """Convert between the four parity shapes by recoloring edges only.
 
@@ -842,35 +863,25 @@ def change_parity(aut, target):
     if (cur_mm, cur_eo) == (tgt_mm, tgt_eo):
         return out
 
-    # One relevant color per edge: under a min reading only the smallest
-    # color on an edge can ever be the minimum of a cycle, so the rest
-    # are inert (dually for max).  Colors outside the formula's range are
-    # inert too and get dropped.
-    pick = min if cur_mm == "min" else max
-    per_edge = []
-    for e in out.edge_records():
-        kept = [c for c in e.acc.colors() if c < n]
-        per_edge.append(pick(kept) if kept else None)
-
     # The conversion is a pipeline of arithmetic steps on colors:
     #  1. if uncolored edges exist, give them an explicit neutral color --
     #     an all-uncolored cycle's status differs between the four shapes,
     #     so a bare shift would not preserve the language.  Min kinds take
     #     a fresh highest color n; max kinds shift everything up by two
     #     and use color 1 (lowest, odd, never the maximum of a mixed
-    #     cycle).
+    #     cycle).  recolor_parity reads an uncolored edge as color n under
+    #     min and -1 under max, so the steps below put it there.
     #  2. min<->max is a reversal of the color order; the even/odd style
     #     flips alongside exactly when n-1 is odd.
     #  3. a remaining style mismatch is a shift by one.
+    relevant = n
+    mask = (1 << n) - 1
     pre_shift = 0
-    uncolored_to = None
-    if any(c is None for c in per_edge):
+    if any(not e.acc.bits & mask for e in out.edge_records()):
         if cur_mm == "min":
-            uncolored_to = n
             n += 1
         else:
             pre_shift = 2
-            uncolored_to = 1
             n += 2
     style = cur_eo
     reverse = cur_mm != tgt_mm
@@ -879,17 +890,8 @@ def change_parity(aut, target):
     post_shift = 1 if style != tgt_eo else 0
     total = n + post_shift
 
-    def mapped(c):
-        if c is None:
-            c = uncolored_to
-        else:
-            c += pre_shift
-        if reverse:
-            c = n - 1 - c
-        return c + post_shift
-
     out.nwords = words_for(total)
-    for e, c in zip(out.edge_records(), per_edge):
-        e.acc = out.color_set(1 << mapped(c))
+    offset = (n - 1 - pre_shift if reverse else pre_shift) + post_shift
+    recolor_parity(out, relevant, cur_mm, -1 if reverse else 1, offset)
     out.set_acceptance(total, make_class(parity(tgt_mm, tgt_eo, total)))
     return out

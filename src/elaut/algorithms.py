@@ -20,7 +20,7 @@ from .acceptance import (BUCHI, TRUE, AccClass, AccFalse, ColorSet, Fin,
                          Inf, dnf_disjuncts, dual, eval_acceptance, f_and,
                          f_or, is_finless, make_class, recognize,
                          shift_colors, subst, used_colors, words_for)
-from .graph import MAYBE, YES, Automaton
+from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
 from .guards import FALSE_GUARD, TRUE_GUARD
 
 
@@ -150,21 +150,6 @@ class SccInfo:
 
 def scc_info(aut):
     return SccInfo(aut)
-
-
-def reachable_states(aut):
-    """States reachable from the initial designator, in discovery order."""
-    if aut.num_states == 0:
-        return []
-    dsts = _successors(aut)[0]
-    order = list(dict.fromkeys(aut.univ_dests(aut.init)))
-    seen = set(order)
-    for s in order:                   # breadth first: order grows behind s
-        for d in dsts[s]:
-            if d not in seen:
-                seen.add(d)
-                order.append(d)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +676,8 @@ def _explore_macro(aut, out, start, name, step):
     union of their guards.  name(S, O) labels each macro state.
     """
     index = {start: out.new_state()}
-    names = [name(*start)]
-    queue = deque([start])
-    while queue:
-        S, O = queue.popleft()
-        src = index[(S, O)]
+    keys = [start]
+    for src, (S, O) in enumerate(keys):    # breadth first: keys grow behind
         merged = {}
         for combo in itertools.product(
                 *[list(aut.out_indices(s)) for s in S]):
@@ -711,11 +693,10 @@ def _explore_macro(aut, out, start, name, step):
             key = (s_next, o_next)
             if key not in index:
                 index[key] = out.new_state()
-                names.append(name(*key))
-                queue.append(key)
+                keys.append(key)
             out.new_edge(src, index[key], g, colors)
     out.set_init(0)
-    out.set_named_prop("state-names", names)
+    out.set_named_prop("state-names", [name(*key) for key in keys])
     return out
 
 

@@ -11,9 +11,6 @@ Exit status: 0 on success (and on all-yes answers for the query modes),
 failed --check, an unrealizable game), 2 on usage or processing errors
 and on any other exception, which is reported as an internal error with
 its traceback.
-
-The ELAUT_COLOR_WORDS environment variable widens the per-edge color
-storage of every parsed automaton to at least that many 32-bit words.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import traceback
 
@@ -35,19 +31,6 @@ from .graph import FLAG_NAMES, trim
 from .hoa import parse_hoa_stream, print_dot, print_hoa, stats
 
 
-def _min_nwords():
-    raw = os.environ.get("ELAUT_COLOR_WORDS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("ELAUT_COLOR_WORDS must be an integer: %r" % raw)
-    if n < 1:
-        raise ValueError("ELAUT_COLOR_WORDS must be >= 1")
-    return n
-
-
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
@@ -59,9 +42,8 @@ def _read_automata(paths):
     if not paths:
         paths = ["-"]
     out = []
-    nwords = _min_nwords()
     for path in paths:
-        out.extend(parse_hoa_stream(_read_text(path), min_nwords=nwords))
+        out.extend(parse_hoa_stream(_read_text(path)))
     if not out:
         raise ValueError("no automata in the input")
     return out
@@ -115,8 +97,7 @@ def cmd_aut(args):
     auts = _read_automata(args.files)
     other = None
     if args.product:
-        others = parse_hoa_stream(_read_text(args.product),
-                                  min_nwords=_min_nwords())
+        others = parse_hoa_stream(_read_text(args.product))
         if len(others) != 1:
             raise ValueError("--product wants exactly one automaton")
         other = others[0]

@@ -10,7 +10,8 @@ edge a few comparisons, one append and one link.
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
 table (so it is negative).  At that offset the table holds the group size
-n followed by the n member states.  The initial designator is a single
+n followed by the n member states; each ordered member list is stored
+once.  The initial designator is a single
 destination word, so it too may name a universal group.
 
 Equal color sets are shared: an automaton keeps one ColorSet per value
@@ -101,6 +102,7 @@ class Automaton:
         self.edges = [None]           # index 0 reserved
         self.dests = []
         self._group_offsets = set()
+        self._group_words = {}        # ordered member tuple -> group word
         self.init = 0
         self.num_sets = 0
         self.acceptance = TRUE
@@ -203,7 +205,8 @@ class Automaton:
         """Intern a universal destination group; returns its word.
 
         Duplicates are dropped (first occurrence wins) and a singleton
-        collapses to the plain state index.
+        collapses to the plain state index.  An equal ordered member
+        list returns the word already interned for it.
         """
         seen = []
         for s in members:
@@ -215,12 +218,16 @@ class Automaton:
             raise ValueError("empty destination group")
         if len(seen) == 1:
             return seen[0]
-        offset = len(self.dests)
-        self.dests.append(len(seen))
-        self.dests.extend(seen)
-        self._group_offsets.add(offset)
-        self.reset_flags()
-        return ~offset
+        key = tuple(seen)
+        word = self._group_words.get(key)
+        if word is None:
+            offset = len(self.dests)
+            self.dests.append(len(seen))
+            self.dests.extend(seen)
+            self._group_offsets.add(offset)
+            word = self._group_words[key] = ~offset
+            self.reset_flags()
+        return word
 
     def set_init(self, word):
         self.init = self._check_word(word)
@@ -330,6 +337,7 @@ class Automaton:
             for e in self.edge_records()]
         out.dests = list(self.dests)
         out._group_offsets = set(self._group_offsets)
+        out._group_words = dict(self._group_words)
         out.init = self.init
         out.num_sets = self.num_sets
         out.acceptance = self.acceptance
@@ -400,6 +408,22 @@ class Automaton:
         return True
 
 
+def reachable_states(aut):
+    """States reachable from the initial designator, in discovery order."""
+    if aut.num_states == 0:
+        return []
+    order = list(dict.fromkeys(aut.univ_dests(aut.init)))
+    seen = set(order)
+    for s in order:                   # breadth first: order grows behind s
+        for e in aut.out(s):
+            if e.cond != FALSE_GUARD:
+                for d in aut.univ_dests(e.dst):
+                    if d not in seen:
+                        seen.add(d)
+                        order.append(d)
+    return order
+
+
 # per-state / per-edge named properties that trim() rewrites
 _STATE_LIST_PROPS = ("state-names", "state-player", "state-winner",
                      "product-states")
@@ -412,17 +436,7 @@ def trim(aut):
     state indices to new ones (None for removed states).  Per-state list
     properties and highlight/strategy annotations are rewritten to match.
     """
-    stack = list(aut.univ_dests(aut.init)) if aut.num_states else []
-    reach = set(stack)
-    while stack:
-        for e in aut.out(stack.pop()):
-            if e.cond != FALSE_GUARD:
-                for d in aut.univ_dests(e):
-                    if d not in reach:
-                        reach.add(d)
-                        stack.append(d)
-
-    order = [s for s in range(aut.num_states) if s in reach]
+    order = sorted(reachable_states(aut))
     state_map = {old: new for new, old in enumerate(order)}
     out = Automaton(aut.aps, aut.nwords, aut.store)
     out.new_states(len(order))

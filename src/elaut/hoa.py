@@ -150,11 +150,10 @@ _FORMULA_KINDS = frozenset(("ident", "int", "(", ")", "&", "|"))
 class _Parser:
     """The grammar walk over the tokens of one automaton (see _lex)."""
 
-    def __init__(self, text, toks, min_nwords):
+    def __init__(self, text, toks):
         self.text = text
         self.toks = toks
         self.i = 0
-        self.min_nwords = min_nwords
 
     def error(self, message, offset):
         """The HoaParseError at a character offset into the text."""
@@ -277,7 +276,7 @@ class _Parser:
         if num_sets is None:
             raise self.error("missing Acceptance: header", body_at)
         aps = h["aps"] if h["aps"] is not None else []
-        aut = Automaton(aps, max(self.min_nwords, words_for(num_sets)))
+        aut = Automaton(aps, words_for(num_sets))
         declared = h["states"]
         if declared is not None:
             aut.new_states(declared)
@@ -443,10 +442,10 @@ class _Parser:
         return aut
 
 
-def parse_hoa(text, min_nwords=1):
+def parse_hoa(text):
     """Parse one HOA automaton; trailing input is an error."""
     toks, end = _lex(text, 0)
-    p = _Parser(text, toks, min_nwords)
+    p = _Parser(text, toks)
     aut = p.parse_automaton()
     tok = _lex(text, end)[0][0]
     if tok[0] != "eof":
@@ -454,7 +453,7 @@ def parse_hoa(text, min_nwords=1):
     return aut
 
 
-def parse_hoa_stream(text, min_nwords=1):
+def parse_hoa_stream(text):
     """Parse a stream of back-to-back HOA automata."""
     out = []
     pos = 0
@@ -462,7 +461,7 @@ def parse_hoa_stream(text, min_nwords=1):
         toks, pos = _lex(text, pos)
         if toks[0][0] == "eof":
             return out
-        out.append(_Parser(text, toks, min_nwords).parse_automaton())
+        out.append(_Parser(text, toks).parse_automaton())
 
 # ---------------------------------------------------------------------------
 # Printing.

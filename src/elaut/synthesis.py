@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
-                         words_for)
+                         recolor_parity, words_for)
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
@@ -58,18 +58,59 @@ class Solution:
 
 
 def _playable(aut):
+    """Per state, (destination, edge index) for each non-false out-edge."""
     out = []
     for s in range(aut.num_states):
-        idxs = []
+        moves = []
         for i in aut.out_indices(s):
             e = aut.edges[i]
             if e.cond == FALSE_GUARD:
                 continue
             if e.dst < 0:
                 raise ValueError("games need nonalternating automata")
-            idxs.append(i)
-        out.append(idxs)
+            moves.append((e.dst, i))
+        out.append(moves)
     return out
+
+
+def _reverse(succ):
+    """Per vertex v, (u, tag) for each move (v, tag) in succ[u]."""
+    rev = [[] for _ in succ]
+    for u, moves in enumerate(succ):
+        for (v, tag) in moves:
+            rev[v].append((u, tag))
+    return rev
+
+
+def _attract(p, target, region, owner, succ, rev):
+    """The player-p attractor of target within region.
+
+    Works breadth first from target, in its iteration order, counting
+    down each opponent vertex's moves within region.  Returns the
+    attractor and the tags of the moves that player p takes into it from
+    the vertices that p owns and the search added.
+    """
+    attr = set(target)
+    strat = {}
+    cnt = {}
+    queue = deque(target)
+    while queue:
+        v = queue.popleft()
+        for (u, tag) in rev[v]:
+            if u not in region or u in attr:
+                continue
+            if owner[u] == p:
+                attr.add(u)
+                strat[u] = tag
+                queue.append(u)
+            else:
+                if u not in cnt:
+                    cnt[u] = sum(1 for (t, _) in succ[u] if t in region)
+                cnt[u] -= 1
+                if cnt[u] == 0:
+                    attr.add(u)
+                    queue.append(u)
+    return attr, strat
 
 
 def solve_safety(game):
@@ -82,34 +123,11 @@ def solve_safety(game):
     if not isinstance(game.acceptance, AccTrue):
         raise ValueError("safety solving needs acceptance t")
     players = state_players(game)
-    playable = _playable(game)
+    succ = _playable(game)
     n = game.num_states
-
-    rev = [[] for _ in range(n)]
-    for s in range(n):
-        for i in playable[s]:
-            rev[game.edges[i].dst].append((s, i))
-
-    attr = {s for s in range(n) if players[s] == 1 and not playable[s]}
-    strat0 = {}
-    cnt = {}
-    queue = deque(attr)
-    while queue:
-        v = queue.popleft()
-        for (u, i) in rev[v]:
-            if u in attr:
-                continue
-            if players[u] == 0:
-                attr.add(u)
-                strat0[u] = i
-                queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = len(playable[u])
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
+    stuck = {s for s in range(n) if players[s] == 1 and not succ[s]}
+    attr, strat0 = _attract(0, stuck, range(n), players, succ,
+                            _reverse(succ))
 
     winners = [0 if s in attr else 1 for s in range(n)]
     strategy = [0] * n
@@ -117,8 +135,8 @@ def solve_safety(game):
         if winners[s] == 0 and players[s] == 0:
             strategy[s] = strat0.get(s, 0)
         elif winners[s] == 1 and players[s] == 1:
-            for i in playable[s]:
-                if game.edges[i].dst not in attr:
+            for (d, i) in succ[s]:
+                if d not in attr:
                     strategy[s] = i
                     break
     game.set_named_prop("state-winner", winners)
@@ -140,7 +158,8 @@ def colorize_parity(aut):
     their parity; uncolored edges take color 1, odd but lower than any
     original color, so it never changes the maximum of a mixed cycle and
     keeps all-uncolored cycles accepting, matching the empty-set reading
-    of a max-odd condition.
+    of a max-odd condition.  Of several colors on an edge only the
+    largest can be the maximum of a cycle, so it alone is kept.
     """
     n = _max_odd_reading(aut.acceptance)
     if n is None:
@@ -149,14 +168,44 @@ def colorize_parity(aut):
     total = n + 2
     out = aut.clone()
     out.nwords = max(aut.nwords, words_for(total))
-    for e in out.edge_records():
-        # only the largest color on an edge can be the maximum of a
-        # cycle, so the rest are inert and get dropped
-        kept = e.acc.bits & ((1 << n) - 1)
-        new = kept.bit_length() + 1 if kept else 1     # max(kept) + 2
-        e.acc = out.color_set(1 << new)
+    recolor_parity(out, n, "max", 1, 2)
     out.set_acceptance(total, make_class(parity("max", "odd", total)))
     return out
+
+
+def _zielonka(region, owner, color, succ, rev):
+    """Zielonka's recursion on the vertices of region; returns the
+    player-0 and player-1 winning sets and a strategy of move tags."""
+    if not region:
+        return set(), set(), {}
+    d = max(color[v] for v in region)
+    p = d & 1
+    target = [v for v in region if color[v] == d]
+    area, strat_a = _attract(p, target, region, owner, succ, rev)
+    w0a, w1a, strata = _zielonka(region - area, owner, color, succ, rev)
+    wopp = w0a if p == 1 else w1a
+    if not wopp:
+        wp = set(region)
+        strat = dict(strata)
+        strat.update(strat_a)
+        for v in target:
+            if owner[v] == p and v not in strat:
+                for (t, tag) in succ[v]:
+                    if t in region:
+                        strat[v] = tag
+                        break
+        return (set(), wp, strat) if p == 1 else (wp, set(), strat)
+    opp = 1 - p
+    barrier, strat_b = _attract(opp, wopp, region, owner, succ, rev)
+    w0b, w1b, strat2 = _zielonka(region - barrier, owner, color, succ, rev)
+    strat = dict(strat2)
+    strat.update(strat_b)
+    for v in wopp:
+        if v in strata:
+            strat[v] = strata[v]
+    if opp == 1:
+        return w0b, w1b | barrier, strat
+    return w0b | barrier, w1b, strat
 
 
 def solve_parity_max_odd(game):
@@ -184,16 +233,15 @@ def solve_parity_max_odd(game):
         color.append(0)
         succ.append([])
     for s in range(n):
-        for i in playable[s]:
-            e = game.edges[i]
-            cols = list(e.acc.colors())
+        for (d, i) in playable[s]:
+            cols = list(game.edges[i].acc.colors())
             if len(cols) != 1 or cols[0] >= n_parity:
                 raise ValueError(
                     "every edge needs exactly one color; colorize first")
             mid = len(owner)
             owner.append(0)
             color.append(cols[0])
-            succ.append([(e.dst, None)])
+            succ.append([(d, None)])
             succ[s].append((mid, i))
     for s in range(n):
         if not playable[s]:
@@ -204,68 +252,8 @@ def solve_parity_max_odd(game):
             succ.append([(s, None)])
             succ[s].append((mid, None))
 
-    nv = len(owner)
-    rev = [[] for _ in range(nv)]
-    for v in range(nv):
-        for (t, tag) in succ[v]:
-            rev[t].append((v, tag))
-
-    def attract(p, target, region):
-        attr = set(target)
-        strat = {}
-        cnt = {}
-        queue = deque(target)
-        while queue:
-            v = queue.popleft()
-            for (u, tag) in rev[v]:
-                if u not in region or u in attr:
-                    continue
-                if owner[u] == p:
-                    attr.add(u)
-                    strat[u] = tag
-                    queue.append(u)
-                else:
-                    if u not in cnt:
-                        cnt[u] = sum(1 for (t, _) in succ[u] if t in region)
-                    cnt[u] -= 1
-                    if cnt[u] == 0:
-                        attr.add(u)
-                        queue.append(u)
-        return attr, strat
-
-    def zielonka(region):
-        if not region:
-            return set(), set(), {}
-        d = max(color[v] for v in region)
-        p = d & 1
-        target = [v for v in region if color[v] == d]
-        area, strat_a = attract(p, target, region)
-        w0a, w1a, strata = zielonka(region - area)
-        wopp = w0a if p == 1 else w1a
-        if not wopp:
-            wp = set(region)
-            strat = dict(strata)
-            strat.update(strat_a)
-            for v in target:
-                if owner[v] == p and v not in strat:
-                    for (t, tag) in succ[v]:
-                        if t in region:
-                            strat[v] = tag
-                            break
-            return (set(), wp, strat) if p == 1 else (wp, set(), strat)
-        opp = 1 - p
-        barrier, strat_b = attract(opp, wopp, region)
-        w0b, w1b, strat2 = zielonka(region - barrier)
-        strat = dict(strat2)
-        strat.update(strat_b)
-        for v in wopp:
-            if v in strata:
-                strat[v] = strata[v]
-        if opp == 1:
-            return w0b, w1b | barrier, strat
-        return w0b | barrier, w1b, strat
-
-    w0, w1, strat = zielonka(set(range(nv)))
+    w0, w1, strat = _zielonka(set(range(len(owner))), owner, color, succ,
+                              _reverse(succ))
     winners = [1 if s in w1 else 0 for s in range(n)]
     strategy = [0] * n
     for s in range(n):
@@ -366,10 +354,7 @@ def strategy_to_mealy(game, solution=None):
     index = {init: 0}
     origin = [init]
     edges = [[]]
-    queue = deque([init])
-    while queue:
-        s = queue.popleft()
-        row = edges[index[s]]
+    for s, row in zip(origin, edges):     # breadth first: both grow behind
         for e in game.out(s):
             if e.cond == FALSE_GUARD:
                 continue
@@ -389,7 +374,6 @@ def strategy_to_mealy(game, solution=None):
                 index[dst] = len(origin)
                 origin.append(dst)
                 edges.append([])
-                queue.append(dst)
             row.append((e.cond, eo.cond, index[dst]))
     return MealyMachine(list(game.aps), inputs, outputs, game.store,
                         len(origin), 0, edges, origin)

@@ -1,5 +1,6 @@
 """Acceptance formulas: parsing, evaluation, classes, parity conversion."""
 
+import hashlib
 import random
 
 import pytest
@@ -431,3 +432,59 @@ def test_change_parity_bad_target():
                            acceptance=AccClass("Buchi"), seed=5)
     with pytest.raises(ValueError):
         change_parity(aut, "sideways even")
+
+
+# sha256 prefixes of print_hoa(change_parity(...)) per (source, target)
+# shape, over seeded automata that have uncolored edges and colors >= n;
+# recorded before the recoloring was shared with colorize_parity
+PARITY_KINDS = [("min", "even"), ("min", "odd"), ("max", "even"),
+                ("max", "odd")]
+PARITY_SIZES = (1, 2, 3, 4, 5, 31, 33)
+
+
+def parity_inputs(mm, eo):
+    from elaut.algorithms import random_automaton
+    for k, n in enumerate(PARITY_SIZES):
+        yield random_automaton(3 + k % 3, 2, density=0.5, colors=n + 2,
+                               color_density=0.3 if n < 8 else 0.03,
+                               acceptance=parity(mm, eo, n), seed=k)
+
+
+CHANGE_PARITY_DIGESTS = {
+    ("min", "even", "min", "even"): "74f7d3f60ab80911",
+    ("min", "even", "min", "odd"): "33cfaee2467d67b8",
+    ("min", "even", "max", "even"): "c6471847c819737f",
+    ("min", "even", "max", "odd"): "0cac55963629de31",
+    ("min", "odd", "min", "even"): "7350c5847c6fbcf8",
+    ("min", "odd", "min", "odd"): "7b02393f9c48002a",
+    ("min", "odd", "max", "even"): "f684d3d7033f6aa9",
+    ("min", "odd", "max", "odd"): "1b4d3d89c0a1381c",
+    ("max", "even", "min", "even"): "6c69a92af46481a3",
+    ("max", "even", "min", "odd"): "5d153741009558e8",
+    ("max", "even", "max", "even"): "8dafdb709a45cbc5",
+    ("max", "even", "max", "odd"): "b9c83b706f00d043",
+    ("max", "odd", "min", "even"): "48ec5ae17e280f2c",
+    ("max", "odd", "min", "odd"): "dc9c53fe338eadab",
+    ("max", "odd", "max", "even"): "59b490cbac6e063e",
+    ("max", "odd", "max", "odd"): "d99facc7411791e9",
+}
+
+
+def test_parity_inputs_cover_inert_and_uncolored_edges():
+    for mm, eo in PARITY_KINDS:
+        uncolored = inert = 0
+        for aut in parity_inputs(mm, eo):
+            n = aut.num_sets - 2
+            for e in aut.edge_records():
+                uncolored += not e.acc.bits & ((1 << n) - 1)
+                inert += e.acc.bits >> n != 0
+        assert uncolored and inert
+
+
+@pytest.mark.parametrize("src", PARITY_KINDS)
+@pytest.mark.parametrize("tgt", PARITY_KINDS)
+def test_change_parity_outputs_are_stable(src, tgt):
+    h = hashlib.sha256()
+    for aut in parity_inputs(*src):
+        h.update(print_hoa(change_parity(aut, "%s %s" % tgt)).encode())
+    assert h.hexdigest()[:16] == CHANGE_PARITY_DIGESTS[src + tgt]

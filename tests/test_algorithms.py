@@ -6,6 +6,7 @@ oracle_helpers, which shares nothing with the implementations under
 test.
 """
 
+import gc
 import random
 
 import pytest
@@ -15,13 +16,15 @@ from elaut import (
     is_empty, is_inherently_weak, is_terminal, is_universal, is_very_weak,
     is_weak, parse_acceptance, parse_hoa, print_hoa, product,
     random_automaton, reachable_states, remove_alternation, remove_fin,
-    scc_info,
+    scc_info, solve_game,
 )
 from elaut import algorithms
-from elaut.acceptance import AccClass, And, parity, recognize
+from elaut.acceptance import (AccClass, And, change_parity, parity,
+                              recognize)
 from oracle_helpers import (
     alt_buchi_word_in, build, empty_by_edge_subsets, product_by_pairs,
-    random_alt_buchi, random_words, up_word_in, word_in_gen_buchi,
+    random_alt_buchi, random_parity_game, random_words, up_word_in,
+    word_in_gen_buchi,
 )
 
 INF0 = parse_acceptance("Inf(0)")
@@ -576,3 +579,30 @@ def test_acceptance_must_be_a_formula():
     with pytest.raises(TypeError):
         aut.set_acceptance(1, And((Fin(0), "Inf(0)")))
     assert aut.acceptance == parse_acceptance("t")
+
+
+# ------------------------------------------------------ cyclic garbage
+
+def test_pipelines_leave_no_cyclic_garbage():
+    # reference cycles (say, a recursive closure over an algorithm's
+    # tables) keep memory alive until the cycle collector happens to run
+    game = random_parity_game(10, max_states=12, ncolors=4)[0]
+    a = random_automaton(8, 2, density=0.5, colors=2,
+                         acceptance=AccClass("Buchi"), seed=4)
+    b = random_automaton(6, 2, density=0.5, colors=2,
+                         acceptance=parity("max", "odd", 2), seed=5)
+    c = random_automaton(6, 1, density=0.5, colors=1,
+                         acceptance=AccClass("co-Buchi"), seed=6)
+    pipelines = [
+        lambda: solve_game(game),
+        lambda: (is_empty(product(a, b)), accepting_run(product(a, b))),
+        lambda: change_parity(remove_fin(c), "max odd"),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for run in pipelines:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -362,7 +362,7 @@ def test_deeply_nested_labels(monkeypatch, capsys):
     assert err.startswith("elaut: error: 8:2: bad label: expected ')'")
 
 
-def test_color_words_env(tmp_path, capsys, monkeypatch):
+def test_color_words_env(tmp_path, capsys):
     wide = write(tmp_path, "wide.hoa", """HOA: v1
 States: 1
 Start: 0
@@ -375,15 +375,6 @@ State: 0
 """)
     # the parser widens color storage on its own when the header asks
     assert main(["aut", wide, "--is-empty"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("ELAUT_COLOR_WORDS", "2")
-    assert main(["aut", wide, "--is-empty"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("ELAUT_COLOR_WORDS", "zero")
-    assert main(["aut", wide]) == 2
-    assert "ELAUT_COLOR_WORDS" in capsys.readouterr().err
-    monkeypatch.setenv("ELAUT_COLOR_WORDS", "0")
-    assert main(["aut", wide]) == 2
     capsys.readouterr()
 
 

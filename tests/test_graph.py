@@ -10,7 +10,7 @@ from elaut.algorithms import product, random_automaton, remove_fin
 from elaut.graph import (Automaton, FLAG_NAMES, MAYBE, NO, Trivalent, YES,
                          edge_record_size, trim)
 from elaut.guards import GuardStore, TRUE_GUARD
-from elaut.hoa import print_hoa
+from elaut.hoa import parse_hoa, print_dot, print_hoa
 
 
 def fresh(nstates=0, naps=1, nwords=1):
@@ -84,6 +84,11 @@ def test_universal_groups():
     assert list(aut.group_members(g2)) == [2, 1]
     # each call appends: offset advances by 1 + previous member count
     assert g2 == ~4
+    # an equal ordered member list names the group already interned
+    assert aut.new_univ_dest_group([2, 1]) == g2
+    assert aut.new_univ_dest_group([1, 2, 3, 1]) == g
+    assert aut.new_univ_dest_group([1, 2]) == ~7
+    assert len(aut.dests) == 10
     # singleton groups collapse to the plain state
     assert aut.new_univ_dest_group([2]) == 2
     with pytest.raises(ValueError):
@@ -239,6 +244,26 @@ def test_trim_keeps_group_reachable_members():
     assert mapping[3] is None
     e = next(iter(out.out(0)))
     assert sorted(out.univ_dests(e.dst)) == [mapping[1], mapping[2]]
+
+
+def _one_shared_group():
+    aut = fresh(3)
+    for _ in range(6):
+        aut.new_edge(0, aut.new_univ_dest_group([1, 2]), TRUE_GUARD)
+    aut.new_edge(1, 0, TRUE_GUARD)
+    aut.new_edge(2, 0, TRUE_GUARD)
+    aut.set_init(0)
+    return aut
+
+
+def test_equal_groups_stay_one_group():
+    aut = _one_shared_group()
+    for copy in (aut, aut.clone(), trim(aut), parse_hoa(print_hoa(aut)),
+                 trim(parse_hoa(print_hoa(trim(aut))))):
+        assert copy.dests == [2, 1, 2]
+        assert {e.dst for e in copy.out(0)} == {-1}
+        assert copy.new_univ_dest_group([1, 2]) == -1
+        assert print_dot(copy).count("[shape=point]") == 1
 
 
 # ---------------------------------------------------------------- errors

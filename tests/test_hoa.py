@@ -169,21 +169,6 @@ State: 0
     assert parse_hoa_stream("  \n") == []
 
 
-def test_parse_min_nwords():
-    text = """HOA: v1
-States: 1
-Start: 0
-AP: 0
-Acceptance: 1 Inf(0)
---BODY--
-State: 0
-[t] 0 {0}
---END--
-"""
-    aut = parse_hoa(text, min_nwords=2)
-    assert aut.nwords == 2
-
-
 def test_comments_and_strings():
     aut = parse_hoa("""HOA: v1 /* a comment /* nested */ still comment */
 name: "with \\"escape\\" and backslash \\\\"

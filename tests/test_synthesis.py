@@ -5,13 +5,14 @@ oracle_helpers; circuits are co-simulated against the machines they
 were built from.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from elaut import (
     Automaton, ColorSet, GuardStore, MealyMachine, Solution,
-    automaton_to_mealy, colorize_parity, make_class, make_game,
+    automaton_to_mealy, change_parity, colorize_parity, make_class, make_game,
     mealy_to_aiger, mealy_to_automaton, parity, parse_acceptance,
     print_aiger, print_hoa, simulate_aig, simulate_mealy, solve_game,
     solve_parity_max_odd, solve_safety, state_players, strategy_to_mealy,
@@ -22,6 +23,7 @@ from oracle_helpers import (
     build, check_parity_strategy, parity_winners_by_enumeration,
     random_parity_game, safety_winners_by_enumeration,
 )
+from test_acc_formulas import parity_inputs
 
 MAX_ODD_4 = make_class(parity("max", "odd", 4))
 
@@ -389,3 +391,69 @@ def test_sixteen_ap_machine_end_to_end(tmp_path, capsys):
     f.write_text(print_hoa(mealy_to_automaton(m)))
     assert main(["mealy", str(f), "--to-aiger"]) == 0
     assert capsys.readouterr().out == print_aiger(aig)
+
+
+# ------------------------------------------------------- stable outputs
+
+def _blur(g, rng):
+    # uncolored and multi-colored edges send solve_game through colorizing
+    for e in g.edge_records():
+        r = rng.random()
+        if r < 0.25:
+            e.acc = g.color_set(0)
+        elif r < 0.4:
+            e.acc = g.color_set(e.acc.bits | 1 << rng.randrange(8))
+    return g
+
+
+def seeded_games(kind):
+    for seed in range(40):
+        rng = random.Random(53_000 + seed)
+        if kind == "safety":
+            n = rng.randint(1, 30)
+            g = Automaton((), nwords=1)
+            g.new_states(n)
+            for s in range(n):
+                for _ in range(rng.randint(0, 3)):
+                    g.new_edge(s, rng.randrange(n), 1, None)
+            g.set_acceptance(0, parse_acceptance("t"))
+            g.set_init(0)
+            yield make_game(g, [rng.randint(0, 1) for _ in range(n)])
+        else:
+            g = random_parity_game(seed, max_states=30, ncolors=6)[0]
+            yield _blur(g, rng) if kind == "blurred" else g
+
+
+# sha256 prefixes of the solve_game winners and strategies, and of
+# print_hoa(colorize_parity(...)) per source parity shape over the
+# change_parity inputs of test_acc_formulas; recorded before the
+# attractor and the recoloring were shared
+SOLVE_GAME_DIGESTS = {
+    "safety": "79108c472138a246",
+    "parity": "7e264935fe64a361",
+    "blurred": "73cc5341f3474976",
+}
+COLORIZE_DIGESTS = {
+    ("min", "even"): "0551fa162a808722",
+    ("min", "odd"): "a62b5be3deadfc3a",
+    ("max", "even"): "ffad676f18e4c3a4",
+    ("max", "odd"): "ed4a2c1b15b9ad37",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVE_GAME_DIGESTS))
+def test_solve_game_outputs_are_stable(kind):
+    h = hashlib.sha256()
+    for g in seeded_games(kind):
+        sol = solve_game(g)
+        h.update(repr((sol.winners, sol.strategy)).encode())
+    assert h.hexdigest()[:16] == SOLVE_GAME_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("src", sorted(COLORIZE_DIGESTS))
+def test_colorize_parity_outputs_are_stable(src):
+    h = hashlib.sha256()
+    for aut in parity_inputs(*src):
+        h.update(print_hoa(colorize_parity(
+            change_parity(aut, "max odd"))).encode())
+    assert h.hexdigest()[:16] == COLORIZE_DIGESTS[src]
