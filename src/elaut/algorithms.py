@@ -7,6 +7,8 @@ member as a successor; algorithms that need a plain (nonalternating)
 transition structure say so and reject inputs with universal branching.
 The model-checking path (product, is_empty, accepting_run) reads each
 edge table once into flat per-state lists of ints and works on those.
+product_is_empty decides the emptiness of a product on the fly, from
+the same lists, without building it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .acceptance import (BUCHI, TRUE, AccClass, AccFalse, ColorSet, Fin,
                          f_or, is_finless, make_class, recognize,
                          shift_colors, subst, used_colors, words_for)
 from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
-from .guards import FALSE_GUARD, TRUE_GUARD
+from .guards import FALSE_GUARD, TRUE_GUARD, GuardStore
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +117,13 @@ class SccInfo:
     every edge between different components goes from a higher id to a
     lower one.  internal[i] lists the edge indices with source in
     component i and at least one destination member back in i; colors[i]
-    is the union of their color sets.
+    is the union of their color sets.  succ is _successors(aut) when the
+    caller has it.
     """
 
-    def __init__(self, aut):
+    def __init__(self, aut, succ=None):
         self.aut = aut
-        dsts, idxs = _successors(aut)
+        dsts, idxs = _successors(aut) if succ is None else succ
         roots = aut.univ_dests(aut.init) if aut.num_states else ()
         self.members, self.scc_of = _tarjan(dsts, roots)
         scc_of = self.scc_of
@@ -209,9 +212,10 @@ def _check_inherently_weak(aut):
     for edges, colors in zip(info.internal, info.colors):
         if not edges:
             continue
-        if _search_scc(aut, edges, colors.bits, aut.acceptance) is None:
+        table = _edge_table(aut, edges)
+        if _search_scc(table, edges, colors.bits, aut.acceptance) is None:
             continue
-        if _search_scc(aut, edges, colors.bits, rejecting) is not None:
+        if _search_scc(table, edges, colors.bits, rejecting) is not None:
             return False
     return True
 
@@ -290,24 +294,34 @@ def is_terminal(aut):
 # tried: delete the c-colored edges, or give up on it (Fin(c) := false,
 # sound because the formula is monotone in its atoms).
 
-def _subgraph_sccs(aut, edge_idxs):
-    """(internal edges, their colors as an int) of each nontrivial SCC of
-    the subgraph made of the given plain edges, in reverse topological
-    order."""
+def _edge_table(aut, ids):
+    """The plain form the emptiness search reads edges in: edge id ->
+    (src, dst, color bits), over the given plain edges of aut."""
     edges = aut.edges
-    succ = [[] for _ in range(aut.num_states)]
-    for i in edge_idxs:
-        e = edges[i]
-        succ[e.src].append(e.dst)
-    comps, scc_of = _tarjan(succ, [edges[i].src for i in edge_idxs])
+    return {i: (edges[i].src, edges[i].dst, edges[i].acc.bits) for i in ids}
+
+
+def _subgraph_sccs(table, ids):
+    """(internal edge ids, their colors as an int) of each nontrivial SCC
+    of the subgraph made of the edges `ids` of `table` (edge id -> (src,
+    dst, color bits)), in reverse topological order."""
+    edges = [table[i] for i in ids]
+    # local state numbers: sources first, in order of appearance
+    local = dict.fromkeys([e[0] for e in edges])
+    roots = range(len(local))
+    local.update(dict.fromkeys([e[1] for e in edges]))
+    local = {x: k for k, x in enumerate(local)}
+    succ = [[] for _ in local]
+    for src, dst, _ in edges:
+        succ[local[src]].append(local[dst])
+    comps, scc_of = _tarjan(succ, roots)
     internal = [[] for _ in comps]
     colors = [0] * len(comps)
-    for i in edge_idxs:
-        e = edges[i]
-        cid = scc_of[e.src]
-        if cid == scc_of[e.dst]:
+    for i, (src, dst, bits) in zip(ids, edges):
+        cid = scc_of[local[src]]
+        if cid == scc_of[local[dst]]:
             internal[cid].append(i)
-            colors[cid] |= e.acc.bits
+            colors[cid] |= bits
     return [pair for pair in zip(internal, colors) if pair[0]]
 
 
@@ -321,10 +335,11 @@ def _first_fin(formula):
     return None
 
 
-def _search_scc(aut, internal, present, formula):
+def _search_scc(table, internal, present, formula):
     """A strongly connected edge set inside the component made of the
-    `internal` edges, whose colors are the int `present`, such that a
-    closed walk over all of it satisfies the formula; or None."""
+    `internal` edges of `table` (see _subgraph_sccs), whose colors are
+    the int `present`, such that a closed walk over all of it satisfies
+    the formula; or None."""
     absent = [c for c in used_colors(formula).colors()
               if not present >> c & 1]
     g = subst(formula, {c: True for c in absent}, {c: False for c in absent})
@@ -334,24 +349,25 @@ def _search_scc(aut, internal, present, formula):
         # a walk over all internal edges sees every present color
         return internal
     c = _first_fin(g)
-    sub = [i for i in internal if not aut.edges[i].acc.bits >> c & 1]
-    for part, colors in _subgraph_sccs(aut, sub):
-        got = _search_scc(aut, part, colors, g)
+    sub = [i for i in internal if not table[i][2] >> c & 1]
+    for part, colors in _subgraph_sccs(table, sub):
+        got = _search_scc(table, part, colors, g)
         if got is not None:
             return got
-    return _search_scc(aut, internal, present, subst(g, {c: False}, {}))
+    return _search_scc(table, internal, present, subst(g, {c: False}, {}))
 
 
-def _witness(aut):
+def _witness(aut, succ=None):
     """An accepting strongly connected edge set of a nonalternating
-    automaton, or None when its language is empty."""
+    automaton, or None when its language is empty.  succ is as for
+    SccInfo."""
     if aut.has_universal_branches():
         raise ValueError("emptiness needs a nonalternating automaton")
-    info = SccInfo(aut)
+    info = SccInfo(aut, succ)
     for cid, internal in enumerate(info.internal):
         if internal:
-            got = _search_scc(aut, internal, info.colors[cid].bits,
-                              aut.acceptance)
+            got = _search_scc(_edge_table(aut, internal), internal,
+                              info.colors[cid].bits, aut.acceptance)
             if got is not None:
                 return got
     return None
@@ -435,7 +451,8 @@ def accepting_run(aut):
     prefix is shorter than the number of states and the cycle has at
     most (k + 1) * |states of W| edges.
     """
-    witness = _witness(aut)
+    succ = _successors(aut)
+    witness = _witness(aut, succ)
     if witness is None:
         return None
     # a closed walk through the witness that sees all of its colors
@@ -457,8 +474,7 @@ def accepting_run(aut):
     def home(i, d):
         return d == start
 
-    prefix = [] if start == aut.init else _bfs_path(
-        *_successors(aut), [aut.init], home)
+    prefix = [] if start == aut.init else _bfs_path(*succ, [aut.init], home)
     if prefix is None:
         raise RuntimeError("accepting_run: witness not reachable")
     cycle = []
@@ -584,20 +600,15 @@ def _flat_successors(aut, store, ap_map, shift, keep):
     return succ
 
 
-def product(a, b):
-    """Intersection product over the union of the AP lists.
+def _product_operands(a, b):
+    """What product and product_is_empty share: the merged AP list, the
+    guard store over it, the color count and acceptance of the product,
+    and per operand its flattened rows (_flat_successors) and per-state
+    gate, which masks the pair's colors.
 
-    Runs are paired, so neither operand may use universal branching.
     When one operand is known weak and the other side's acceptance is
     Fin-free and rejects colorless cycles, the weak side contributes no
     colors: its accepting SCCs simply let the partner's colors through.
-
-    Each operand is first flattened into per-state lists of (guard
-    bits, destination, colors), with guards translated once per guard
-    id and false edges dropped.  A pair of edges then costs one AND of
-    two ints, and only nonempty conjunctions are interned.  States are
-    numbered in breadth-first discovery order from the initial pair and
-    each state's edges follow a's edge order, then b's.
     """
     if a.has_universal_branches() or b.has_universal_branches():
         raise ValueError("product needs nonalternating automata")
@@ -618,20 +629,35 @@ def product(a, b):
         num_sets = a.num_sets + b.num_sets
         acceptance = f_and([a.acceptance,
                             shift_colors(b.acceptance, a.num_sets)])
-    nwords = words_for(num_sets)
-    out = Automaton(aps, nwords)
-
+    store = GuardStore(len(aps))
     # the partner's colors pass only where the weak side sits in an
     # accepting SCC
     gate_a = _accepting_scc_mask(a) if weak_a else [-1] * a.num_states
     gate_b = _accepting_scc_mask(b) if weak_b else [-1] * b.num_states
-    store = out.store
     succ_a = _flat_successors(a, store, [aps.index(p) for p in a.aps], 0,
                               not weak_a)
     succ_b = _flat_successors(b, store, [aps.index(p) for p in b.aps],
                               0 if weak_a or weak_b else a.num_sets,
                               not weak_b)
+    return aps, store, num_sets, acceptance, succ_a, gate_a, succ_b, gate_b
 
+
+def product(a, b):
+    """Intersection product over the union of the AP lists.
+
+    Runs are paired, so neither operand may use universal branching;
+    see _product_operands for the colors of a weak operand.
+
+    Each operand is first flattened into per-state lists of (guard
+    bits, destination, colors), with guards translated once per guard
+    id and false edges dropped.  A pair of edges then costs one AND of
+    two ints, and only nonempty conjunctions are interned.  States are
+    numbered in breadth-first discovery order from the initial pair and
+    each state's edges follow a's edge order, then b's.
+    """
+    (aps, store, num_sets, acceptance,
+     succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)
+    out = Automaton(aps, words_for(num_sets), store)
     intern = store.intern
     new_edge = out.new_edge
     pairs = [(a.init, b.init)] if a.num_states and b.num_states else []
@@ -655,6 +681,104 @@ def product(a, b):
         out.set_init(0)
     out.set_named_prop("product-states", pairs)
     return out
+
+
+def product_is_empty(a, b):
+    """is_empty(product(a, b)), decided on the fly.
+
+    Couvreur's SCC-based search (FM 1999) runs depth first over the
+    state pairs that product would build, straight from the same
+    flattened operand rows: no product automaton, and no guard of a
+    product edge is interned.  Each partial SCC on the root stack
+    carries the colors of the edges seen inside it.  A closed walk
+    through all of those edges sees exactly those colors, so the
+    product is nonempty as soon as they satisfy the acceptance, for any
+    Emerson-Lei condition.  When the acceptance has Fin atoms, a closed
+    SCC can still hold an accepting cycle that avoids some colors; the
+    Fin-splitting search of is_empty (_search_scc) then runs on that
+    SCC's internal edges, which are kept only until it closes.
+    """
+    (_, _, num_sets, acceptance,
+     succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)
+    if not (a.num_states and b.num_states):
+        return True
+    nwords = words_for(num_sets)
+    split = not is_finless(acceptance)
+    accepts = {}                # color bits -> eval_acceptance on them
+    nb = b.num_states
+
+    order = {}                  # pair s * nb + t -> DFS number, -1 once closed
+    rows = []                   # DFS number -> its row, while needed
+    live = []                   # the pairs not closed yet, in DFS order
+    roots = []                  # per partial SCC: DFS number of its root,
+    colors = []                 # the colors of the edges inside it,
+    arcs = []                   # and of the tree edge into its root
+    work = []                   # DFS stack: (state, row iterator, live size)
+
+    def push(key, arc):
+        s, t = divmod(key, nb)
+        keep = gate_a[s] & gate_b[t]
+        row_b = succ_b[t]
+        row = [(da * nb + db, (ca | cb) & keep)
+               for ga, da, ca in succ_a[s]
+               for gb, db, cb in row_b if ga & gb]
+        v = order[key] = len(rows)
+        rows.append(row if split else None)
+        work.append((v, iter(row), len(live)))
+        live.append(key)
+        roots.append(v)
+        colors.append(0)
+        arcs.append(arc)
+
+    push(a.init * nb + b.init, 0)
+    while work:
+        v, it, base = work[-1]
+        for key, c in it:
+            w = order.get(key)
+            if w is None:
+                push(key, c)
+                break
+            if w < 0:
+                continue
+            # a cycle back to w: merge every partial SCC above w's
+            while roots[-1] > w:
+                roots.pop()
+                c |= colors.pop() | arcs.pop()
+            colors[-1] = c = c | colors[-1]
+            ok = accepts.get(c)
+            if ok is None:
+                ok = accepts[c] = eval_acceptance(acceptance,
+                                                  ColorSet(c, nwords))
+            if ok:
+                return False
+        else:
+            work.pop()
+            if roots[-1] != v:
+                continue
+            # v closes its SCC: the pairs on live from v's on
+            roots.pop()
+            present = colors.pop()
+            arcs.pop()
+            members = live[base:]
+            del live[base:]
+            if split:
+                # its internal edges; without colors, each of its cycles
+                # sees the empty set, which a merge already found rejecting
+                table = []
+                for member in members:
+                    x = order[member]
+                    if present:
+                        for key, c in rows[x]:
+                            w = order[key]
+                            if w >= v:
+                                table.append((x, w, c))
+                    rows[x] = None
+                if present and _search_scc(table, range(len(table)), present,
+                                           acceptance) is not None:
+                    return False
+            for member in members:
+                order[member] = -1
+    return True
 
 
 # ---------------------------------------------------------------------------

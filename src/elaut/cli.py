@@ -6,6 +6,12 @@ generates random ones, `game` solves ownership-annotated automata, and
 read as HOA from file arguments or stdin ("-" also means stdin) and
 written as HOA to stdout.
 
+`aut --product FILE --is-empty` with no transformation flag
+(--remove-alternation, --remove-fin, --change-parity, --trim) decides
+the emptiness of each product on the fly, without building it.  Any
+other pipeline with --product, including --accepting-run, builds each
+product explicitly first.
+
 Exit status: 0 on success (and on all-yes answers for the query modes),
 1 when a query answers no (a non-empty automaton under --is-empty, a
 failed --check, an unrealizable game), 2 on usage or processing errors
@@ -93,6 +99,16 @@ def _print_run(aut, run):
     return "\n".join(lines)
 
 
+def _report_emptiness(verdicts):
+    """Print each verdict as it comes; return 1 if any is nonempty."""
+    status = 0
+    for empty in verdicts:
+        print("empty" if empty else "nonempty")
+        if not empty:
+            status = 1
+    return status
+
+
 def cmd_aut(args):
     auts = _read_automata(args.files)
     other = None
@@ -101,6 +117,13 @@ def cmd_aut(args):
         if len(others) != 1:
             raise ValueError("--product wants exactly one automaton")
         other = others[0]
+
+    if other is not None and args.is_empty and not (
+            args.remove_alternation or args.remove_fin or args.change_parity
+            or args.trim):
+        # only the products' emptiness is asked for: decide it on the fly
+        return _report_emptiness(
+            [algorithms.product_is_empty(aut, other) for aut in auts])
 
     processed = []
     for aut in auts:
@@ -117,13 +140,7 @@ def cmd_aut(args):
         processed.append(aut)
 
     if args.is_empty:
-        status = 0
-        for aut in processed:
-            empty = algorithms.is_empty(aut)
-            print("empty" if empty else "nonempty")
-            if not empty:
-                status = 1
-        return status
+        return _report_emptiness(algorithms.is_empty(aut) for aut in processed)
     if args.accepting_run:
         status = 0
         for aut in processed:

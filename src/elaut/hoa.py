@@ -44,6 +44,12 @@ _FLAG_TOKENS = (
 _TOKEN_TO_FLAG = {tok: flag for flag, tok in _FLAG_TOKENS}
 
 
+# The most states one automaton may have.  The parser creates every
+# declared state (or each one up to the largest index named) before any
+# edge, at 16 bytes each, so a short header must not ask for gigabytes.
+MAX_STATES = 1 << 20
+
+
 class HoaParseError(ValueError):
     def __init__(self, message, line, col):
         super().__init__("%d:%d: %s" % (line, col, message))
@@ -209,7 +215,11 @@ class _Parser:
                 raise self.error("duplicate %s: header" % val, off)
             at[val] = off
             if val == "States":
-                h["states"] = self.expect("int", "state count")
+                n = h["states"] = self.expect("int", "state count")
+                if n > MAX_STATES:
+                    raise self.error("%d states exceed the limit of %d"
+                                     % (n, MAX_STATES),
+                                     self.toks[self.i - 1][2])
             elif val == "Start":
                 h["start"] = [self.expect("int", "initial state")]
                 while self.peek() == "&":
@@ -288,6 +298,9 @@ class _Parser:
             if declared is not None:
                 raise self.error("state %d not below the declared count %d"
                                  % (idx, declared), off)
+            if idx >= MAX_STATES:
+                raise self.error("state %d not below the limit of %d states"
+                                 % (idx, MAX_STATES), off)
             aut.new_states(idx + 1 - aut.num_states)
 
         def label_guard(text, off):

@@ -7,16 +7,20 @@ test.
 """
 
 import gc
+import hashlib
+import json
+import os
 import random
 
 import pytest
 
 from elaut import (
-    Automaton, ColorSet, Fin, Lasso, accepting_run, check_run, is_complete,
-    is_empty, is_inherently_weak, is_terminal, is_universal, is_very_weak,
-    is_weak, parse_acceptance, parse_hoa, print_hoa, product,
-    random_automaton, reachable_states, remove_alternation, remove_fin,
-    scc_info, solve_game,
+    Automaton, ColorSet, Fin, Inf, Lasso, accepting_run, check_run,
+    class_colors, f_and, f_or, generalized_buchi, is_complete, is_empty,
+    is_inherently_weak, is_terminal, is_universal, is_very_weak, is_weak,
+    parse_acceptance, parse_hoa, print_hoa, product, product_is_empty,
+    rabin, random_automaton, reachable_states, remove_alternation,
+    remove_fin, scc_info, solve_game, streett, used_colors,
 )
 from elaut import algorithms
 from elaut.acceptance import (AccClass, And, change_parity, parity,
@@ -227,8 +231,8 @@ def witnesses(monkeypatch):
     seen = []
     real = algorithms._witness
 
-    def spy(aut):
-        seen.append(real(aut))
+    def spy(aut, *rest):
+        seen.append(real(aut, *rest))
         return seen[-1]
 
     monkeypatch.setattr(algorithms, "_witness", spy)
@@ -269,6 +273,25 @@ def test_accepting_run_is_short_on_a_large_automaton(witnesses):
     run = accepting_run(aut)
     _check_short_lasso(aut, run, witnesses[-1])
     assert len(run.cycle) < aut.num_edges
+
+
+def test_accepting_run_lassos_are_stable():
+    # sha256 prefix of the lassos over Rabin, Streett and parity automata
+    # whose emptiness search splits on Fin colors; recorded before the
+    # search read edges in the plain (src, dst, color bits) form
+    h = hashlib.sha256()
+    rng = random.Random(31337)
+    for k in range(200):
+        cls = [rabin(2), streett(2), parity("max", "odd", 4),
+               parity("min", "even", 5)][k % 4]
+        aut = random_automaton(states=rng.randint(20, 80), aps=2,
+                               density=rng.uniform(0.2, 0.5), colors=5,
+                               color_density=rng.uniform(0.2, 0.6),
+                               acceptance=cls, seed=k)
+        run = accepting_run(aut)
+        h.update(repr(None if run is None
+                      else (run.prefix, run.cycle)).encode())
+    assert h.hexdigest()[:16] == "afc5653848ee189b"
 
 
 def test_check_run_rejects_bad_lassos():
@@ -400,10 +423,144 @@ def test_product_merges_ap_lists():
 def test_product_rejects_alternation():
     alt = build([], 1, INF0, [(0, "t", (0, 1), []), (1, "t", 1, [0])])
     plain = build([], 1, INF0, [(0, "t", 0, [0])])
-    with pytest.raises(ValueError):
-        product(alt, plain)
-    with pytest.raises(ValueError):
-        product(plain, alt)
+    for run in (product, product_is_empty):
+        for a, b in ((alt, plain), (plain, alt)):
+            with pytest.raises(ValueError) as err:
+                run(a, b)
+            assert str(err.value) == "product needs nonalternating automata"
+
+
+# ------------------------------------------- on-the-fly product emptiness
+
+def _fin_heavy(colors, rng):
+    """A random formula using each color once, four atoms in five Fin."""
+    atoms = [Fin(c) if rng.random() < 0.8 else Inf(c) for c in range(colors)]
+    while len(atoms) > 1:
+        i = rng.randrange(len(atoms) - 1)
+        pair = [atoms.pop(i), atoms.pop(i)]
+        atoms.insert(i, f_and(pair) if rng.random() < 0.5 else f_or(pair))
+    return atoms[0]
+
+
+# acceptance kind -> a class or a formula over 1-4 colors, from an rng
+ACCEPTANCE_KINDS = {
+    "Buchi": lambda rng: AccClass("Buchi"),
+    "generalized-Buchi": lambda rng: generalized_buchi(rng.randint(2, 3)),
+    "co-Buchi": lambda rng: AccClass("co-Buchi"),
+    "Rabin": lambda rng: rabin(rng.randint(1, 2)),
+    "Streett": lambda rng: streett(rng.randint(1, 2)),
+    "parity": lambda rng: parity(rng.choice(["min", "max"]),
+                                 rng.choice(["even", "odd"]),
+                                 rng.randint(1, 4)),
+    "random": lambda rng: algorithms.random_acceptance(rng.randint(1, 4),
+                                                       rng),
+    "Fin-heavy": lambda rng: _fin_heavy(rng.randint(1, 4), rng),
+}
+
+
+def _operand(rng, kind, aps, seed):
+    acc = ACCEPTANCE_KINDS[kind](rng)
+    colors = class_colors(acc) if isinstance(acc, AccClass) \
+        else used_colors(acc).max_color() + 1
+    return random_automaton(states=rng.randint(1, 7), aps=aps,
+                            density=rng.uniform(0.3, 0.9), colors=colors,
+                            color_density=rng.uniform(0.1, 0.5),
+                            acceptance=acc, seed=seed)
+
+
+@pytest.mark.parametrize("kind", sorted(ACCEPTANCE_KINDS))
+def test_product_is_empty_matches_explicit_product(kind):
+    rng = random.Random(kind)
+    verdicts = []
+    for k in range(80):
+        a = _operand(rng, kind, ["p0", "p1"], rng.randrange(1 << 30))
+        b = _operand(rng, rng.choice(sorted(ACCEPTANCE_KINDS)),
+                     ["p1", "p2"][:rng.randint(0, 2)], rng.randrange(1 << 30))
+        if k % 2:
+            a, b = b, a
+        empty = is_empty(product(a, b))
+        assert product_is_empty(a, b) == empty
+        verdicts.append(empty)
+    assert 20 <= sum(verdicts) <= 60
+
+
+def test_product_is_empty_splits_closed_sccs(monkeypatch):
+    # with Fin atoms, some products are found nonempty only by the Fin
+    # split of a closed SCC
+    found = []
+    real = algorithms._search_scc
+
+    def spy(*args):
+        got = real(*args)
+        found.append(got is not None)
+        return got
+
+    monkeypatch.setattr(algorithms, "_search_scc", spy)
+    rng = random.Random(4141)
+    split_only = 0
+    for k in range(80):
+        a = _operand(rng, "Fin-heavy", ["p0", "p1"], 25000 + k)
+        b = _operand(rng, "Fin-heavy", ["p0", "p1"], 26000 + k)
+        del found[:]
+        nonempty = not product_is_empty(a, b)
+        split_only += nonempty and any(found)
+        assert nonempty == (not is_empty(product(a, b)))
+    assert split_only >= 5
+
+
+def test_product_is_empty_with_a_weak_operand():
+    # a weak operand against a Buchi one takes the gated path, on either
+    # side
+    rng = random.Random(4343)
+    gated = nonempty = 0
+    for k in range(60):
+        a = _weak_by_scc(random_automaton(
+            states=rng.randint(1, 8), aps=["p0", "p1"],
+            density=rng.uniform(0.1, 0.5), colors=1, color_density=0.4,
+            seed=21000 + k), k)
+        b = _operand(rng, rng.choice(["Buchi", "generalized-Buchi"]),
+                     ["p1"], 22000 + k)
+        if k % 2:
+            a, b = b, a
+        gated += algorithms._weak_product_side(a, b) \
+            or algorithms._weak_product_side(b, a)
+        empty = is_empty(product(a, b))
+        assert product_is_empty(a, b) == empty
+        nonempty += not empty
+    assert gated == 60 and 10 <= nonempty <= 50
+
+
+def test_product_is_empty_edge_cases():
+    rng = random.Random(99)
+    none = Automaton(["p0"])
+    for k in range(20):
+        a = _operand(rng, "random", ["a"], 23000 + k)
+        assert product_is_empty(a, none) and product_is_empty(none, a)
+        assert is_empty(product(a, none))
+        # disjoint AP lists: every pair of letters meets
+        b = _operand(rng, "random", ["b", "c"], 24000 + k)
+        assert product_is_empty(a, b) == is_empty(product(a, b))
+    # t acceptance needs any cycle, which a self-loop is
+    loop = build(["a"], 0, parse_acceptance("t"), [(0, "0", 0, [])])
+    assert not product_is_empty(loop, loop)
+    assert product_is_empty(loop, build(["a"], 0, parse_acceptance("t"),
+                                        [(0, "!0", 0, [])]))
+
+
+def test_product_is_empty_answers_the_bench_check_jobs(check_jobs):
+    answers = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "answers", "check.json")
+    with open(answers, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    jobs = check_jobs(1)
+    assert len(jobs) == len(expected) == 216
+    for job in jobs:
+        with open(job.meta["sys"], encoding="utf-8") as fh:
+            a = parse_hoa(fh.read())
+        with open(job.meta["prop"], encoding="utf-8") as fh:
+            b = parse_hoa(fh.read())
+        verdict = "empty" if product_is_empty(a, b) else "nonempty"
+        assert verdict == expected[job.id], job.id
 
 
 # -------------------------------------------------- alternation removal

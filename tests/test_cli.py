@@ -1,14 +1,17 @@
 """Command line behavior: parsing, transforms, queries, games,
 machines, exit codes."""
 
+import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from elaut import algorithms, is_empty, parse_hoa, parse_hoa_stream
+from elaut import (algorithms, is_empty, parity, parse_acceptance,
+                   parse_hoa, parse_hoa_stream, print_hoa, random_automaton)
 from elaut.cli import main
 
 BUCHI_AB = """HOA: v1
@@ -281,6 +284,98 @@ State: 0
     assert main(["aut", only_a, "--product", only_a, "--is-empty"]) == 1
 
 
+NO_STATES = """HOA: v1
+States: 0
+AP: 1 "a"
+Acceptance: 1 Inf(0)
+--BODY--
+--END--
+"""
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The number of algorithms.product calls so far, in a one-item list."""
+    calls = [0]
+    real = algorithms.product
+
+    def spy(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(algorithms, "product", spy)
+    return calls
+
+
+def test_product_is_empty_matches_the_explicit_pipeline(tmp_path, capsys,
+                                                        product_calls):
+    rng = random.Random(5)
+    auts = {write(tmp_path, "none.hoa", NO_STATES): parse_hoa(NO_STATES)}
+    for k in range(6):
+        aut = random_automaton(rng.randint(2, 12), ["a", "b"], density=0.4,
+                               colors=2, color_density=0.3, seed=k)
+        auts[write(tmp_path, "a%d.hoa" % k, print_hoa(aut))] = aut
+    paths = sorted(auts)
+    verdicts = set()
+    for k, acc in enumerate(("Inf(0)", "Fin(0)", "Fin(0) & Inf(1)", "t")):
+        prop = random_automaton(3, ["b", "c"], density=0.8, colors=2,
+                                color_density=0.4,
+                                acceptance=parse_acceptance(acc), seed=k)
+        prop_path = write(tmp_path, "p%d.hoa" % k, print_hoa(prop))
+        for files in (paths, paths[::-1], paths[:1], paths[-1:]):
+            argv = ["aut"] + files + ["--product", prop_path, "--is-empty"]
+            calls = product_calls[0]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert product_calls[0] == calls      # decided on the fly
+            # --trim keeps the language and builds each product
+            assert main(argv + ["--trim"]) == code
+            assert capsys.readouterr() == (out, err)
+            assert product_calls[0] == calls + len(files)
+            expected = [is_empty(algorithms.product(auts[f], prop))
+                         for f in files]
+            assert out == "".join("empty\n" if e else "nonempty\n"
+                                  for e in expected)
+            assert code == (0 if all(expected) else 1) and err == ""
+            verdicts.update(expected)
+    assert verdicts == {True, False}
+
+
+def test_product_with_transformations_is_explicit(tmp_path, capsys,
+                                                  product_calls):
+    sys_path = write(tmp_path, "sys.hoa", print_hoa(random_automaton(
+        6, ["a"], density=0.6, seed=1)))
+    prop = write(tmp_path, "parity.hoa", print_hoa(random_automaton(
+        3, ["a"], density=1.0, colors=3, color_density=0.5,
+        acceptance=parity("max", "odd", 3), seed=2)))
+    for flags in (["--remove-fin"], ["--trim"], ["--remove-alternation"],
+                  ["--change-parity", "min even"], []):
+        calls = product_calls[0]
+        assert main(["aut", sys_path, sys_path, "--product", prop,
+                     "--is-empty"] + flags) == 1
+        assert capsys.readouterr() == ("nonempty\nnonempty\n", "")
+        assert product_calls[0] == calls + (2 if flags else 0)
+    calls = product_calls[0]
+    assert main(["aut", sys_path, "--product", prop, "--accepting-run"]) == 0
+    assert "cycle:" in capsys.readouterr().out
+    assert product_calls[0] == calls + 1
+
+
+def test_product_is_empty_errors(tmp_path, capsys):
+    plain = write(tmp_path, "plain.hoa", BUCHI_AB)
+    alt = write(tmp_path, "alt.hoa", ALTERNATING)
+    none = write(tmp_path, "none.hoa", NO_STATES)
+    for files, prop in (([plain, alt], plain), ([alt], plain),
+                        ([plain], alt)):
+        for flags in ([], ["--trim"]):
+            assert main(["aut"] + files + ["--product", prop,
+                                           "--is-empty"] + flags) == 2
+            assert capsys.readouterr() == (
+                "", "elaut: error: product needs nonalternating automata\n")
+    assert main(["aut", none, plain, "--product", none, "--is-empty"]) == 0
+    assert capsys.readouterr().out == "empty\nempty\n"
+
+
 def test_aut_change_parity(tmp_path, capsys):
     src = write(tmp_path, "p.hoa", """HOA: v1
 States: 1
@@ -450,6 +545,30 @@ State: 0
 """)
     assert main(["mealy", partial, "--simulate", "1"]) == 2
     assert "input-enabled" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ pinned outputs
+
+# sha256 prefixes of (job id, exit code, stdout, stderr) over the stages
+# of the bench's check jobs, in run order; the --accepting-run jobs print
+# lassos.  Recorded before `--product P --is-empty` was decided on the fly.
+CHECK_JOB_DIGESTS = {1: "1ed052a7972bfdea", 7: "ee95b8502c02bf60"}
+
+
+def check_job_digest(jobs, capsys):
+    h = hashlib.sha256()
+    for job in jobs:
+        for argv in job.stages:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            h.update(repr((job.id, code, out, err)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_JOB_DIGESTS))
+def test_check_job_outputs_are_stable(seed, check_jobs, capsys):
+    assert check_job_digest(check_jobs(seed), capsys) \
+        == CHECK_JOB_DIGESTS[seed]
 
 
 # ------------------------------------------------------ installed script

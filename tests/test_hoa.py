@@ -2,13 +2,14 @@
 
 import os
 import random
+import tracemalloc
 
 import pytest
 
 from elaut.acceptance import Inf, TRUE
 from elaut.graph import MAYBE, NO, YES
-from elaut.hoa import (HoaParseError, parse_hoa, parse_hoa_stream, print_dot,
-                       print_hoa, stats)
+from elaut.hoa import (MAX_STATES, HoaParseError, parse_hoa,
+                       parse_hoa_stream, print_dot, print_hoa, stats)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -255,6 +256,37 @@ State: 0
 --END--
 """)
     assert e.line == 8  # destination out of range
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("HOA: v1\nStates: 300000000\n",
+     "300000000 states exceed the limit of 1048576", 2, 9),
+    ("HOA: v1\nStates: 1048577\n",
+     "1048577 states exceed the limit of 1048576", 2, 9),
+    ("HOA: v1\nAcceptance: 0 t\n--BODY--\nState: 300000000\n--END--\n",
+     "state 300000000 not below the limit of 1048576 states", 4, 1),
+    ("HOA: v1\nAcceptance: 0 t\n--BODY--\nState: 0\n[t] 1048576\n",
+     "state 1048576 not below the limit of 1048576 states", 5, 1),
+    ("HOA: v1\nStart: 1048576\nAcceptance: 0 t\n--BODY--\n--END--\n",
+     "state 1048576 not below the limit of 1048576 states", 2, 1),
+])
+def test_state_count_limit_allocates_nothing(text, message, line, col):
+    assert MAX_STATES == 1 << 20
+    tracemalloc.start()
+    try:
+        e = parse_err(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e) == "%d:%d: %s" % (line, col, message)
+    assert peak < 1 << 20
+
+
+def test_state_count_limit_is_reachable():
+    aut = parse_hoa("HOA: v1\nStates: %d\nStart: %d\nAcceptance: 0 t\n"
+                    "--BODY--\n--END--\n" % (MAX_STATES, MAX_STATES - 1))
+    assert aut.num_states == MAX_STATES
+    assert aut.init == MAX_STATES - 1
 
 
 def test_reject_unknown_uppercase_header():
