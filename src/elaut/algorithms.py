@@ -578,33 +578,56 @@ def _accepting_scc_mask(aut):
     return [-1 if cid >= 0 and ok[cid] else 0 for cid in info.scc_of]
 
 
-def _flat_successors(aut, store, ap_map, shift, keep):
-    """succ[s] = [(guard bits, dst, colors), ...] over the edges of s in
-    order, with guards moved into `store` and false ones dropped.
+class _FlatRows(dict):
+    """rows[s] = [(guard bits, dst, colors), ...] over the edges of state
+    s in order, with guards moved into `store` and false ones dropped.
+    A state's row is built the first time it is looked up.
 
     Colors beyond the declared count are inert and masked off; the rest
     are shifted left by `shift`, or all dropped when `keep` is false.
     """
-    mask = ((1 << aut.num_sets) - 1) if keep else 0
-    bits_of = {}                      # guard id in aut -> bits in store
-    succ = [[] for _ in range(aut.num_states)]
-    edges = aut.edges
-    for i in range(1, len(edges)):
-        e = edges[i]
-        g = bits_of.get(e.cond)
-        if g is None:
-            g = bits_of[e.cond] = store.bits_of(
-                store.translate_from(aut.store, e.cond, ap_map))
-        if g:
-            succ[e.src].append((g, e.dst, (e.acc.bits & mask) << shift))
-    return succ
+
+    def __init__(self, aut, store, ap_map, shift, keep):
+        super().__init__()
+        self.aut = aut
+        self.store = store
+        self.move = store.translator(aut.store, ap_map)
+        self.shift = shift
+        self.mask = ((1 << aut.num_sets) - 1) if keep else 0
+        self.bits = {}                # guard id in aut -> bits in store
+
+    def _bits(self, cond):
+        g = self.bits[cond] = self.move(self.aut.store.bits_of(cond))
+        return g
+
+    def intern_all(self):
+        """Intern every guard in the store, in edge order, before any row
+        is built: the store then numbers them as translate_from would."""
+        for e in self.aut.edge_records():
+            if e.cond not in self.bits:
+                self.store.intern(self._bits(e.cond))
+
+    def __missing__(self, s):
+        bits, mask, shift = self.bits, self.mask, self.shift
+        edges = self.aut.edges
+        row = self[s] = []
+        idx = next(self.aut.out_indices(s), 0)
+        while idx:                    # s's out-edges, linked by next_succ
+            e = edges[idx]
+            g = bits.get(e.cond)
+            if g is None:
+                g = self._bits(e.cond)
+            if g:
+                row.append((g, e.dst, (e.acc.bits & mask) << shift))
+            idx = e.next_succ
+        return row
 
 
 def _product_operands(a, b):
     """What product and product_is_empty share: the merged AP list, the
     guard store over it, the color count and acceptance of the product,
-    and per operand its flattened rows (_flat_successors) and per-state
-    gate, which masks the pair's colors.
+    and per operand its flattened rows (_FlatRows) and per-state gate,
+    which masks the pair's colors.
 
     When one operand is known weak and the other side's acceptance is
     Fin-free and rejects colorless cycles, the weak side contributes no
@@ -634,11 +657,10 @@ def _product_operands(a, b):
     # accepting SCC
     gate_a = _accepting_scc_mask(a) if weak_a else [-1] * a.num_states
     gate_b = _accepting_scc_mask(b) if weak_b else [-1] * b.num_states
-    succ_a = _flat_successors(a, store, [aps.index(p) for p in a.aps], 0,
-                              not weak_a)
-    succ_b = _flat_successors(b, store, [aps.index(p) for p in b.aps],
-                              0 if weak_a or weak_b else a.num_sets,
-                              not weak_b)
+    succ_a = _FlatRows(a, store, [aps.index(p) for p in a.aps], 0,
+                       not weak_a)
+    succ_b = _FlatRows(b, store, [aps.index(p) for p in b.aps],
+                       0 if weak_a or weak_b else a.num_sets, not weak_b)
     return aps, store, num_sets, acceptance, succ_a, gate_a, succ_b, gate_b
 
 
@@ -648,15 +670,18 @@ def product(a, b):
     Runs are paired, so neither operand may use universal branching;
     see _product_operands for the colors of a weak operand.
 
-    Each operand is first flattened into per-state lists of (guard
-    bits, destination, colors), with guards translated once per guard
-    id and false edges dropped.  A pair of edges then costs one AND of
-    two ints, and only nonempty conjunctions are interned.  States are
-    numbered in breadth-first discovery order from the initial pair and
-    each state's edges follow a's edge order, then b's.
+    Each operand state is flattened into a list of (guard bits,
+    destination, colors) when first reached, with guards translated once
+    per guard id and false edges dropped.  A pair of edges then costs one
+    AND of two ints, and only nonempty conjunctions are interned.  States
+    are numbered in breadth-first discovery order from the initial pair
+    and each state's edges follow a's edge order, then b's.
     """
     (aps, store, num_sets, acceptance,
      succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)
+    # the operands' guards take the store's first ids, in edge order
+    succ_a.intern_all()
+    succ_b.intern_all()
     out = Automaton(aps, words_for(num_sets), store)
     intern = store.intern
     new_edge = out.new_edge
@@ -688,15 +713,16 @@ def product_is_empty(a, b):
 
     Couvreur's SCC-based search (FM 1999) runs depth first over the
     state pairs that product would build, straight from the same
-    flattened operand rows: no product automaton, and no guard of a
-    product edge is interned.  Each partial SCC on the root stack
-    carries the colors of the edges seen inside it.  A closed walk
-    through all of those edges sees exactly those colors, so the
-    product is nonempty as soon as they satisfy the acceptance, for any
-    Emerson-Lei condition.  When the acceptance has Fin atoms, a closed
-    SCC can still hold an accepting cycle that avoids some colors; the
-    Fin-splitting search of is_empty (_search_scc) then runs on that
-    SCC's internal edges, which are kept only until it closes.
+    flattened operand rows, each built when the search first reaches
+    its state: no product automaton, and no guard is interned.  Each
+    partial SCC on the root stack carries the colors of the edges seen
+    inside it.  A closed walk through all of those edges sees exactly
+    those colors, so the product is nonempty as soon as they satisfy the
+    acceptance, for any Emerson-Lei condition.  When the acceptance has
+    Fin atoms, a closed SCC can still hold an accepting cycle that avoids
+    some colors; the Fin-splitting search of is_empty (_search_scc) then
+    runs on that SCC's internal edges, which are kept only until it
+    closes.
     """
     (_, _, num_sets, acceptance,
      succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)

@@ -201,6 +201,43 @@ class Automaton:
         self.flags = _ALL_MAYBE
         return idx
 
+    def new_edges(self, edges):
+        """Append edges given as (src, dst, cond, color bits), in order.
+
+        Each gets new_edge's checks before it is appended and is linked
+        after its source's current out-edges, as new_edge would."""
+        tail = self._tail
+        succ = self._succ
+        n = len(tail)
+        groups = self._group_offsets
+        colors = self._colors
+        out = self.edges
+        append = out.append
+        idx = len(out)
+        for src, dst, cond, bits in edges:
+            if not 0 <= src < n:
+                raise ValueError("source %d is not a state" % src)
+            if dst >= n:
+                raise ValueError("destination %d is not a state" % dst)
+            if dst < 0 and ~dst not in groups:
+                raise ValueError("destination word %d names no group" % dst)
+            if not 0 <= cond < self._nguards:
+                self._nguards = len(self.store)
+                if not 0 <= cond < self._nguards:
+                    raise ValueError("unknown guard id %d" % cond)
+            acc = colors.get(bits)
+            if acc is None:
+                acc = self.color_set(bits)      # checks the width
+            append(EdgeRecord(src, dst, cond, acc, 0))
+            last = tail[src]
+            if last:
+                out[last].next_succ = idx
+            else:
+                succ[src] = idx
+            tail[src] = idx
+            idx += 1
+        self.flags = _ALL_MAYBE
+
     def new_univ_dest_group(self, members):
         """Intern a universal destination group; returns its word.
 

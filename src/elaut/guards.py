@@ -211,30 +211,39 @@ class GuardStore:
         store's AP i; the map must be one-to-one.  The result is the same
         Boolean function over the shared APs.
         """
+        return self.intern(self.translator(other, ap_map)(other.bits_of(gid)))
+
+    def translator(self, other, ap_map):
+        """The function that moves a minterm vector of `other` into this
+        store (see translate_from), planned once per AP map."""
         k, n = other.ap_count, self.ap_count
         dest = [ap_map[i] for i in range(k)]
         if len(set(dest)) != k or not all(0 <= d < n for d in dest):
             raise ValueError("AP map %r is not one-to-one into %d APs"
                              % (dest, n))
-        bits = other.bits_of(gid)
         # APs k..n-1 are new: the guard does not depend on them
-        for ap in range(k, n):
-            bits |= bits << (1 << ap)
+        widen = [1 << ap for ap in range(k, n)]
         # target[p]: the position the variable now at p must move to; the
         # new APs take the positions no mapped AP takes, in order.  Bubble
         # sort it, O(n**2) exchanges of neighbouring variables p, p+1, each
         # a delta swap of the minterms with p set and p+1 clear with their
         # partners that have p+1 set and p clear.
         target = dest + [p for p in range(n) if p not in dest]
+        swaps = []
         for done in range(n):
             for p in range(n - 1 - done):
                 if target[p] > target[p + 1]:
-                    shift = 1 << p
-                    t = (((bits >> shift) ^ bits)
-                         & self._pos[p] & self._neg[p + 1])
-                    bits ^= t | (t << shift)
+                    swaps.append((1 << p, self._pos[p] & self._neg[p + 1]))
                     target[p], target[p + 1] = target[p + 1], target[p]
-        return self.intern(bits)
+
+        def move(bits):
+            for w in widen:
+                bits |= bits << w
+            for shift, mask in swaps:
+                t = ((bits >> shift) ^ bits) & mask
+                bits ^= t | (t << shift)
+            return bits
+        return move
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,21 @@ ownership vector of games, and `controllable-AP:` the output-AP indices of
 synthesized machines.  Both are lowercase, so other tools can ignore
 them.
 
-Reading is one pass of a compiled regular expression over the text
-(`_lex`), which turns one automaton at a time into a list of tokens,
-each with the character offset where it starts; a whole [label] is one
-token.  The parser walks that list, and only a HoaParseError turns an
-offset into line:col.  A label's guard is evaluated on whole minterm
-vectors and interned once per distinct label text and store
-(`GuardStore.parse_label`).
+Reading has two parts.  The header is lexed by one compiled regular
+expression (`_TOKEN_RE`, in `_lex`) into a list of tokens up to
+--BODY--, each with the character offset where it starts; a whole [label]
+is one token, and `_Parser` walks that list.  The body is walked an item
+at a time: each match of `_ITEM_RE` is a whole edge (label, destination
+or `&` group, colors), a whole State: line or an end marker, so an edge
+costs one match, one label lookup in the store's memo
+(`GuardStore.parse_label`, which evaluates a label on whole minterm
+vectors once per distinct text) and one tuple; the edges go into the
+automaton in batches (`Automaton.new_edges`).  Where no whole item
+matches, the token at that offset, read with `_TOKEN_RE`, names the
+error.  A comment in the body is the one exception: the rest of the body
+is copied once with its comments blanked out, offsets unchanged, and the
+walk goes on in the copy.  Only a HoaParseError turns an offset into
+line:col.
 """
 
 from __future__ import annotations
@@ -74,21 +82,61 @@ _TOKEN_RE = re.compile(r"""\s*(?:
 _COMMENT_RE = re.compile(r"/\*|\*/")
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
+# One item of the body, from where its first token starts, and the blanks
+# after it.  Its tokens are the ones _TOKEN_RE reads.  Every part after
+# an item's first token is optional, so an item cut short, by a comment
+# or by input that is not HOA, still matches up to the cut; _parse_body
+# reads the cut.  Where no item starts, the match is empty.  (An optional
+# part is written "(?:...|)", which the re module runs faster than "?".)
+_ITEM_RE = re.compile(r"""(?:
+    (?:\[([^\]]*)\]\s*|(?=[0-9]))           # 1 edge label, or none
+    (?:([0-9]+)\s*                          # 2 destination
+       ((?:&\s*[0-9]+\s*)+|)                # 3 more group members
+       (?:(&)\s*                            # 4 an "&" without a member
+        |\{([0-9\s]*)(\}?)\s*               # 5 colors, 6 "}" if closed
+        |)
+    |)
+  | State:\s*(?:\[([^\]]*)\]\s*|)           # 7 state label
+    (?:([0-9]+)\s*                          # 8 state index
+       (?:"([^"\\]*(?:\\.[^"\\]*)*)"\s*|)   # 9 state name
+       (?:\{([0-9\s]*)(\}?)\s*|)            # 10 colors, 11 "}" if closed
+    |)
+  | (--(?:END|ABORT)--)                     # 12 end marker
+  |                                         # no item starts here
+)(?:(?=/\*)()|)                             # 13 a comment follows
+""", re.VERBOSE | re.DOTALL)
+_BLANKS_RE = re.compile(r"\s*")
+# Edges read but not yet in the automaton, at most: past this count they
+# go in at the next State: line, so the pending tuples stay small.
+_EDGE_BATCH = 1024
+_INT_RE = re.compile(r"[0-9]+")
+
+
+def _comment_end(text, start):
+    """The offset after the comment that opens at `start`, with nested
+    comments inside it; -1 if it is never closed."""
+    depth = 0
+    for c in _COMMENT_RE.finditer(text, start):
+        depth += 1 if c.group() == "/*" else -1
+        if not depth:
+            return c.end()
+    return -1
+
 
 def _lex(text, pos):
-    """The tokens of the automaton that starts at offset `pos`, and the
-    offset where it ends.
+    """The header tokens of the automaton that starts at offset `pos`,
+    and the offset where they end.
 
     A token is (kind, value, offset of its first character).  Integers,
     labels (the text between the brackets), strings (unescaped),
     identifiers and headers (the name before the colon) have the kinds
     "int", "label", "string", "ident" and "header"; a punctuation
     character is its own kind and value.  Blanks and nested comments are
-    skipped.  Lexing stops after --END-- or --ABORT--, at the end of the
-    text with an "eof" token, and where no token can start with an
-    "error" token that holds the message.  The parser raises that error
-    only when it reaches the token, so the error reported is the first
-    one in the text.
+    skipped.  Lexing stops after --BODY--, --END-- or --ABORT--, at the
+    end of the text with an "eof" token, and where no token can start
+    with an "error" token that holds the message.  The parser raises that
+    error only when it reaches the token, so the error reported is the
+    first one in the text.
     """
     toks = []
     append = toks.append
@@ -114,10 +162,8 @@ def _lex(text, pos):
                 append(("string", _ESCAPE_RE.sub(r"\1", m.group(6)),
                         m.start(6) - 1))
             elif k == 7:
-                kind = m.group(7).lower()
-                append((kind, None, m.start(7) - 2))
-                if kind != "body":
-                    return toks, m.end()
+                append((m.group(7).lower(), None, m.start(7) - 2))
+                return toks, m.end()
             elif k == 8:
                 break
             elif k is None:
@@ -136,15 +182,39 @@ def _lex(text, pos):
                     message = "unexpected character %r" % ch
                 append(("error", message, start))
                 return toks, m.end()
-        depth = 0
-        for c in _COMMENT_RE.finditer(text, m.start(8)):
-            depth += 1 if c.group() == "/*" else -1
-            if not depth:
-                pos = c.end()
-                break
-        else:
+        pos = _comment_end(text, m.start(8))
+        if pos < 0:
             append(("error", "unterminated comment", m.start(8)))
             return toks, len(text)
+
+
+def _token(text, pos):
+    """The first token at or after `pos`, as _lex reads it."""
+    return _lex(text, pos)[0][0]
+
+
+def _blank_comments(text, pos):
+    """The automaton's text from `pos` on, with each comment replaced by
+    blanks of its length, so that offsets into it do not move.  It ends
+    after the automaton's --END-- or --ABORT--, or, where lexing stops
+    first, at the end of the text."""
+    parts = []
+    start = pos
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        k = m.lastindex
+        pos = m.end()
+        if k == 8:
+            end = _comment_end(text, m.start(8))
+            if end < 0:
+                break
+            parts += (text[start:m.start(8)], " " * (end - m.start(8)))
+            start = pos = end
+        elif k == 7 and m.group(7) != "BODY":
+            return "".join(parts) + text[start:pos]
+        elif k is None or k == 9:
+            break
+    return "".join(parts) + text[start:]
 
 
 # what an unknown header's values and an acceptance formula are made of
@@ -154,16 +224,20 @@ _FORMULA_KINDS = frozenset(("ident", "int", "(", ")", "&", "|"))
 
 
 class _Parser:
-    """The grammar walk over the tokens of one automaton (see _lex)."""
+    """One automaton: the grammar walk over its header tokens (see _lex),
+    then the item walk over its body, from offset `end` on."""
 
-    def __init__(self, text, toks):
+    def __init__(self, text, toks, end):
         self.text = text
         self.toks = toks
         self.i = 0
+        self.end = end
+        self.base = 0         # offset in text of what the body walk reads
 
     def error(self, message, offset):
-        """The HoaParseError at a character offset into the text."""
+        """The HoaParseError at a character offset into what is read."""
         text = self.text
+        offset += self.base
         return HoaParseError(message, text.count("\n", 0, offset) + 1,
                              offset - text.rfind("\n", 0, offset))
 
@@ -172,6 +246,13 @@ class _Parser:
         that the token stands for."""
         kind, val, offset = tok
         raise self.error(val if kind == "error" else message, offset)
+
+    def integer(self, digits, offset):
+        try:
+            return int(digits)
+        except ValueError:            # more digits than int() converts
+            raise self.error("integer of %d digits too large" % len(digits),
+                             offset) from None
 
     def peek(self):
         return self.toks[self.i][0]
@@ -187,6 +268,7 @@ class _Parser:
         return tok[1]
 
     def parse_automaton(self):
+        """The automaton, and the offset after its --END--."""
         tok = self.next()
         if tok[:2] != ("header", "HOA"):
             self.fail(tok, "expected HOA: header")
@@ -281,6 +363,35 @@ class _Parser:
             raise self.error("bad acceptance condition: %s" % exc,
                              off) from exc
 
+    def _label(self, aut, text, offset):
+        try:
+            return aut.store.parse_label(text)
+        except LabelParseError as exc:
+            raise self.error("bad label: %s" % exc, offset) from exc
+
+    def _new_states(self, aut, declared, idx, offset):
+        """Make the states up to `idx`, which is not below the count so
+        far, and return the new count."""
+        if declared is not None:
+            raise self.error("state %d not below the declared count %d"
+                             % (idx, declared), offset)
+        if idx >= MAX_STATES:
+            raise self.error("state %d not below the limit of %d states"
+                             % (idx, MAX_STATES), offset)
+        aut.new_states(idx + 1 - aut.num_states)
+        return idx + 1
+
+    def _colors(self, digits, offset, num_sets):
+        """The bits of the colors written `digits` at `offset`."""
+        bits = 0
+        for d in _INT_RE.finditer(digits):
+            c = self.integer(d.group(), offset + d.start())
+            if c >= num_sets:
+                raise self.error("color %d not below the declared count %d"
+                                 % (c, num_sets), offset + d.start())
+            bits |= 1 << c
+        return bits
+
     def _parse_body(self, h, at, body_at):
         num_sets = h["num_sets"]
         if num_sets is None:
@@ -290,39 +401,11 @@ class _Parser:
         declared = h["states"]
         if declared is not None:
             aut.new_states(declared)
-        toks = self.toks
-
-        def ensure_state(idx, off):
-            if idx < aut.num_states:
-                return
-            if declared is not None:
-                raise self.error("state %d not below the declared count %d"
-                                 % (idx, declared), off)
-            if idx >= MAX_STATES:
-                raise self.error("state %d not below the limit of %d states"
-                                 % (idx, MAX_STATES), off)
-            aut.new_states(idx + 1 - aut.num_states)
-
-        def label_guard(text, off):
-            try:
-                return aut.store.parse_label(text)
-            except LabelParseError as exc:
-                raise self.error("bad label: %s" % exc, off + 1) from exc
-
-        def colors_at(i):
-            """The color bits of the {...} at toks[i], and the index after."""
-            colors = 0
-            while True:
-                i += 1
-                kind, val, off = tok = toks[i]
-                if kind == "}":
-                    return colors, i + 1
-                if kind != "int":
-                    self.fail(tok, "expected a color index")
-                if val >= num_sets:
-                    raise self.error("color %d not below the declared count %d"
-                                     % (val, num_sets), off)
-                colors |= 1 << val
+        count = aut.num_states
+        parse_label = aut.store.parse_label
+        edges = []                    # (src, dst, guard, color bits)
+        add_edge = edges.append
+        color_bits = {}               # colors as written -> their bits
 
         # print_hoa writes the colors of a state-acc automaton on its
         # states, so its edges may not carry colors of their own
@@ -332,83 +415,137 @@ class _Parser:
         defined = set()
         names = {}
         saw_state_colors = saw_edge_colors = False
-        i = self.i
-        while True:
-            kind, val, off = toks[i]
-            i += 1
-            if kind == "label" or kind == "int":
-                if cur_state is None:
-                    raise self.error("edge before any State:", off)
-                if kind == "label":
-                    guard = label_guard(val, off)
-                elif cur_label is None:
-                    raise self.error("implicit labels are not supported",
-                                     off)
-                else:
-                    guard = cur_label
-                    i -= 1            # the token is the destination
-                tok = toks[i]
-                i += 1
-                if tok[0] != "int":
-                    self.fail(tok, "expected a destination state")
-                dst = tok[1]
-                ensure_state(dst, off)
-                members = [dst]
-                while toks[i][0] == "&":
-                    tok = toks[i + 1]
-                    i += 2
-                    if tok[0] != "int":
-                        self.fail(tok, "expected a destination state")
-                    ensure_state(tok[1], off)
-                    members.append(tok[1])
-                if len(members) > 1:
-                    dst = aut.new_univ_dest_group(members)
-                colors = cur_colors
-                if toks[i][0] == "{":
-                    if state_acc:
-                        raise self.error("edge colors under state-acc",
-                                         toks[i][2])
-                    colors, i = colors_at(i)
-                    colors |= cur_colors
-                    saw_edge_colors = True
-                aut.new_edge(cur_state, dst, guard, colors)
-            elif kind == "header" and val == "State":
-                cur_label = None
-                tok = toks[i]
-                i += 1
-                if tok[0] == "label":
-                    cur_label = label_guard(tok[1], tok[2])
-                    tok = toks[i]
-                    i += 1
-                if tok[0] != "int":
-                    self.fail(tok, "expected a state index")
-                cur_state = tok[1]
-                ensure_state(cur_state, off)
-                if cur_state in defined:
-                    raise self.error("duplicate State: %d" % cur_state, off)
-                defined.add(cur_state)
-                if toks[i][0] == "string":
-                    names[cur_state] = toks[i][1]
-                    i += 1
-                cur_colors = 0
-                if toks[i][0] == "{":
-                    cur_colors, i = colors_at(i)
-                    saw_state_colors = True
-            elif kind == "end":
+        text = self.text
+        pos = _BLANKS_RE.match(text, self.end).end()
+        blanked = False
+        while True:               # once more after blanking out comments
+            for m in _ITEM_RE.finditer(text, pos):
+                (label, dst, more, amp, colors, closed, slabel, sidx, name,
+                 scolors, sclosed, marker, comment) = m.groups()
+                if comment is not None and marker is None and not blanked:
+                    break
+                if dst is not None:                    # an edge
+                    if label is not None:
+                        if cur_state is None:
+                            raise self.error("edge before any State:",
+                                             m.start())
+                        try:
+                            guard = parse_label(label)
+                        except LabelParseError as exc:
+                            raise self.error("bad label: %s" % exc,
+                                             m.start(1)) from exc
+                    elif cur_label is None or cur_state is None:
+                        self.integer(dst, m.start(2))  # a lexing error first
+                        raise self.error(
+                            "implicit labels are not supported" if cur_state
+                            is not None else "edge before any State:",
+                            m.start())
+                    else:
+                        guard = cur_label
+                    try:
+                        d = int(dst)
+                    except ValueError:
+                        d = self.integer(dst, m.start(2))
+                    if d >= count:
+                        count = self._new_states(aut, declared, d, m.start())
+                    if more:
+                        members = [d]
+                        at_more = m.start(3)
+                        for x in _INT_RE.finditer(more):
+                            d = self.integer(x.group(), at_more + x.start())
+                            if d >= count:
+                                count = self._new_states(aut, declared, d,
+                                                         m.start())
+                            members.append(d)
+                        d = aut.new_univ_dest_group(members)
+                    if amp is not None:
+                        self.fail(_token(text, m.end(4)),
+                                  "expected a destination state")
+                    if colors is None:
+                        bits = cur_colors
+                    else:
+                        if state_acc:
+                            raise self.error("edge colors under state-acc",
+                                             m.start(5) - 1)
+                        bits = color_bits.get(colors)
+                        if bits is None:
+                            bits = color_bits[colors] = self._colors(
+                                colors, m.start(5), num_sets)
+                        if not closed:
+                            self.fail(_token(text, m.end(5)),
+                                      "expected a color index")
+                        bits |= cur_colors
+                        saw_edge_colors = True
+                    add_edge((cur_state, d, guard, bits))
+                elif sidx is not None:                 # a State: line
+                    if len(edges) >= _EDGE_BATCH:
+                        aut.new_edges(edges)
+                        edges.clear()
+                    cur_label = None
+                    if slabel is not None:
+                        cur_label = self._label(aut, slabel, m.start(7))
+                    try:
+                        cur_state = int(sidx)
+                    except ValueError:
+                        cur_state = self.integer(sidx, m.start(8))
+                    if cur_state >= count:
+                        count = self._new_states(aut, declared, cur_state,
+                                                 m.start())
+                    if cur_state in defined:
+                        raise self.error("duplicate State: %d" % cur_state,
+                                         m.start())
+                    defined.add(cur_state)
+                    if name is not None:
+                        names[cur_state] = _ESCAPE_RE.sub(r"\1", name)
+                    cur_colors = 0
+                    if scolors is not None:
+                        cur_colors = color_bits.get(scolors)
+                        if cur_colors is None:
+                            cur_colors = color_bits[scolors] = self._colors(
+                                scolors, m.start(10), num_sets)
+                        if not sclosed:
+                            self.fail(_token(text, m.end(10)),
+                                      "expected a color index")
+                        saw_state_colors = True
+                elif marker == "--END--":
+                    end = m.end(12) + self.base
+                    break
+                elif marker is not None:
+                    raise self.error("aborted automaton", m.start())
+                elif label is not None:                # no destination
+                    if cur_state is None:
+                        raise self.error("edge before any State:", m.start())
+                    self._label(aut, label, m.start(1))
+                    self.fail(_token(text, m.end(1) + 1),
+                              "expected a destination state")
+                elif text.startswith("State:", m.start()):  # no index
+                    after = m.start() + 6
+                    if slabel is not None:
+                        self._label(aut, slabel, m.start(7))
+                        after = m.end(7) + 1
+                    self.fail(_token(text, after), "expected a state index")
+                else:                                  # no item
+                    tok = _token(text, m.start())
+                    if tok[0] == "eof":
+                        raise self.error("missing --END--", tok[2])
+                    if cur_state is None and tok[0] != "error":
+                        raise self.error("edge before any State:", tok[2])
+                    self.fail(tok, "expected an edge or --END--")
+            if marker == "--END--":
                 break
-            elif kind == "eof":
-                raise self.error("missing --END--", off)
-            elif kind == "abort":
-                raise self.error("aborted automaton", off)
-            elif cur_state is None and kind != "error":
-                raise self.error("edge before any State:", off)
-            else:
-                self.fail(toks[i - 1], "expected an edge or --END--")
+            # a comment follows the item m matched: match that item again
+            # in a copy of the rest of the body without comments
+            text = _blank_comments(text, m.start())
+            self.base, blanked = m.start(), True
+            pos = _BLANKS_RE.match(text).end()
+        self.base = 0
+        aut.new_edges(edges)
 
         # initial designator
         if h["start"] is not None:
             for s in h["start"]:
-                ensure_state(s, at["Start"])
+                if s >= count:
+                    count = self._new_states(aut, declared, s, at["Start"])
             if len(h["start"]) == 1:
                 aut.set_init(h["start"][0])
             else:
@@ -452,15 +589,15 @@ class _Parser:
             flag = _TOKEN_TO_FLAG.get(tok[1:] if neg else tok)
             if flag is not None:
                 aut.set_flag(flag, NO if neg else YES)
-        return aut
+        return aut, end
 
 
 def parse_hoa(text):
     """Parse one HOA automaton; trailing input is an error."""
     toks, end = _lex(text, 0)
-    p = _Parser(text, toks)
-    aut = p.parse_automaton()
-    tok = _lex(text, end)[0][0]
+    p = _Parser(text, toks, end)
+    aut, end = p.parse_automaton()
+    tok = _token(text, end)
     if tok[0] != "eof":
         p.fail(tok, "trailing input after --END--")
     return aut
@@ -474,7 +611,8 @@ def parse_hoa_stream(text):
         toks, pos = _lex(text, pos)
         if toks[0][0] == "eof":
             return out
-        out.append(_Parser(text, toks).parse_automaton())
+        aut, pos = _Parser(text, toks, pos).parse_automaton()
+        out.append(aut)
 
 # ---------------------------------------------------------------------------
 # Printing.
@@ -546,6 +684,9 @@ def print_hoa(aut):
     lines.append("--BODY--")
     names = aut.get_named_prop("state-names", list)
     state_based = sa is YES
+    print_label = aut.store.print_label
+    groups = {}                       # group word -> its text
+    colors = {}                       # color bits -> " {...}"
     for s in range(aut.num_states):
         head = "State: %d" % s
         if names is not None and s < len(names) and names[s]:
@@ -556,10 +697,19 @@ def print_hoa(aut):
                 head += " " + _colors_str(acc)
         lines.append(head)
         for e in aut.out(s):
-            part = "[%s] %s" % (aut.store.print_label(e.cond),
-                                _word_str(aut, e.dst))
-            if not state_based and e.acc:
-                part += " " + _colors_str(e.acc)
+            dst = e.dst
+            if dst < 0:
+                text = groups.get(dst)
+                if text is None:
+                    text = groups[dst] = _word_str(aut, dst)
+                dst = text
+            part = "[%s] %s" % (print_label(e.cond), dst)
+            bits = e.acc.bits
+            if bits and not state_based:
+                text = colors.get(bits)
+                if text is None:
+                    text = colors[bits] = " " + _colors_str(e.acc)
+                part += text
             lines.append(part)
     lines.append("--END--")
     return "\n".join(lines) + "\n"

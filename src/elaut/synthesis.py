@@ -165,6 +165,12 @@ def colorize_parity(aut):
     if n is None:
         raise ValueError("acceptance %s has no max-odd parity reading"
                          % aut.acceptance)
+    return _colorize(aut, n)
+
+
+def _colorize(aut, n):
+    """colorize_parity of an automaton whose acceptance reads as max-odd
+    parity over n colors."""
     total = n + 2
     out = aut.clone()
     out.nwords = max(aut.nwords, words_for(total))
@@ -208,17 +214,19 @@ def _zielonka(region, owner, color, succ, rev):
     return w0b | barrier, w1b, strat
 
 
-def solve_parity_max_odd(game):
+def solve_parity_max_odd(game, n_parity=None):
     """Zielonka's algorithm for max-odd parity games.
 
     Every edge must carry exactly one color below the parity index count
     (colorize_parity arranges that).  Internally each edge is split
     through a midpoint vertex carrying the edge's color while original
     states carry color 0, and deadlocks get a virtual self-loop whose
-    color makes the stuck player lose.
+    color makes the stuck player lose.  `n_parity` is that count when
+    the caller has already read it off the acceptance.
     """
     players = state_players(game)
-    n_parity = _max_odd_reading(game.acceptance)
+    if n_parity is None:
+        n_parity = _max_odd_reading(game.acceptance)
     if n_parity is None:
         raise ValueError("acceptance %s has no max-odd parity reading"
                          % game.acceptance)
@@ -234,13 +242,14 @@ def solve_parity_max_odd(game):
         succ.append([])
     for s in range(n):
         for (d, i) in playable[s]:
-            cols = list(game.edges[i].acc.colors())
-            if len(cols) != 1 or cols[0] >= n_parity:
+            b = game.edges[i].acc.bits
+            # exactly one color, and below n_parity
+            if not (b and not b & (b - 1) and b >> n_parity == 0):
                 raise ValueError(
                     "every edge needs exactly one color; colorize first")
             mid = len(owner)
             owner.append(0)
-            color.append(cols[0])
+            color.append(b.bit_length() - 1)
             succ.append([(d, None)])
             succ[s].append((mid, i))
     for s in range(n):
@@ -274,13 +283,11 @@ def solve_game(game):
     n_parity = _max_odd_reading(game.acceptance)
     if n_parity is None:
         raise ValueError("unsupported game objective: %s" % game.acceptance)
-    uniform = all(
-        len(cols) == 1 and cols[0] < n_parity
-        for e in game.edge_records()
-        for cols in [list(e.acc.colors())])
-    if uniform:
-        return solve_parity_max_odd(game)
-    sol = solve_parity_max_odd(colorize_parity(game))
+    # exactly one color on every edge, and below n_parity
+    if all(b and not b & (b - 1) and b >> n_parity == 0
+           for e in game.edge_records() for b in [e.acc.bits]):
+        return solve_parity_max_odd(game, n_parity)
+    sol = solve_parity_max_odd(_colorize(game, n_parity), n_parity + 2)
     # the recolored clone shares state and edge numbering
     game.set_named_prop("state-winner", sol.winners)
     game.set_named_prop("strategy", sol.strategy)

@@ -550,25 +550,44 @@ State: 0
 # ------------------------------------------------------ pinned outputs
 
 # sha256 prefixes of (job id, exit code, stdout, stderr) over the stages
-# of the bench's check jobs, in run order; the --accepting-run jobs print
-# lassos.  Recorded before `--product P --is-empty` was decided on the fly.
+# of the bench's jobs, in run order; a stage reads the previous one's
+# stdout and runs only after an exit 0.  The --accepting-run jobs print
+# lassos.  The check digests were recorded before `--product P
+# --is-empty` was decided on the fly, the synth and transform ones before
+# the HOA body was read an item at a time.
 CHECK_JOB_DIGESTS = {1: "1ed052a7972bfdea", 7: "ee95b8502c02bf60"}
+JOB_DIGESTS = {
+    ("synth", 1): "12358c57803c9b9c", ("synth", 7): "05d2617bafb2dea4",
+    ("transform", 1): "2140ea511b6db7e2", ("transform", 7): "8d949e9cf1f28220",
+}
 
 
-def check_job_digest(jobs, capsys):
+def job_digest(jobs, capsys, monkeypatch):
     h = hashlib.sha256()
     for job in jobs:
+        stdin = ""
         for argv in job.stages:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
             code = main(argv)
-            out, err = capsys.readouterr()
-            h.update(repr((job.id, code, out, err)).encode())
+            stdin, err = capsys.readouterr()
+            h.update(repr((job.id, code, stdin, err)).encode())
+            if code != 0:
+                break
     return h.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("seed", sorted(CHECK_JOB_DIGESTS))
-def test_check_job_outputs_are_stable(seed, check_jobs, capsys):
-    assert check_job_digest(check_jobs(seed), capsys) \
+def test_check_job_outputs_are_stable(seed, check_jobs, capsys, monkeypatch):
+    assert job_digest(check_jobs(seed), capsys, monkeypatch) \
         == CHECK_JOB_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("workload,seed", sorted(JOB_DIGESTS))
+def test_bench_job_outputs_are_stable(workload, seed, bench_jobs, capsys,
+                                      monkeypatch):
+    jobs = bench_jobs(workload, seed)[0]
+    assert job_digest(jobs, capsys, monkeypatch) \
+        == JOB_DIGESTS[workload, seed]
 
 
 # ------------------------------------------------------ installed script

@@ -323,6 +323,51 @@ def test_construction_error_table(call, message):
     aut.check()
 
 
+# new_edges runs new_edge's checks on each edge, in the same order
+BATCH_ERROR_ROWS = [
+    ((3, 0, TRUE_GUARD, 0), "source 3 is not a state"),
+    ((-1, 0, TRUE_GUARD, 0), "source -1 is not a state"),
+    ((5, 9, 999, 1 << 40), "source 5 is not a state"),
+    ((0, 3, TRUE_GUARD, 0), "destination 3 is not a state"),
+    ((0, -2, TRUE_GUARD, 0), "destination word -2 names no group"),
+    ((0, 7, 999, 0), "destination 7 is not a state"),
+    ((0, 1, 999, 0), "unknown guard id 999"),
+    ((0, 1, -1, 0), "unknown guard id -1"),
+    ((0, 1, 999, 1 << 32), "unknown guard id 999"),
+    ((0, 1, TRUE_GUARD, 1 << 32), "color set does not fit in 32 bits"),
+    ((0, 1, TRUE_GUARD, -1), "color set does not fit in 32 bits"),
+]
+
+
+@pytest.mark.parametrize("edge,message", BATCH_ERROR_ROWS)
+def test_new_edges_checks_like_new_edge(edge, message):
+    for add in (lambda a: a.new_edge(*edge),
+                lambda a: a.new_edges([(0, ~0, TRUE_GUARD, 1), edge])):
+        aut = _err_fixture()
+        with pytest.raises(ValueError) as exc:
+            add(aut)
+        assert str(exc.value) == message
+        assert aut.num_edges <= 1
+        aut.check()
+
+
+def test_new_edges_builds_what_new_edge_builds():
+    src = random_automaton(12, 2, density=0.4, colors=3, color_density=0.3,
+                           seed=5)
+    one, batch = (Automaton(src.aps, src.nwords, src.store)
+                  for _ in range(2))
+    for aut in (one, batch):
+        aut.new_states(src.num_states)
+    rows = [(e.src, e.dst, e.cond, e.acc.bits)
+            for s in range(src.num_states) for e in src.out(s)]
+    random.Random(1).shuffle(rows)
+    for row in rows:
+        one.new_edge(*row)
+    batch.new_edges(rows)
+    assert batch.pack_edges() == one.pack_edges()
+    assert batch.check()
+
+
 # ------------------------------------------------------ universal branches
 
 def test_universal_branches_group_interned_but_unused():

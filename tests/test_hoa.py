@@ -1,5 +1,6 @@
 """HOA parsing and printing, DOT output, stats."""
 
+import hashlib
 import os
 import random
 import tracemalloc
@@ -566,6 +567,7 @@ def test_mutated_goldens_are_rejected_in_place_or_round_trip():
     sources = [read(os.path.join(GOLDEN, name + ".in.hoa"))
                for name in golden_names()]
     parsed = 0
+    h = hashlib.sha256()
     for _ in range(10000):
         text = _mutate(rng, rng.choice(sources))
         try:
@@ -574,8 +576,215 @@ def test_mutated_goldens_are_rejected_in_place_or_round_trip():
             lines = text.split("\n")
             assert 1 <= e.line <= len(lines), text
             assert 1 <= e.col <= len(lines[e.line - 1]) + 1, text
+            h.update(repr((str(e), e.line, e.col)).encode())
             continue
         parsed += 1
         once = print_hoa(aut)
+        h.update(once.encode())
         assert print_hoa(parse_hoa(once)) == once, text
     assert parsed > 500
+    # every mutant's error (message, line, col) or reprint, in order
+    assert h.hexdigest()[:16] == MUTANT_DIGEST
+
+
+MUTANT_DIGEST = "d93776a30535f7ab"
+
+
+def _outcome(text):
+    """A parse's error text, or a digest of pack_edges() + print_hoa()."""
+    try:
+        aut = parse_hoa(text)
+    except HoaParseError as e:
+        return str(e)
+    h = hashlib.sha256(aut.pack_edges())
+    h.update(print_hoa(aut).encode())
+    return h.hexdigest()[:16]
+
+
+_HEAD = ('HOA: v1\nStates: 3\nStart: 0\nAP: 2 "a" "b"\n'
+         'Acceptance: 2 Inf(0)&Inf(1)\n--BODY--\n')
+
+# body forms the reader must accept or reject at the same place
+BODY_FORMS = {
+    "comment inside an edge":
+        "State: 0\n[0] /* x */ 1 /* y */ {0} /* z */\n--END--\n",
+    "comment inside a destination group":
+        "State: 0\n[0] 1 /* x */ & /* y */ 2\n--END--\n",
+    "comment inside colors": "State: 0\n[0] 1 {0 /* x */ 1}\n--END--\n",
+    "comment inside a state line":
+        'State: /* x */ [0] /* y */ 0 /* z */ "s" /* w */ {1}\n1\n--END--\n',
+    "nested comment": "State: 0\n/* a /* b */ c */ [0] 1\n--END--\n",
+    "unterminated comment": "State: 0\n[0] 1 /* a /* b */\n--END--\n",
+    "comment at the end": "State: 0\n[0] 1\n--END-- /* x */\n",
+    "blanks around &": "State: 0\n[t] 0 & 1  &\t2\n[0] 0&1\n--END--\n",
+    "newline in a group": "State: 0\n[t] 0 &\n1\n&2 {0}\n--END--\n",
+    "repeated group member": "State: 0\n[t] 1 & 1 & 2 & 1\n--END--\n",
+    "group of one": "State: 0\n[t] 1 & 1\n--END--\n",
+    "group missing a member": "State: 0\n[t] 1 & {0}\n--END--\n",
+    "group ending the body": "State: 0\n[t] 1 &",
+    "implicit labels": "State: 0\n1\n--END--\n",
+    "implicit label after a state label":
+        "State: [0] 0\n1\n2 {0}\n1&2\nState: 1\n[!0] 0\n--END--\n",
+    "unlabeled edge after a labeled one":
+        "State: [0] 0\n[1] 1\n2\n--END--\n",
+    "state names": 'State: 0 "zero"\n[0] 1\nState: 1 "o\\"ne" {0 1}\n'
+                   '[t] 1\n--END--\n',
+    "state name without index": 'State: "zero"\n[0] 1\n--END--\n',
+    "state label without index": "State: [0]\n[0] 1\n--END--\n",
+    "state index missing": "State:\n--END--\n",
+    "CRLF and tabs":
+        "State:\t0\r\n[0]\t1\t{0}\r\n\t[!0] 2 {1}\r\n--END--\r\n",
+    "abort in the body": "State: 0\n[0] 1\n--ABORT--\n",
+    "abort in an edge": "State: 0\n[0] --ABORT--\n",
+    "missing end": "State: 0\n[0] 1\n",
+    "missing end after colors": "State: 0\n[0] 1 {0}",
+    "edge before State:": "[0] 1\nState: 0\n--END--\n",
+    "unlabeled edge before State:": "1\nState: 0\n--END--\n",
+    "identifier in the body": "State: 0\nfoo\n--END--\n",
+    "header in the body": "State: 0\nStart: 1\n--END--\n",
+    "state name on its own line": 'State: 0\n"x"\n--END--\n',
+    "string after an edge": 'State: 0\n[0] 1\n"x"\n--END--\n',
+    "stray brace": "State: 0\n}\n--END--\n",
+    "stray character": "State: 0\n[0] 1 @\n--END--\n",
+    "stray dashes": "State: 0\n[0] 1\n--EN--\n",
+    "second body marker": "State: 0\n--BODY--\n--END--\n",
+    "missing destination": "State: 0\n[0] {0}\n--END--\n",
+    "label without destination": "State: 0\n[0]\n--END--\n",
+    "two labels": "State: 0\n[0] [1] 1\n--END--\n",
+    "bad color": "State: 0\n[0] 1 {x}\n--END--\n",
+    "color out of range": "State: 0\n[0] 1 {2}\n--END--\n",
+    "unterminated colors": "State: 0\n[0] 1 {0\n--END--\n",
+    "repeated colors": "State: 0\n[0] 1 {1 1 0}\n--END--\n",
+    "empty colors": "State: 0 {}\n[0] 1 {}\n--END--\n",
+    "state and edge colors": "State: 0 {0}\n[0] 1 {1}\n--END--\n",
+    "destination out of range": "State: 0\n[0] 3\n--END--\n",
+    "group member out of range": "State: 0\n[0] 1&3\n--END--\n",
+    "state out of range": "State: 3\n--END--\n",
+    "duplicate state": "State: 0\nState: 1\nState: 0\n--END--\n",
+    "huge destination": "State: 0\n[0] %s\n--END--\n" % ("9" * 5000),
+    "huge unlabeled destination": "State: 0\n%s\n--END--\n" % ("9" * 5000),
+    "huge unlabeled destination under a state label":
+        "State: [0] 0\n%s\n--END--\n" % ("9" * 5000),
+    "huge destination before State:": "%s\nState: 0\n--END--\n" % ("9" * 5000),
+    "huge group member": "State: 0\n[0] 1&%s\n--END--\n" % ("9" * 5000),
+    "huge state index": "State: %s\n--END--\n" % ("9" * 5000),
+    "huge color": "State: 0\n[0] 1 {%s}\n--END--\n" % ("9" * 5000),
+    "bad label": "State: 0\n[0 & ] 1\n--END--\n",
+    "unterminated label": "State: 0\n[0 1\n--END--\n",
+    "label with newline": "State: 0\n[0\n&\n1] 1\n--END--\n",
+    "leading zeros": "State: 00\n[0] 01 {01}\n--END--\n",
+    "no blanks": "State:0[0]1{0}[1]2&1{1}State:1[t]1--END--",
+    "empty body": "--END--\n",
+    # without States:, the body's largest index sets the count
+    "undeclared: states from edges": "State: 0\n[0] 4&2\n--END--\n",
+    "undeclared: states from State:": "State: 5\n[0] 1\n--END--\n",
+    "undeclared: start beyond the body": "State: 0\n[0] 1\n--END--\n",
+    # print_hoa puts a state-acc automaton's colors on its states
+    "state-acc: edge colors": "State: 0\n[0] 1 {0}\n--END--\n",
+    "state-acc: state colors": "State: 0 {0}\n[0] 1\n--END--\n",
+}
+
+
+def _form_text(form):
+    head = _HEAD
+    if form.startswith("undeclared:"):
+        head = head.replace("States: 3\n", "").replace("Start: 0", "Start: 6")
+    elif form.startswith("state-acc:"):
+        head = head.replace("--BODY--", "properties: state-acc\n--BODY--")
+    return head + BODY_FORMS[form]
+
+
+@pytest.mark.parametrize("form", sorted(BODY_FORMS))
+def test_body_forms(form):
+    assert _outcome(_form_text(form)) == BODY_OUTCOMES[form]
+
+
+# sha256 prefixes of pack_edges() + print_hoa() of every input file of the
+# bench's jobs, in file-name order
+INPUT_DIGESTS = {
+    ("check", 1): "a1fd2c1403924220", ("check", 7): "5a4e8362b02b2a90",
+    ("synth", 1): "c942f6217d635e66", ("synth", 7): "f9c74c43d5fc1a6e",
+    ("transform", 1): "03c2ff501e784c2b", ("transform", 7): "977157ce0fc87dca",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(INPUT_DIGESTS))
+def test_bench_inputs_parse_stably(workload, seed, bench_jobs):
+    files = bench_jobs(workload, seed)[1]
+    h = hashlib.sha256()
+    for path in sorted(files, key=os.path.basename):
+        for aut in parse_hoa_stream(files[path]):
+            h.update(aut.pack_edges())
+            h.update(print_hoa(aut).encode())
+    assert h.hexdigest()[:16] == INPUT_DIGESTS[workload, seed]
+
+
+BODY_OUTCOMES = {
+    'CRLF and tabs': '4db4583dcbae29e6',
+    'abort in an edge': '8:5: expected a destination state',
+    'abort in the body': '9:1: aborted automaton',
+    'bad color': '8:8: expected a color index',
+    'bad label': "8:2: bad label: unexpected 'end' in label at position 4",
+    'blanks around &': '899e4f9c30eab3d2',
+    'color out of range': '8:8: color 2 not below the declared count 2',
+    'comment at the end': 'e6654729f834873d',
+    'comment inside a destination group': '1d5373242bbc109c',
+    'comment inside a state line': '0c36573371e237a8',
+    'comment inside an edge': '4498920240efafde',
+    'comment inside colors': '49d281f118eede81',
+    'destination out of range': '8:1: state 3 not below the declared count 3',
+    'duplicate state': '9:1: duplicate State: 0',
+    'edge before State:': '7:1: edge before any State:',
+    'empty body': '29154040141cdbb7',
+    'empty colors': 'e6654729f834873d',
+    'group ending the body': '8:8: expected a destination state',
+    'group member out of range': '8:1: state 3 not below the declared count 3',
+    'group missing a member': '8:9: expected a destination state',
+    'group of one': '09d7e433f9af5443',
+    'header in the body': '8:1: expected an edge or --END--',
+    'huge color': '8:8: integer of 5000 digits too large',
+    'huge destination': '8:5: integer of 5000 digits too large',
+    'huge destination before State:': '7:1: integer of 5000 digits too large',
+    'huge group member': '8:7: integer of 5000 digits too large',
+    'huge state index': '7:8: integer of 5000 digits too large',
+    'huge unlabeled destination': '8:1: integer of 5000 digits too large',
+    'huge unlabeled destination under a state label':
+        '8:1: integer of 5000 digits too large',
+    'identifier in the body': '8:1: expected an edge or --END--',
+    'implicit label after a state label': 'aedfd0f907c3578b',
+    'implicit labels': '8:1: implicit labels are not supported',
+    'label with newline': '2e0b1ff76ff80c19',
+    'label without destination': '9:1: expected a destination state',
+    'leading zeros': '2a78c5f66394fdc1',
+    'missing destination': '8:5: expected a destination state',
+    'missing end': '9:1: missing --END--',
+    'missing end after colors': '8:10: missing --END--',
+    'nested comment': 'e6654729f834873d',
+    'newline in a group': '7fb6c3feb6395e52',
+    'no blanks': 'ee6d042fd48460ad',
+    'repeated colors': '49d281f118eede81',
+    'repeated group member': 'ce7b5d0f55905a66',
+    'second body marker': '8:1: expected an edge or --END--',
+    'state and edge colors': '49d281f118eede81',
+    'state index missing': '8:1: expected a state index',
+    'state label without index': '8:1: expected a state index',
+    'state name on its own line': 'a587f9a6fb959b9a',
+    'state name without index': '7:8: expected a state index',
+    'state names': 'dfff0479c2422d56',
+    'state out of range': '7:1: state 3 not below the declared count 3',
+    'state-acc: edge colors': '9:7: edge colors under state-acc',
+    'state-acc: state colors': '5ba97056648cae1d',
+    'stray brace': '8:1: expected an edge or --END--',
+    'stray character': "8:7: unexpected character '@'",
+    'stray dashes': "9:1: stray '--'",
+    'string after an edge': '9:1: expected an edge or --END--',
+    'two labels': '8:5: expected a destination state',
+    'undeclared: start beyond the body': '8e66354c10695268',
+    'undeclared: states from State:': 'b6154ccdba361e14',
+    'undeclared: states from edges': '614e3fcc47f3863f',
+    'unlabeled edge after a labeled one': '89a53a837592aa9b',
+    'unlabeled edge before State:': '7:1: edge before any State:',
+    'unterminated colors': '9:1: expected a color index',
+    'unterminated comment': '8:7: unterminated comment',
+    'unterminated label': "8:2: missing ']'",
+}
