@@ -488,3 +488,120 @@ def test_change_parity_outputs_are_stable(src, tgt):
     for aut in parity_inputs(*src):
         h.update(print_hoa(change_parity(aut, "%s %s" % tgt)).encode())
     assert h.hexdigest()[:16] == CHANGE_PARITY_DIGESTS[src + tgt]
+
+
+# ------------------------------------------------------- formula corpus pin
+
+def _commuted(f, rng):
+    """f with the children of every And/Or node shuffled."""
+    if isinstance(f, (And, Or)):
+        kids = [_commuted(c, rng) for c in f.children]
+        rng.shuffle(kids)
+        return type(f)(tuple(kids))
+    return f
+
+
+def formula_corpus():
+    """Seeded formulas: random ones with folded constants, every class
+    shape with its children commuted, t/f, deep parity conditions and
+    generalized-Rabin shapes, plus parsed texts."""
+    rng = random.Random(1313)
+
+    def rand_formula(depth):
+        pick = rng.random()
+        if depth == 0 or pick < 0.3:
+            c = rng.randrange(6)
+            return rng.choice([Fin(c), Inf(c), Fin(c), Inf(c), TRUE, FALSE])
+        kids = [rand_formula(depth - 1) for _ in range(rng.randrange(1, 4))]
+        return f_and(kids) if pick < 0.65 else f_or(kids)
+
+    out = [TRUE, FALSE, Fin(0), Inf(0), Fin(7), Inf(40)]
+    out += [rand_formula(4) for _ in range(150)]
+    shapes = [AccClass("Buchi"), AccClass("co-Buchi"), AccClass("Fin-less")]
+    shapes += [generalized_buchi(k) for k in (1, 2, 5)]
+    shapes += [generalized_co_buchi(k) for k in (1, 2, 5)]
+    shapes += [rabin(k) for k in (1, 2, 3, 6)]
+    shapes += [streett(k) for k in (1, 2, 3, 6)]
+    shapes += [generalized_rabin(s) for s in
+               ([0], [1], [2], [0, 0], [2, 1], [1, 1], [2, 0, 1], [3, 1, 2])]
+    shapes += [parity(mm, eo, n) for mm in ("min", "max")
+               for eo in ("even", "odd") for n in (1, 2, 3, 4, 5, 31, 33)]
+    for cls in shapes:
+        f = make_class(cls)
+        out += [f, _commuted(f, rng), _commuted(f, rng)]
+    out += [make_class(parity(mm, eo, 200)) for mm in ("min", "max")
+            for eo in ("even", "odd")]
+    out += [parse_acceptance(t) for t in (
+        "Fin(0)&Inf(1)|Fin(2)&Inf(3)", " ( Inf(0) | t ) & Fin( 1 ) ",
+        "((Inf(0)))&(Inf(1)&Inf(2))", "Inf(0)|(Inf(1)|Inf(2))&Fin(3)",
+        "f|Fin(0)", "t&Inf(1)", "(f)&Inf(0)", "Inf(2)&Inf(2)|Fin(2)")]
+    return out
+
+
+def formula_digest_lines(f, rng):
+    """What the formula functions make of f, one text line each."""
+    cols = sorted(used_colors(f).colors())
+    fin_map = {c: rng.random() < 0.5 for c in cols if rng.random() < 0.4}
+    inf_map = {c: rng.random() < 0.5 for c in cols if rng.random() < 0.4}
+    dis = dnf_disjuncts(f)
+    yield str(f)
+    yield str(to_dnf(f))
+    yield repr(None if dis is None else
+               [(sorted(a), sorted(b)) for a, b in dis])
+    yield str(dual(f))
+    yield str(subst(f, fin_map, inf_map))
+    yield str(recognize(f))
+    yield str(acc_name(f, len(cols)))
+    yield repr(parity_readings(f))
+    yield repr((is_finless(f), cols, hash(f) == hash(f), f == f))
+
+
+def mutated_texts(texts, rng):
+    """Formula texts with one to three random edits each."""
+    chars = "()&|tfFinI 0123456789x-"
+    for text in texts:
+        for _ in range(4):
+            t = list(text)
+            for _ in range(rng.randrange(1, 4)):
+                op = rng.randrange(4)
+                i = rng.randrange(len(t) + 1)
+                if op == 0 and i < len(t):
+                    del t[i]
+                elif op == 1:
+                    t.insert(i, rng.choice(chars))
+                elif op == 2 and i + 1 < len(t):
+                    t[i], t[i + 1] = t[i + 1], t[i]
+                elif i < len(t):
+                    t[i:i] = t[i:i + 3]
+            yield "".join(t)
+
+
+# sha256 prefix of formula_digest_lines over formula_corpus, then of the
+# parse result or AcceptanceParseError message and pos of mutated texts;
+# recorded on the recursive formula trees before the flat code replaced
+# them
+FORMULA_CORPUS_DIGEST = "31e23e641cc28f2e"
+PARSE_ERROR_DIGEST = "df223d6ee50aaf0b"
+
+
+def test_formula_corpus_outputs_are_stable():
+    rng = random.Random(77)
+    h = hashlib.sha256()
+    for f in formula_corpus():
+        for line in formula_digest_lines(f, rng):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest()[:16] == FORMULA_CORPUS_DIGEST
+
+
+def test_formula_parse_errors_are_stable():
+    rng = random.Random(78)
+    texts = [str(f) for f in formula_corpus()[:180]]
+    h = hashlib.sha256()
+    for text in mutated_texts(texts, rng):
+        for limit in (None, 4):
+            try:
+                got = "ok %s" % parse_acceptance(text, max_colors=limit)
+            except AcceptanceParseError as exc:
+                got = "error %s %d" % (exc, exc.pos)
+            h.update(("%r %s\n" % (text, got)).encode())
+    assert h.hexdigest()[:16] == PARSE_ERROR_DIGEST
