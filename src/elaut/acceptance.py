@@ -5,6 +5,14 @@ and Inf(i), where i names a color (an acceptance set).  A run is accepting
 iff the formula evaluates to true when Inf(i) is read as "color i occurs
 infinitely often on the run" and Fin(i) as "color i occurs finitely often".
 
+A formula is one flat code, a tuple of ints in postfix order, as Spot's
+acc_code.  Item 4*a + k is Fin(a) for k = 0, Inf(a) for k = 1, and the
+And (k = 2) or Or (k = 3) of the a operands before it; t is the And of
+none and f the Or of none.  The classes Fin, Inf, And, Or, AccTrue and
+AccFalse are views of a code, chosen by its top item.  Every function
+here walks the code in a loop with an explicit stack, so how deep a
+formula nests is bounded by memory, not by Python's recursion limit.
+
 Colors are stored in fixed-width bit vectors (ColorSet) whose width is a
 multiple of 32, so an edge's color set packs into whole 32-bit words.
 """
@@ -12,6 +20,7 @@ multiple of 32, so an edge's color set packs into whole 32-bit words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 
 COLORS_PER_WORD = 32
@@ -123,102 +132,205 @@ class ColorSet:
 
 
 # ---------------------------------------------------------------------------
-# Formula trees.
+# Formulas.
 #
-# Nodes are immutable.  And/Or children are flattened (never nested same-kind)
-# and never number fewer than two; the f_and/f_or constructors enforce this,
-# so a printed formula reparses to an identical tree.
+# Built formulas are normal: an operator has at least two operands, none
+# a constant or of its own kind (f_and/f_or see to it), so a printed
+# formula reparses to an identical code.
 
-@dataclass(frozen=True)
-class AccTrue:
-    def __str__(self):
-        return "t"
+FIN, INF, AND, OR = range(4)
 
 
-@dataclass(frozen=True)
-class AccFalse:
-    def __str__(self):
-        return "f"
+class _Formula:
+    __slots__ = ("_code",)
 
+    @property
+    def code(self):
+        """The formula's postfix code, a tuple of ints."""
+        return self._code
 
-@dataclass(frozen=True)
-class Fin:
-    color: int
+    def __eq__(self, other):
+        if isinstance(other, _Formula):
+            return self._code == other._code
+        return NotImplemented
 
-    def __str__(self):
-        return "Fin(%d)" % self.color
+    def __hash__(self):
+        return hash(self._code)
 
-
-@dataclass(frozen=True)
-class Inf:
-    color: int
+    def __repr__(self):
+        return "parse_acceptance(%r)" % str(self)
 
     def __str__(self):
-        return "Inf(%d)" % self.color
-
-
-@dataclass(frozen=True)
-class And:
-    children: tuple
-
-    def __str__(self):
-        parts = []
-        for c in self.children:
-            # | binds looser than &, so Or children need parentheses
-            if isinstance(c, Or):
-                parts.append("(%s)" % c)
+        # The code read backwards is the tree in prefix order, right to
+        # left: tokens are collected in that order and reversed at the end.
+        out = []
+        todo = []       # open operators: [operands left, kind, in parens]
+        for x in reversed(self._code):
+            kind = x & 3
+            # | binds looser than &, so Or operands of an And need parens
+            paren = x > 3 and kind == OR and todo and todo[-1][1] == AND
+            if paren:
+                out.append(")")
+            if kind < 2:
+                out.append("%s(%d)" % ("Inf" if kind else "Fin", x >> 2))
+            elif x > 3:
+                todo.append([x >> 2, kind, paren])
+                continue
             else:
-                parts.append(str(c))
-        return "&".join(parts)
+                out.append("t" if x == AND else "f")
+            while todo:                 # an operand is complete
+                top = todo[-1]
+                top[0] -= 1
+                if top[0]:
+                    out.append("&" if top[1] == AND else "|")
+                    break
+                todo.pop()
+                if top[2]:
+                    out.append("(")
+        return "".join(reversed(out))
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple
+def _view(code):
+    """The formula of a code, of the class of its top item."""
+    top = code[-1]
+    if top == AND or top == OR:
+        return TRUE if top == AND else FALSE
+    f = object.__new__(_CLASSES[top & 3])
+    f._code = code
+    return f
 
-    def __str__(self):
-        return "|".join(str(c) for c in self.children)
+
+def _code_of(formula):
+    if not isinstance(formula, _Formula):
+        raise TypeError("not an acceptance formula: %r" % (formula,))
+    return formula._code
 
 
-TRUE = AccTrue()
-FALSE = AccFalse()
+class AccTrue(_Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return TRUE
+
+
+class AccFalse(_Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return FALSE
+
+
+class _Atom(_Formula):
+    __slots__ = ()
+
+    def __new__(cls, color):
+        return _view((4 * color + cls._kind,))
+
+    @property
+    def color(self):
+        return self._code[0] >> 2
+
+
+class _Operator(_Formula):
+    """The And or Or of the given operands, as given: f_and and f_or
+    normalize."""
+    __slots__ = ()
+
+    def __new__(cls, children):
+        codes = [_code_of(c) for c in children]
+        return _view(tuple(chain(*codes, (4 * len(codes) + cls._kind,))))
+
+    @property
+    def children(self):
+        code = self._code
+        starts = []         # of the operands so far
+        for i, x in enumerate(code[:-1]):
+            if x < 4 or not x & 2:      # an atom or a constant
+                starts.append(i)
+            elif x > 7:     # x joins x >> 2 operands: keep the first's start
+                del starts[1 - (x >> 2):]
+        starts.append(len(code) - 1)
+        return tuple([_view(code[s:e]) for s, e in zip(starts, starts[1:])])
+
+
+class Fin(_Atom):
+    __slots__ = ()
+    _kind = FIN
+
+
+class Inf(_Atom):
+    __slots__ = ()
+    _kind = INF
+
+
+class And(_Operator):
+    __slots__ = ()
+    _kind = AND
+
+
+class Or(_Operator):
+    __slots__ = ()
+    _kind = OR
+
+
+TRUE, FALSE = object.__new__(AccTrue), object.__new__(AccFalse)
+TRUE._code, FALSE._code = (AND,), (OR,)
+_CLASSES = (Fin, Inf, And, Or)
+
+
+def _fold(raw):
+    """The formula of raw, a postfix code whose operators may take
+    constants, single operands or operands of their own kind: f_and and
+    f_or applied bottom-up, in one pass.  An item of raw may also be a
+    whole normal code, which is one operand."""
+    out = []
+    tops = []           # per operand: (its start in out, its top's index)
+    for x in raw:
+        if type(x) is tuple:
+            tops.append((len(out), len(out) + len(x) - 1))
+            out += x
+        elif x < 4 or not x & 2:        # an atom or a constant
+            tops.append((len(out), len(out)))
+            out.append(x)
+        else:
+            kind = x & 3
+            n = len(tops) - (x >> 2)
+            args = tops[n:]
+            del tops[n:]
+            start = args[0][0]
+            count = 0       # operands once merged; -1 when absorbed
+            for _, at in args:
+                y = out[at]
+                if y == kind ^ 1:       # f under And, t under Or
+                    count = -1
+                    break
+                if y & 3 == kind:       # t under And, or an And in one
+                    out[at] = None
+                    count += y >> 2
+                else:
+                    count += 1
+                    last = at
+            if count == 1:
+                tops.append((start, last))
+            elif count > 1:
+                tops.append((start, len(out)))
+                out.append(4 * count + kind)
+            else:
+                del out[start:]
+                tops.append((start, start))
+                out.append(kind ^ 1 if count else kind)
+    return _view(tuple([x for x in out if x is not None]))
 
 
 def f_and(children):
     """Conjunction with flattening and constant folding."""
-    flat = []
-    for c in children:
-        if isinstance(c, AccFalse):
-            return FALSE
-        if isinstance(c, AccTrue):
-            continue
-        if isinstance(c, And):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    codes = [_code_of(c) for c in children]
+    return _fold(codes + [4 * len(codes) + AND])
 
 
 def f_or(children):
-    flat = []
-    for c in children:
-        if isinstance(c, AccTrue):
-            return TRUE
-        if isinstance(c, AccFalse):
-            continue
-        if isinstance(c, Or):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    codes = [_code_of(c) for c in children]
+    return _fold(codes + [4 * len(codes) + OR])
 
 
 def eval_acceptance(formula, colors):
@@ -226,65 +338,49 @@ def eval_acceptance(formula, colors):
 
     `colors` is a ColorSet or any object with a has() method.
     """
-    if isinstance(formula, AccTrue):
-        return True
-    if isinstance(formula, AccFalse):
-        return False
-    if isinstance(formula, Inf):
-        return colors.has(formula.color)
-    if isinstance(formula, Fin):
-        return not colors.has(formula.color)
-    if isinstance(formula, And):
-        return all(eval_acceptance(c, colors) for c in formula.children)
-    if isinstance(formula, Or):
-        return any(eval_acceptance(c, colors) for c in formula.children)
-    raise TypeError("not an acceptance formula: %r" % (formula,))
+    stack = []
+    for x in formula._code:
+        kind = x & 3
+        if kind < 2:
+            stack.append(colors.has(x >> 2) == kind)
+        else:                   # all([]) and any([]) read t and f
+            n = len(stack) - (x >> 2)
+            args = stack[n:]
+            del stack[n:]
+            stack.append(all(args) if kind == AND else any(args))
+    return stack[0]
 
 
-def used_colors(formula, nwords=None):
+def used_colors(formula):
     """ColorSet of every color mentioned by the formula.
 
-    Raises TypeError when the formula holds anything but formula nodes."""
-    acc = set()
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (Fin, Inf)):
-            acc.add(f.color)
-        elif isinstance(f, (And, Or)):
-            stack.extend(reversed(f.children))     # children in order
-        elif not isinstance(f, (AccTrue, AccFalse)):
-            raise TypeError("not an acceptance formula: %r" % (f,))
-    if nwords is None:
-        top = max(acc) if acc else 0
-        nwords = words_for(top + 1)
-    return ColorSet.of(acc, nwords)
+    Raises TypeError when the formula is not a formula."""
+    bits = 0
+    for x in _code_of(formula):
+        if not x & 2:
+            bits |= 1 << (x >> 2)
+    return ColorSet(bits, words_for(bits.bit_length()))
 
 
 def is_finless(formula):
     """True iff no Fin atom occurs anywhere in the formula."""
-    if isinstance(formula, Fin):
-        return False
-    if isinstance(formula, (And, Or)):
-        return all(is_finless(c) for c in formula.children)
-    return True
+    return all(x & 3 for x in formula._code)
+
+
+def _first_fin(formula):
+    """The color of the formula's leftmost Fin atom, or None."""
+    return next((x >> 2 for x in formula._code if not x & 3), None)
 
 
 def subst(formula, fin_map, inf_map):
     """Replace Fin/Inf atoms by constants per the given {color: bool} maps."""
-    if isinstance(formula, Fin):
-        if formula.color in fin_map:
-            return TRUE if fin_map[formula.color] else FALSE
-        return formula
-    if isinstance(formula, Inf):
-        if formula.color in inf_map:
-            return TRUE if inf_map[formula.color] else FALSE
-        return formula
-    if isinstance(formula, And):
-        return f_and([subst(c, fin_map, inf_map) for c in formula.children])
-    if isinstance(formula, Or):
-        return f_or([subst(c, fin_map, inf_map) for c in formula.children])
-    return formula
+    maps = (fin_map, inf_map)
+    raw = []
+    for x in formula._code:
+        if not x & 2 and x >> 2 in maps[x & 1]:
+            x = AND if maps[x & 1][x >> 2] else OR
+        raw.append(x)
+    return _fold(raw)
 
 
 def dual(formula):
@@ -293,62 +389,11 @@ def dual(formula):
     For every color set C, eval(dual(f), C) == not eval(f, C), and the
     dual is again a positive formula.
     """
-    if isinstance(formula, AccTrue):
-        return FALSE
-    if isinstance(formula, AccFalse):
-        return TRUE
-    if isinstance(formula, Fin):
-        return Inf(formula.color)
-    if isinstance(formula, Inf):
-        return Fin(formula.color)
-    if isinstance(formula, And):
-        return f_or([dual(c) for c in formula.children])
-    if isinstance(formula, Or):
-        return f_and([dual(c) for c in formula.children])
-    raise TypeError("not an acceptance formula: %r" % (formula,))
+    return _view(tuple(x ^ 1 for x in formula._code))
 
 
 def shift_colors(formula, by):
-    if isinstance(formula, Fin):
-        return Fin(formula.color + by)
-    if isinstance(formula, Inf):
-        return Inf(formula.color + by)
-    if isinstance(formula, And):
-        return And(tuple(shift_colors(c, by) for c in formula.children))
-    if isinstance(formula, Or):
-        return Or(tuple(shift_colors(c, by) for c in formula.children))
-    return formula
-
-
-def _dnf_terms(f):
-    # each result is a list of (fins, infs) frozenset pairs, or True
-    if isinstance(f, AccTrue):
-        return True
-    if isinstance(f, AccFalse):
-        return []
-    if isinstance(f, Fin):
-        return [(frozenset([f.color]), frozenset())]
-    if isinstance(f, Inf):
-        return [(frozenset(), frozenset([f.color]))]
-    if isinstance(f, Or):
-        out = []
-        for c in f.children:
-            got = _dnf_terms(c)
-            if got is True:
-                return True
-            out.extend(got)
-        return out
-    # And
-    acc = [(frozenset(), frozenset())]
-    for c in f.children:
-        got = _dnf_terms(c)
-        if got is True:
-            continue
-        if not got:
-            return []
-        acc = [(fa | fb, ia | ib)
-               for (fa, ia) in acc for (fb, ib) in got]
-    return acc
+    return _view(tuple(x if x & 2 else x + 4 * by for x in formula._code))
 
 
 def to_dnf(formula):
@@ -359,26 +404,12 @@ def to_dnf(formula):
     contradictions and get dropped; duplicates are removed, first
     occurrence wins.
     """
-    got = _dnf_terms(formula)
-    if got is True:
+    got = dnf_disjuncts(formula)
+    if got is None:
         return TRUE
-    disjuncts = []
-    seen = set()
-    for fins, infs in got:
-        if fins & infs:
-            continue  # Fin(c) & Inf(c) can never hold
-        key = (fins, infs)
-        if key in seen:
-            continue
-        seen.add(key)
-        disjuncts.append(key)
-    if not disjuncts:
-        return FALSE
-    terms = []
-    for fins, infs in disjuncts:
-        atoms = [Fin(c) for c in sorted(fins)] + [Inf(c) for c in sorted(infs)]
-        terms.append(f_and(atoms))
-    return f_or(terms)
+    return f_or([f_and([Fin(c) for c in sorted(fins)]
+                       + [Inf(c) for c in sorted(infs)])
+                 for fins, infs in got])
 
 
 def dnf_disjuncts(formula):
@@ -386,24 +417,33 @@ def dnf_disjuncts(formula):
 
     Returns None for TRUE (accepts everything) and [] for FALSE.
     """
-    f = to_dnf(formula)
-    if isinstance(f, AccTrue):
+    # per operand: its disjuncts as distinct (fin bits, inf bits) pairs
+    # without a color in both, first occurrence first; t is [(0, 0)]
+    stack = []
+    for x in formula._code:
+        kind = x & 3
+        if kind < 2:
+            stack.append([(0, 1 << (x >> 2)) if kind else (1 << (x >> 2), 0)])
+            continue
+        n = len(stack) - (x >> 2)
+        args = stack[n:]
+        del stack[n:]
+        if kind == OR:
+            terms = [t for a in args for t in a]
+        else:
+            terms = [(0, 0)]
+            for a in args:
+                terms = [(fa | fb, ia | ib)
+                         for fa, ia in terms for fb, ib in a]
+        stack.append([t for t in dict.fromkeys(terms) if not t[0] & t[1]])
+    if (0, 0) in stack[0]:
         return None
-    if isinstance(f, AccFalse):
-        return []
-    out = []
-    disjuncts = f.children if isinstance(f, Or) else (f,)
-    for d in disjuncts:
-        atoms = d.children if isinstance(d, And) else (d,)
-        fins = set()
-        infs = set()
-        for a in atoms:
-            if isinstance(a, Fin):
-                fins.add(a.color)
-            else:
-                infs.add(a.color)
-        out.append((frozenset(fins), frozenset(infs)))
-    return out
+    return [(frozenset(_bit_colors(fins)), frozenset(_bit_colors(infs)))
+            for fins, infs in stack[0]]
+
+
+def _bit_colors(bits):
+    return ColorSet(bits, words_for(bits.bit_length())).colors()
 
 
 # ---------------------------------------------------------------------------
@@ -415,81 +455,18 @@ class AcceptanceParseError(ValueError):
         self.pos = pos
 
 
-class _AccParser:
-    def __init__(self, text, max_colors=None):
-        self.text = text
-        self.pos = 0
-        self.max_colors = max_colors
+def _skip_ws(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            raise AcceptanceParseError("expected '%s'" % ch, self.pos)
-        self.pos += 1
-
-    def parse(self):
-        f = self.disjunction()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise AcceptanceParseError("trailing input", self.pos)
-        return f
-
-    def disjunction(self):
-        terms = [self.conjunction()]
-        while self.peek() == "|":
-            self.pos += 1
-            terms.append(self.conjunction())
-        return f_or(terms)
-
-    def conjunction(self):
-        terms = [self.primary()]
-        while self.peek() == "&":
-            self.pos += 1
-            terms.append(self.primary())
-        return f_and(terms)
-
-    def primary(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            f = self.disjunction()
-            self.expect(")")
-            return f
-        start = self.pos
-        while (self.pos < len(self.text)
-               and self.text[self.pos].isalpha()):
-            self.pos += 1
-        word = self.text[start:self.pos]
-        if word == "t":
-            return TRUE
-        if word == "f":
-            return FALSE
-        if word in ("Fin", "Inf"):
-            self.expect("(")
-            color = self.integer()
-            self.expect(")")
-            if self.max_colors is not None and color >= self.max_colors:
-                raise AcceptanceParseError(
-                    "color %d exceeds the declared count of %d"
-                    % (color, self.max_colors), start)
-            return Fin(color) if word == "Fin" else Inf(color)
-        raise AcceptanceParseError("expected t, f, Fin or Inf", start)
-
-    def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise AcceptanceParseError("expected a number", start)
-        return int(self.text[start:self.pos])
+def _expect(text, pos, ch):
+    """The offset past ch, expected at pos after blanks."""
+    pos = _skip_ws(text, pos)
+    if text[pos:pos + 1] != ch:
+        raise AcceptanceParseError("expected '%s'" % ch, pos)
+    return pos + 1
 
 
 def parse_acceptance(text, max_colors=None):
@@ -497,7 +474,61 @@ def parse_acceptance(text, max_colors=None):
 
     `max_colors`, when given, rejects any color index >= that bound.
     """
-    return _AccParser(text, max_colors).parse()
+    # The raw code takes every & and | chain as written; _fold normalizes.
+    raw = []
+    groups = [[0, 0]]       # per open parenthesis, the whole text first:
+    pos = 0                 # [disjuncts done, conjuncts in the current one]
+    while True:
+        pos = _skip_ws(text, pos)
+        if text[pos:pos + 1] == "(":
+            pos += 1
+            groups.append([0, 0])
+            continue
+        start = pos
+        while pos < len(text) and text[pos].isalpha():
+            pos += 1
+        word = text[start:pos]
+        if word == "t" or word == "f":
+            raw.append(AND if word == "t" else OR)
+        elif word == "Fin" or word == "Inf":
+            pos = _skip_ws(text, _expect(text, pos, "("))
+            digits = pos
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            if pos == digits:
+                raise AcceptanceParseError("expected a number", digits)
+            color = int(text[digits:pos])
+            pos = _expect(text, pos, ")")
+            if max_colors is not None and color >= max_colors:
+                raise AcceptanceParseError(
+                    "color %d exceeds the declared count of %d"
+                    % (color, max_colors), start)
+            raw.append(4 * color + (FIN if word == "Fin" else INF))
+        else:
+            raise AcceptanceParseError("expected t, f, Fin or Inf", start)
+        groups[-1][1] += 1
+        while True:                     # after an operand
+            pos = _skip_ws(text, pos)
+            ch = text[pos:pos + 1]
+            if ch == "&":
+                break
+            group = groups[-1]
+            raw.append(4 * group[1] + AND)
+            group[0] += 1
+            group[1] = 0
+            if ch == "|":
+                break
+            raw.append(4 * group[0] + OR)
+            groups.pop()
+            if not groups:
+                if pos != len(text):
+                    raise AcceptanceParseError("trailing input", pos)
+                return _fold(raw)
+            if ch != ")":
+                raise AcceptanceParseError("expected ')'", pos)
+            pos += 1
+            groups[-1][1] += 1
+        pos += 1
 
 
 def print_acceptance(formula):
@@ -586,15 +617,6 @@ def class_colors(cls):
     raise ValueError("unknown class kind %r" % k)
 
 
-def _parity_atom(kind, color):
-    # which colors map to Inf atoms, per kind
-    if kind == "parity min even" or kind == "parity max even":
-        inf = color % 2 == 0
-    else:
-        inf = color % 2 == 1
-    return Inf(color) if inf else Fin(color)
-
-
 def make_class(cls):
     """Build the canonical formula for a classical acceptance class."""
     k = cls.kind
@@ -638,45 +660,42 @@ def make_class(cls):
         if n < 1:
             raise ValueError("parity needs n >= 1")
         _, mm, eo = k.split()
+        # Inf for the colors of the kind's parity, Fin for the others;
+        # an Inf joins the rest by Or, a Fin by And
+        atoms = [4 * c + (INF if c % 2 == (eo == "odd") else FIN)
+                 for c in range(n)]
+        joins = [4 * 2 + (OR if a & 3 == INF else AND) for a in atoms]
         if mm == "min":
             # innermost atom is the highest color; wrap downward
-            f = _parity_atom(k, n - 1)
-            for c in range(n - 2, -1, -1):
-                atom = _parity_atom(k, c)
-                if isinstance(atom, Inf):
-                    f = f_or([atom, f])
-                else:
-                    f = f_and([atom, f])
-            return f
-        # max: build upward from color 0
-        f = _parity_atom(k, 0)
-        for c in range(1, n):
-            atom = _parity_atom(k, c)
-            if isinstance(atom, Inf):
-                f = f_or([f, atom])
-            else:
-                f = f_and([f, atom])
-        return f
+            raw = atoms + joins[-2::-1]
+        else:
+            # build upward from color 0
+            raw = atoms[:1]
+            for a, join in zip(atoms[1:], joins[1:]):
+                raw += [a, join]
+        return _fold(raw)
     raise ValueError("unknown class kind %r" % k)
 
 
-def _norm_key(f):
-    # canonical sort key: commutativity-insensitive comparison helper
-    if isinstance(f, Fin):
-        return (0, f.color, ())
-    if isinstance(f, Inf):
-        return (1, f.color, ())
-    if isinstance(f, And):
-        return (2, 0, tuple(sorted(_norm_key(c) for c in f.children)))
-    if isinstance(f, Or):
-        return (3, 0, tuple(sorted(_norm_key(c) for c in f.children)))
-    if isinstance(f, AccTrue):
-        return (4, 0, ())
-    return (5, 0, ())
+def _shape(code, ids):
+    """The number in ids of the formula of code up to the order of And/Or
+    operands: two codes numbered in one ids get equal numbers iff their
+    formulas are equal up to that order."""
+    stack = []
+    for x in code:
+        n = len(stack) - (x >> 2) if x & 2 else len(stack)
+        key = (x, *sorted(stack[n:]))
+        del stack[n:]
+        stack.append(ids.setdefault(key, len(ids)))
+    return stack[0]
 
 
 def _same_formula(a, b):
-    return _norm_key(a) == _norm_key(b)
+    if a._code == b._code:
+        return True
+    ids = {}
+    return (len(a._code) == len(b._code)
+            and _shape(a._code, ids) == _shape(b._code, ids))
 
 
 def recognize(formula, num_sets=None):
@@ -686,28 +705,22 @@ def recognize(formula, num_sets=None):
     class wins; a Fin-free formula that fits no narrower shape reports as
     Fin-less; anything else reports as None.
     """
-    # atoms and their color spread
-    cols = sorted(used_colors(formula).colors())
+    code = formula._code
+    if code == (INF,):
+        return BUCHI
+    if code == (FIN,):
+        return CO_BUCHI
 
-    if isinstance(formula, Inf):
-        if formula.color == 0:
-            return BUCHI
-    if isinstance(formula, Fin):
-        if formula.color == 0:
-            return CO_BUCHI
+    top = code[-1]
+    n = top >> 2 if top & 2 else 0
+    if n:
+        # Inf(0) .. Inf(n-1) under And, or Fin under Or
+        shape = generalized_buchi if top & 3 == AND else generalized_co_buchi
+        if _same_formula(formula, make_class(shape(n))):
+            return shape(n)
 
-    if isinstance(formula, And):
-        ch = formula.children
-        if all(isinstance(c, Inf) for c in ch):
-            if sorted(c.color for c in ch) == list(range(len(ch))):
-                return generalized_buchi(len(ch))
-    if isinstance(formula, Or):
-        ch = formula.children
-        if all(isinstance(c, Fin) for c in ch):
-            if sorted(c.color for c in ch) == list(range(len(ch))):
-                return generalized_co_buchi(len(ch))
-
-    for k in _plausible_pair_counts(formula):
+    # Rabin k / Streett k use 2k colors in k two-atom groups
+    for k in (1, n) if n > 1 else (1,):
         if _same_formula(formula, make_class(rabin(k))):
             return rabin(k)
         if _same_formula(formula, make_class(streett(k))):
@@ -717,26 +730,13 @@ def recognize(formula, num_sets=None):
     if gr is not None:
         return gr
 
-    if cols and cols == list(range(len(cols))):
-        n = len(cols)
-        for kind in PARITY_KINDS:
-            if _same_formula(formula, make_class(AccClass(kind, n))):
-                return AccClass(kind, n)
+    readings = parity_readings(formula)
+    if readings:
+        return parity(*readings[0])
 
     if is_finless(formula):
         return FIN_LESS
     return None
-
-
-def _plausible_pair_counts(formula):
-    # Rabin k / Streett k use 2k colors in k two-atom groups
-    if isinstance(formula, (And, Or)):
-        n = len(formula.children)
-        yield 1
-        if n > 1:
-            yield n
-    else:
-        yield 1
 
 
 def _match_generalized_rabin(formula):
@@ -778,15 +778,12 @@ def parity_readings(formula):
     parity max even 1, and recognize() names it Buchi.  Conversions pick
     whichever reading suits them, so all of them are listed here.
     """
-    cols = sorted(used_colors(formula).colors())
-    out = []
-    if cols and cols == list(range(len(cols))):
-        n = len(cols)
-        for kind in PARITY_KINDS:
-            if _same_formula(formula, make_class(AccClass(kind, n))):
-                _, mm, eo = kind.split()
-                out.append((mm, eo, n))
-    return out
+    bits = used_colors(formula).bits
+    n = bits.bit_length()
+    if not bits or bits + 1 != 1 << n:     # not colors 0 .. n-1, all used
+        return []
+    return [(mm, eo, n) for mm in ("min", "max") for eo in ("even", "odd")
+            if _same_formula(formula, make_class(parity(mm, eo, n)))]
 
 
 def acc_name(formula, num_sets):

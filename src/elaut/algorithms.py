@@ -19,9 +19,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .acceptance import (BUCHI, TRUE, AccClass, AccFalse, ColorSet, Fin,
-                         Inf, dnf_disjuncts, dual, eval_acceptance, f_and,
-                         f_or, is_finless, make_class, recognize,
-                         shift_colors, subst, used_colors, words_for)
+                         Inf, _first_fin, dnf_disjuncts, dual,
+                         eval_acceptance, f_and, f_or, is_finless,
+                         make_class, recognize, shift_colors, subst,
+                         used_colors, words_for)
 from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
 from .guards import FALSE_GUARD, TRUE_GUARD, GuardStore
 
@@ -143,12 +144,6 @@ class SccInfo:
     @property
     def num(self):
         return len(self.members)
-
-    def is_trivial(self, cid):
-        return not self.internal[cid]
-
-    def is_reachable(self, state):
-        return self.scc_of[state] >= 0
 
 
 def scc_info(aut):
@@ -325,36 +320,33 @@ def _subgraph_sccs(table, ids):
     return [pair for pair in zip(internal, colors) if pair[0]]
 
 
-def _first_fin(formula):
-    if isinstance(formula, Fin):
-        return formula.color
-    for c in getattr(formula, "children", ()):
-        got = _first_fin(c)
-        if got is not None:
-            return got
-    return None
-
-
 def _search_scc(table, internal, present, formula):
     """A strongly connected edge set inside the component made of the
     `internal` edges of `table` (see _subgraph_sccs), whose colors are
     the int `present`, such that a closed walk over all of it satisfies
-    the formula; or None."""
-    absent = [c for c in used_colors(formula).colors()
-              if not present >> c & 1]
-    g = subst(formula, {c: True for c in absent}, {c: False for c in absent})
-    if isinstance(g, AccFalse):
-        return None
-    if is_finless(g):
-        # a walk over all internal edges sees every present color
-        return internal
-    c = _first_fin(g)
-    sub = [i for i in internal if not table[i][2] >> c & 1]
-    for part, colors in _subgraph_sccs(table, sub):
-        got = _search_scc(table, part, colors, g)
-        if got is not None:
-            return got
-    return _search_scc(table, internal, present, subst(g, {c: False}, {}))
+    the formula; or None.
+
+    The search is depth-first over an explicit stack, one level per Fin
+    split, so as many splits as colors do not exhaust Python's stack."""
+    todo = [(internal, present, formula)]
+    while todo:
+        internal, present, formula = todo.pop()
+        absent = [c for c in used_colors(formula).colors()
+                  if not present >> c & 1]
+        g = subst(formula, dict.fromkeys(absent, True),
+                  dict.fromkeys(absent, False))
+        if isinstance(g, AccFalse):
+            continue
+        if is_finless(g):
+            # a walk over all internal edges sees every present color
+            return internal
+        c = _first_fin(g)
+        sub = [i for i in internal if not table[i][2] >> c & 1]
+        # each part without c first, in order, then giving up on Fin(c)
+        todo.append((internal, present, subst(g, {c: False}, {})))
+        todo += reversed([(part, colors, g)
+                          for part, colors in _subgraph_sccs(table, sub)])
+    return None
 
 
 def _witness(aut, succ=None):

@@ -31,7 +31,7 @@ from . import algorithms, synthesis
 from .acceptance import (AccClass, acc_name, change_parity, class_colors,
                          generalized_buchi, generalized_co_buchi,
                          generalized_rabin, parity, rabin, streett,
-                         AcceptanceParseError, parse_acceptance)
+                         used_colors, AcceptanceParseError, parse_acceptance)
 from .algorithms import get_or_compute_flag
 from .graph import FLAG_NAMES, trim
 from .hoa import parse_hoa_stream, print_dot, print_hoa, stats
@@ -202,7 +202,6 @@ def cmd_randaut(args):
                 acceptance = parse_acceptance(args.acceptance)
             except AcceptanceParseError as exc:
                 raise ValueError("bad --acceptance: %s" % exc)
-            from .acceptance import used_colors
             used = used_colors(acceptance)
             if used:
                 colors = max(colors, used.max_color() + 1)

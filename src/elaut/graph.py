@@ -77,11 +77,6 @@ class EdgeRecord:
     next_succ: int      # next out-edge of src, 0 terminates
 
 
-def edge_record_size(nwords=1):
-    """Packed byte size of one edge record."""
-    return 4 * 4 + 4 * nwords
-
-
 class Automaton:
     """A transition-based automaton with Emerson-Lei acceptance."""
 
@@ -272,7 +267,7 @@ class Automaton:
 
     def set_acceptance(self, num_sets, formula):
         """Set the acceptance; TypeError unless `formula` is a formula
-        tree (see used_colors)."""
+        (see used_colors)."""
         if num_sets < 0 or num_sets > COLORS_PER_WORD * self._nwords:
             raise ValueError("num_sets %d does not fit %d color words"
                              % (num_sets, self._nwords))
@@ -299,9 +294,6 @@ class Automaton:
     def edge_records(self):
         for i in range(1, len(self.edges)):
             yield self.edges[i]
-
-    def is_group(self, word):
-        return word < 0
 
     def group_members(self, word):
         offset = ~word

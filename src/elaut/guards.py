@@ -136,14 +136,6 @@ class GuardStore:
 
     # -- cube extraction ----------------------------------------------
 
-    def cube_bits(self, cube):
-        bits = self.full
-        for ap in cube.positive:
-            bits &= self._pos[ap]
-        for ap in cube.negative:
-            bits &= self._neg[ap]
-        return bits
-
     def to_cubes(self, gid):
         """A pairwise-disjoint cover of the guard by cubes.
 

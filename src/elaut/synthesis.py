@@ -181,14 +181,33 @@ def _colorize(aut, n):
 
 def _zielonka(region, owner, color, succ, rev):
     """Zielonka's recursion on the vertices of region; returns the
-    player-0 and player-1 winning sets and a strategy of move tags."""
+    player-0 and player-1 winning sets and a strategy of move tags.
+
+    Each call is a generator that yields the subregion it needs solved
+    and is sent the answer, so the recursion lives on an explicit stack
+    and its depth is not bounded by Python's."""
+    calls = [_zielonka_call(region, owner, color, succ, rev)]
+    got = None
+    while calls:
+        try:
+            sub = calls[-1].send(got)
+        except StopIteration as done:
+            calls.pop()
+            got = done.value
+        else:
+            calls.append(_zielonka_call(sub, owner, color, succ, rev))
+            got = None
+    return got
+
+
+def _zielonka_call(region, owner, color, succ, rev):
     if not region:
         return set(), set(), {}
     d = max(color[v] for v in region)
     p = d & 1
     target = [v for v in region if color[v] == d]
     area, strat_a = _attract(p, target, region, owner, succ, rev)
-    w0a, w1a, strata = _zielonka(region - area, owner, color, succ, rev)
+    w0a, w1a, strata = yield region - area
     wopp = w0a if p == 1 else w1a
     if not wopp:
         wp = set(region)
@@ -203,7 +222,7 @@ def _zielonka(region, owner, color, succ, rev):
         return (set(), wp, strat) if p == 1 else (wp, set(), strat)
     opp = 1 - p
     barrier, strat_b = _attract(opp, wopp, region, owner, succ, rev)
-    w0b, w1b, strat2 = _zielonka(region - barrier, owner, color, succ, rev)
+    w0b, w1b, strat2 = yield region - barrier
     strat = dict(strat2)
     strat.update(strat_b)
     for v in wopp:

@@ -21,7 +21,6 @@ from elaut.acceptance import (
     BUCHI, CO_BUCHI, FIN_LESS, Fin, class_colors, generalized_buchi,
     generalized_co_buchi, generalized_rabin, rabin, recognize, streett,
 )
-from elaut.graph import edge_record_size
 
 from oracle_helpers import (
     alt_buchi_word_in, check_parity_strategy, empty_by_edge_subsets,
@@ -252,8 +251,6 @@ def test_memory_machine_circuit_cosimulation():
 
 def test_edge_storage_layout_and_color_capacity():
     t0 = time.perf_counter()
-    assert edge_record_size(1) == 20
-    assert edge_record_size(2) == 24
 
     aut = Automaton(aps=["a"], nwords=1)
     aut.new_states(2)
@@ -263,7 +260,7 @@ def test_edge_storage_layout_and_color_capacity():
     aut.new_edge(0, 1, pos, [0])
     aut.new_edge(1, 0, t, [0, 1])
     packed = aut.pack_edges()
-    assert len(packed) == 2 * edge_record_size(1)
+    assert len(packed) == 2 * 20
     # five little-endian 32-bit fields: src, dst, cond, acc, next
     src, dst, cond, acc, nxt = struct.unpack_from("<5I", packed, 0)
     assert (src, dst, cond, acc) == (0, 1, pos, 0b01)
@@ -275,7 +272,8 @@ def test_edge_storage_layout_and_color_capacity():
     assert wide.max_color() == 63
     wide.set_acceptance(64, parse_acceptance("Inf(63)"))
     wide.new_edge(0, 0, 1, [63])
-    assert len(wide.pack_edges()) == edge_record_size(2)
+    # one more 32-bit color word: 24 bytes
+    assert len(wide.pack_edges()) == 24
     try:
         wide.new_edge(0, 0, 1, [64])
         assert False, "color 64 must not fit two words"

@@ -61,15 +61,13 @@ def test_scc_partition_and_order():
                  (4, "t", 4, [0])])
     info = scc_info(aut)
     assert info.scc_of[4] == -1
-    assert not info.is_reachable(4)
     cid0, cid1, cid3 = info.scc_of[0], info.scc_of[1], info.scc_of[3]
     assert info.scc_of[2] == cid1
     assert sorted(info.members[cid1]) == [1, 2]
     # edges cross components from higher id to lower id only
     assert cid0 > cid1 > cid3
-    assert info.is_trivial(cid0)
-    assert not info.is_trivial(cid1)
-    assert not info.is_trivial(cid3)
+    assert not info.internal[cid0]
+    assert info.internal[cid1] and info.internal[cid3]
     assert sorted(info.colors[cid1].colors()) == [0]
 
 

@@ -1,5 +1,6 @@
 """Guard store: interning, Boolean algebra, cubes, label syntax."""
 
+import functools
 import random
 
 import pytest
@@ -320,7 +321,9 @@ def test_matches_reference_at_16_aps():
     cubes = st.to_cubes(g)
     covered = 0
     for cube in cubes:
-        bits = st.cube_bits(cube)
+        lits = [st.lit(ap) for ap in cube.positive]
+        lits += [st.lit(ap, False) for ap in cube.negative]
+        bits = st.bits_of(functools.reduce(st.g_and, lits, TRUE_GUARD))
         assert covered & bits == 0
         covered |= bits
     assert covered == st.bits_of(g)
