@@ -740,27 +740,19 @@ def recognize(formula, num_sets=None):
 
 
 def _match_generalized_rabin(formula):
+    # one Fin(i) per disjunct, i = 0 .. n-1, and its Infs; the shape is
+    # then checked against the canonical formula of those sizes
     disjuncts = formula.children if isinstance(formula, Or) else (formula,)
-    pairs = []
+    sizes = {}
     for d in disjuncts:
-        atoms = d.children if isinstance(d, And) else (d,)
-        fins = [a for a in atoms if isinstance(a, Fin)]
-        infs = [a for a in atoms if isinstance(a, Inf)]
-        if len(fins) != 1 or len(fins) + len(infs) != len(atoms):
+        fins = [x >> 2 for x in d._code if x & 3 == FIN]
+        if len(fins) != 1:
             return None
-        pairs.append((fins[0].color, sorted(i.color for i in infs)))
-    pairs.sort()
-    npairs = len(pairs)
-    if [p[0] for p in pairs] != list(range(npairs)):
+        sizes[fins[0]] = max(len(d._code) - 2, 0)
+    if sorted(sizes) != list(range(len(sizes))):
         return None
-    base = npairs
-    sizes = []
-    for _, infs in pairs:
-        if infs != list(range(base, base + len(infs))):
-            return None
-        base += len(infs)
-        sizes.append(len(infs))
-    return generalized_rabin(sizes)
+    cls = generalized_rabin([sizes[i] for i in range(len(sizes))])
+    return cls if _same_formula(formula, make_class(cls)) else None
 
 
 def parity_of(cls):

@@ -56,7 +56,7 @@ def test_every_formula_function_on_100k_nodes():
     assert parse_acceptance(text) == f
     assert hash(parse_acceptance(text)) == hash(f)
     assert isinstance(f, And) and len(f.children) == 2
-    assert isinstance(f.children[1], Or)
+    assert f.children[0].color == 0 and isinstance(f.children[1], Or)
     assert "parse_acceptance(" in repr(f)
     # Inf(0), then Fin(1) or else Inf(2), and so on down the chain
     for colors, want in (([0, 2], True), ([0, 1], False), ([1], False),
