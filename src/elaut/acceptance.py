@@ -298,14 +298,16 @@ def _fold(raw):
             args = tops[n:]
             del tops[n:]
             start = args[0][0]
-            count = 0       # operands once merged; -1 when absorbed
+            count = gone = 0    # operands once merged; -1 when absorbed
             for _, at in args:
+                at -= gone
                 y = out[at]
                 if y == kind ^ 1:       # f under And, t under Or
                     count = -1
                     break
                 if y & 3 == kind:       # t under And, or an And in one
-                    out[at] = None
+                    del out[at]
+                    gone += 1
                     count += y >> 2
                 else:
                     count += 1
@@ -319,7 +321,7 @@ def _fold(raw):
                 del out[start:]
                 tops.append((start, start))
                 out.append(kind ^ 1 if count else kind)
-    return _view(tuple([x for x in out if x is not None]))
+    return _view(tuple(out))
 
 
 def f_and(children):

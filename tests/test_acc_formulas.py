@@ -553,7 +553,8 @@ def formula_digest_lines(f, rng):
     yield str(recognize(f))
     yield str(acc_name(f, len(cols)))
     yield repr(parity_readings(f))
-    yield repr((is_finless(f), cols, hash(f) == hash(f), f == f))
+    again = parse_acceptance(str(f))
+    yield repr((is_finless(f), cols, again == f, hash(again) == hash(f)))
 
 
 def mutated_texts(texts, rng):

@@ -32,8 +32,8 @@ def default_recursion_limit():
 
 
 def chain_text(levels, colors=3):
-    """Inf(a)&(Fin(b)|(Inf(c)&(...))), nested 2*levels deep; four nodes a
-    level, colors cycling below `colors`."""
+    """Inf(a)&(Fin(b)|Inf(c)&(Fin(d)|...)), an And and an Or per level,
+    so nested 2*levels deep; colors cycle below `colors`."""
     head = "".join("Inf(%d)&(Fin(%d)|" % (2 * i % colors, (2 * i + 1) % colors)
                    for i in range(levels))
     return head + "Inf(0)" + ")" * levels
