@@ -13,7 +13,6 @@ the same lists, without building it.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -507,44 +506,45 @@ def remove_fin(aut):
     if is_finless(aut.acceptance):
         return aut.clone(keep_flags=True)
     disjuncts = dnf_disjuncts(aut.acceptance)
-    assert disjuncts is not None  # a formula with Fin atoms is not t
-    info = scc_info(aut)
+    if disjuncts is None:
+        # an unfolded t disjunct, as in Or([Fin(0), AccTrue()]), accepts
+        # every run, and so does one copy without Fin or Inf colors
+        disjuncts = [(frozenset(), frozenset())]
+    scc_of = scc_info(aut).scc_of
     n = aut.num_states
 
-    marker = []
-    inf_map = []
-    next_color = 0
-    for fins, infs in disjuncts:
-        marker.append(next_color)
-        next_color += 1
-        inf_map.append({c: next_color + k for k, c in enumerate(sorted(infs))})
-        next_color += len(infs)
-    total = next_color
-
+    # rows (src, dst, cond, color bits): the original edges, then each
+    # edge's jumps into every copy, then each copy's edges, in that order
+    edges = aut.edges[1:]
+    bases = [n * (d + 1) for d in range(len(disjuncts))]
+    rows = [(e.src, e.dst, e.cond, 0) for e in edges]
+    rows += [(e.src, base + e.dst, e.cond, 0)
+             for e in edges for base in bases]
+    internal = [e for e in edges
+                if scc_of[e.src] >= 0 and scc_of[e.dst] == scc_of[e.src]]
+    terms = []
+    total = 0
+    for base, (fins, infs) in zip(bases, disjuncts):
+        # the copy's marker color is `total`, its Inf colors follow it
+        infs = sorted(infs)
+        terms.append(f_and([Inf(c) for c in range(total,
+                                                  total + 1 + len(infs))]))
+        fin_bits = sum(1 << c for c in fins)
+        copy_bits = {}                # input color bits -> copy's, or -1
+        for e in internal:
+            bits = e.acc.bits
+            got = copy_bits.get(bits)
+            if got is None:
+                got = copy_bits[bits] = -1 if bits & fin_bits else (
+                    1 << total | sum(1 << (total + 1 + k)
+                                     for k, c in enumerate(infs)
+                                     if bits >> c & 1))
+            if got >= 0:
+                rows.append((base + e.src, base + e.dst, e.cond, got))
+        total += 1 + len(infs)
     out = Automaton(aut.aps, words_for(total), aut.store)
     out.new_states(n * (1 + len(disjuncts)))
-    for e in aut.edge_records():
-        out.new_edge(e.src, e.dst, e.cond, None)
-    for e in aut.edge_records():
-        for d in range(len(disjuncts)):
-            out.new_edge(e.src, n * (d + 1) + e.dst, e.cond, None)
-    for d, (fins, infs) in enumerate(disjuncts):
-        base = n * (d + 1)
-        fin_bits = sum(1 << c for c in fins)
-        for e in aut.edge_records():
-            if e.acc.bits & fin_bits:
-                continue
-            cid = info.scc_of[e.src]
-            if cid < 0 or info.scc_of[e.dst] != cid:
-                continue
-            colors = [marker[d]] + [inf_map[d][c] for c in infs
-                                    if e.acc.has(c)]
-            out.new_edge(base + e.src, base + e.dst, e.cond, colors)
-
-    terms = []
-    for d, (fins, infs) in enumerate(disjuncts):
-        atoms = [Inf(marker[d])] + [Inf(inf_map[d][c]) for c in sorted(infs)]
-        terms.append(f_and(atoms))
+    out.new_edges(rows)
     out.set_acceptance(total, f_or(terms))
     if n:
         out.set_init(aut.init)
@@ -601,17 +601,13 @@ class _FlatRows(dict):
 
     def __missing__(self, s):
         bits, mask, shift = self.bits, self.mask, self.shift
-        edges = self.aut.edges
         row = self[s] = []
-        idx = next(self.aut.out_indices(s), 0)
-        while idx:                    # s's out-edges, linked by next_succ
-            e = edges[idx]
+        for e in self.aut.out(s):
             g = bits.get(e.cond)
             if g is None:
                 g = self._bits(e.cond)
             if g:
                 row.append((g, e.dst, (e.acc.bits & mask) << shift))
-            idx = e.next_succ
         return row
 
 
@@ -676,7 +672,7 @@ def product(a, b):
     succ_b.intern_all()
     out = Automaton(aps, words_for(num_sets), store)
     intern = store.intern
-    new_edge = out.new_edge
+    rows = []
     pairs = [(a.init, b.init)] if a.num_states and b.num_states else []
     index = {pair: out.new_state() for pair in pairs}
     for src, (s, t) in enumerate(pairs):
@@ -692,7 +688,8 @@ def product(a, b):
                 if dst is None:
                     dst = index[key] = out.new_state()
                     pairs.append(key)
-                new_edge(src, dst, intern(g), (ca | cb) & keep)
+                rows.append((src, dst, intern(g), (ca | cb) & keep))
+    out.new_edges(rows)
     out.set_acceptance(num_sets, acceptance)
     if pairs:
         out.set_init(0)
@@ -809,34 +806,48 @@ def _macro_name(s, o=None):
     return "{%s}|{%s}" % (inner, ",".join(str(x) for x in o))
 
 
+def _choices(rows, full):
+    """Each choice of one entry per row whose guards meet, with the AND
+    of their guard bits, in itertools.product order: depth first, a
+    prefix is dropped as soon as its AND is 0."""
+    stack = [((), full)]
+    while stack:
+        combo, g = stack.pop()
+        if len(combo) == len(rows):
+            yield combo, g
+            continue
+        for entry in reversed(rows[len(combo)]):   # popped in row order
+            meet = g & entry[0]
+            if meet:
+                stack.append((combo + (entry,), meet))
+
+
 def _explore_macro(aut, out, start, name, step):
     """Build `out` from macro states (S, O), breadth first from `start`.
 
     For each choice of one out-edge per state of S whose guards meet,
     step(S, O, combo) gives the successor's S and O and the macro edge's
     color bits; choices with the same result share one edge under the
-    union of their guards.  name(S, O) labels each macro state.
+    union of their guards.  A combo holds, per state of S, its chosen
+    edge as (guard bits, destination states, color bits).  name(S, O)
+    labels each macro state.
     """
+    store = aut.store
+    rows = [[(store.bits_of(e.cond), aut.univ_dests(e.dst), e.acc.bits)
+             for e in aut.out(s)] for s in range(aut.num_states)]
     index = {start: out.new_state()}
     keys = [start]
     for src, (S, O) in enumerate(keys):    # breadth first: keys grow behind
         merged = {}
-        for combo in itertools.product(
-                *[list(aut.out_indices(s)) for s in S]):
-            g = TRUE_GUARD
-            for i in combo:
-                g = aut.store.g_and(g, aut.edges[i].cond)
-                if g == FALSE_GUARD:
-                    break
-            if g != FALSE_GUARD:
-                key = step(S, O, combo)
-                merged[key] = aut.store.g_or(merged.get(key, FALSE_GUARD), g)
+        for combo, g in _choices([rows[s] for s in S], store.full):
+            key = step(S, O, combo)
+            merged[key] = merged.get(key, 0) | g
         for (s_next, o_next, colors), g in merged.items():
             key = (s_next, o_next)
             if key not in index:
                 index[key] = out.new_state()
                 keys.append(key)
-            out.new_edge(src, index[key], g, colors)
+            out.new_edge(src, index[key], store.intern(g), colors)
     out.set_init(0)
     out.set_named_prop("state-names", [name(*key) for key in keys])
     return out
@@ -854,11 +865,9 @@ def _dealternate_buchi(aut):
     def step(S, O, combo):
         succ = set()
         owing = set()
-        for s, i in zip(S, combo):
-            e = aut.edges[i]
-            dests = list(aut.univ_dests(e))
+        for s, (_, dests, colors) in zip(S, combo):
             succ.update(dests)
-            if s in O and not e.acc.has(0):
+            if not colors & 1 and s in O:
                 owing.update(dests)
         s_next = tuple(sorted(succ))
         if owing:
@@ -906,8 +915,7 @@ def _dealternate_weak(aut):
         succ = set()
         owing = set()
         dests_of = {}
-        for s, i in zip(S, combo):
-            dests = set(aut.univ_dests(aut.edges[i]))
+        for s, (_, dests, _) in zip(S, combo):
             dests_of[s] = dests
             succ.update(dests)
             if s in O:
@@ -996,6 +1004,7 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
     nwords = words_for(colors)
     aut = Automaton(names, nwords)
     aut.new_states(states)
+    rows = []
     for s in range(states):
         targets = {}
         for m in range(nminterms):
@@ -1003,11 +1012,12 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
                 t = rng.randrange(states)
                 targets[t] = targets.get(t, 0) | (1 << m)
         for t in sorted(targets):
-            aut.new_edge(s, t, aut.store.intern(targets[t]))
+            rows.append((s, t, aut.store.intern(targets[t]), 0))
     for s in range(1, states):
         parent = rng.randrange(s)
         m = rng.randrange(nminterms)
-        aut.new_edge(parent, s, aut.store.intern(1 << m))
+        rows.append((parent, s, aut.store.intern(1 << m), 0))
+    aut.new_edges(rows)
     if colors:
         for e in aut.edge_records():
             bits = 0

@@ -147,60 +147,33 @@ class Automaton:
             raise ValueError("destination word %d names no group" % word)
         return word
 
-    def color_set(self, bits):
-        """The automaton's shared ColorSet holding `bits`."""
-        cs = self._colors.get(bits)
-        if cs is None:
-            cs = self._colors[bits] = ColorSet(bits, self._nwords)
-        return cs
-
-    def new_edge(self, src, dst, cond=1, acc=None):
-        """Append an edge and link it after src's current out-edges.
-
-        `acc` is None, an int of color bits, a ColorSet of this width or an
-        iterable of colors; the edge gets the shared set of that value."""
-        tail = self._tail
-        if not 0 <= src < len(tail):
-            raise ValueError("source %d is not a state" % src)
-        if dst >= len(tail):
-            raise ValueError("destination %d is not a state" % dst)
-        if dst < 0 and ~dst not in self._group_offsets:
-            raise ValueError("destination word %d names no group" % dst)
-        if not 0 <= cond < self._nguards:
-            # the store only grows: re-read its size past the largest id
-            self._nguards = len(self.store)
-            if not 0 <= cond < self._nguards:
-                raise ValueError("unknown guard id %d" % cond)
+    def color_set(self, acc):
+        """The automaton's shared ColorSet of `acc`: None, an int of color
+        bits, a ColorSet of this width or an iterable of colors."""
         if acc is None:
-            bits = 0
-        elif acc.__class__ is int:
-            bits = acc
+            acc = 0
         elif isinstance(acc, ColorSet):
             if acc.nwords != self._nwords:
                 raise ValueError("color set width mismatch")
-            bits = acc.bits
-        else:
-            bits = ColorSet.of(acc, self._nwords).bits
-        acc = self._colors.get(bits)
-        if acc is None:
-            acc = self.color_set(bits)      # checks the width
-        edges = self.edges
-        idx = len(edges)
-        edges.append(EdgeRecord(src, dst, cond, acc, 0))
-        last = tail[src]
-        if last:
-            edges[last].next_succ = idx
-        else:
-            self._succ[src] = idx
-        tail[src] = idx
-        self.flags = _ALL_MAYBE
-        return idx
+            acc = acc.bits
+        elif acc.__class__ is not int:
+            acc = ColorSet.of(acc, self._nwords).bits
+        cs = self._colors.get(acc)
+        if cs is None:
+            cs = self._colors[acc] = ColorSet(acc, self._nwords)
+        return cs
+
+    def new_edge(self, src, dst, cond=1, acc=None):
+        """Append an edge and link it after src's current out-edges; it
+        gets the shared color set of `acc` (see color_set)."""
+        self.new_edges(((src, dst, cond, acc),))
+        return len(self.edges) - 1
 
     def new_edges(self, edges):
-        """Append edges given as (src, dst, cond, color bits), in order.
-
-        Each gets new_edge's checks before it is appended and is linked
-        after its source's current out-edges, as new_edge would."""
+        """Append edges given as (src, dst, cond, colors), in order; colors
+        is what color_set takes, most cheaply an int of bits.  Each edge
+        is checked (states, group word, guard id, colors) before it is
+        appended, then linked after its source's current out-edges."""
         tail = self._tail
         succ = self._succ
         n = len(tail)
@@ -217,12 +190,16 @@ class Automaton:
             if dst < 0 and ~dst not in groups:
                 raise ValueError("destination word %d names no group" % dst)
             if not 0 <= cond < self._nguards:
+                # the store only grows: re-read its size past the largest id
                 self._nguards = len(self.store)
                 if not 0 <= cond < self._nguards:
                     raise ValueError("unknown guard id %d" % cond)
-            acc = colors.get(bits)
+            try:
+                acc = colors.get(bits)
+            except TypeError:               # an unhashable list of colors
+                acc = None
             if acc is None:
-                acc = self.color_set(bits)      # checks the width
+                acc = self.color_set(bits)
             append(EdgeRecord(src, dst, cond, acc, 0))
             last = tail[src]
             if last:
@@ -288,8 +265,12 @@ class Automaton:
             idx = self.edges[idx].next_succ
 
     def out(self, state):
-        for idx in self.out_indices(state):
-            yield self.edges[idx]
+        edges = self.edges
+        idx = self._succ[state]
+        while idx:
+            e = edges[idx]
+            yield e
+            idx = e.next_succ
 
     def edge_records(self):
         for i in range(1, len(self.edges)):
@@ -301,17 +282,12 @@ class Automaton:
         return self.dests[offset + 1:offset + 1 + n]
 
     def univ_dests(self, word_or_edge):
-        """Iterate the destination states of a word or an edge.
-
-        A plain destination yields itself; a group word yields each
-        member, in stored order.
-        """
+        """The destination states of a word or an edge, as a sequence:
+        a plain destination alone, a group word's members in stored
+        order."""
         word = word_or_edge.dst if isinstance(word_or_edge, EdgeRecord) \
             else word_or_edge
-        if word >= 0:
-            yield word
-        else:
-            yield from self.group_members(word)
+        return (word,) if word >= 0 else self.group_members(word)
 
     def has_universal_branches(self):
         # O(1) when no group was ever interned, so nothing can name one
@@ -443,10 +419,15 @@ def reachable_states(aut):
         return []
     order = list(dict.fromkeys(aut.univ_dests(aut.init)))
     seen = set(order)
+    succ, edges = aut._succ, aut.edges
     for s in order:                   # breadth first: order grows behind s
-        for e in aut.out(s):
+        idx = succ[s]
+        while idx:
+            e = edges[idx]
+            idx = e.next_succ
             if e.cond != FALSE_GUARD:
-                for d in aut.univ_dests(e.dst):
+                dst = e.dst
+                for d in (dst,) if dst >= 0 else aut.group_members(dst):
                     if d not in seen:
                         seen.add(d)
                         order.append(d)
@@ -476,13 +457,18 @@ def trim(aut):
         return out.new_univ_dest_group(
             [state_map[m] for m in aut.group_members(w)])
 
+    succ, edges = aut._succ, aut.edges
+    rows = []
     edge_map = {0: 0}
-    for old in order:
-        for idx in aut.out_indices(old):
-            e = aut.edges[idx]
+    for new, old in enumerate(order):
+        idx = succ[old]
+        while idx:
+            e = edges[idx]
             if e.cond != FALSE_GUARD:
-                edge_map[idx] = out.new_edge(state_map[old], word(e.dst),
-                                             e.cond, e.acc)
+                rows.append((new, word(e.dst), e.cond, e.acc.bits))
+                edge_map[idx] = len(rows)     # out's edge 0 is reserved
+            idx = e.next_succ
+    out.new_edges(rows)
     if aut.num_states:
         out.init = word(aut.init)
     out.num_sets = aut.num_sets

@@ -685,6 +685,7 @@ def print_hoa(aut):
     names = aut.get_named_prop("state-names", list)
     state_based = sa is YES
     print_label = aut.store.print_label
+    labels = {}                       # guard id -> "[label] "
     groups = {}                       # group word -> its text
     colors = {}                       # color bits -> " {...}"
     for s in range(aut.num_states):
@@ -703,7 +704,10 @@ def print_hoa(aut):
                 if text is None:
                     text = groups[dst] = _word_str(aut, dst)
                 dst = text
-            part = "[%s] %s" % (print_label(e.cond), dst)
+            part = labels.get(e.cond)
+            if part is None:
+                part = labels[e.cond] = "[%s] " % print_label(e.cond)
+            part += str(dst)
             bits = e.acc.bits
             if bits and not state_based:
                 text = colors.get(bits)

@@ -470,9 +470,9 @@ def mealy_to_automaton(m):
     guards, the controllable APs are recorded for serialization."""
     out = Automaton(m.aps, 1, m.store)
     out.new_states(m.num_states)
-    for s in range(m.num_states):
-        for (gin, gout, dst) in m.edges[s]:
-            out.new_edge(s, dst, m.store.g_and(gin, gout), None)
+    out.new_edges((s, dst, m.store.g_and(gin, gout), 0)
+                  for s in range(m.num_states)
+                  for gin, gout, dst in m.edges[s])
     out.set_acceptance(0, TRUE)
     if m.num_states:
         out.set_init(m.init)

@@ -8,6 +8,7 @@ test.
 
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -23,8 +24,8 @@ from elaut import (
     remove_fin, scc_info, solve_game, streett, used_colors,
 )
 from elaut import algorithms
-from elaut.acceptance import (AccClass, And, change_parity, parity,
-                              recognize)
+from elaut.acceptance import (AccClass, AccTrue, And, Or, change_parity,
+                              parity, recognize)
 from oracle_helpers import (
     alt_buchi_word_in, build, empty_by_edge_subsets, product_by_pairs,
     random_alt_buchi, random_parity_game, random_words, up_word_in,
@@ -340,6 +341,19 @@ def test_remove_fin_finless_input_is_copied():
     out = remove_fin(aut)
     assert out is not aut
     assert print_hoa(out) == print_hoa(aut)
+
+
+def test_remove_fin_unfolded_t_disjunct():
+    # Or([Fin(0), AccTrue()]) keeps its Fin atom unfolded, yet accepts
+    # every run: the output needs one copy without Fin or Inf colors
+    aut = build(["a"], 1, Or([Fin(0), AccTrue()]),
+                [(0, "0", 1, [0]), (1, "t", 0, []), (1, "!0", 1, [0])])
+    out = remove_fin(aut)
+    assert not _has_fin(out.acceptance)
+    assert out.num_states == 4 and not is_empty(out)
+    rng = random.Random(7)
+    for pre, cyc in random_words(rng, 1, count=8):
+        assert up_word_in(out, pre, cyc) == up_word_in(aut, pre, cyc)
 
 
 def test_remove_fin_rejects_alternation():
@@ -686,6 +700,105 @@ def test_dealternation_dispatch():
     lying.set_flag("weak", True)
     with pytest.raises(ValueError, match="SCC-uniform"):
         remove_alternation(lying)
+
+
+def _random_alt(seed, weak):
+    """A small alternating automaton under Inf(0) with states that have
+    no out-edges, false-guard edges and sometimes a universal start.
+    Weak ones only branch forward of their block of states and color a
+    block's edges alike, so components may hold several states."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    aut = Automaton(["p0", "p1"], nwords=1)
+    aut.new_states(n)
+    block = [0] * n
+    for s in range(1, n):
+        block[s] = block[s - 1] if rng.random() < 0.5 else s
+    accepting = {b for b in block if rng.random() < 0.5}
+    for s in range(n):
+        for _ in range(rng.choice((0, 1, 2, 2, 3))):
+            lo = block[s] if weak else 0
+            members = [rng.randrange(lo, n) for _ in range(rng.randint(1, 3))]
+            if weak:
+                colors = [0] if block[s] in accepting else []
+            else:
+                colors = [0] if rng.random() < 0.4 else []
+            cond = aut.store.intern(rng.randrange(16) if rng.random() < 0.2
+                                    else rng.randrange(1, 16))
+            aut.new_edge(s, aut.new_univ_dest_group(members), cond, colors)
+    aut.set_acceptance(1, INF0)
+    aut.set_init(aut.new_univ_dest_group(rng.sample(range(n), 2))
+                 if rng.random() < 0.3 else 0)
+    return aut
+
+
+def _reference_macro(aut, start, step, stats):
+    """Per macro state, its ordered merged map as (successor, guard
+    bits, colors) rows, by brute force over itertools.product."""
+    store = aut.store
+    rows = [[(store.bits_of(e.cond), tuple(aut.univ_dests(e.dst)),
+              e.acc.bits) for e in aut.out(s)]
+            for s in range(aut.num_states)]
+    index = {start: 0}
+    keys = [start]
+    table = []
+    for S, O in keys:
+        merged = {}
+        for combo in itertools.product(*[rows[s] for s in S]):
+            meets = [store.full]
+            for entry in combo:
+                meets.append(meets[-1] & entry[0])
+            if not meets[-1]:
+                stats["empty prefix"] += 0 in meets[:-1]
+                continue
+            key = step(S, O, combo)
+            merged[key] = merged.get(key, 0) | meets[-1]
+        table.append([])
+        for (s_next, o_next, colors), g in merged.items():
+            key = (s_next, o_next)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+            table[-1].append((index[key], g, colors))
+    return table
+
+
+def test_pruned_macro_product_matches_brute_force(monkeypatch):
+    calls = []
+    explore = algorithms._explore_macro
+
+    def record(aut, out, start, name, step):
+        calls.append((start, name, step))
+        return explore(aut, out, start, name, step)
+    monkeypatch.setattr(algorithms, "_explore_macro", record)
+
+    def table_of(out):
+        store = out.store
+        return [[(e.dst, store.bits_of(e.cond), e.acc.bits)
+                 for e in out.out(s)] for s in range(out.num_states)]
+
+    stats = {"empty prefix": 0, "runs": 0, "no edges": 0}
+    for seed in range(60):
+        weak = seed % 2 == 0
+        aut = _random_alt(30_000 + seed, weak)
+        stats["no edges"] += any(not list(aut.out(s))
+                                 for s in range(aut.num_states))
+        for build_macro in ((algorithms._dealternate_buchi,
+                             algorithms._dealternate_weak) if weak
+                            else (algorithms._dealternate_buchi,)):
+            del calls[:]
+            out = build_macro(aut)
+            (start, name, step), = calls
+            assert table_of(out) == _reference_macro(aut, start, step, stats)
+            # a start with S empty: one choice, of no edges, under t
+            empty = explore(aut, Automaton(aut.aps, out.nwords, aut.store),
+                            ((), ()), name, step)
+            assert table_of(empty) == _reference_macro(aut, ((), ()), step,
+                                                       stats)
+            assert [g for _, g, _ in table_of(empty)[0]] == [aut.store.full]
+            stats["runs"] += 1
+    assert stats["runs"] == 90
+    assert stats["empty prefix"] > 0 and stats["no edges"] > 0
 
 
 # ----------------------------------------------------- random automata

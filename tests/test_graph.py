@@ -9,7 +9,7 @@ from elaut.acceptance import ColorSet, Inf, TRUE
 from elaut.algorithms import product, random_automaton, remove_fin
 from elaut.graph import (Automaton, FLAG_NAMES, MAYBE, NO, Trivalent, YES,
                          trim)
-from elaut.guards import GuardStore, TRUE_GUARD
+from elaut.guards import FALSE_GUARD, GuardStore, TRUE_GUARD
 from elaut.hoa import parse_hoa, print_dot, print_hoa
 
 
@@ -241,6 +241,38 @@ def test_trim_keeps_group_reachable_members():
     assert mapping[3] is None
     e = next(iter(out.out(0)))
     assert sorted(out.univ_dests(e.dst)) == [mapping[1], mapping[2]]
+
+
+def test_trim_remaps_edges_in_one_batch():
+    # edges made out of state order, a false-guard edge into a state
+    # nothing else reaches, a state without edges and an unreachable one
+    aut = fresh(6)
+    lit = aut.store.lit(0)
+    i1 = aut.new_edge(2, 2, aut.store.lit(0, False))
+    i2 = aut.new_edge(0, 1, lit, [0])
+    i3 = aut.new_edge(3, 1, TRUE_GUARD)
+    i4 = aut.new_edge(0, aut.new_univ_dest_group([2, 1]), TRUE_GUARD)
+    i5 = aut.new_edge(0, 4, FALSE_GUARD)
+    i6 = aut.new_edge(1, 0, TRUE_GUARD)
+    i7 = aut.new_edge(4, 4, TRUE_GUARD)
+    i8 = aut.new_edge(0, 0, TRUE_GUARD, [1])
+    aut.set_init(0)
+    aut.set_named_prop("highlight-edges", {i1: 3, i3: 1, i5: 2, i8: 4})
+    aut.set_named_prop("strategy", [i8, i6, i1, i3, i7, 0])
+    out = trim(aut)
+    assert out.check()
+    assert out.get_named_prop("trim-map", list) == [0, 1, 2, None, None,
+                                                    None]
+    # new indices follow the kept states' out-lists: i2, i4, i8, i6, i1
+    assert [(e.src, e.cond, e.acc.bits) for e in out.edge_records()] == [
+        (0, lit, 1), (0, TRUE_GUARD, 0), (0, TRUE_GUARD, 2),
+        (1, TRUE_GUARD, 0), (2, aut.edges[i1].cond, 0)]
+    assert [e.dst for e in out.edge_records()] == [1, -1, 0, 0, 2]
+    assert out.group_members(-1) == [2, 1]
+    assert out.get_named_prop("highlight-edges", dict) == {5: 3, 3: 4}
+    assert out.get_named_prop("strategy", list) == [3, 4, 5]
+    assert [list(out.out_indices(s)) for s in range(3)] == [[1, 2, 3], [4],
+                                                            [5]]
 
 
 def _one_shared_group():
