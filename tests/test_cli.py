@@ -555,13 +555,18 @@ State: 0
 # lassos.  The check digests were recorded before `--product P
 # --is-empty` was decided on the fly, the synth and transform ones before
 # the HOA body was read an item at a time, the transform seeds 11 and 23
-# before Fin removal, trim and dealternation built their edges in bulk.
-CHECK_JOB_DIGESTS = {1: "1ed052a7972bfdea", 7: "ee95b8502c02bf60"}
+# before Fin removal, trim and dealternation built their edges in bulk,
+# and check seed 11, synth seed 13 and transform seed 29 before edges
+# were stored as columns.
+CHECK_JOB_DIGESTS = {1: "1ed052a7972bfdea", 7: "ee95b8502c02bf60",
+                     11: "36e22bd03a0a1832"}
 JOB_DIGESTS = {
     ("synth", 1): "12358c57803c9b9c", ("synth", 7): "05d2617bafb2dea4",
+    ("synth", 13): "48b2b36b094ec971",
     ("transform", 1): "2140ea511b6db7e2", ("transform", 7): "8d949e9cf1f28220",
     ("transform", 11): "52defb7b4b8df310",
     ("transform", 23): "dcdcacccb634a5fb",
+    ("transform", 29): "3497575388ecac68",
 }
 
 
