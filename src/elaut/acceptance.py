@@ -819,18 +819,20 @@ def recolor_parity(aut, n, min_max, scale, offset):
     ever be the minimum of a cycle, so the rest are inert (dually for
     max), and colors from n up are inert too.  An edge with no color
     below n reads as c = n under min and c = -1 under max, just outside
-    the range on the side that never decides a mixed cycle.
+    the range on the side that never decides a mixed cycle.  The new
+    color is computed once per distinct color set.
     """
     mask = (1 << n) - 1
-    color_set = aut.color_set
-    for e in aut.edge_records():
-        bits = e.acc.bits & mask
+
+    def recolor(bits):
+        bits &= mask
         if min_max == "min":
             bits |= 1 << n
             c = (bits & -bits).bit_length() - 1
         else:
             c = bits.bit_length() - 1
-        e.acc = color_set(1 << (scale * c + offset))
+        return 1 << (scale * c + offset)
+    aut.map_colors(recolor)
 
 
 def change_parity(aut, target):
@@ -868,7 +870,7 @@ def change_parity(aut, target):
     relevant = n
     mask = (1 << n) - 1
     pre_shift = 0
-    if any(not e.acc.bits & mask for e in out.edge_records()):
+    if any(not acc.bits & mask for acc in out.edge_acc[1:]):
         if cur_mm == "min":
             n += 1
         else:

@@ -94,18 +94,18 @@ def _successors(aut):
     with one entry per destination member."""
     dsts = [[] for _ in range(aut.num_states)]
     idxs = [[] for _ in range(aut.num_states)]
-    edges = aut.edges
-    for i in range(1, len(edges)):
-        e = edges[i]
-        if e.cond == FALSE_GUARD:
+    for i, src, dst, cond in zip(range(1, aut.num_edges + 1),
+                                 aut.edge_src[1:], aut.edge_dst[1:],
+                                 aut.edge_cond[1:]):
+        if cond == FALSE_GUARD:
             continue
-        if e.dst >= 0:
-            dsts[e.src].append(e.dst)
-            idxs[e.src].append(i)
+        if dst >= 0:
+            dsts[src].append(dst)
+            idxs[src].append(i)
         else:
-            members = aut.group_members(e.dst)
-            dsts[e.src].extend(members)
-            idxs[e.src].extend([i] * len(members))
+            members = aut.group_members(dst)
+            dsts[src].extend(members)
+            idxs[src].extend([i] * len(members))
     return dsts, idxs
 
 
@@ -129,6 +129,7 @@ class SccInfo:
         scc_of = self.scc_of
         self.internal = [[] for _ in self.members]
         bits = [0] * len(self.members)
+        accs = aut.edge_acc
         for v, cid in enumerate(scc_of):
             if cid < 0:
                 continue
@@ -136,7 +137,7 @@ class SccInfo:
             for d, i in zip(dsts[v], idxs[v]):
                 if i != last and scc_of[d] == cid:
                     self.internal[cid].append(i)
-                    bits[cid] |= aut.edges[i].acc.bits
+                    bits[cid] |= accs[i].bits
                     last = i
         self.colors = [ColorSet(b, aut.nwords) for b in bits]
 
@@ -156,38 +157,37 @@ def _check_universal(aut):
     # no universal branching and, per state, pairwise disjoint guards
     if aut.has_universal_branches():
         return False
+    conds = aut.edge_cond
     for s in range(aut.num_states):
         union = FALSE_GUARD
-        for e in aut.out(s):
-            if e.cond == FALSE_GUARD:
+        for i in aut.out_indices(s):
+            if conds[i] == FALSE_GUARD:
                 continue
-            if aut.store.g_and(union, e.cond) != FALSE_GUARD:
+            if aut.store.g_and(union, conds[i]) != FALSE_GUARD:
                 return False
-            union = aut.store.g_or(union, e.cond)
+            union = aut.store.g_or(union, conds[i])
     return True
 
 
 def _check_complete(aut):
     if aut.num_states == 0:
         return False
+    conds = aut.edge_cond
     for s in range(aut.num_states):
         union = FALSE_GUARD
-        for e in aut.out(s):
-            union = aut.store.g_or(union, e.cond)
+        for i in aut.out_indices(s):
+            union = aut.store.g_or(union, conds[i])
         if union != TRUE_GUARD:
             return False
     return True
 
 
-def _check_weak(aut):
+def _check_weak(aut, info=None):
     # in each SCC, every internal edge carries the same colors, so all of
     # the component's cycles agree on acceptance
-    info = scc_info(aut)
-    for edges in info.internal:
-        accs = {aut.edges[i].acc for i in edges}
-        if len(accs) > 1:
-            return False
-    return True
+    accs = aut.edge_acc
+    return all(len({accs[i] for i in edges}) <= 1
+               for edges in (info or scc_info(aut)).internal)
 
 
 def _check_very_weak(aut):
@@ -226,12 +226,14 @@ def _check_terminal(aut):
             continue
         for s in members:
             union = FALSE_GUARD
-            for e in aut.out(s):
-                if e.cond == FALSE_GUARD:
+            for i in aut.out_indices(s):
+                cond = aut.edge_cond[i]
+                if cond == FALSE_GUARD:
                     continue
-                if any(info.scc_of[d] != cid for d in aut.univ_dests(e)):
+                if any(info.scc_of[d] != cid
+                       for d in aut.univ_dests(aut.edge_dst[i])):
                     return False
-                union = aut.store.g_or(union, e.cond)
+                union = aut.store.g_or(union, cond)
             if union != TRUE_GUARD:
                 return False
     return True
@@ -291,8 +293,8 @@ def is_terminal(aut):
 def _edge_table(aut, ids):
     """The plain form the emptiness search reads edges in: edge id ->
     (src, dst, color bits), over the given plain edges of aut."""
-    edges = aut.edges
-    return {i: (edges[i].src, edges[i].dst, edges[i].acc.bits) for i in ids}
+    src, dst, acc = aut.edge_src, aut.edge_dst, aut.edge_acc
+    return {i: (src[i], dst[i], acc[i].bits) for i in ids}
 
 
 def _subgraph_sccs(table, ids):
@@ -387,23 +389,23 @@ def check_run(aut, run):
     at = aut.init
     if at < 0:
         return False
+    src, dst, cond, acc = (aut.edge_src, aut.edge_dst, aut.edge_cond,
+                           aut.edge_acc)
     for i in run.prefix + [run.cycle[0]]:
-        e = aut.edges[i]
-        if e.src != at or e.dst < 0 or e.cond == FALSE_GUARD:
+        if src[i] != at or dst[i] < 0 or cond[i] == FALSE_GUARD:
             return False
-        at = e.dst
-    start = aut.edges[run.cycle[0]].src
+        at = dst[i]
+    start = src[run.cycle[0]]
     at = start
-    seen = ColorSet(0, aut.nwords)
+    seen = 0
     for i in run.cycle:
-        e = aut.edges[i]
-        if e.src != at or e.dst < 0 or e.cond == FALSE_GUARD:
+        if src[i] != at or dst[i] < 0 or cond[i] == FALSE_GUARD:
             return False
-        at = e.dst
-        seen = seen | e.acc
+        at = dst[i]
+        seen |= acc[i].bits
     if at != start:
         return False
-    return eval_acceptance(aut.acceptance, seen)
+    return eval_acceptance(aut.acceptance, ColorSet(seen, aut.nwords))
 
 
 def _bfs_path(dsts, idxs, sources, goal):
@@ -449,18 +451,17 @@ def accepting_run(aut):
     # a closed walk through the witness that sees all of its colors
     # sees exactly the colors of a walk covering it, which satisfy the
     # acceptance
-    edges = aut.edges
+    src, dst, acc = aut.edge_src, aut.edge_dst, aut.edge_acc
     w_dsts, w_idxs = {}, {}
     missing = 0
     for i in witness:
-        e = edges[i]
-        w_dsts.setdefault(e.src, []).append(e.dst)
-        w_idxs.setdefault(e.src, []).append(i)
-        missing |= e.acc.bits
-    start = edges[witness[0]].src
+        w_dsts.setdefault(src[i], []).append(dst[i])
+        w_idxs.setdefault(src[i], []).append(i)
+        missing |= acc[i].bits
+    start = src[witness[0]]
 
     def new_color(i, d):
-        return edges[i].acc.bits & missing
+        return acc[i].bits & missing
 
     def home(i, d):
         return d == start
@@ -473,8 +474,8 @@ def accepting_run(aut):
     while True:
         cycle.extend(path)
         for i in path:
-            missing &= ~edges[i].acc.bits
-        at = edges[path[-1]].dst
+            missing &= ~acc[i].bits
+        at = dst[path[-1]]
         if not missing and at == start:
             break
         path = _bfs_path(w_dsts, w_idxs, [at],
@@ -515,13 +516,14 @@ def remove_fin(aut):
 
     # rows (src, dst, cond, color bits): the original edges, then each
     # edge's jumps into every copy, then each copy's edges, in that order
-    edges = aut.edges[1:]
+    edges = list(zip(aut.edge_src[1:], aut.edge_dst[1:], aut.edge_cond[1:],
+                     aut.edge_acc[1:]))
     bases = [n * (d + 1) for d in range(len(disjuncts))]
-    rows = [(e.src, e.dst, e.cond, 0) for e in edges]
-    rows += [(e.src, base + e.dst, e.cond, 0)
-             for e in edges for base in bases]
-    internal = [e for e in edges
-                if scc_of[e.src] >= 0 and scc_of[e.dst] == scc_of[e.src]]
+    rows = [(src, dst, cond, 0) for src, dst, cond, _ in edges]
+    rows += [(src, base + dst, cond, 0)
+             for src, dst, cond, _ in edges for base in bases]
+    internal = [(src, dst, cond, acc.bits) for src, dst, cond, acc in edges
+                if scc_of[src] >= 0 and scc_of[dst] == scc_of[src]]
     terms = []
     total = 0
     for base, (fins, infs) in zip(bases, disjuncts):
@@ -531,8 +533,7 @@ def remove_fin(aut):
                                                   total + 1 + len(infs))]))
         fin_bits = sum(1 << c for c in fins)
         copy_bits = {}                # input color bits -> copy's, or -1
-        for e in internal:
-            bits = e.acc.bits
+        for src, dst, cond, bits in internal:
             got = copy_bits.get(bits)
             if got is None:
                 got = copy_bits[bits] = -1 if bits & fin_bits else (
@@ -540,7 +541,7 @@ def remove_fin(aut):
                                      for k, c in enumerate(infs)
                                      if bits >> c & 1))
             if got >= 0:
-                rows.append((base + e.src, base + e.dst, e.cond, got))
+                rows.append((base + src, base + dst, cond, got))
         total += 1 + len(infs)
     out = Automaton(aut.aps, words_for(total), aut.store)
     out.new_states(n * (1 + len(disjuncts)))
@@ -595,19 +596,22 @@ class _FlatRows(dict):
     def intern_all(self):
         """Intern every guard in the store, in edge order, before any row
         is built: the store then numbers them as translate_from would."""
-        for e in self.aut.edge_records():
-            if e.cond not in self.bits:
-                self.store.intern(self._bits(e.cond))
+        for cond in self.aut.edge_cond[1:]:
+            if cond not in self.bits:
+                self.store.intern(self._bits(cond))
 
     def __missing__(self, s):
         bits, mask, shift = self.bits, self.mask, self.shift
+        aut = self.aut
+        conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
         row = self[s] = []
-        for e in self.aut.out(s):
-            g = bits.get(e.cond)
+        for i in aut.out_indices(s):
+            cond = conds[i]
+            g = bits.get(cond)
             if g is None:
-                g = self._bits(e.cond)
+                g = self._bits(cond)
             if g:
-                row.append((g, e.dst, (e.acc.bits & mask) << shift))
+                row.append((g, dsts[i], (accs[i].bits & mask) << shift))
         return row
 
 
@@ -823,7 +827,8 @@ def _choices(rows, full):
 
 
 def _explore_macro(aut, out, start, name, step):
-    """Build `out` from macro states (S, O), breadth first from `start`.
+    """Build `out`, which has no states yet, from macro states (S, O),
+    breadth first from `start`.
 
     For each choice of one out-edge per state of S whose guards meet,
     step(S, O, combo) gives the successor's S and O and the macro edge's
@@ -833,10 +838,12 @@ def _explore_macro(aut, out, start, name, step):
     labels each macro state.
     """
     store = aut.store
-    rows = [[(store.bits_of(e.cond), aut.univ_dests(e.dst), e.acc.bits)
-             for e in aut.out(s)] for s in range(aut.num_states)]
-    index = {start: out.new_state()}
+    conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
+    rows = [[(store.bits_of(conds[i]), aut.univ_dests(dsts[i]), accs[i].bits)
+             for i in aut.out_indices(s)] for s in range(aut.num_states)]
+    index = {start: 0}
     keys = [start]
+    edges = []
     for src, (S, O) in enumerate(keys):    # breadth first: keys grow behind
         merged = {}
         for combo, g in _choices([rows[s] for s in S], store.full):
@@ -844,10 +851,13 @@ def _explore_macro(aut, out, start, name, step):
             merged[key] = merged.get(key, 0) | g
         for (s_next, o_next, colors), g in merged.items():
             key = (s_next, o_next)
-            if key not in index:
-                index[key] = out.new_state()
+            dst = index.get(key)
+            if dst is None:
+                dst = index[key] = len(keys)
                 keys.append(key)
-            out.new_edge(src, index[key], store.intern(g), colors)
+            edges.append((src, dst, store.intern(g), colors))
+    out.new_states(len(keys))
+    out.new_edges(edges)
     out.set_init(0)
     out.set_named_prop("state-names", [name(*key) for key in keys])
     return out
@@ -893,9 +903,8 @@ def _dealternate_weak(aut):
     their macro states are plain subsets (at most 2^n).
     """
     info = scc_info(aut)
-    for edges in info.internal:
-        if len({aut.edges[i].acc for i in edges}) > 1:
-            raise ValueError("weak dealternation needs SCC-uniform colors")
+    if not _check_weak(aut, info):
+        raise ValueError("weak dealternation needs SCC-uniform colors")
 
     multi = set()         # states of multi-state rejecting components
     singles = []          # states that are a rejecting component alone
@@ -1017,14 +1026,12 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
         parent = rng.randrange(s)
         m = rng.randrange(nminterms)
         rows.append((parent, s, aut.store.intern(1 << m), 0))
-    aut.new_edges(rows)
     if colors:
-        for e in aut.edge_records():
-            bits = 0
-            for c in range(colors):
-                if rng.random() < color_density:
-                    bits |= 1 << c
-            e.acc = aut.color_set(bits)
+        # each edge's colors are drawn after every edge is chosen, in order
+        rows = [(s, t, g, sum(1 << c for c in range(colors)
+                              if rng.random() < color_density))
+                for s, t, g, _ in rows]
+    aut.new_edges(rows)
     if acceptance is None:
         formula = random_acceptance(colors, rng)
     elif isinstance(acceptance, AccClass):

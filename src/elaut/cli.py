@@ -88,9 +88,9 @@ def _parse_class(text):
 
 def _print_run(aut, run):
     def step(idx):
-        e = aut.edges[idx]
-        return "  %d --[%s]--> %d" % (e.src, aut.store.print_label(e.cond),
-                                      e.dst)
+        return "  %d --[%s]--> %d" % (
+            aut.edge_src[idx], aut.store.print_label(aut.edge_cond[idx]),
+            aut.edge_dst[idx])
 
     lines = ["prefix:"]
     lines.extend(step(i) for i in run.prefix)

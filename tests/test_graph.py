@@ -7,8 +7,8 @@ import pytest
 
 from elaut.acceptance import ColorSet, Inf, TRUE
 from elaut.algorithms import product, random_automaton, remove_fin
-from elaut.graph import (Automaton, FLAG_NAMES, MAYBE, NO, Trivalent, YES,
-                         trim)
+from elaut.graph import (Automaton, EDGE_COLUMNS, FLAG_NAMES, MAYBE, NO,
+                         Trivalent, YES, trim)
 from elaut.guards import FALSE_GUARD, GuardStore, TRUE_GUARD
 from elaut.hoa import parse_hoa, print_dot, print_hoa
 
@@ -498,7 +498,8 @@ def _checked_fixture():
      "acceptance mentions a color >= num_sets"),
     (lambda a: a.dests.__setitem__(2, 7), "group member 7 is not a state"),
     (lambda a: a.dests.__setitem__(0, 5), "bad group -1"),
-])
+] + [(lambda a, name=name: getattr(a, name).pop(), "edge columns differ")
+     for name in EDGE_COLUMNS])
 def test_check_raises_value_error(corrupt, message):
     # explicit errors, so the checks survive python -O
     aut = _checked_fixture()
@@ -562,6 +563,9 @@ def test_clone_edges_are_independent():
     aut.set_init(0)
     blob, text = aut.pack_edges(), print_hoa(aut)
     copy = aut.clone()
+    for name in EDGE_COLUMNS:         # equal, and not shared
+        assert getattr(copy, name) == getattr(aut, name)
+        assert getattr(copy, name) is not getattr(aut, name)
     copy.edges[1].acc = copy.color_set(0b11)
     copy.edges[2].dst = 1
     copy.edges[1].cond = copy.store.lit(0)
@@ -572,6 +576,42 @@ def test_clone_edges_are_independent():
     assert copy.edges[1].acc is copy.color_set(0b11)
     aut.check()
     copy.check()
+
+
+@pytest.mark.parametrize("via", ["edges", "out"])
+def test_edge_views_write_through(via):
+    aut = fresh(3, naps=2)
+    aut.new_edge(0, 1, TRUE_GUARD, [0])
+    aut.new_edge(0, 2, aut.store.lit(0))
+    aut.set_init(0)
+    group = aut.new_univ_dest_group([1, 2])
+    lit = aut.store.lit(1)
+    e = aut.edges[1] if via == "edges" else next(aut.out(0))
+    assert (e.index, e.src, e.dst, e.cond, e.next_succ) == (1, 0, 1,
+                                                            TRUE_GUARD, 2)
+    e.dst = group
+    e.cond = lit
+    e.acc = aut.color_set(0b110)
+    assert (aut.edge_dst[1], aut.edge_cond[1]) == (group, lit)
+    assert aut.edge_acc[1] is aut.color_set(0b110)
+    assert [(f.dst, f.cond) for f in aut.out(0)] == [
+        (group, lit), (2, aut.store.lit(0))]
+    e.next_succ = 0                   # unlink edge 2, then relink it
+    assert aut.edge_next[1] == 0 and list(aut.out_indices(0)) == [1]
+    e.next_succ = 2
+    e.src = 1
+    assert aut.edge_src[1] == 1
+    with pytest.raises(ValueError) as exc:
+        aut.check()
+    assert str(exc.value) == "edge 1 strays from state 0"
+    e.src = 0
+    assert aut.check()
+    assert aut.edges[2].acc is aut.color_set(0) and aut.edges[0] is None
+    assert len(aut.edges) == 3 and aut.edges[-1].index == 2
+    with pytest.raises(IndexError):
+        aut.edges[3]
+    with pytest.raises(TypeError):
+        aut.edges[1:]
 
 
 def test_width_change_renews_the_shared_sets():
