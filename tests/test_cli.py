@@ -557,10 +557,12 @@ State: 0
 # --is-empty` was decided on the fly, the synth and transform ones before
 # the HOA body was read an item at a time, the transform seeds 11 and 23
 # before Fin removal, trim and dealternation built their edges in bulk,
-# and check seed 11, synth seed 13 and transform seed 29 before edges
-# were stored as columns.
+# check seed 11, synth seed 13 and transform seed 29 before edges were
+# stored as columns, and check seeds 23 and 29 before the emptiness
+# search dropped absent colors and cut Fin-unit edges.
 CHECK_JOB_DIGESTS = {1: "1ed052a7972bfdea", 7: "ee95b8502c02bf60",
-                     11: "36e22bd03a0a1832"}
+                     11: "36e22bd03a0a1832", 23: "3cbd796f7477d10d",
+                     29: "3d709ced0a6b6c28"}
 JOB_DIGESTS = {
     ("synth", 1): "12358c57803c9b9c", ("synth", 7): "05d2617bafb2dea4",
     ("synth", 13): "48b2b36b094ec971",
