@@ -17,8 +17,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .acceptance import (BUCHI, TRUE, AccClass, AccFalse, ColorSet, Fin,
-                         Inf, _first_fin, dnf_disjuncts, dual,
+from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, And,
+                         ColorSet, Fin, Inf, _first_fin, dnf_disjuncts, dual,
                          eval_acceptance, f_and, f_or, is_finless,
                          make_class, recognize, shift_colors, subst,
                          used_colors, words_for)
@@ -284,11 +284,25 @@ def is_terminal(aut):
 #
 # The search decomposes the graph into SCCs.  Colors absent from a
 # component can only be seen finitely often there, which substitutes
-# their atoms by constants.  A Fin-free residual formula is satisfied by
-# a closed walk covering all of the component's edges.  Otherwise some
+# their atoms by constants, and the edges of a top-level Fin unit go at
+# once (_restrict).  A Fin-free residual formula is satisfied by a
+# closed walk covering all of the component's edges.  Otherwise some
 # Fin(c) with c present is picked and both ways of satisfying it are
 # tried: delete the c-colored edges, or give up on it (Fin(c) := false,
 # sound because the formula is monotone in its atoms).
+
+def _restrict(f, present):
+    """(g, units): f with the atoms of colors absent from the int `present`
+    made constant, then its top-level Fin units made true, and their bits."""
+    absent = [c for c in used_colors(f).colors() if not present >> c & 1]
+    if absent:
+        f = subst(f, dict.fromkeys(absent, True), dict.fromkeys(absent, False))
+    tops = f.children if isinstance(f, And) and not is_finless(f) else (f,)
+    units = [x.color for x in tops if isinstance(x, Fin)]
+    if units:
+        f = subst(f, dict.fromkeys(units, True), {})
+    return f, sum(1 << c for c in units)
+
 
 def _edge_table(aut, ids):
     """The plain form the emptiness search reads edges in: edge id ->
@@ -332,19 +346,18 @@ def _search_scc(table, internal, present, formula):
     todo = [(internal, present, formula)]
     while todo:
         internal, present, formula = todo.pop()
-        absent = [c for c in used_colors(formula).colors()
-                  if not present >> c & 1]
-        g = subst(formula, dict.fromkeys(absent, True),
-                  dict.fromkeys(absent, False))
+        g, cut = _restrict(formula, present)
         if isinstance(g, AccFalse):
             continue
-        if is_finless(g):
-            # a walk over all internal edges sees every present color
-            return internal
-        c = _first_fin(g)
-        sub = [i for i in internal if not table[i][2] >> c & 1]
-        # each part without c first, in order, then giving up on Fin(c)
-        todo.append((internal, present, subst(g, {c: False}, {})))
+        if not cut:
+            if is_finless(g):
+                # a walk over all internal edges sees every present color
+                return internal
+            # each part without c first, in order, then giving up on Fin(c)
+            c = _first_fin(g)
+            cut = 1 << c
+            todo.append((internal, present, subst(g, {c: False}, {})))
+        sub = [i for i in internal if not table[i][2] & cut]
         todo += reversed([(part, colors, g)
                           for part, colors in _subgraph_sccs(table, sub)])
     return None
@@ -588,6 +601,10 @@ class _FlatRows(dict):
         self.shift = shift
         self.mask = ((1 << aut.num_sets) - 1) if keep else 0
         self.bits = {}                # guard id in aut -> bits in store
+        bits = 0
+        for acc in aut.edge_acc[1:] if self.mask else ():
+            bits |= acc.bits
+        self.colors = (bits & self.mask) << shift   # union over all rows
 
     def _bits(self, cond):
         g = self.bits[cond] = self.move(self.aut.store.bits_of(cond))
@@ -706,20 +723,23 @@ def product_is_empty(a, b):
 
     Couvreur's SCC-based search (FM 1999) runs depth first over the
     state pairs that product would build, straight from the same
-    flattened operand rows, each built when the search first reaches
-    its state: no product automaton, and no guard is interned.  Each
-    partial SCC on the root stack carries the colors of the edges seen
-    inside it.  A closed walk through all of those edges sees exactly
-    those colors, so the product is nonempty as soon as they satisfy the
-    acceptance, for any Emerson-Lei condition.  When the acceptance has
-    Fin atoms, a closed SCC can still hold an accepting cycle that avoids
-    some colors; the Fin-splitting search of is_empty (_search_scc) then
-    runs on that SCC's internal edges, which are kept only until it
-    closes.
+    flattened operand rows, each built when the search first reaches its
+    state: no product automaton, and no guard is interned.  The
+    acceptance is restricted to the colors the rows carry (_restrict),
+    and an edge of a top-level Fin unit only roots a later DFS tree.
+    Each partial SCC on the root stack carries the colors of the edges
+    seen inside it.  A closed walk through all of those edges sees
+    exactly those colors, so the product is nonempty as soon as they
+    satisfy the acceptance, for any Emerson-Lei condition.  When Fin
+    atoms remain, a closed SCC may hold an accepting cycle avoiding some
+    colors, which _search_scc looks for in its internal edges, kept only
+    until it closes.
     """
     (_, _, num_sets, acceptance,
      succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)
-    if not (a.num_states and b.num_states):
+    acceptance, units = _restrict(acceptance, succ_a.colors | succ_b.colors
+                                  if any(gate_a) and any(gate_b) else 0)
+    if not (a.num_states and b.num_states) or acceptance is FALSE:
         return True
     nwords = words_for(num_sets)
     split = not is_finless(acceptance)
@@ -741,6 +761,9 @@ def product_is_empty(a, b):
         row = [(da * nb + db, (ca | cb) & keep)
                for ga, da, ca in succ_a[s]
                for gb, db, cb in row_b if ga & gb]
+        if units:       # a unit edge only roots a later DFS tree
+            later.extend([k for k, c in row if c & units and k not in order])
+            row = [(k, c) for k, c in row if not c & units]
         v = order[key] = len(rows)
         rows.append(row if split else None)
         work.append((v, iter(row), len(live)))
@@ -749,54 +772,55 @@ def product_is_empty(a, b):
         colors.append(0)
         arcs.append(arc)
 
-    push(a.init * nb + b.init, 0)
-    while work:
-        v, it, base = work[-1]
-        for key, c in it:
-            w = order.get(key)
-            if w is None:
-                push(key, c)
-                break
-            if w < 0:
-                continue
-            # a cycle back to w: merge every partial SCC above w's
-            while roots[-1] > w:
-                roots.pop()
-                c |= colors.pop() | arcs.pop()
-            colors[-1] = c = c | colors[-1]
-            ok = accepts.get(c)
-            if ok is None:
-                ok = accepts[c] = eval_acceptance(acceptance,
-                                                  ColorSet(c, nwords))
-            if ok:
-                return False
-        else:
-            work.pop()
-            if roots[-1] != v:
-                continue
-            # v closes its SCC: the pairs on live from v's on
-            roots.pop()
-            present = colors.pop()
-            arcs.pop()
-            members = live[base:]
-            del live[base:]
-            if split:
-                # its internal edges; without colors, each of its cycles
-                # sees the empty set, which a merge already found rejecting
-                table = []
-                for member in members:
-                    x = order[member]
-                    if present:
-                        for key, c in rows[x]:
-                            w = order[key]
-                            if w >= v:
-                                table.append((x, w, c))
-                    rows[x] = None
-                if present and _search_scc(table, range(len(table)), present,
-                                           acceptance) is not None:
+    later = [a.init * nb + b.init]  # roots of the DFS trees still to run
+    while later:
+        key = later.pop()
+        if key not in order:
+            push(key, 0)
+        while work:
+            v, it, base = work[-1]
+            for key, c in it:
+                w = order.get(key)
+                if w is None:
+                    push(key, c)
+                    break
+                if w < 0:
+                    continue
+                # a cycle back to w: merge every partial SCC above w's
+                while roots[-1] > w:
+                    roots.pop()
+                    c |= colors.pop() | arcs.pop()
+                colors[-1] = c = c | colors[-1]
+                ok = accepts.get(c)
+                if ok is None:
+                    ok = accepts[c] = eval_acceptance(acceptance,
+                                                      ColorSet(c, nwords))
+                if ok:
                     return False
-            for member in members:
-                order[member] = -1
+            else:
+                work.pop()
+                if roots[-1] != v:
+                    continue
+                # v closes its SCC: the pairs on live from v's on
+                roots.pop()
+                present = colors.pop()
+                arcs.pop()
+                members = live[base:]
+                del live[base:]
+                if split:
+                    # its internal edges; without colors, each of its cycles
+                    # sees the empty set, which a merge already found rejecting
+                    xs = [order[member] for member in members]
+                    table = [(x, order[key], c) for x in xs if present
+                             for key, c in rows[x] if order[key] >= v]
+                    for x in xs:
+                        rows[x] = None
+                    if present and _search_scc(
+                            table, range(len(table)), present,
+                            acceptance) is not None:
+                        return False
+                for member in members:
+                    order[member] = -1
     return True
 
 

@@ -17,15 +17,16 @@ import pytest
 
 from elaut import (
     Automaton, ColorSet, Fin, Inf, Lasso, accepting_run, check_run,
-    class_colors, f_and, f_or, generalized_buchi, is_complete, is_empty,
-    is_inherently_weak, is_terminal, is_universal, is_very_weak, is_weak,
+    class_colors, f_and, f_or, generalized_buchi, generalized_co_buchi,
+    is_complete, is_empty, is_inherently_weak, is_terminal, is_universal,
+    is_very_weak, is_weak,
     parse_acceptance, parse_hoa, print_hoa, product, product_is_empty,
     rabin, random_automaton, reachable_states, remove_alternation,
     remove_fin, scc_info, solve_game, streett, used_colors,
 )
 from elaut import algorithms
-from elaut.acceptance import (AccClass, AccTrue, And, Or, change_parity,
-                              parity, recognize)
+from elaut.acceptance import (TRUE, AccClass, AccTrue, And, Or,
+                              change_parity, parity, recognize)
 from oracle_helpers import (
     alt_buchi_word_in, build, empty_by_edge_subsets, product_by_pairs,
     random_alt_buchi, random_parity_game, random_words, up_word_in,
@@ -471,7 +472,9 @@ ACCEPTANCE_KINDS = {
 
 
 def _operand(rng, kind, aps, seed):
-    acc = ACCEPTANCE_KINDS[kind](rng)
+    """A random automaton of 1-7 states whose acceptance is of the named
+    kind, or is `kind` itself when that is a class or formula."""
+    acc = ACCEPTANCE_KINDS[kind](rng) if isinstance(kind, str) else kind
     colors = class_colors(acc) if isinstance(acc, AccClass) \
         else used_colors(acc).max_color() + 1
     return random_automaton(states=rng.randint(1, 7), aps=aps,
@@ -496,9 +499,25 @@ def test_product_is_empty_matches_explicit_product(kind):
     assert 20 <= sum(verdicts) <= 60
 
 
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def test_product_is_empty_splits_closed_sccs(monkeypatch):
     # with Fin atoms, some products are found nonempty only by the Fin
-    # split of a closed SCC
+    # split of a closed SCC.  A top-level Fin unit is cut during the
+    # search and answers most Fin-heavy pairs at a merge, so the splits
+    # are counted over generalized co-Buchi operands, which have none.
     found = []
     real = algorithms._search_scc
 
@@ -509,15 +528,68 @@ def test_product_is_empty_splits_closed_sccs(monkeypatch):
 
     monkeypatch.setattr(algorithms, "_search_scc", spy)
     rng = random.Random(4141)
-    split_only = 0
     for k in range(80):
         a = _operand(rng, "Fin-heavy", ["p0", "p1"], 25000 + k)
         b = _operand(rng, "Fin-heavy", ["p0", "p1"], 26000 + k)
+        assert product_is_empty(a, b) == is_empty(product(a, b))
+    split_only = 0
+    for k in range(80):
+        a = _operand(rng, generalized_co_buchi(rng.randint(2, 3)),
+                     ["p0", "p1"], 27000 + k)
+        b = _operand(rng, generalized_co_buchi(rng.randint(2, 3)),
+                     ["p0", "p1"], 28000 + k)
         del found[:]
         nonempty = not product_is_empty(a, b)
         split_only += nonempty and any(found)
         assert nonempty == (not is_empty(product(a, b)))
     assert split_only >= 5
+
+
+def test_product_is_empty_colorless_buchi_explores_nothing(monkeypatch):
+    # Inf of a color no edge carries is false, and so is the product's
+    # acceptance: "empty" before any operand state is flattened
+    built = _spy(monkeypatch, algorithms._FlatRows, "__missing__")
+    rng = random.Random(4545)
+    kinds = sorted(ACCEPTANCE_KINDS)
+    gated = 0
+    for k in range(40):
+        system = _operand(rng, kinds[k % len(kinds)], ["p0", "p1"],
+                          29000 + k)
+        if k % 4 == 0:
+            system = _weak_by_scc(system, k)
+        prop = random_automaton(states=rng.randint(1, 7), aps=["p1", "p2"],
+                                density=1.0, colors=1, color_density=0.0,
+                                acceptance=AccClass("Buchi"), seed=30000 + k)
+        a, b = (prop, system) if k % 2 else (system, prop)
+        gated += algorithms._weak_product_side(system, prop)
+        assert product_is_empty(a, b)
+        assert not built
+        assert is_empty(product(a, b))
+        del built[:]
+    assert gated == 10
+
+
+def test_product_is_empty_cuts_fin_units(monkeypatch):
+    # co-Buchi and one-pair Rabin have Fin only as top-level units, so
+    # with a Fin-free partner, or one of those two, the cut leaves no Fin
+    # to split on
+    calls = _spy(monkeypatch, algorithms, "_search_scc")
+    rng = random.Random(4646)
+    partners = ["Buchi", "generalized-Buchi", "co-Buchi", rabin(1)]
+    nonempty = 0
+    for k in range(80):
+        a = _operand(rng, [AccClass("co-Buchi"), rabin(1)][k % 2],
+                     ["p0", "p1"], 31000 + k)
+        b = _operand(rng, partners[k // 2 % len(partners)], ["p1", "p2"],
+                     32000 + k)
+        if k % 3 == 0:
+            a, b = b, a
+        empty = product_is_empty(a, b)
+        assert not calls
+        assert empty == is_empty(product(a, b))
+        del calls[:]
+        nonempty += not empty
+    assert 20 <= nonempty <= 70
 
 
 def test_product_is_empty_with_a_weak_operand():
@@ -573,6 +645,76 @@ def test_product_is_empty_answers_the_bench_check_jobs(check_jobs):
             b = parse_hoa(fh.read())
         verdict = "empty" if product_is_empty(a, b) else "nonempty"
         assert verdict == expected[job.id], job.id
+
+
+def test_product_is_empty_splits_no_bench_check_scc(check_jobs, monkeypatch):
+    # every property of the check bench has a top-level Fin unit or no
+    # Fin: its nonempty parity, co-Buchi and Rabin products are found at
+    # a merge, and no closed SCC needs a Fin split
+    calls = _spy(monkeypatch, algorithms, "_search_scc")
+    found = {}
+    for job in check_jobs(1):
+        with open(job.meta["sys"], encoding="utf-8") as fh:
+            a = parse_hoa(fh.read())
+        with open(job.meta["prop"], encoding="utf-8") as fh:
+            b = parse_hoa(fh.read())
+        kind = str(b.acceptance)
+        found[kind] = found.get(kind, 0) + (not product_is_empty(a, b))
+    assert not calls
+    assert found["Fin(0)"] and found["Fin(0)&Inf(1)"] \
+        and found["(Fin(0)|Inf(1))&Fin(2)"]
+
+
+# products of small operands against the brute-force oracle: operand
+# kind -> (rng, seed) -> an automaton of 1-3 states over one AP
+def _small(rng, seed, acc, colors):
+    return random_automaton(states=rng.randint(1, 3), aps=["p0"],
+                            density=0.6, colors=colors, color_density=0.4,
+                            acceptance=acc, seed=seed)
+
+
+def _absent_colors(rng, seed):
+    # edges carry color 0 only; the acceptance names 0-2
+    aut = _small(rng, seed, None, 1)
+    aut.set_acceptance(3, _fin_heavy(3, rng))
+    return aut
+
+
+ORACLE_OPERANDS = {
+    "colorless": lambda rng, seed: _small(rng, seed, TRUE, 0),
+    "colorless Buchi": lambda rng, seed: random_automaton(
+        states=rng.randint(1, 3), aps=["p0"], density=0.6, colors=1,
+        color_density=0.0, acceptance=AccClass("Buchi"), seed=seed),
+    "absent colors": _absent_colors,
+    "Fin units": lambda rng, seed: _small(
+        rng, seed, parse_acceptance("Fin(0)&Fin(1)&Inf(2)"), 3),
+    "co-Buchi": lambda rng, seed: _small(rng, seed, AccClass("co-Buchi"), 1),
+    "Rabin": lambda rng, seed: _small(rng, seed, rabin(1), 2),
+    "parity": lambda rng, seed: _small(
+        rng, seed, parity(rng.choice(["min", "max"]), "odd", 3), 3),
+    "Buchi": lambda rng, seed: _small(rng, seed, AccClass("Buchi"), 1),
+    "weak": lambda rng, seed: _weak_by_scc(
+        _small(rng, seed, AccClass("Buchi"), 1), seed),
+}
+
+
+def test_product_emptiness_matches_edge_subset_enumeration():
+    rng = random.Random(4747)
+    kinds = sorted(ORACLE_OPERANDS)
+    verdicts = []
+    gated = 0
+    for k, (ka, kb) in enumerate(itertools.product(kinds, repeat=2)):
+        for rep in range(2):
+            a = ORACLE_OPERANDS[ka](rng, 33000 + 2 * k + rep)
+            b = ORACLE_OPERANDS[kb](rng, 34000 + 2 * k + rep)
+            empty = empty_by_edge_subsets(product_by_pairs(a, b))
+            assert product_is_empty(a, b) == empty, (ka, kb, rep)
+            assert is_empty(product(a, b)) == empty, (ka, kb, rep)
+            verdicts.append(empty)
+            gated += algorithms._weak_product_side(a, b) \
+                or algorithms._weak_product_side(b, a)
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20
+    assert gated >= 4
 
 
 # -------------------------------------------------- alternation removal

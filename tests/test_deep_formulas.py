@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from elaut import algorithms
 from elaut.acceptance import (FALSE, TRUE, And, ColorSet, Fin, Inf, Or,
                               acc_name, change_parity, dnf_disjuncts, dual,
                               eval_acceptance, f_and, f_or, is_finless,
@@ -126,6 +127,29 @@ def test_1024_color_parity_pipeline():
     text = print_hoa(out)
     assert print_hoa(parse_hoa(text)) == text
     assert parity_of(recognize(out.acceptance))[:2] == ("min", "even")
+
+
+def test_1024_fin_units_cut_at_once(monkeypatch):
+    # one state, loop i colored i, under Fin(0)&...&Fin(1023): every Fin
+    # is a unit of the conjunction, so one cut removes all the loops
+    # where one split per Fin would rebuild the SCCs 1,024 times
+    n = 1024
+    aut = Automaton(aps=["a"], nwords=32)
+    aut.new_states(1)
+    aut.set_init(0)
+    aut.new_edges([(0, 0, 1, 1 << i) for i in range(n)])
+    aut.set_acceptance(n, f_and([Fin(c) for c in range(n)]))
+    calls = []
+    real = algorithms._subgraph_sccs
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algorithms, "_subgraph_sccs", spy)
+    assert is_empty(aut)
+    assert accepting_run(aut) is None
+    assert len(calls) <= 2
 
 
 def test_zielonka_on_1024_nested_attractors():
