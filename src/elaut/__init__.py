@@ -25,9 +25,9 @@ from .hoa import HoaParseError, parse_hoa, parse_hoa_stream, print_dot, \
 from .algorithms import (Lasso, SccInfo, accepting_run, check_run,
                          get_or_compute_flag, is_complete, is_empty, is_inherently_weak,
                          is_terminal, is_universal, is_very_weak, is_weak,
-                         product, product_is_empty, random_automaton,
-                         reachable_states, remove_alternation, remove_fin,
-                         scc_info)
+                         product, product_accepting_run, product_is_empty,
+                         random_automaton, reachable_states,
+                         remove_alternation, remove_fin, scc_info)
 from .synthesis import (MealyMachine, Solution, automaton_to_mealy,
                         colorize_parity, make_game, mealy_to_aiger,
                         mealy_to_automaton, print_aiger, simulate_aig,
@@ -52,7 +52,8 @@ __all__ = [
     "make_game", "mealy_to_aiger", "mealy_to_automaton", "parity",
     "parity_of", "parity_readings", "parse_acceptance", "parse_hoa",
     "parse_hoa_stream", "print_acceptance", "print_aiger", "print_dot",
-    "print_hoa", "product", "product_is_empty", "rabin", "random_automaton",
+    "print_hoa", "product", "product_accepting_run", "product_is_empty",
+    "rabin", "random_automaton",
     "reachable_states", "recognize", "remove_alternation", "remove_fin",
     "scc_info", "shift_colors", "simulate_aig", "simulate_mealy", "solve_game",
     "solve_parity_max_odd", "solve_safety", "state_players", "stats",

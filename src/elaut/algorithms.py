@@ -7,8 +7,10 @@ member as a successor; algorithms that need a plain (nonalternating)
 transition structure say so and reject inputs with universal branching.
 The model-checking path (product, is_empty, accepting_run) reads each
 edge table once into flat per-state lists of ints and works on those.
-product_is_empty decides the emptiness of a product on the fly, from
-the same lists, without building it.
+product_is_empty and product_accepting_run answer for a product on the
+fly, from the same lists, without building it: one Couvreur search
+finds an accepting strongly connected edge set, and a run's lasso is an
+automaton of just its states, numbered in the order it visits them.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import length_hint
 
-from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, And,
-                         ColorSet, Fin, Inf, _first_fin, dnf_disjuncts, dual,
+from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, ColorSet,
+                         Fin, Inf, _first_fin, dnf_disjuncts, dual,
                          eval_acceptance, f_and, f_or, is_finless,
                          make_class, recognize, shift_colors, subst,
-                         used_colors, words_for)
+                         words_for)
 from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
 from .guards import FALSE_GUARD, TRUE_GUARD, GuardStore
 
@@ -291,17 +294,44 @@ def is_terminal(aut):
 # tried: delete the c-colored edges, or give up on it (Fin(c) := false,
 # sound because the formula is monotone in its atoms).
 
+def _bit_list(bits):
+    return [c for c in range(bits.bit_length()) if bits >> c & 1]
+
+
 def _restrict(f, present):
     """(g, units): f with the atoms of colors absent from the int `present`
-    made constant, then its top-level Fin units made true, and their bits."""
-    absent = [c for c in used_colors(f).colors() if not present >> c & 1]
+    made constant, then its top-level Fin units made true, and their bits.
+    g is f itself when neither changes anything."""
+    absent = fins = 0
+    for x in f.code:
+        if not x & 2:                   # an atom
+            bit = 1 << (x >> 2)
+            if not present & bit:
+                absent |= bit
+            elif not x & 1:
+                fins |= bit
     if absent:
-        f = subst(f, dict.fromkeys(absent, True), dict.fromkeys(absent, False))
-    tops = f.children if isinstance(f, And) and not is_finless(f) else (f,)
-    units = [x.color for x in tops if isinstance(x, Fin)]
+        gone = _bit_list(absent)
+        f = subst(f, dict.fromkeys(gone, True), dict.fromkeys(gone, False))
+    if not fins:
+        return f, 0
+    code = f.code
+    if code[-1] > 3 and code[-1] & 3 == 2:
+        # the top And's operands: what stays on a stack of operand tops
+        tops = []
+        for x in code[:-1]:
+            if x > 3 and x & 2:         # an operator takes x >> 2 operands
+                del tops[len(tops) - (x >> 2):]
+            tops.append(x)
+    else:
+        tops = code[-1:]
+    units = 0
+    for x in tops:
+        if not x & 3:                   # a Fin atom
+            units |= 1 << (x >> 2)
     if units:
-        f = subst(f, dict.fromkeys(units, True), {})
-    return f, sum(1 << c for c in units)
+        f = subst(f, dict.fromkeys(_bit_list(units), True), {})
+    return f, units
 
 
 def _edge_table(aut, ids):
@@ -421,19 +451,18 @@ def check_run(aut, run):
     return eval_acceptance(aut.acceptance, ColorSet(seen, aut.nwords))
 
 
-def _bfs_path(dsts, idxs, sources, goal):
+def _bfs_path(succ, sources, goal):
     """Shortest edge path from a source state whose last edge is the
     first one for which goal(edge, dst) holds, or None.
 
-    dsts[v] and idxs[v] are the parallel destination and edge lists of
-    state v, as _successors gives them; they need an entry for every
-    state the search reaches.
+    succ(v) gives the (destination, edge) pairs of state v; it must
+    answer for every state the search reaches.
     """
     prev = dict.fromkeys(sources)     # state -> (edge, state) entering it
     queue = deque(prev)
     while queue:
         v = queue.popleft()
-        for d, i in zip(dsts[v], idxs[v]):
+        for d, i in succ(v):
             if goal(i, d):
                 path = [i]
                 while prev[v] is not None:
@@ -447,56 +476,65 @@ def _bfs_path(dsts, idxs, sources, goal):
     return None
 
 
-def accepting_run(aut):
-    """An accepting Lasso, or None when the language is empty.
+def _lasso_cycle(table, witness, first):
+    """A closed walk that starts with the edge `first` of the strongly
+    connected edge set `witness`, stays inside it and sees each of its k
+    colors.  table maps an edge to its (src, dst, color bits).
 
-    The cycle stays inside the witness edge set W found by the emptiness
-    search and sees each of W's k colors: it takes one W edge, then
-    repeatedly a shortest path through W to the nearest edge bearing a
-    color not seen yet, then a shortest path back to its start.  So the
-    prefix is shorter than the number of states and the cycle has at
-    most (k + 1) * |states of W| edges.
+    After `first`, the walk repeatedly takes a shortest path through the
+    witness to the nearest edge bearing a color not seen yet, then a
+    shortest path back to its start, so it has at most (k + 1) *
+    |states of the witness| edges.  It sees exactly the colors of a walk
+    covering the witness, so it is accepting when the witness is.
     """
-    succ = _successors(aut)
-    witness = _witness(aut, succ)
-    if witness is None:
-        return None
-    # a closed walk through the witness that sees all of its colors
-    # sees exactly the colors of a walk covering it, which satisfy the
-    # acceptance
-    src, dst, acc = aut.edge_src, aut.edge_dst, aut.edge_acc
-    w_dsts, w_idxs = {}, {}
+    out = {}
     missing = 0
     for i in witness:
-        w_dsts.setdefault(src[i], []).append(dst[i])
-        w_idxs.setdefault(src[i], []).append(i)
-        missing |= acc[i].bits
-    start = src[witness[0]]
+        src, dst, bits = table[i]
+        out.setdefault(src, []).append((dst, i))
+        missing |= bits
+    start = table[first][0]
 
     def new_color(i, d):
-        return acc[i].bits & missing
+        return table[i][2] & missing
 
     def home(i, d):
         return d == start
 
-    prefix = [] if start == aut.init else _bfs_path(*succ, [aut.init], home)
-    if prefix is None:
-        raise RuntimeError("accepting_run: witness not reachable")
     cycle = []
-    path = [witness[0]]
+    path = [first]
     while True:
         cycle.extend(path)
         for i in path:
-            missing &= ~acc[i].bits
-        at = dst[path[-1]]
+            missing &= ~table[i][2]
+        at = table[path[-1]][1]
         if not missing and at == start:
-            break
-        path = _bfs_path(w_dsts, w_idxs, [at],
+            return cycle
+        path = _bfs_path(out.__getitem__, [at],
                          new_color if missing else home)
         if path is None:
             raise RuntimeError("accepting_run: witness not strongly "
                                "connected")
-    run = Lasso(prefix, cycle)
+
+
+def accepting_run(aut):
+    """An accepting Lasso, or None when the language is empty.
+
+    The prefix is a shortest path to the source of the first edge of the
+    witness edge set found by the emptiness search, so it is shorter than
+    the number of states; the cycle is _lasso_cycle from that edge.
+    """
+    dsts, idxs = succ = _successors(aut)
+    witness = _witness(aut, succ)
+    if witness is None:
+        return None
+    start = aut.edge_src[witness[0]]
+    prefix = [] if start == aut.init else _bfs_path(
+        lambda v: zip(dsts[v], idxs[v]), [aut.init], lambda i, d: d == start)
+    if prefix is None:
+        raise RuntimeError("accepting_run: witness not reachable")
+    run = Lasso(prefix, _lasso_cycle(_edge_table(aut, witness), witness,
+                                     witness[0]))
     if not check_run(aut, run):
         raise RuntimeError("accepting_run: the lasso is not accepting")
     return run
@@ -719,30 +757,95 @@ def product(a, b):
 
 
 def product_is_empty(a, b):
-    """is_empty(product(a, b)), decided on the fly.
+    """is_empty(product(a, b)), decided on the fly (_product_search)."""
+    return _product_search(a, b, _product_operands(a, b), False) is None
 
-    Couvreur's SCC-based search (FM 1999) runs depth first over the
-    state pairs that product would build, straight from the same
-    flattened operand rows, each built when the search first reaches its
-    state: no product automaton, and no guard is interned.  The
-    acceptance is restricted to the colors the rows carry (_restrict),
-    and an edge of a top-level Fin unit only roots a later DFS tree.
-    Each partial SCC on the root stack carries the colors of the edges
-    seen inside it.  A closed walk through all of those edges sees
-    exactly those colors, so the product is nonempty as soon as they
-    satisfy the acceptance, for any Emerson-Lei condition.  When Fin
-    atoms remain, a closed SCC may hold an accepting cycle avoiding some
-    colors, which _search_scc looks for in its internal edges, kept only
-    until it closes.
+
+def product_accepting_run(a, b):
+    """accepting_run(product(a, b)), found on the fly: None when the
+    product is empty, else (lasso, run).
+
+    The lasso is an automaton of just the run's states, numbered in the
+    order the run first visits them from the initial pair, 0; its
+    "product-states" property maps each number to its pair, as product's
+    does.  run is a Lasso over the lasso's edges: a shortest path in the
+    product from the initial pair to a state of the witness edge set
+    _product_search finds, then _lasso_cycle through the witness.
+    """
+    ops = _product_operands(a, b)
+    witness = _product_search(a, b, ops, True)
+    if witness is None:
+        return None
+    table, ids = witness
+    aps, store, num_sets, acceptance, succ_a, gate_a, succ_b, gate_b = ops
+    nb = b.num_states
+
+    def edges(key):
+        # product's edges out of the pair key: (guard bits, dst, colors)
+        s, t = divmod(key, nb)
+        keep = gate_a[s] & gate_b[t]
+        return [(ga & gb, da * nb + db, (ca | cb) & keep)
+                for ga, da, ca in succ_a[s]
+                for gb, db, cb in succ_b[t] if ga & gb]
+
+    init = a.init * nb + b.init
+    starts = {table[i][0] for i in ids}
+    prefix = [] if init in starts else _bfs_path(
+        lambda key: [(d, (key, d, c)) for _, d, c in edges(key)], [init],
+        lambda edge, d: d in starts)
+    at = prefix[-1][1] if prefix else init
+    first = next(i for i in ids if table[i][0] == at)
+    steps = prefix + [table[i] for i in _lasso_cycle(table, ids, first)]
+    number = {init: 0}
+    rows = []
+    for src, dst, c in steps:
+        number.setdefault(dst, len(number))
+        g = next(g for g, d, x in edges(src) if d == dst and x == c)
+        rows.append((number[src], number[dst], store.intern(g), c))
+    lasso = Automaton(aps, words_for(num_sets), store)
+    lasso.new_states(len(number))
+    lasso.new_edges(rows)
+    lasso.set_acceptance(num_sets, acceptance)
+    lasso.set_init(0)
+    lasso.set_named_prop("product-states", [divmod(key, nb) for key in number])
+    run = Lasso(list(range(1, len(prefix) + 1)),
+                list(range(len(prefix) + 1, len(steps) + 1)))
+    if not check_run(lasso, run):
+        raise RuntimeError("accepting_run: the lasso is not accepting")
+    return lasso, run
+
+
+def _product_search(a, b, ops, run):
+    """Couvreur's SCC-based search (FM 1999) for an accepting cycle of
+    product(a, b), whose _product_operands are ops.  None when there is
+    none.  Otherwise, when `run` is set, an accepting strongly connected
+    edge set as (table, ids): table[i] is an edge (src, dst, colors)
+    between pairs s * |b| + t, and ids lists the set's edges in table;
+    True when `run` is not set.
+
+    The search runs depth first over the state pairs that product would
+    build, straight from the flattened operand rows, each built when the
+    search first reaches its state: no product automaton, and no guard is
+    interned.  The acceptance is restricted to the colors the rows carry
+    (_restrict), and an edge of a top-level Fin unit only roots a later
+    DFS tree.  Each partial SCC on the root stack carries the colors of
+    the edges seen inside it.  Those edges are strongly connected, and a
+    closed walk through all of them sees exactly those colors, so the
+    product is nonempty as soon as they satisfy the acceptance, for any
+    Emerson-Lei condition; they are then the witness.  When Fin atoms
+    remain, a closed SCC may hold an accepting cycle avoiding some
+    colors, which _search_scc looks for in its internal edges.  A pair's
+    row of edges is kept only while a split or a witness may need it.
     """
     (_, _, num_sets, acceptance,
-     succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)
+     succ_a, gate_a, succ_b, gate_b) = ops
     acceptance, units = _restrict(acceptance, succ_a.colors | succ_b.colors
                                   if any(gate_a) and any(gate_b) else 0)
     if not (a.num_states and b.num_states) or acceptance is FALSE:
-        return True
+        return None
     nwords = words_for(num_sets)
     split = not is_finless(acceptance)
+    keep_rows = split or run
     accepts = {}                # color bits -> eval_acceptance on them
     nb = b.num_states
 
@@ -765,7 +868,7 @@ def product_is_empty(a, b):
             later.extend([k for k, c in row if c & units and k not in order])
             row = [(k, c) for k, c in row if not c & units]
         v = order[key] = len(rows)
-        rows.append(row if split else None)
+        rows.append(row if keep_rows else None)
         work.append((v, iter(row), len(live)))
         live.append(key)
         roots.append(v)
@@ -795,8 +898,23 @@ def product_is_empty(a, b):
                 if ok is None:
                     ok = accepts[c] = eval_acceptance(acceptance,
                                                       ColorSet(c, nwords))
-                if ok:
-                    return False
+                if not ok:
+                    continue
+                if not run:
+                    return True
+                # the witness: the edges read so far inside the partial
+                # SCC, whose root is on the DFS stack and whose states
+                # are the live ones from the root's on
+                root = roots[-1]
+                k = len(work) - 1
+                while work[k][0] > root:
+                    k -= 1
+                read = {x: len(rows[x]) - length_hint(it)
+                        for x, it, _ in work[k:]}
+                table = [(m, key, c) for m in live[work[k][2]:]
+                         for key, c in rows[order[m]][:read.get(order[m])]
+                         if order[key] >= root]
+                return table, range(len(table))
             else:
                 work.pop()
                 if roots[-1] != v:
@@ -807,21 +925,22 @@ def product_is_empty(a, b):
                 arcs.pop()
                 members = live[base:]
                 del live[base:]
-                if split:
+                if keep_rows:
+                    xs = [order[m] for m in members]
                     # its internal edges; without colors, each of its cycles
                     # sees the empty set, which a merge already found rejecting
-                    xs = [order[member] for member in members]
-                    table = [(x, order[key], c) for x in xs if present
-                             for key, c in rows[x] if order[key] >= v]
+                    if split and present:
+                        table = [(m, key, c) for m, x in zip(members, xs)
+                                 for key, c in rows[x] if order[key] >= v]
+                        got = _search_scc(table, range(len(table)), present,
+                                          acceptance)
+                        if got is not None:
+                            return (table, got) if run else True
                     for x in xs:
                         rows[x] = None
-                    if present and _search_scc(
-                            table, range(len(table)), present,
-                            acceptance) is not None:
-                        return False
                 for member in members:
                     order[member] = -1
-    return True
+    return None
 
 
 # ---------------------------------------------------------------------------

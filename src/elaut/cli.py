@@ -6,11 +6,12 @@ generates random ones, `game` solves ownership-annotated automata, and
 read as HOA from file arguments or stdin ("-" also means stdin) and
 written as HOA to stdout.
 
-`aut --product FILE --is-empty` with no transformation flag
-(--remove-alternation, --remove-fin, --change-parity, --trim) decides
-the emptiness of each product on the fly, without building it.  Any
-other pipeline with --product, including --accepting-run, builds each
-product explicitly first.
+`aut --product FILE` with --is-empty or --accepting-run and no
+transformation flag (--remove-alternation, --remove-fin, --change-parity,
+--trim) answers for each product on the fly, without building it.  Such
+a lasso numbers its states in the order it first visits them, from 0 for
+the initial pair.  Any other pipeline with --product builds each product
+explicitly first.
 
 Exit status: 0 on success (and on all-yes answers for the query modes),
 1 when a query answers no (a non-empty automaton under --is-empty, a
@@ -99,6 +100,19 @@ def _print_run(aut, run):
     return "\n".join(lines)
 
 
+def _report_runs(runs):
+    """Print each (automaton, run or None) as it comes; return 1 if any
+    automaton has no accepting run."""
+    status = 0
+    for aut, run in runs:
+        if run is None:
+            print("no accepting run")
+            status = 1
+        else:
+            print(_print_run(aut, run))
+    return status
+
+
 def _report_emptiness(verdicts):
     """Print each verdict as it comes; return 1 if any is nonempty."""
     status = 0
@@ -118,12 +132,17 @@ def cmd_aut(args):
             raise ValueError("--product wants exactly one automaton")
         other = others[0]
 
-    if other is not None and args.is_empty and not (
+    if other is not None and not (
             args.remove_alternation or args.remove_fin or args.change_parity
             or args.trim):
-        # only the products' emptiness is asked for: decide it on the fly
-        return _report_emptiness(
-            [algorithms.product_is_empty(aut, other) for aut in auts])
+        # a query on the products alone: answer it on the fly
+        if args.is_empty:
+            return _report_emptiness(
+                [algorithms.product_is_empty(aut, other) for aut in auts])
+        if args.accepting_run:
+            return _report_runs(
+                algorithms.product_accepting_run(aut, other) or (None, None)
+                for aut in auts)
 
     processed = []
     for aut in auts:
@@ -142,15 +161,8 @@ def cmd_aut(args):
     if args.is_empty:
         return _report_emptiness(algorithms.is_empty(aut) for aut in processed)
     if args.accepting_run:
-        status = 0
-        for aut in processed:
-            run = algorithms.accepting_run(aut)
-            if run is None:
-                print("no accepting run")
-                status = 1
-            else:
-                print(_print_run(aut, run))
-        return status
+        return _report_runs((aut, algorithms.accepting_run(aut))
+                            for aut in processed)
     if args.check:
         name = args.check.replace("-", "_")
         if name not in FLAG_NAMES:

@@ -20,6 +20,7 @@ are memoized in dicts on the store, and freed with it.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -57,6 +58,13 @@ class GuardStore:
         self._cubes = {}          # id -> tuple of cubes (to_cubes)
         self._texts = {}          # id -> label text (print_label)
         self._parsed = {}         # label text -> id (parse_label)
+
+    @functools.cached_property
+    def _atoms(self):
+        """Label token -> its minterms, for t, f and AP indices in plain
+        form (no leading zero), built when the store first parses."""
+        return dict(zip(map(str, range(self.ap_count)), self._pos),
+                    t=self.full, f=0)
 
     def __len__(self):
         return len(self._table)
@@ -251,8 +259,8 @@ class LabelParseError(ValueError):
         self.pos = pos
 
 
-# one label token after optional blanks: an AP index or any other character
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\S))")
+# one label token: an AP index or any other nonblank character
+_TOKEN = re.compile(r"[0-9]+|\S")
 
 
 def _parse_label(store, text):
@@ -265,59 +273,58 @@ def _parse_label(store, text):
     built (`conj`) and whether a `!` waits for the next operand; only the
     guard of the whole label is interned.
     """
-    tokens = _TOKEN.findall(text)     # (digits, "") or ("", character)
-    tokens.append(("", ""))           # the end
+    tokens = _TOKEN.findall(text)
+    tokens.append("")                 # the end
+    atoms = store._atoms
     full = store.full
     saved = []                        # the levels outside each open "("
     disj, conj, negate = 0, full, False
     i = 0
     while True:
         # an operand: prefix "!" and "(", then an atom
-        num, ch = tokens[i]
+        tok = tokens[i]
         i += 1
-        if num:
+        value = atoms.get(tok)
+        if value is None:
+            if tok == "!":
+                negate = not negate
+                continue
+            if tok == "(":
+                saved.append((disj, conj, negate))
+                disj, conj, negate = 0, full, False
+                continue
+            if not "0" <= tok[:1] <= "9":
+                raise _label_error(text, i - 1, "unexpected %r in label"
+                                   % (tok or "end"))
+            # an AP index not in plain form: leading zeros or out of range
             try:
-                ap = int(num)
+                ap = int(tok)
             except ValueError:        # more digits than int() converts
                 raise _label_error(text, i - 1, "AP index of %d digits out "
-                                   "of range" % len(num)) from None
+                                   "of range" % len(tok)) from None
             if ap >= store.ap_count:
                 raise _label_error(text, i - 1,
                                    "AP index %d out of range" % ap)
             value = store._pos[ap]
-        elif ch == "!":
-            negate = not negate
-            continue
-        elif ch == "(":
-            saved.append((disj, conj, negate))
-            disj, conj, negate = 0, full, False
-            continue
-        elif ch == "t":
-            value = full
-        elif ch == "f":
-            value = 0
-        else:
-            raise _label_error(text, i - 1,
-                               "unexpected %r in label" % (ch or "end"))
         # then closing parentheses, each ending a level whose value is the
         # next operand one level out, and a binary operator or the end
         while True:
             conj &= value ^ full if negate else value
-            num, ch = tokens[i]
+            tok = tokens[i]
             i += 1
-            if ch != ")" or not saved:
+            if tok != ")" or not saved:
                 break
             value = disj | conj
             disj, conj, negate = saved.pop()
         negate = False
-        if ch == "|":
+        if tok == "|":
             disj |= conj
             conj = full
-        elif ch == "&":
+        elif tok == "&":
             pass
         elif saved:
             raise _label_error(text, i - 1, "expected ')'")
-        elif num or ch:
+        elif tok:
             raise _label_error(text, i - 1, "trailing input in label")
         else:
             return store.intern(disj | conj)
@@ -325,6 +332,6 @@ def _parse_label(store, text):
 
 def _label_error(text, k, message):
     """The error for token k, positioned at its first character."""
-    starts = [m.start(m.lastindex) for m in _TOKEN.finditer(text)]
+    starts = [m.start() for m in _TOKEN.finditer(text)]
     return LabelParseError(message, starts[k] if k < len(starts)
                            else len(text))

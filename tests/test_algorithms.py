@@ -17,10 +17,11 @@ import pytest
 
 from elaut import (
     Automaton, ColorSet, Fin, Inf, Lasso, accepting_run, check_run,
-    class_colors, f_and, f_or, generalized_buchi, generalized_co_buchi,
-    is_complete, is_empty, is_inherently_weak, is_terminal, is_universal,
-    is_very_weak, is_weak,
-    parse_acceptance, parse_hoa, print_hoa, product, product_is_empty,
+    class_colors, eval_acceptance, f_and, f_or, generalized_buchi,
+    generalized_co_buchi, is_complete, is_empty, is_inherently_weak,
+    is_terminal, is_universal, is_very_weak, is_weak,
+    parse_acceptance, parse_hoa, print_hoa, product,
+    product_accepting_run, product_is_empty,
     rabin, random_automaton, reachable_states, remove_alternation,
     remove_fin, scc_info, solve_game, streett, used_colors,
 )
@@ -717,6 +718,154 @@ def test_product_emptiness_matches_edge_subset_enumeration():
     assert gated >= 4
 
 
+# ---------------------------------------------- on-the-fly product runs
+
+# operand kind -> (rng, seed) -> an automaton of 1-5 states over one or
+# two APs
+RUN_OPERANDS = {
+    "Rabin": lambda rng: rabin(rng.randint(1, 2)),
+    "Streett": lambda rng: streett(rng.randint(1, 2)),
+    "parity": lambda rng: parity(rng.choice(["min", "max"]),
+                                 rng.choice(["even", "odd"]),
+                                 rng.randint(2, 4)),
+    "co-Buchi": lambda rng: AccClass("co-Buchi"),
+    "colorless": lambda rng: TRUE,
+    "weak": lambda rng: AccClass("Buchi"),
+    "Buchi": lambda rng: AccClass("Buchi"),
+}
+
+
+def _run_operand(rng, kind, seed):
+    acc = RUN_OPERANDS[kind](rng)
+    aut = random_automaton(
+        states=rng.randint(1, 5), aps=rng.choice([["p0"], ["p0", "p1"],
+                                                   ["p1"]]),
+        density=rng.uniform(0.3, 0.7),
+        colors=class_colors(acc) if isinstance(acc, AccClass) else 0,
+        color_density=rng.uniform(0.2, 0.5), acceptance=acc, seed=seed)
+    return _weak_by_scc(aut, seed) if kind == "weak" else aut
+
+
+def _check_product_lasso(a, b, lasso, run):
+    """Judge a lasso of product(a, b) against product_by_pairs alone:
+    each step is an edge of the oracle product between the same pairs,
+    with the same guard and colors, from the initial pair; the chain
+    closes; the cycle's colors satisfy the product's acceptance."""
+    oracle = product_by_pairs(a, b)
+    assert lasso.aps == oracle.aps
+    pairs = lasso.get_named_prop("product-states", list)
+    index = {pair: k for k, pair in enumerate(
+        oracle.get_named_prop("product-states", list))}
+    steps = set()
+    for e in oracle.edge_records():
+        steps.add((e.src, e.dst, oracle.store.bits_of(e.cond), e.acc.bits))
+    at = 0
+    assert pairs[0] == (a.init, b.init)
+    for i in run.prefix + run.cycle:
+        e = lasso.edges[i]
+        assert e.src == at
+        assert (index[pairs[e.src]], index[pairs[e.dst]],
+                lasso.store.bits_of(e.cond), e.acc.bits) in steps
+        at = e.dst
+    assert at == lasso.edges[run.cycle[0]].src
+    seen = 0
+    for i in run.cycle:
+        seen |= lasso.edges[i].acc.bits
+    assert eval_acceptance(oracle.acceptance, ColorSet(seen, 4))
+    # the lasso numbers its states in the order it first visits them
+    order = [0] + [lasso.edges[i].dst for i in run.prefix + run.cycle]
+    assert list(dict.fromkeys(order)) == list(range(lasso.num_states))
+    assert len(pairs) == lasso.num_states
+
+
+def test_product_accepting_run_matches_explicit_product():
+    rng = random.Random(4848)
+    kinds = sorted(RUN_OPERANDS)
+    runs = gated = 0
+    for k, (ka, kb) in enumerate(itertools.product(kinds, repeat=2)):
+        for rep in range(4):
+            a = _run_operand(rng, ka, 35000 + 4 * k + rep)
+            b = _run_operand(rng, kb, 36000 + 4 * k + rep)
+            got = product_accepting_run(a, b)
+            assert (got is None) == is_empty(product(a, b)), (ka, kb, rep)
+            if got is not None:
+                _check_product_lasso(a, b, *got)
+                runs += 1
+            gated += algorithms._weak_product_side(a, b) \
+                or algorithms._weak_product_side(b, a)
+    assert len(kinds) ** 2 * 4 >= 150
+    assert 40 <= runs <= len(kinds) ** 2 * 4 - 40
+    assert gated >= 8
+
+
+def test_product_accepting_run_on_a_fin_split(monkeypatch):
+    # generalized co-Buchi products have no Fin unit: some witnesses
+    # come from the Fin split of a closed SCC
+    calls = []
+    real = algorithms._search_scc
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(algorithms, "_search_scc", spy)
+    rng = random.Random(4949)
+    split = 0
+    for k in range(60):
+        a = _operand(rng, generalized_co_buchi(rng.randint(2, 3)),
+                     ["p0", "p1"], 37000 + k)
+        b = _operand(rng, generalized_co_buchi(rng.randint(2, 3)),
+                     ["p0", "p1"], 38000 + k)
+        del calls[:]
+        got = product_accepting_run(a, b)
+        assert (got is None) == is_empty(product(a, b))
+        if got is not None:
+            _check_product_lasso(a, b, *got)
+            split += any(c is not None for c in calls)
+    assert split >= 5
+
+
+def test_product_accepting_run_flattens_few_system_states(monkeypatch):
+    system = random_automaton(2000, ["a", "b"], density=0.3, seed=3)
+    prop = random_automaton(4, ["b", "c"], density=1.0, colors=1,
+                            color_density=0.3, acceptance=AccClass("Buchi"),
+                            seed=4)
+    size = product(system, prop).num_states
+    built = _spy(monkeypatch, algorithms._FlatRows, "__missing__")
+    lasso, run = product_accepting_run(system, prop)
+    assert check_run(lasso, run)
+    flattened = sum(rows.aut is system for rows, _ in built)
+    assert 0 < flattened < system.num_states < size
+
+
+def test_product_accepting_run_edge_cases(monkeypatch):
+    none = Automaton(["p0"])
+    loop = build(["a"], 0, parse_acceptance("t"), [(0, "0", 0, [])])
+    assert product_accepting_run(loop, none) is None
+    assert product_accepting_run(none, loop) is None
+    lasso, run = product_accepting_run(loop, loop)
+    assert (run.prefix, run.cycle) == ([], [1])
+    assert lasso.get_named_prop("product-states", list) == [(0, 0)]
+    assert lasso.store.bits_of(lasso.edges[1].cond) == 0b10
+    alt = build(["a"], 1, INF0, [(0, "t", (0, 1), [0]), (1, "t", 1, [0])])
+    with pytest.raises(ValueError):
+        product_accepting_run(loop, alt)
+    # the lasso is checked before it is returned
+    monkeypatch.setattr(algorithms, "check_run", lambda aut, run: False)
+    with pytest.raises(RuntimeError):
+        product_accepting_run(loop, loop)
+
+
+def test_repeated_fin_units_are_cut_once():
+    # Fin(0) twice in the top conjunction is one unit: the accepting
+    # loop avoids color 0 and sees color 1
+    aut = build([], 2, parse_acceptance("Fin(0)&Fin(0)&Inf(1)"),
+                [(0, "t", 0, [1]), (0, "t", 0, [0])])
+    assert not is_empty(aut)
+    assert check_run(aut, accepting_run(aut))
+    assert algorithms._restrict(aut.acceptance, 0b11) == (Inf(1), 0b01)
+
+
 # -------------------------------------------------- alternation removal
 
 def test_dealternation_bound_and_membership():
@@ -1006,6 +1155,7 @@ def test_pipelines_leave_no_cyclic_garbage():
     pipelines = [
         lambda: solve_game(game),
         lambda: (is_empty(product(a, b)), accepting_run(product(a, b))),
+        lambda: (product_is_empty(a, b), product_accepting_run(a, b)),
         lambda: change_parity(remove_fin(c), "max odd"),
     ]
     gc.collect()

@@ -356,10 +356,34 @@ def test_product_with_transformations_is_explicit(tmp_path, capsys,
                      "--is-empty"] + flags) == 1
         assert capsys.readouterr() == ("nonempty\nnonempty\n", "")
         assert product_calls[0] == calls + (2 if flags else 0)
-    calls = product_calls[0]
+
+
+def test_product_accepting_run_builds_no_product(tmp_path, capsys,
+                                                 product_calls):
+    sys_path = write(tmp_path, "sys.hoa", print_hoa(random_automaton(
+        6, ["a"], density=0.6, seed=1)))
+    prop = write(tmp_path, "parity.hoa", print_hoa(random_automaton(
+        3, ["a"], density=1.0, colors=3, color_density=0.5,
+        acceptance=parity("max", "odd", 3), seed=2)))
+    empty = write(tmp_path, "empty.hoa", EMPTY_LANG)
+    assert main(["aut", sys_path, empty, sys_path, "--product", prop,
+                 "--accepting-run"]) == 1
+    out, err = capsys.readouterr()
+    assert product_calls == [0] and err == ""
+    runs = out.split("no accepting run\n")
+    assert len(runs) == 2 and runs[0] == runs[1]
+    # the lasso's states are numbered in visit order from 0
+    steps = [line.split() for line in runs[0].splitlines()
+             if line.startswith("  ")]
+    visited = [int(steps[0][0])] + [int(step[-1]) for step in steps]
+    assert list(dict.fromkeys(visited)) == list(range(max(visited) + 1))
     assert main(["aut", sys_path, "--product", prop, "--accepting-run"]) == 0
+    assert capsys.readouterr() == (runs[0], "")
+    # a transformation flag builds the product, whose states it names
+    assert main(["aut", sys_path, "--product", prop, "--accepting-run",
+                 "--trim"]) == 0
     assert "cycle:" in capsys.readouterr().out
-    assert product_calls[0] == calls + 1
+    assert product_calls == [1]
 
 
 def test_product_is_empty_errors(tmp_path, capsys):
