@@ -577,16 +577,17 @@ State: 0
 # sha256 prefixes of (job id, exit code, stdout, stderr) over the stages
 # of the bench's jobs, in run order; a stage reads the previous one's
 # stdout and runs only after an exit 0.  The --accepting-run jobs print
-# lassos.  The check digests were recorded before `--product P
-# --is-empty` was decided on the fly, the synth and transform ones before
-# the HOA body was read an item at a time, the transform seeds 11 and 23
-# before Fin removal, trim and dealternation built their edges in bulk,
-# check seed 11, synth seed 13 and transform seed 29 before edges were
-# stored as columns, and check seeds 23 and 29 before the emptiness
-# search dropped absent colors and cut Fin-unit edges.
-CHECK_JOB_DIGESTS = {1: "1ed052a7972bfdea", 7: "ee95b8502c02bf60",
-                     11: "36e22bd03a0a1832", 23: "3cbd796f7477d10d",
-                     29: "3d709ced0a6b6c28"}
+# lassos.  The synth and transform digests were recorded before the HOA
+# body was read an item at a time, the transform seeds 11 and 23 before
+# Fin removal, trim and dealternation built their edges in bulk, and
+# synth seed 13 and transform seed 29 before edges were stored as
+# columns.  The check digests were recorded when `--product P
+# --accepting-run` came to find its lasso on the fly, which numbers the
+# lasso's states in visit order; their --is-empty outputs are unchanged
+# since before `--product P --is-empty` was decided on the fly.
+CHECK_JOB_DIGESTS = {1: "53c7c235e0f6fbc0", 7: "906c13529a2cb2e2",
+                     11: "bb5e7bca4c343b9b", 23: "f703b37e95dcd04a",
+                     29: "ee0e4f5145a86815"}
 JOB_DIGESTS = {
     ("synth", 1): "12358c57803c9b9c", ("synth", 7): "05d2617bafb2dea4",
     ("synth", 13): "48b2b36b094ec971",
