@@ -757,7 +757,10 @@ def product(a, b):
 
 
 def product_is_empty(a, b):
-    """is_empty(product(a, b)), decided on the fly (_product_search)."""
+    """is_empty(product(a, b)), decided on the fly, without building the
+    product, by _product_search: the Couvreur search that also finds the
+    witness from which product_accepting_run builds a lasso, with its
+    states numbered in the order the run visits them."""
     return _product_search(a, b, _product_operands(a, b), False) is None
 
 

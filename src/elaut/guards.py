@@ -20,7 +20,6 @@ are memoized in dicts on the store, and freed with it.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -58,13 +57,7 @@ class GuardStore:
         self._cubes = {}          # id -> tuple of cubes (to_cubes)
         self._texts = {}          # id -> label text (print_label)
         self._parsed = {}         # label text -> id (parse_label)
-
-    @functools.cached_property
-    def _atoms(self):
-        """Label token -> its minterms, for t, f and AP indices in plain
-        form (no leading zero), built when the store first parses."""
-        return dict(zip(map(str, range(self.ap_count)), self._pos),
-                    t=self.full, f=0)
+        self._atoms = None        # label token -> minterms (_parse_label)
 
     def __len__(self):
         return len(self._table)
@@ -276,6 +269,9 @@ def _parse_label(store, text):
     tokens = _TOKEN.findall(text)
     tokens.append("")                 # the end
     atoms = store._atoms
+    if atoms is None:       # t, f and the AP indices without leading zeros
+        atoms = store._atoms = dict(zip(map(str, range(store.ap_count)),
+                                        store._pos), t=store.full, f=0)
     full = store.full
     saved = []                        # the levels outside each open "("
     disj, conj, negate = 0, full, False

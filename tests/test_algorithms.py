@@ -720,8 +720,8 @@ def test_product_emptiness_matches_edge_subset_enumeration():
 
 # ---------------------------------------------- on-the-fly product runs
 
-# operand kind -> (rng, seed) -> an automaton of 1-5 states over one or
-# two APs
+# operand kind -> rng -> its acceptance; _run_operand gives it to an
+# automaton of 1-5 states over one or two APs
 RUN_OPERANDS = {
     "Rabin": lambda rng: rabin(rng.randint(1, 2)),
     "Streett": lambda rng: streett(rng.randint(1, 2)),
@@ -847,6 +847,11 @@ def test_product_accepting_run_edge_cases(monkeypatch):
     assert (run.prefix, run.cycle) == ([], [1])
     assert lasso.get_named_prop("product-states", list) == [(0, 0)]
     assert lasso.store.bits_of(lasso.edges[1].cond) == 0b10
+    # parallel loops: the lasso's edge takes the guard of the colored one
+    buchi = build(["a"], 1, INF0, [(0, "!0", 0, []), (0, "0", 0, [0])])
+    anything = build([], 0, TRUE, [(0, "t", 0, [])])
+    lasso, run = product_accepting_run(buchi, anything)
+    _check_product_lasso(buchi, anything, lasso, run)
     alt = build(["a"], 1, INF0, [(0, "t", (0, 1), [0]), (1, "t", 1, [0])])
     with pytest.raises(ValueError):
         product_accepting_run(loop, alt)
