@@ -766,18 +766,61 @@ def parity_of(cls):
 
 
 def parity_readings(formula):
-    """Every (min_max, even_odd, n) whose canonical formula matches.
+    """Every (min_max, even_odd, n) whose canonical formula matches, up
+    to the order of And/Or operands.
 
     Small instances are ambiguous: Inf(0) is both parity min even 1 and
     parity max even 1, and recognize() names it Buchi.  Conversions pick
     whichever reading suits them, so all of them are listed here.
+
+    A canonical parity formula over n >= 2 colors is a chain: each
+    operator is binary and joins one atom to the chain below it, the
+    lowest joins two.  The lowest holds colors n-2 and n-1 under min
+    (colors fall going up), 0 and 1 under max (they rise); color c is
+    Inf(c) when c has the accepting parity, else Fin(c), and the
+    operator that adds it is | for an Inf, & for a Fin.  So one scan of
+    the code reads the chain and names the one reading it can match.
     """
-    bits = used_colors(formula).bits
-    n = bits.bit_length()
-    if not bits or bits + 1 != 1 << n:     # not colors 0 .. n-1, all used
-        return []
-    return [(mm, eo, n) for mm in ("min", "max") for eo in ("even", "odd")
-            if _same_formula(formula, make_class(parity(mm, eo, n)))]
+    code = formula._code
+    if len(code) == 1:
+        if code[0] > INF:               # t, f or a color above 0
+            return []
+        eo = "even" if code[0] == INF else "odd"
+        return [("min", eo, 1), ("max", eo, 1)]
+
+    def atom(c):                        # Fin(c) or Inf(c) under `odd`
+        return 4 * c + ((c ^ odd ^ 1) & 1)
+
+    n = (len(code) + 1) // 2
+    stack = []          # per operand: an atom, or -1 for the chain
+    step = 0            # the color step up the chain: -1 (min), +1 (max)
+    for x in code:
+        if not x & 2:
+            stack.append(x)
+            continue
+        if x >> 2 != 2:
+            return []
+        b, a = stack.pop(), stack.pop()
+        if step:
+            if (a < 0) == (b < 0):      # two atoms, or two chains
+                return []
+            item = max(a, b)
+            color += step
+        else:                           # the lowest operator
+            low, high = min(a, b), max(a, b)
+            odd = (low ^ low >> 2 ^ 1) & 1      # Inf on odd colors
+            if low >> 2 == n - 2 and x == 10 + (low & 1):
+                step, color, item, base = -1, n - 2, low, high
+            elif low >> 2 == 0:
+                step, color, item, base = 1, 1, high, low
+            else:
+                return []
+            if base != atom(color - step):
+                return []
+        if item != atom(color) or x != 10 + (item & 1):    # & or | joins it
+            return []
+        stack.append(-1)
+    return [("min" if step < 0 else "max", "odd" if odd else "even", n)]
 
 
 def acc_name(formula, num_sets):

@@ -8,9 +8,14 @@ source, so a state's out-edges form a singly linked list in insertion
 order, and slot 0 of each column is the reserved terminator.  A new
 state is one append per column, a new edge a few comparisons, one append
 per column and one link.  `aut.edges[i]`, `out()` and `edge_records()`
-give EdgeRecord views, whose attribute writes go to the columns.  The
-columns are lists, not `array('i')`: in CPython an array read boxes a
-new int, and both its reads and appends cost more than a list's.
+give EdgeRecord views, whose attribute writes go to the columns; a hot
+loop walks an out-list itself, from `first_edges[s]` along `edge_next`.
+The columns are lists, not `array('i')`: in CPython an array read boxes
+a new int, and both its reads and appends cost more than a list's.
+
+`trim` writes its output's columns directly, one append per column per
+kept edge, as `clone` copies them: the input's edges were checked when
+they were added, so they are not checked again.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -172,6 +177,12 @@ class Automaton:
     @property
     def edges(self):
         return _EdgeTable(self)
+
+    @property
+    def first_edges(self):
+        """Per state, its first out-edge (0 for none); read-only, like
+        the edge columns."""
+        return self._succ
 
     def max_color(self):
         return COLORS_PER_WORD * self._nwords - 1
@@ -482,18 +493,25 @@ def reachable_states(aut):
     if aut.num_states == 0:
         return []
     order = list(dict.fromkeys(aut.univ_dests(aut.init)))
-    seen = set(order)
+    seen = bytearray(aut.num_states)
+    for s in order:
+        seen[s] = 1
     succ, nxt = aut._succ, aut.edge_next
     dsts, conds = aut.edge_dst, aut.edge_cond
     for s in order:                   # breadth first: order grows behind s
         idx = succ[s]
         while idx:
-            dst = dsts[idx]
             if conds[idx] != FALSE_GUARD:
-                for d in (dst,) if dst >= 0 else aut.group_members(dst):
-                    if d not in seen:
-                        seen.add(d)
-                        order.append(d)
+                dst = dsts[idx]
+                if dst >= 0:
+                    if not seen[dst]:
+                        seen[dst] = 1
+                        order.append(dst)
+                else:
+                    for d in aut.group_members(dst):
+                        if not seen[d]:
+                            seen[d] = 1
+                            order.append(d)
             idx = nxt[idx]
     return order
 
@@ -509,33 +527,59 @@ def trim(aut):
     Returns a new automaton; a "trim-map" named property on it maps old
     state indices to new ones (None for removed states).  Per-state list
     properties and highlight/strategy annotations are rewritten to match.
+
+    One pass walks each kept state's out-list, in new state order, and
+    appends its kept edges to the output's columns, each linked to the
+    next; edges are not checked again (see the module docstring).  Color
+    sets stay shared with the input, as `clone` shares them, except that
+    a set of another width than the automaton's gets the output's own
+    set of its bits.
     """
     order = sorted(reachable_states(aut))
-    state_map = {old: new for new, old in enumerate(order)}
+    state_map = [None] * aut.num_states
+    for new, old in enumerate(order):
+        state_map[old] = new
     out = Automaton(aut.aps, aut.nwords, aut.store)
-    out.new_states(len(order))
+    out._colors = dict(aut._colors)
+    first, last = out._succ, out._tail = [0] * len(order), [0] * len(order)
+    add_src, add_dst, add_cond, add_acc, add_next = [
+        getattr(out, name).append for name in EDGE_COLUMNS]
+    out_next = out.edge_next
 
-    def word(w):
-        if w >= 0:
-            return state_map[w]
+    def group(word):
         return out.new_univ_dest_group(
-            [state_map[m] for m in aut.group_members(w)])
+            [state_map[m] for m in aut.group_members(word)])
 
     succ, nxt = aut._succ, aut.edge_next
     dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
-    rows = []
-    edge_map = {0: 0}
+    nwords = aut.nwords
+    edge_map = ({0: 0} if "highlight-edges" in aut.named_props
+                or "strategy" in aut.named_props else None)
+    n = 1                             # out's next edge; its edge 0 is reserved
     for new, old in enumerate(order):
+        head = n
         idx = succ[old]
         while idx:
             cond = conds[idx]
             if cond != FALSE_GUARD:
-                rows.append((new, word(dsts[idx]), cond, accs[idx].bits))
-                edge_map[idx] = len(rows)     # out's edge 0 is reserved
+                dst = dsts[idx]
+                acc = accs[idx]
+                if acc.nwords != nwords:
+                    acc = out.color_set(acc.bits)
+                add_src(new)
+                add_dst(state_map[dst] if dst >= 0 else group(dst))
+                add_cond(cond)
+                add_acc(acc)
+                n += 1
+                add_next(n)
+                if edge_map is not None:
+                    edge_map[idx] = n - 1
             idx = nxt[idx]
-    out.new_edges(rows)
-    if aut.num_states:
-        out.init = word(aut.init)
+        if n > head:
+            first[new], last[new] = head, n - 1
+            out_next[-1] = 0
+    if order:
+        out.init = state_map[aut.init] if aut.init >= 0 else group(aut.init)
     out.num_sets = aut.num_sets
     out.acceptance = aut.acceptance
 
@@ -544,8 +588,9 @@ def trim(aut):
                 and len(value) == aut.num_states:
             out.named_props[name] = [value[old] for old in order]
         elif name == "highlight-states" and isinstance(value, dict):
+            new_of = {old: new for new, old in enumerate(order)}
             out.named_props[name] = {
-                state_map[s]: v for s, v in value.items() if s in state_map}
+                new_of[s]: v for s, v in value.items() if s in new_of}
         elif name == "highlight-edges" and isinstance(value, dict):
             out.named_props[name] = {
                 edge_map[i]: v for i, v in value.items() if i in edge_map}
@@ -555,6 +600,5 @@ def trim(aut):
                 edge_map.get(value[old], 0) for old in order]
         else:
             out.named_props[name] = value
-    out.named_props["trim-map"] = [state_map.get(s) for s
-                                   in range(aut.num_states)]
+    out.named_props["trim-map"] = state_map
     return out

@@ -685,7 +685,7 @@ def print_hoa(aut):
     names = aut.get_named_prop("state-names", list)
     state_based = sa is YES
     print_label = aut.store.print_label
-    out_indices = aut.out_indices
+    first, nxt = aut.first_edges, aut.edge_next
     dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
     labels = {}                       # guard id -> "[label] "
     groups = {}                       # group word -> its text
@@ -699,7 +699,8 @@ def print_hoa(aut):
             if acc:
                 head += " " + _colors_str(acc)
         lines.append(head)
-        for i in out_indices(s):
+        i = first[s]
+        while i:
             dst = dsts[i]
             if dst < 0:
                 text = groups.get(dst)
@@ -718,6 +719,7 @@ def print_hoa(aut):
                     text = colors[bits] = " " + _colors_str(accs[i])
                 part += text
             lines.append(part)
+            i = nxt[i]
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 

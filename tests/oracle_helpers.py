@@ -178,6 +178,70 @@ def empty_by_edge_subsets(aut):
                              nwords=max(4, aut.nwords))
 
 
+# ---------------------------------------------------------------- trim
+
+_TRIM_STATE_LISTS = ("state-names", "state-player", "state-winner",
+                     "product-states")
+
+
+def trim_by_rebuild(aut):
+    """trim() as a rebuild: the states a plain search reaches, in index
+    order, and every edge of theirs without a false guard re-added
+    through new_edges, state by state in out-list order; groups are
+    re-interned in first-use order, the initial designator's last."""
+    reach = set()
+    if aut.num_states:
+        todo = list(aut.univ_dests(aut.init))
+        reach.update(todo)
+        while todo:
+            for e in aut.out(todo.pop()):
+                if e.cond != FALSE_GUARD:
+                    for d in aut.univ_dests(e.dst):
+                        if d not in reach:
+                            reach.add(d)
+                            todo.append(d)
+    order = sorted(reach)
+    state_map = {old: new for new, old in enumerate(order)}
+    out = Automaton(aut.aps, aut.nwords, aut.store)
+    out.new_states(len(order))
+
+    def word(w):
+        if w >= 0:
+            return state_map[w]
+        return out.new_univ_dest_group(
+            [state_map[m] for m in aut.group_members(w)])
+
+    rows = []
+    edge_map = {0: 0}
+    for new, old in enumerate(order):
+        for e in aut.out(old):
+            if e.cond != FALSE_GUARD:
+                rows.append((new, word(e.dst), e.cond, e.acc.bits))
+                edge_map[e.index] = len(rows)
+    out.new_edges(rows)
+    if aut.num_states:
+        out.init = word(aut.init)
+    out.num_sets = aut.num_sets
+    out.acceptance = aut.acceptance
+    for name, value in aut.named_props.items():
+        if name in _TRIM_STATE_LISTS and isinstance(value, list) \
+                and len(value) == aut.num_states:
+            value = [value[old] for old in order]
+        elif name == "highlight-states" and isinstance(value, dict):
+            value = {state_map[s]: v for s, v in value.items()
+                     if s in state_map}
+        elif name == "highlight-edges" and isinstance(value, dict):
+            value = {edge_map[i]: v for i, v in value.items()
+                     if i in edge_map}
+        elif name == "strategy" and isinstance(value, list) \
+                and len(value) == aut.num_states:
+            value = [edge_map.get(value[old], 0) for old in order]
+        out.named_props[name] = value
+    out.named_props["trim-map"] = [state_map.get(s)
+                                   for s in range(aut.num_states)]
+    return out
+
+
 # ------------------------------------------------------------ products
 
 def _has_fin(formula):

@@ -321,6 +321,58 @@ def test_parity_readings():
     assert parity_of(AccClass("Buchi")) is None
 
 
+def _formula_of(code):
+    """The formula of a postfix code, built as given, without folding."""
+    stack = []
+    for x in code:
+        if x & 2:
+            n = len(stack) - (x >> 2)
+            node = (And if x & 3 == 2 else Or)(tuple(stack[n:]))
+            del stack[n:]
+        else:
+            node = (Inf if x & 1 else Fin)(x >> 2)
+        stack.append(node)
+    return stack[0]
+
+
+def _unordered(formula):
+    """The formula's tree as nested tuples, And/Or operands sorted."""
+    stack = []
+    for x in formula.code:
+        n = len(stack) - (x >> 2) if x & 2 else len(stack)
+        node = (x, *sorted(stack[n:]))
+        del stack[n:]
+        stack.append(node)
+    return stack[0]
+
+
+def test_parity_readings_are_the_matching_canonical_shapes():
+    # each canonical parity formula and each edit of one of its items (an
+    # operator's kind, an atom's kind or color), as built, folded and
+    # commuted: the readings are the shapes equal to it up to operand order
+    rng = random.Random(31)
+    kinds = [(mm, eo) for mm in ("min", "max") for eo in ("even", "odd")]
+    matched = missed = 0
+    for n in range(1, 9):
+        for kind in kinds:
+            code = make_class(parity(*kind, n)).code
+            edits = [code] + [
+                code[:i] + (y,) + code[i + 1:] for i, x in enumerate(code)
+                for y in ((x ^ 1,) if x & 2 else (x ^ 1, x + 4, x - 4))
+                if y >= 0]
+            for edit in edits:
+                f = _formula_of(edit)
+                for g in (f, parse_acceptance(str(f)), _commuted(f, rng)):
+                    atoms = sum(not x & 2 for x in g.code)
+                    want = [(mm, eo, atoms) for mm, eo in kinds
+                            if _unordered(g) == _unordered(
+                                make_class(parity(mm, eo, atoms)))]
+                    assert parity_readings(g) == want, str(g)
+                    matched += bool(want)
+                    missed += not want
+    assert matched > 100 and missed > 1000
+
+
 def test_acc_name():
     assert acc_name(TRUE, 0) == "all"
     assert acc_name(FALSE, 0) == "none"

@@ -17,9 +17,11 @@ from elaut.acceptance import (FALSE, TRUE, And, ColorSet, Fin, Inf, Or,
 from elaut.algorithms import (accepting_run, check_run, is_empty,
                               random_automaton, remove_fin)
 from elaut.cli import main
-from elaut.graph import Automaton
+from elaut.graph import Automaton, trim
 from elaut.hoa import parse_hoa, print_hoa
 from elaut.synthesis import make_game, solve_game
+
+from oracle_helpers import trim_by_rebuild
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +124,13 @@ def test_1024_color_parity_pipeline():
     fin_free = remove_fin(aut)
     assert is_finless(fin_free.acceptance)
     assert is_empty(fin_free) == is_empty(aut)
+    # trim shares the input's 32-word color sets instead of rebuilding them
+    trimmed = trim(aut)
+    assert trimmed.check() and trimmed.nwords == 32
+    assert trimmed.pack_edges() == trim_by_rebuild(aut).pack_edges()
+    assert {id(acc) for acc in trimmed.edge_acc[1:]} <= {
+        id(acc) for acc in aut.edge_acc[1:]}
+    assert is_empty(trimmed) == is_empty(aut)
     out = change_parity(aut, "min even")
     assert ("min", "even") in [r[:2] for r in parity_readings(out.acceptance)]
     text = print_hoa(out)

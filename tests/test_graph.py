@@ -12,6 +12,8 @@ from elaut.graph import (Automaton, EDGE_COLUMNS, FLAG_NAMES, MAYBE, NO,
 from elaut.guards import FALSE_GUARD, GuardStore, TRUE_GUARD
 from elaut.hoa import parse_hoa, print_dot, print_hoa
 
+from oracle_helpers import trim_by_rebuild
+
 
 def fresh(nstates=0, naps=1, nwords=1):
     aut = Automaton(["p%d" % i for i in range(naps)], nwords=nwords)
@@ -273,6 +275,79 @@ def test_trim_remaps_edges_in_one_batch():
     assert out.get_named_prop("strategy", list) == [3, 4, 5]
     assert [list(out.out_indices(s)) for s in range(3)] == [[1, 2, 3], [4],
                                                             [5]]
+
+
+def _random_trim_input(seed):
+    """A small automaton with unreachable states, false guards, universal
+    groups (sometimes as the initial designator), states without edges
+    and every named property trim rewrites.  Every fifth seed's first
+    edges carry color sets one word wide in a two-word automaton."""
+    rng = random.Random(seed)
+    n = rng.randrange(10)
+    narrow = seed % 5 == 0
+    aut = fresh(n, naps=rng.randrange(3),
+                nwords=1 if narrow else rng.choice((1, 2)))
+    store = aut.store
+    guards = [FALSE_GUARD, TRUE_GUARD] + [
+        store.lit(i, pos) for i in range(len(aut.aps)) for pos in (0, 1)]
+
+    def word():
+        if n >= 2 and rng.random() < 0.2:
+            return aut.new_univ_dest_group(
+                rng.sample(range(n), rng.randrange(2, min(n, 3) + 1)))
+        return rng.randrange(n)
+
+    m = rng.randrange(3 * n + 1) if n else 0
+    for k in range(m):
+        if narrow and k == m // 2:
+            aut.nwords = 2
+        bits = rng.getrandbits(3) << (29 * rng.randrange(aut.nwords))
+        aut.new_edge(rng.randrange(n), word(), rng.choice(guards), bits)
+    aut.set_acceptance(3, Inf(1))
+    if n:
+        aut.set_init(word())
+    for name in ("state-names", "state-player", "state-winner",
+                 "product-states", "strategy"):
+        if rng.random() < 0.7:
+            size = n if rng.random() < 0.9 else n + 1    # else kept as is
+            aut.set_named_prop(name, [
+                "s%d" % rng.randrange(5) if name == "state-names"
+                else (rng.randrange(n + 1), 0) if name == "product-states"
+                else rng.randrange(m + 1) if name == "strategy"
+                else rng.randrange(2) for _ in range(size)])
+    if rng.random() < 0.7:
+        aut.set_named_prop("highlight-states", {
+            rng.randrange(n + 2): rng.randrange(4) for _ in range(3)})
+    if rng.random() < 0.7:
+        aut.set_named_prop("highlight-edges", {
+            rng.randrange(m + 2): rng.randrange(4) for _ in range(4)})
+    aut.set_named_prop("automaton-name", "trim %d" % seed)
+    return aut
+
+
+def test_trim_matches_a_rebuild():
+    seen = dict.fromkeys(("unreachable", "false guard", "group edge",
+                          "group init", "no edges", "narrow"), 0)
+    for seed in range(240):
+        aut = _random_trim_input(seed)
+        got, want = trim(aut), trim_by_rebuild(aut)
+        assert got.check()
+        assert got.pack_edges() == want.pack_edges()
+        assert print_hoa(got) == print_hoa(want)
+        assert got.dests == want.dests
+        assert got.named_props == want.named_props
+        assert (got.init, got.num_states, got.nwords) == (
+            want.init, want.num_states, want.nwords)
+        for acc in got.edge_acc[1:]:
+            assert acc is got.color_set(acc.bits)
+        seen["unreachable"] += got.num_states < aut.num_states
+        seen["false guard"] += FALSE_GUARD in aut.edge_cond[1:]
+        seen["group edge"] += min(got.edge_dst, default=0) < 0
+        seen["group init"] += got.num_states > 0 and got.init < 0
+        seen["no edges"] += got.num_states > len(set(got.edge_src[1:]))
+        seen["narrow"] += any(acc.nwords < aut.nwords
+                              for acc in aut.edge_acc[1:])
+    assert min(seen.values()) >= 20, seen
 
 
 def _one_shared_group():
