@@ -7,14 +7,16 @@ forever; player 1 wins the plays satisfying the acceptance condition.  A
 player who cannot move loses immediately.
 
 Solving attaches "state-winner" and "strategy" properties and returns
-them as a Solution.  For synthesis games with bipartite input/output
+them as a Solution.  Both solvers work on the game's own states and
+edges: a safety game takes one attractor, and a parity game runs
+Zielonka's recursion with each edge's one color as its priority.  For
+synthesis games with bipartite input/output
 structure, a winning player-1 strategy turns into a Mealy machine and
 then into an and-inverter circuit in the AIGER ascii format.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
@@ -57,60 +59,82 @@ class Solution:
     strategy: list
 
 
-def _playable(aut):
-    """Per state, (destination, edge index) for each non-false out-edge."""
-    out = []
-    conds, dsts = aut.edge_cond, aut.edge_dst
-    for s in range(aut.num_states):
-        moves = []
-        for i in aut.out_indices(s):
-            if conds[i] == FALSE_GUARD:
-                continue
-            if dsts[i] < 0:
-                raise ValueError("games need nonalternating automata")
-            moves.append((dsts[i], i))
-        out.append(moves)
-    return out
+def _moves(game, n_parity=None):
+    """The moves of a game: per state, its playable out-edges as
+    (destination, priority, edge index) and its playable in-edges as
+    (source, priority, edge index), both in out-list order by source.
+
+    With n_parity, an edge's priority is its one color, which must lie
+    below n_parity; without it every priority is 0."""
+    n = game.num_states
+    out = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
+    first, nxt = game.first_edges, game.edge_next
+    conds, dsts, accs = game.edge_cond, game.edge_dst, game.edge_acc
+    c = 0
+    for s in range(n):
+        row = out[s]
+        i = first[s]
+        while i:
+            if conds[i] != FALSE_GUARD:
+                t = dsts[i]
+                if t < 0:
+                    raise ValueError("games need nonalternating automata")
+                if n_parity is not None:
+                    b = accs[i].bits
+                    # exactly one color, and below n_parity
+                    if not (b and not b & (b - 1) and b >> n_parity == 0):
+                        raise ValueError("every edge needs exactly one "
+                                         "color; colorize first")
+                    c = b.bit_length() - 1
+                row.append((t, c, i))
+                into[t].append((s, c, i))
+            i = nxt[i]
+    return out, into
 
 
-def _reverse(succ):
-    """Per vertex v, (u, tag) for each move (v, tag) in succ[u]."""
-    rev = [[] for _ in succ]
-    for u, moves in enumerate(succ):
-        for (v, tag) in moves:
-            rev[v].append((u, tag))
-    return rev
+def _attract(p, target, seeds, region, bound, lim, owner, out, into):
+    """The player-p attractor, within region, of the states of target
+    and of the moves of seeds, given as (source, priority, edge index).
 
-
-def _attract(p, target, region, owner, succ, rev):
-    """The player-p attractor of target within region.
-
-    Works breadth first from target, in its iteration order, counting
-    down each opponent vertex's moves within region.  Returns the
-    attractor and the tags of the moves that player p takes into it from
-    the vertices that p owns and the search added.
+    The moves in play are the edges inside region of priority at most
+    bound.  A state of p joins when p can move into the attractor, any
+    other state when all its moves lead there.  The seeds count as such
+    moves, and the search back from the attractor follows only in-edges
+    of priority at most lim, so that no seed counts twice.  Works
+    breadth first, seeds and target in their given order, and returns
+    the attractor and the edge p takes into it at each state of p that
+    the search added.
     """
     attr = set(target)
+    queue = list(target)
     strat = {}
     cnt = {}
-    queue = deque(target)
-    while queue:
-        v = queue.popleft()
-        for (u, tag) in rev[v]:
-            if u not in region or u in attr:
+    moves, top = seeds, bound
+    k = 0
+    while True:
+        for u, c, e in moves:
+            if c > top or u in attr or u not in region:
                 continue
             if owner[u] == p:
                 attr.add(u)
-                strat[u] = tag
+                strat[u] = e
                 queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for (t, _) in succ[u] if t in region)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr, strat
+                continue
+            left = cnt.get(u)
+            if left is None:
+                left = 0
+                for t, pri, _ in out[u]:
+                    if pri <= bound and t in region:
+                        left += 1
+            cnt[u] = left = left - 1
+            if not left:
+                attr.add(u)
+                queue.append(u)
+        if k == len(queue):
+            return attr, strat
+        moves, top = into[queue[k]], lim
+        k += 1
 
 
 def solve_safety(game):
@@ -123,11 +147,11 @@ def solve_safety(game):
     if not isinstance(game.acceptance, AccTrue):
         raise ValueError("safety solving needs acceptance t")
     players = state_players(game)
-    succ = _playable(game)
+    out, into = _moves(game)
     n = game.num_states
-    stuck = {s for s in range(n) if players[s] == 1 and not succ[s]}
-    attr, strat0 = _attract(0, stuck, range(n), players, succ,
-                            _reverse(succ))
+    stuck = {s for s in range(n) if players[s] == 1 and not out[s]}
+    attr, strat0 = _attract(0, stuck, (), range(n), 0, 0, players, out,
+                            into)
 
     winners = [0 if s in attr else 1 for s in range(n)]
     strategy = [0] * n
@@ -135,7 +159,7 @@ def solve_safety(game):
         if winners[s] == 0 and players[s] == 0:
             strategy[s] = strat0.get(s, 0)
         elif winners[s] == 1 and players[s] == 1:
-            for (d, i) in succ[s]:
+            for (d, _, i) in out[s]:
                 if d not in attr:
                     strategy[s] = i
                     break
@@ -179,14 +203,15 @@ def _colorize(aut, n):
     return out
 
 
-def _zielonka(region, owner, color, succ, rev):
-    """Zielonka's recursion on the vertices of region; returns the
-    player-0 and player-1 winning sets and a strategy of move tags.
+def _zielonka(region, bound, owner, out, into):
+    """Zielonka's recursion on the states of region, with the edges
+    inside it of priority at most bound in play; returns the player-0
+    and player-1 winning sets and a strategy of edge indices.
 
-    Each call is a generator that yields the subregion it needs solved
-    and is sent the answer, so the recursion lives on an explicit stack
-    and its depth is not bounded by Python's."""
-    calls = [_zielonka_call(region, owner, color, succ, rev)]
+    Each call is a generator that yields the (region, bound) it needs
+    solved and is sent the answer, so the recursion lives on an explicit
+    stack and its depth is not bounded by Python's."""
+    calls = [_zielonka_call(region, bound, owner, out, into)]
     got = None
     while calls:
         try:
@@ -195,53 +220,54 @@ def _zielonka(region, owner, color, succ, rev):
             calls.pop()
             got = done.value
         else:
-            calls.append(_zielonka_call(sub, owner, color, succ, rev))
+            calls.append(_zielonka_call(*sub, owner, out, into))
             got = None
     return got
 
 
-def _zielonka_call(region, owner, color, succ, rev):
+def _zielonka_call(region, bound, owner, out, into):
     if not region:
         return set(), set(), {}
-    d = max(color[v] for v in region)
+    d = -1
+    for s in region:
+        for t, c, _ in out[s]:
+            if d < c <= bound and t in region:
+                d = c
     p = d & 1
-    target = [v for v in region if color[v] == d]
-    area, strat_a = _attract(p, target, region, owner, succ, rev)
-    w0a, w1a, strata = yield region - area
+    seeds = [(s, c, e) for s in region for t, c, e in out[s]
+             if c == d and t in region]
+    area, strat_a = _attract(p, (), seeds, region, bound, d - 1, owner, out,
+                             into)
+    # the opponent's priority-d edges left out of region - area are no
+    # use to it: taking one forever loses, taking one finitely often is
+    # a detour that the rest of the recursion still accounts for
+    w0a, w1a, strat = yield region - area, d - 1
     wopp = w0a if p == 1 else w1a
     if not wopp:
-        wp = set(region)
-        strat = dict(strata)
         strat.update(strat_a)
-        for v in target:
-            if owner[v] == p and v not in strat:
-                for (t, tag) in succ[v]:
-                    if t in region:
-                        strat[v] = tag
-                        break
-        return (set(), wp, strat) if p == 1 else (wp, set(), strat)
+        return (set(), region, strat) if p == 1 else (region, set(), strat)
     opp = 1 - p
-    barrier, strat_b = _attract(opp, wopp, region, owner, succ, rev)
-    w0b, w1b, strat2 = yield region - barrier
-    strat = dict(strat2)
-    strat.update(strat_b)
+    barrier, strat_b = _attract(opp, wopp, (), region, bound, bound, owner,
+                                out, into)
+    w0b, w1b, strat2 = yield region - barrier, bound
+    strat2.update(strat_b)
     for v in wopp:
-        if v in strata:
-            strat[v] = strata[v]
+        if v in strat:
+            strat2[v] = strat[v]
     if opp == 1:
-        return w0b, w1b | barrier, strat
-    return w0b | barrier, w1b, strat
+        return w0b, w1b | barrier, strat2
+    return w0b | barrier, w1b, strat2
 
 
 def solve_parity_max_odd(game, n_parity=None):
-    """Zielonka's algorithm for max-odd parity games.
+    """Zielonka's algorithm for max-odd parity games, on the game's
+    states, with each edge's one color as its priority.
 
     Every edge must carry exactly one color below the parity index count
-    (colorize_parity arranges that).  Internally each edge is split
-    through a midpoint vertex carrying the edge's color while original
-    states carry color 0, and deadlocks get a virtual self-loop whose
-    color makes the stuck player lose.  `n_parity` is that count when
-    the caller has already read it off the acceptance.
+    (colorize_parity arranges that).  A deadlocked state gets a virtual
+    self-loop, edge index 0, whose priority makes its owner lose.
+    `n_parity` is that count when the caller has already read it off
+    the acceptance.
     """
     players = state_players(game)
     if n_parity is None:
@@ -249,46 +275,20 @@ def solve_parity_max_odd(game, n_parity=None):
     if n_parity is None:
         raise ValueError("acceptance %s has no max-odd parity reading"
                          % game.acceptance)
-    playable = _playable(game)
+    out, into = _moves(game, n_parity)
     n = game.num_states
+    for s in range(n):
+        if not out[s]:
+            loop = (s, 1 - players[s], 0)
+            out[s].append(loop)
+            into[s].append(loop)
 
-    owner = []
-    color = []
-    succ = []   # per vertex: list of (target vertex, original edge or None)
-    for s in range(n):
-        owner.append(players[s])
-        color.append(0)
-        succ.append([])
-    accs = game.edge_acc
-    for s in range(n):
-        for (d, i) in playable[s]:
-            b = accs[i].bits
-            # exactly one color, and below n_parity
-            if not (b and not b & (b - 1) and b >> n_parity == 0):
-                raise ValueError(
-                    "every edge needs exactly one color; colorize first")
-            mid = len(owner)
-            owner.append(0)
-            color.append(b.bit_length() - 1)
-            succ.append([(d, None)])
-            succ[s].append((mid, i))
-    for s in range(n):
-        if not playable[s]:
-            # virtual self-loop that loses for the stuck player
-            mid = len(owner)
-            owner.append(0)
-            color.append(1 if players[s] == 0 else 0)
-            succ.append([(s, None)])
-            succ[s].append((mid, None))
-
-    w0, w1, strat = _zielonka(set(range(len(owner))), owner, color, succ,
-                              _reverse(succ))
+    w0, w1, strat = _zielonka(set(range(n)), n_parity, players, out, into)
     winners = [1 if s in w1 else 0 for s in range(n)]
     strategy = [0] * n
     for s in range(n):
         if winners[s] == players[s]:
-            tag = strat.get(s)
-            strategy[s] = tag if tag is not None else 0
+            strategy[s] = strat.get(s, 0)
     game.set_named_prop("state-winner", winners)
     game.set_named_prop("strategy", strategy)
     return Solution(winners, strategy)

@@ -675,6 +675,89 @@ def check_parity_strategy(aut, players, winners, strategy):
     return True
 
 
+def midpoint_zielonka(aut, players):
+    """Max-odd parity winners and strategy by the solver elaut had before
+    it worked on states: every edge split through a midpoint vertex of
+    player 0 that carries the edge's color, states colored 0, each
+    deadlock given a virtual loop through a midpoint whose color makes
+    the stuck player lose, and Zielonka's recursion over all vertices.
+
+    Returns (winners, strategy) as lists, strategy[s] being the chosen
+    edge at each state its owner wins (0 for a virtual loop) and 0
+    elsewhere."""
+    per_state, color = game_view(aut, players)
+    n = aut.num_states
+    owner, col = list(players), [0] * n
+    succ = [[] for _ in range(n)]       # (vertex, edge index or None)
+    for s in range(n):
+        for i, d in per_state[s]:
+            succ[s].append((len(owner), i))
+            owner.append(0)
+            col.append(color[i])
+            succ.append([(d, None)])
+    for s in range(n):
+        if not per_state[s]:
+            succ[s].append((len(owner), None))
+            owner.append(0)
+            col.append(1 if players[s] == 0 else 0)
+            succ.append([(s, None)])
+    rev = [[] for _ in succ]
+    for u, moves in enumerate(succ):
+        for v, tag in moves:
+            rev[v].append((u, tag))
+
+    def attract(p, target, region):
+        attr, strat, cnt = set(target), {}, {}
+        queue = list(target)
+        for v in queue:
+            for u, tag in rev[v]:
+                if u not in region or u in attr:
+                    continue
+                if owner[u] == p:
+                    attr.add(u)
+                    strat[u] = tag
+                    queue.append(u)
+                    continue
+                if u not in cnt:
+                    cnt[u] = sum(1 for t, _ in succ[u] if t in region)
+                cnt[u] -= 1
+                if cnt[u] == 0:
+                    attr.add(u)
+                    queue.append(u)
+        return attr, strat
+
+    def solve(region):
+        if not region:
+            return set(), set(), {}
+        d = max(col[v] for v in region)
+        p = d & 1
+        target = [v for v in region if col[v] == d]
+        area, strat_a = attract(p, target, region)
+        w0a, w1a, strata = solve(region - area)
+        wopp = w0a if p == 1 else w1a
+        if not wopp:
+            strat = dict(strata)
+            strat.update(strat_a)
+            for v in target:
+                if owner[v] == p and v not in strat:
+                    strat[v] = next(tag for t, tag in succ[v] if t in region)
+            return ((set(), set(region), strat) if p == 1
+                    else (set(region), set(), strat))
+        barrier, strat_b = attract(1 - p, wopp, region)
+        w0b, w1b, strat = solve(region - barrier)
+        strat.update(strat_b)
+        strat.update((v, strata[v]) for v in wopp if v in strata)
+        if p == 0:
+            return w0b, w1b | barrier, strat
+        return w0b | barrier, w1b, strat
+
+    _, w1, strat = solve(set(range(len(owner))))
+    winners = [1 if s in w1 else 0 for s in range(n)]
+    strategy = [(strat.get(s) or 0) if winners[s] == players[s] else 0
+                for s in range(n)]
+    return winners, strategy
+
+
 # ------------------------------------------------------ corpus generators
 
 def random_alt_buchi(seed, max_states=5, max_aps=2):

@@ -20,8 +20,9 @@ from elaut import (
 )
 from elaut.cli import main
 from oracle_helpers import (
-    build, check_parity_strategy, parity_winners_by_enumeration,
-    random_parity_game, safety_winners_by_enumeration,
+    _sccs_of_rows, build, check_parity_strategy, midpoint_zielonka,
+    parity_winners_by_enumeration, random_parity_game,
+    safety_winners_by_enumeration,
 )
 from test_acc_formulas import parity_inputs
 
@@ -117,6 +118,62 @@ def test_solve_parity_matches_enumeration():
         sol = solve_parity_max_odd(g)
         assert {s for s in range(n) if sol.winners[s] == 1} == w1
         check_parity_strategy(g, players, sol.winners, sol.strategy)
+
+
+def layered_parity_game(seed, ncolors=6):
+    """A random max-odd parity game in blocks of states, each edge going
+    within its block or down to an earlier one, so most games have
+    several SCCs.  Some edges are false, some states get a parallel
+    edge of another color, some only a self-loop, some none at all."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    g = Automaton(["a"], nwords=1)
+    g.new_states(sum(sizes))
+    guards = [1, 1, 1, 0, g.store.parse_label("0")]
+    start = 0
+    for size in sizes:
+        for s in range(start, start + size):
+            if rng.random() < 0.1:
+                g.new_edge(s, s, 1, [rng.randrange(ncolors)])
+                continue
+            for _ in range(rng.randint(0, 3)):
+                d = (rng.randrange(start) if start and rng.random() < 0.3
+                     else rng.randrange(start, start + size))
+                c = rng.randrange(ncolors)
+                g.new_edge(s, d, rng.choice(guards), [c])
+                if rng.random() < 0.15:
+                    g.new_edge(s, d, 1, [(c + rng.randrange(1, ncolors))
+                                         % ncolors])
+        start += size
+    g.set_acceptance(ncolors, make_class(parity("max", "odd", ncolors)))
+    g.set_init(0)
+    players = [rng.randint(0, 1) for _ in range(g.num_states)]
+    return make_game(g, players), players
+
+
+def test_solve_parity_matches_midpoint_reference():
+    seen = dict.fromkeys(("deadlock", "parallel", "false", "sccs", "loop"),
+                         0)
+    for seed in range(400):
+        g, players = layered_parity_game(59_000 + seed)
+        winners, _ = midpoint_zielonka(g, players)
+        sol = solve_parity_max_odd(g)
+        assert sol.winners == winners, seed
+        check_parity_strategy(g, players, sol.winners, sol.strategy)
+
+        rows = [(i, e.src, e.dst, e.acc.bits) for i, e in
+                enumerate(g.edge_records(), 1) if e.cond != 0]
+        outs = [[r for r in rows if r[1] == s] for s in range(g.num_states)]
+        seen["deadlock"] += any(not o for o in outs)
+        seen["parallel"] += len({r[1:] for r in rows}) > len(
+            {r[1:3] for r in rows})
+        seen["false"] += len(rows) < g.num_edges
+        seen["sccs"] += len([c for c in _sccs_of_rows(rows)
+                             if len(c) > 1 or any(r[1] == r[2] for r in rows
+                                                  if r[1] in c)]) > 1
+        seen["loop"] += any(len(o) == 1 and o[0][1] == o[0][2]
+                            for o in outs)
+    assert min(seen.values()) >= 250, seen
 
 
 def test_solve_parity_rejects_unprepared_input():
