@@ -8,11 +8,13 @@ player who cannot move loses immediately.
 
 Solving attaches "state-winner" and "strategy" properties and returns
 them as a Solution.  Both solvers work on the game's own states and
-edges: a safety game takes one attractor, and a parity game runs
-Zielonka's recursion with each edge's one color as its priority.  For
-synthesis games with bipartite input/output
-structure, a winning player-1 strategy turns into a Mealy machine and
-then into an and-inverter circuit in the AIGER ascii format.
+edges, with one attractor: a safety game is one attractor, and a parity
+game is solved one strongly connected component at a time, bottom up,
+by Zielonka's recursion with each edge's one color as its priority.
+
+For synthesis games with bipartite input/output structure, a winning
+player-1 strategy turns into a Mealy machine and then into an
+and-inverter circuit in the AIGER ascii format.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
                          recolor_parity, words_for)
+from .algorithms import _tarjan
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
@@ -230,17 +233,19 @@ def _zielonka_call(region, bound, owner, out, into):
         return set(), set(), {}
     d = -1
     for s in region:
-        for t, c, _ in out[s]:
-            if d < c <= bound and t in region:
-                d = c
+        for t, c, e in out[s]:
+            if d <= c <= bound and t in region:
+                if c > d:
+                    d = c
+                    seeds = []
+                seeds.append((s, c, e))
     p = d & 1
-    seeds = [(s, c, e) for s in region for t, c, e in out[s]
-             if c == d and t in region]
     area, strat_a = _attract(p, (), seeds, region, bound, d - 1, owner, out,
                              into)
-    # the opponent's priority-d edges left out of region - area are no
-    # use to it: taking one forever loses, taking one finitely often is
-    # a detour that the rest of the recursion still accounts for
+    # region - area is solved below priority d, without the opponent's
+    # priority-d edges left there.  They only help p, each use showing
+    # d: the opponent's states won without them are still won, and if
+    # the opponent wins none, p wins all of region.
     w0a, w1a, strat = yield region - area, d - 1
     wopp = w0a if p == 1 else w1a
     if not wopp:
@@ -261,13 +266,19 @@ def _zielonka_call(region, bound, owner, out, into):
 
 def solve_parity_max_odd(game, n_parity=None):
     """Zielonka's algorithm for max-odd parity games, on the game's
-    states, with each edge's one color as its priority.
+    states, with each edge's one color as its priority, one strongly
+    connected component at a time.
 
     Every edge must carry exactly one color below the parity index count
-    (colorize_parity arranges that).  A deadlocked state gets a virtual
-    self-loop, edge index 0, whose priority makes its owner lose.
-    `n_parity` is that count when the caller has already read it off
-    the acceptance.
+    (colorize_parity arranges that).  `n_parity` is that count when the
+    caller has already read it off the acceptance.
+
+    A deadlocked state is lost by its owner.  The components are taken
+    in reverse topological order: the states already solved are
+    attracted into the rest, each player's won states to that player,
+    and Zielonka's recursion runs only on what is left of the component,
+    with the edges that stay inside it.  An edge leaving it leads to a
+    state its owner loses, so it is no use to the owner.
     """
     players = state_players(game)
     if n_parity is None:
@@ -277,18 +288,32 @@ def solve_parity_max_odd(game, n_parity=None):
                          % game.acceptance)
     out, into = _moves(game, n_parity)
     n = game.num_states
-    for s in range(n):
-        if not out[s]:
-            loop = (s, 1 - players[s], 0)
-            out[s].append(loop)
-            into[s].append(loop)
-
-    w0, w1, strat = _zielonka(set(range(n)), n_parity, players, out, into)
-    winners = [1 if s in w1 else 0 for s in range(n)]
-    strategy = [0] * n
-    for s in range(n):
-        if winners[s] == players[s]:
-            strategy[s] = strat.get(s, 0)
+    winners = [0] * n
+    strat = {}
+    rest = set(range(n))
+    won = ([s for s in range(n) if not out[s] and players[s] == 1],
+           [s for s in range(n) if not out[s] and players[s] == 0])
+    comps, _ = _tarjan([[t for t, _, _ in row] for row in out], range(n))
+    for comp in comps:
+        for q in (0, 1):
+            if won[q]:
+                attr, strat_q = _attract(q, won[q], (), rest, n_parity,
+                                         n_parity, players, out, into)
+                rest -= attr
+                strat.update(strat_q)
+                if q:
+                    for s in attr:
+                        winners[s] = 1
+        region = rest.intersection(comp)
+        if region:
+            won = _zielonka(region, n_parity, players, out, into)
+            strat.update(won[2])
+            for s in won[1]:
+                winners[s] = 1
+        else:
+            won = ((), ())
+    strategy = [strat.get(s, 0) if winners[s] == players[s] else 0
+                for s in range(n)]
     game.set_named_prop("state-winner", winners)
     game.set_named_prop("strategy", strategy)
     return Solution(winners, strategy)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from elaut import algorithms
+from elaut import algorithms, synthesis
 from elaut.acceptance import (FALSE, TRUE, And, ColorSet, Fin, Inf, Or,
                               acc_name, change_parity, dnf_disjuncts, dual,
                               eval_acceptance, f_and, f_or, is_finless,
@@ -161,9 +161,10 @@ def test_1024_fin_units_cut_at_once(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_zielonka_on_1024_nested_attractors():
-    # state i has one self-loop, colored i: every attractor takes one
-    # state, so the recursion nests once per color
+def test_zielonka_on_1024_nested_attractors(monkeypatch):
+    # state i has one self-loop, colored i: solved as one game, every
+    # attractor takes one state and the recursion nests once per color,
+    # O(n**2) calls; solved one SCC at a time, two calls per state
     n = 1024
     game = Automaton(aps=["a"], nwords=32)
     game.new_states(n)
@@ -172,5 +173,11 @@ def test_zielonka_on_1024_nested_attractors():
         game.new_edge(i, i, 1, [i])
     game.set_acceptance(n, make_class(parity("max", "odd", n)))
     make_game(game, [i % 2 for i in range(n)])
+    calls = []
+    zielonka_call = synthesis._zielonka_call
+    monkeypatch.setattr(synthesis, "_zielonka_call",
+                        lambda *args: calls.append(1) or zielonka_call(*args))
     sol = solve_game(game)
     assert sol.winners == [i % 2 for i in range(n)]
+    assert sol.strategy == list(range(1, n + 1))
+    assert len(calls) <= 2 * n
