@@ -577,11 +577,13 @@ State: 0
 # sha256 prefixes of (job id, exit code, stdout, stderr) over the stages
 # of the bench's jobs, in run order; a stage reads the previous one's
 # stdout and runs only after an exit 0.  The --accepting-run jobs print
-# lassos.  The synth and transform digests were recorded before the HOA
-# body was read an item at a time, the transform seeds 11 and 23 before
-# Fin removal, trim and dealternation built their edges in bulk, and
-# synth seed 13 and transform seed 29 before edges were stored as
-# columns.  The check digests were recorded when `--product P
+# lassos.  The transform digests were recorded before the HOA body was
+# read an item at a time, the transform seeds 11 and 23 before Fin
+# removal, trim and dealternation built their edges in bulk, and
+# transform seed 29 before edges were stored as columns.  The synth
+# digests were recorded when parity games came to be solved one SCC at
+# a time, which picks other winning strategy edges at some states and
+# so other Mealy machines and circuits; the winners are unchanged.  The check digests were recorded when `--product P
 # --accepting-run` came to find its lasso on the fly, which numbers the
 # lasso's states in visit order; their --is-empty outputs are unchanged
 # since before `--product P --is-empty` was decided on the fly.
@@ -589,8 +591,8 @@ CHECK_JOB_DIGESTS = {1: "53c7c235e0f6fbc0", 7: "906c13529a2cb2e2",
                      11: "bb5e7bca4c343b9b", 23: "f703b37e95dcd04a",
                      29: "ee0e4f5145a86815"}
 JOB_DIGESTS = {
-    ("synth", 1): "12358c57803c9b9c", ("synth", 7): "05d2617bafb2dea4",
-    ("synth", 13): "48b2b36b094ec971",
+    ("synth", 1): "0b628b433d933eca", ("synth", 7): "f900f93172690de1",
+    ("synth", 13): "1c424ebc4472b17d",
     ("transform", 1): "2140ea511b6db7e2", ("transform", 7): "8d949e9cf1f28220",
     ("transform", 11): "52defb7b4b8df310",
     ("transform", 23): "dcdcacccb634a5fb",
