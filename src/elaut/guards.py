@@ -57,7 +57,7 @@ class GuardStore:
         self._cubes = {}          # id -> tuple of cubes (to_cubes)
         self._texts = {}          # id -> label text (print_label)
         self._parsed = {}         # label text -> id (parse_label)
-        self._atoms = None        # label token -> minterms (_parse_label)
+        self._atoms = None        # label literal -> minterms (_parse_label)
 
     def __len__(self):
         return len(self._table)
@@ -257,6 +257,34 @@ _TOKEN = re.compile(r"[0-9]+|\S")
 
 
 def _parse_label(store, text):
+    """The guard of a label, interned; only the whole label's guard is.
+
+    A label that is a disjunction of conjunctions of literals (an AP
+    index without leading zeros, `t` or `f`, each maybe after one `!`) is
+    read cube by cube, each literal looked up in `store._atoms`.  Any
+    other label, and every malformed one, goes to the operator-precedence
+    parser below, the only code that raises.
+    """
+    atoms = store._atoms
+    if atoms is None:
+        full = store.full
+        atoms = store._atoms = {"t": full, "f": 0, "!t": 0, "!f": full}
+        for ap, pos in enumerate(store._pos):
+            atoms[str(ap)] = pos
+            atoms["!%d" % ap] = pos ^ full
+    disj = 0
+    for cube in text.split("|"):
+        conj = -1
+        for lit in cube.split("&"):
+            value = atoms.get(lit.strip())
+            if value is None:
+                return _parse_label_ops(store, text, atoms)
+            conj &= value
+        disj |= conj
+    return store.intern(disj)
+
+
+def _parse_label_ops(store, text, atoms):
     """Operator-precedence parse on minterm vectors, with an explicit stack
     of open parentheses, so nesting depth is bounded by memory, not by the
     interpreter's recursion limit.
@@ -268,10 +296,6 @@ def _parse_label(store, text):
     """
     tokens = _TOKEN.findall(text)
     tokens.append("")                 # the end
-    atoms = store._atoms
-    if atoms is None:       # t, f and the AP indices without leading zeros
-        atoms = store._atoms = dict(zip(map(str, range(store.ap_count)),
-                                        store._pos), t=store.full, f=0)
     full = store.full
     saved = []                        # the levels outside each open "("
     disj, conj, negate = 0, full, False

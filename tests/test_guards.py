@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from elaut import guards
 from elaut.guards import (Cube, FALSE_GUARD, GuardStore, LabelParseError,
                           TRUE_GUARD)
 
@@ -403,3 +404,37 @@ def test_deep_labels_parse_without_recursion():
     with pytest.raises(LabelParseError) as err:
         st.parse_label("(" * depth + "0")
     assert err.value.pos == depth + 1
+
+
+
+def test_cube_labels_skip_the_operator_parser(monkeypatch):
+    # a disjunction of conjunctions of literals, spaced any way, is read
+    # cube by cube; any other label goes to the operator-precedence
+    # parser; both give what that parser gives, guard or error
+    rng = random.Random(67)
+    ops = guards._parse_label_ops
+    calls = []
+    monkeypatch.setattr(guards, "_parse_label_ops",
+                        lambda *args: calls.append(1) or ops(*args))
+
+    def outcome(parse, store, text):
+        try:
+            return store.bits_of(parse(text)), len(store)
+        except LabelParseError as err:
+            return str(err), err.pos, len(store)
+
+    plain = ["0", "1", "2", "t", "f", "!0", "!1", "!2", "!t", "!f"]
+    odd = ["!!0", "! 1", "00", "(2)", "3", "", "0 1", "x"]
+    for k in range(4000):
+        cubes = [[rng.choice(plain + odd if k % 2 else plain)
+                  for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(1, 3))]
+        text = rng.choice(["|", " | ", "| "]).join(
+            rng.choice(["&", " & ", " &"]).join(cube) for cube in cubes)
+        ref = GuardStore(3)
+        guards._parse_label(ref, "t")         # builds ref._atoms
+        want = outcome(lambda t: ops(ref, t, ref._atoms), ref, text)
+        st = GuardStore(3)
+        del calls[:]
+        assert outcome(st.parse_label, st, text) == want
+        assert bool(calls) != all(lit in plain for c in cubes for lit in c)
