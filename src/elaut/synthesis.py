@@ -637,11 +637,15 @@ def mealy_to_aiger(m):
 
     out_fn = {o: 0 for o in m.outputs}
     next_fn = [0] * nlatches
+    circuits = {}                     # input guard -> _guard_circuit
     choices = {}                      # output guard -> _output_choice
     for s in range(m.num_states):
         for (gin, gout, dst) in m.edges[s]:
-            cond = aig.lit_and(indicator[s],
-                               _guard_circuit(aig, m.store, gin, lit_of_ap))
+            guard = circuits.get(gin)
+            if guard is None:
+                guard = circuits[gin] = _guard_circuit(aig, m.store, gin,
+                                                       lit_of_ap)
+            cond = aig.lit_and(indicator[s], guard)
             if cond == 0:
                 continue
             choice = choices.get(gout)
