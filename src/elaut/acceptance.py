@@ -309,6 +309,8 @@ def _fold(raw):
                     del out[at]
                     gone += 1
                     count += y >> 2
+                    if y > 3:           # its last operand ends just before
+                        last = at - 1
                 else:
                     count += 1
                     last = at

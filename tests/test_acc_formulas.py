@@ -658,3 +658,23 @@ def test_formula_parse_errors_are_stable():
                 got = "error %s %d" % (exc, exc.pos)
             h.update(("%r %s\n" % (text, got)).encode())
     assert h.hexdigest()[:16] == PARSE_ERROR_DIGEST
+
+
+
+def test_fold_unwraps_operators_of_one_operand():
+    # the classes build an And or Or of one operand as given; f_and and
+    # f_or merge such an operand of their own kind like any other
+    assert f_and([And([Inf(0)])]) == Inf(0)
+    assert f_or([Or([Inf(0)])]) == Inf(0)
+    assert f_and([TRUE, And([Fin(1)]), Inf(0)]) == f_and([Fin(1), Inf(0)])
+    sets = [ColorSet.of([c for c in range(4) if k >> c & 1])
+            for k in range(16)]
+    for inner in (Inf(0), Fin(1), f_or([Inf(0), Fin(1)]),
+                  f_and([Inf(2), Fin(0)])):
+        for wrap, fold in ((And, f_and), (Or, f_or)):
+            for rest in ([], [Inf(3)], [TRUE], [FALSE, Fin(3)]):
+                want = fold([inner] + rest)
+                for args in ([wrap([inner])] + rest, rest + [wrap([inner])]):
+                    got = fold(args)
+                    assert [eval_acceptance(got, cs) for cs in sets] == \
+                        [eval_acceptance(want, cs) for cs in sets]
