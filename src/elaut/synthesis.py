@@ -301,17 +301,14 @@ def solve_parity_max_odd(game, n_parity=None):
                                          n_parity, players, out, into)
                 rest -= attr
                 strat.update(strat_q)
-                if q:
-                    for s in attr:
-                        winners[s] = 1
+                for s in attr:
+                    winners[s] = q
         region = rest.intersection(comp)
-        if region:
-            won = _zielonka(region, n_parity, players, out, into)
-            strat.update(won[2])
-            for s in won[1]:
-                winners[s] = 1
-        else:
-            won = ((), ())
+        won = (_zielonka(region, n_parity, players, out, into) if region
+               else ((), (), {}))
+        strat.update(won[2])
+        for s in won[1]:
+            winners[s] = 1
     strategy = [strat.get(s, 0) if winners[s] == players[s] else 0
                 for s in range(n)]
     game.set_named_prop("state-winner", winners)
