@@ -257,7 +257,7 @@ _TOKEN = re.compile(r"[0-9]+|\S")
 
 
 def _parse_label(store, text):
-    """The guard of a label, interned; only the whole label's guard is.
+    """The guard of a label text; only the whole label's guard is interned.
 
     A label that is a disjunction of conjunctions of literals (an AP
     index without leading zeros, `t` or `f`, each maybe after one `!`) is
