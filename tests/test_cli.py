@@ -583,10 +583,11 @@ State: 0
 # transform seed 29 before edges were stored as columns.  The synth
 # digests were recorded when parity games came to be solved one SCC at
 # a time, which picks other winning strategy edges at some states and
-# so other Mealy machines and circuits; the winners are unchanged.  The check digests were recorded when `--product P
-# --accepting-run` came to find its lasso on the fly, which numbers the
-# lasso's states in visit order; their --is-empty outputs are unchanged
-# since before `--product P --is-empty` was decided on the fly.
+# so other Mealy machines and circuits; the winners are unchanged.  The
+# check digests were recorded when `--product P --accepting-run` came
+# to find its lasso on the fly, which numbers the lasso's states in
+# visit order; their --is-empty outputs are unchanged since before
+# `--product P --is-empty` was decided on the fly.
 CHECK_JOB_DIGESTS = {1: "53c7c235e0f6fbc0", 7: "906c13529a2cb2e2",
                      11: "bb5e7bca4c343b9b", 23: "f703b37e95dcd04a",
                      29: "ee0e4f5145a86815"}
