@@ -9,7 +9,7 @@ solving plus circuit extraction (``synthesis``).
 """
 
 from .acceptance import (AccClass, AccFalse, AccTrue, AcceptanceParseError,
-                         And, ColorSet, FALSE, Fin, Inf, Or, TRUE, acc_name,
+                         And, FALSE, Fin, Inf, Or, TRUE, acc_name,
                          change_parity, class_colors, dnf_disjuncts, dual,
                          eval_acceptance, f_and, f_or, generalized_buchi,
                          generalized_co_buchi, generalized_rabin, is_finless,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccClass", "AccFalse", "AccTrue", "AcceptanceParseError", "And",
-    "Automaton", "ColorSet", "Cube", "FALSE", "FALSE_GUARD", "FLAG_NAMES",
+    "Automaton", "Cube", "FALSE", "FALSE_GUARD", "FLAG_NAMES",
     "Fin", "GuardStore", "HoaParseError", "Inf", "LabelParseError", "Lasso",
     "MAYBE", "MealyMachine", "NO", "Or", "SccInfo", "Solution", "TRUE",
     "TRUE_GUARD", "Trivalent", "YES", "acc_name", "accepting_run",

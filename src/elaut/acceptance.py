@@ -13,8 +13,9 @@ AccFalse are views of a code, chosen by its top item.  Every function
 here walks the code in a loop with an explicit stack, so how deep a
 formula nests is bounded by memory, not by Python's recursion limit.
 
-Colors are stored in fixed-width bit vectors (ColorSet) whose width is a
-multiple of 32, so an edge's color set packs into whole 32-bit words.
+A set of colors is a non-negative int whose bit i is color i, as
+Spot's acc_cond::mark_t; COLORS_PER_WORD and words_for size the 32-bit
+words that Automaton.pack_edges writes such a set in.
 """
 
 from __future__ import annotations
@@ -32,103 +33,14 @@ def words_for(ncolors):
     return max(1, (ncolors + COLORS_PER_WORD - 1) // COLORS_PER_WORD)
 
 
-class ColorSet:
-    """Fixed-width set of colors, 32*nwords bits wide.
-
-    Instances are treated as immutable: every operation returns a new
-    set, so automata share one instance among all edges of equal colors.
-    """
-
-    __slots__ = ("bits", "nwords")
-
-    def __init__(self, bits=0, nwords=1):
-        if nwords < 1:
-            raise ValueError("nwords must be >= 1")
-        if bits < 0 or bits >> (COLORS_PER_WORD * nwords):
-            raise ValueError("color set does not fit in %d bits"
-                             % (COLORS_PER_WORD * nwords))
-        self.bits = bits
-        self.nwords = nwords
-
-    @classmethod
-    def of(cls, colors, nwords=1):
-        bits = 0
-        width = COLORS_PER_WORD * nwords
-        for c in colors:
-            if not 0 <= c < width:
-                raise ValueError("color %d out of range for %d-bit set"
-                                 % (c, width))
-            bits |= 1 << c
-        return cls(bits, nwords)
-
-    def width(self):
-        return COLORS_PER_WORD * self.nwords
-
-    def has(self, color):
-        return 0 <= color < self.width() and (self.bits >> color) & 1 == 1
-
-    def count(self):
-        return self.bits.bit_count()
-
-    def colors(self):
-        """Iterate set colors in increasing order."""
-        bits = self.bits
-        c = 0
-        while bits:
-            if bits & 1:
-                yield c
-            bits >>= 1
-            c += 1
-
-    def max_color(self):
-        if not self.bits:
-            raise ValueError("empty color set has no maximum")
-        return self.bits.bit_length() - 1
-
-    def widened(self, nwords):
-        if nwords < self.nwords:
-            raise ValueError("cannot shrink a color set")
-        return ColorSet(self.bits, nwords)
-
-    def shifted(self, by, nwords=None):
-        """All colors moved up by `by`; width may grow to `nwords`."""
-        nw = nwords if nwords is not None else self.nwords
-        return ColorSet(self.bits << by, nw)
-
-    def _check(self, other):
-        if not isinstance(other, ColorSet):
-            raise TypeError("expected a ColorSet")
-        if other.nwords != self.nwords:
-            raise ValueError("color sets have different widths")
-
-    def __or__(self, other):
-        self._check(other)
-        return ColorSet(self.bits | other.bits, self.nwords)
-
-    def __and__(self, other):
-        self._check(other)
-        return ColorSet(self.bits & other.bits, self.nwords)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ColorSet(self.bits & ~other.bits, self.nwords)
-
-    def __invert__(self):
-        mask = (1 << self.width()) - 1
-        return ColorSet(self.bits ^ mask, self.nwords)
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, ColorSet)
-                and other.bits == self.bits and other.nwords == self.nwords)
-
-    def __hash__(self):
-        return hash((self.bits, self.nwords))
-
-    def __repr__(self):
-        return "ColorSet({%s})" % ",".join(str(c) for c in self.colors())
+def colors_of(bits):
+    """The colors of the int `bits`, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +249,14 @@ def f_or(children):
     return _fold(codes + [4 * len(codes) + OR])
 
 
-def eval_acceptance(formula, colors):
-    """Evaluate against the set of colors occurring infinitely often.
-
-    `colors` is a ColorSet or any object with a has() method.
-    """
+def eval_acceptance(formula, bits):
+    """Evaluate against the set of colors occurring infinitely often,
+    given as an int of color bits."""
     stack = []
     for x in formula._code:
         kind = x & 3
         if kind < 2:
-            stack.append(colors.has(x >> 2) == kind)
+            stack.append(bits >> (x >> 2) & 1 == kind)
         else:                   # all([]) and any([]) read t and f
             n = len(stack) - (x >> 2)
             args = stack[n:]
@@ -356,14 +266,14 @@ def eval_acceptance(formula, colors):
 
 
 def used_colors(formula):
-    """ColorSet of every color mentioned by the formula.
+    """The bits of every color mentioned by the formula, as an int.
 
     Raises TypeError when the formula is not a formula."""
     bits = 0
     for x in _code_of(formula):
         if not x & 2:
             bits |= 1 << (x >> 2)
-    return ColorSet(bits, words_for(bits.bit_length()))
+    return bits
 
 
 def is_finless(formula):
@@ -442,12 +352,8 @@ def dnf_disjuncts(formula):
         stack.append([t for t in dict.fromkeys(terms) if not t[0] & t[1]])
     if (0, 0) in stack[0]:
         return None
-    return [(frozenset(_bit_colors(fins)), frozenset(_bit_colors(infs)))
+    return [(frozenset(colors_of(fins)), frozenset(colors_of(infs)))
             for fins, infs in stack[0]]
-
-
-def _bit_colors(bits):
-    return ColorSet(bits, words_for(bits.bit_length())).colors()
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +821,7 @@ def change_parity(aut, target):
     relevant = n
     mask = (1 << n) - 1
     pre_shift = 0
-    if any(not acc.bits & mask for acc in out.edge_acc[1:]):
+    if any(not bits & mask for bits in out.edge_acc[1:]):
         if cur_mm == "min":
             n += 1
         else:
@@ -928,7 +834,6 @@ def change_parity(aut, target):
     post_shift = 1 if style != tgt_eo else 0
     total = n + post_shift
 
-    out.nwords = words_for(total)
     offset = (n - 1 - pre_shift if reverse else pre_shift) + post_shift
     recolor_parity(out, relevant, cur_mm, -1 if reverse else 1, offset)
     out.set_acceptance(total, make_class(parity(tgt_mm, tgt_eo, total)))

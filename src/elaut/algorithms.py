@@ -20,11 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import length_hint
 
-from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, ColorSet,
-                         Fin, Inf, _first_fin, dnf_disjuncts, dual,
+from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, Fin, Inf,
+                         _first_fin, colors_of, dnf_disjuncts, dual,
                          eval_acceptance, f_and, f_or, is_finless,
-                         make_class, recognize, shift_colors, subst,
-                         words_for)
+                         make_class, recognize, shift_colors, subst)
 from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
 from .guards import FALSE_GUARD, TRUE_GUARD, GuardStore
 
@@ -120,8 +119,8 @@ class SccInfo:
     every edge between different components goes from a higher id to a
     lower one.  internal[i] lists the edge indices with source in
     component i and at least one destination member back in i; colors[i]
-    is the union of their color sets.  succ is _successors(aut) when the
-    caller has it.
+    is the union of their colors, an int of color bits.  succ is
+    _successors(aut) when the caller has it.
     """
 
     def __init__(self, aut, succ=None):
@@ -131,7 +130,7 @@ class SccInfo:
         self.members, self.scc_of = _tarjan(dsts, roots)
         scc_of = self.scc_of
         self.internal = [[] for _ in self.members]
-        bits = [0] * len(self.members)
+        self.colors = bits = [0] * len(self.members)
         accs = aut.edge_acc
         for v, cid in enumerate(scc_of):
             if cid < 0:
@@ -140,9 +139,8 @@ class SccInfo:
             for d, i in zip(dsts[v], idxs[v]):
                 if i != last and scc_of[d] == cid:
                     self.internal[cid].append(i)
-                    bits[cid] |= accs[i].bits
+                    bits[cid] |= accs[i]
                     last = i
-        self.colors = [ColorSet(b, aut.nwords) for b in bits]
 
     @property
     def num(self):
@@ -210,9 +208,9 @@ def _check_inherently_weak(aut):
         if not edges:
             continue
         table = _edge_table(aut, edges)
-        if _search_scc(table, edges, colors.bits, aut.acceptance) is None:
+        if _search_scc(table, edges, colors, aut.acceptance) is None:
             continue
-        if _search_scc(table, edges, colors.bits, rejecting) is not None:
+        if _search_scc(table, edges, colors, rejecting) is not None:
             return False
     return True
 
@@ -294,10 +292,6 @@ def is_terminal(aut):
 # tried: delete the c-colored edges, or give up on it (Fin(c) := false,
 # sound because the formula is monotone in its atoms).
 
-def _bit_list(bits):
-    return [c for c in range(bits.bit_length()) if bits >> c & 1]
-
-
 def _restrict(f, present):
     """(g, units): f with the atoms of colors absent from the int `present`
     made constant, then its top-level Fin units made true, and their bits.
@@ -311,7 +305,7 @@ def _restrict(f, present):
             elif not x & 1:
                 fins |= bit
     if absent:
-        gone = _bit_list(absent)
+        gone = colors_of(absent)
         f = subst(f, dict.fromkeys(gone, True), dict.fromkeys(gone, False))
     if not fins:
         return f, 0
@@ -330,7 +324,7 @@ def _restrict(f, present):
         if not x & 3:                   # a Fin atom
             units |= 1 << (x >> 2)
     if units:
-        f = subst(f, dict.fromkeys(_bit_list(units), True), {})
+        f = subst(f, dict.fromkeys(colors_of(units), True), {})
     return f, units
 
 
@@ -338,7 +332,7 @@ def _edge_table(aut, ids):
     """The plain form the emptiness search reads edges in: edge id ->
     (src, dst, color bits), over the given plain edges of aut."""
     src, dst, acc = aut.edge_src, aut.edge_dst, aut.edge_acc
-    return {i: (src[i], dst[i], acc[i].bits) for i in ids}
+    return {i: (src[i], dst[i], acc[i]) for i in ids}
 
 
 def _subgraph_sccs(table, ids):
@@ -403,7 +397,7 @@ def _witness(aut, succ=None):
     for cid, internal in enumerate(info.internal):
         if internal:
             got = _search_scc(_edge_table(aut, internal), internal,
-                              info.colors[cid].bits, aut.acceptance)
+                              info.colors[cid], aut.acceptance)
             if got is not None:
                 return got
     return None
@@ -445,10 +439,10 @@ def check_run(aut, run):
         if src[i] != at or dst[i] < 0 or cond[i] == FALSE_GUARD:
             return False
         at = dst[i]
-        seen |= acc[i].bits
+        seen |= acc[i]
     if at != start:
         return False
-    return eval_acceptance(aut.acceptance, ColorSet(seen, aut.nwords))
+    return eval_acceptance(aut.acceptance, seen)
 
 
 def _bfs_path(succ, sources, goal):
@@ -573,7 +567,7 @@ def remove_fin(aut):
     rows = [(src, dst, cond, 0) for src, dst, cond, _ in edges]
     rows += [(src, base + dst, cond, 0)
              for src, dst, cond, _ in edges for base in bases]
-    internal = [(src, dst, cond, acc.bits) for src, dst, cond, acc in edges
+    internal = [(src, dst, cond, bits) for src, dst, cond, bits in edges
                 if scc_of[src] >= 0 and scc_of[dst] == scc_of[src]]
     terms = []
     total = 0
@@ -594,7 +588,7 @@ def remove_fin(aut):
             if got >= 0:
                 rows.append((base + src, base + dst, cond, got))
         total += 1 + len(infs)
-    out = Automaton(aut.aps, words_for(total), aut.store)
+    out = Automaton(aut.aps, aut.store)
     out.new_states(n * (1 + len(disjuncts)))
     out.new_edges(rows)
     out.set_acceptance(total, f_or(terms))
@@ -611,7 +605,7 @@ def _weak_product_side(weak, other):
     # the other acceptance to be Fin-free and to reject colorless cycles
     return (weak.get_flag("weak") is YES
             and is_finless(other.acceptance)
-            and not eval_acceptance(other.acceptance, ColorSet(0, 1)))
+            and not eval_acceptance(other.acceptance, 0))
 
 
 def _accepting_scc_mask(aut):
@@ -641,7 +635,7 @@ class _FlatRows(dict):
         self.bits = {}                # guard id in aut -> bits in store
         bits = 0
         for acc in aut.edge_acc[1:] if self.mask else ():
-            bits |= acc.bits
+            bits |= acc
         self.colors = (bits & self.mask) << shift   # union over all rows
 
     def _bits(self, cond):
@@ -666,7 +660,7 @@ class _FlatRows(dict):
             if g is None:
                 g = self._bits(cond)
             if g:
-                row.append((g, dsts[i], (accs[i].bits & mask) << shift))
+                row.append((g, dsts[i], (accs[i] & mask) << shift))
         return row
 
 
@@ -729,7 +723,7 @@ def product(a, b):
     # the operands' guards take the store's first ids, in edge order
     succ_a.intern_all()
     succ_b.intern_all()
-    out = Automaton(aps, words_for(num_sets), store)
+    out = Automaton(aps, store)
     intern = store.intern
     rows = []
     pairs = [(a.init, b.init)] if a.num_states and b.num_states else []
@@ -805,7 +799,7 @@ def product_accepting_run(a, b):
         number.setdefault(dst, len(number))
         g = next(g for g, d, x in edges(src) if d == dst and x == c)
         rows.append((number[src], number[dst], store.intern(g), c))
-    lasso = Automaton(aps, words_for(num_sets), store)
+    lasso = Automaton(aps, store)
     lasso.new_states(len(number))
     lasso.new_edges(rows)
     lasso.set_acceptance(num_sets, acceptance)
@@ -846,7 +840,6 @@ def _product_search(a, b, ops, run):
                                   if any(gate_a) and any(gate_b) else 0)
     if not (a.num_states and b.num_states) or acceptance is FALSE:
         return None
-    nwords = words_for(num_sets)
     split = not is_finless(acceptance)
     keep_rows = split or run
     accepts = {}                # color bits -> eval_acceptance on them
@@ -899,8 +892,7 @@ def _product_search(a, b, ops, run):
                 colors[-1] = c = c | colors[-1]
                 ok = accepts.get(c)
                 if ok is None:
-                    ok = accepts[c] = eval_acceptance(acceptance,
-                                                      ColorSet(c, nwords))
+                    ok = accepts[c] = eval_acceptance(acceptance, c)
                 if not ok:
                     continue
                 if not run:
@@ -985,7 +977,7 @@ def _explore_macro(aut, out, start, name, step):
     """
     store = aut.store
     conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
-    rows = [[(store.bits_of(conds[i]), aut.univ_dests(dsts[i]), accs[i].bits)
+    rows = [[(store.bits_of(conds[i]), aut.univ_dests(dsts[i]), accs[i])
              for i in aut.out_indices(s)] for s in range(aut.num_states)]
     index = {start: 0}
     keys = [start]
@@ -1030,7 +1022,7 @@ def _dealternate_buchi(aut):
             return s_next, tuple(sorted(owing)), 0
         return s_next, s_next, 1
 
-    out = Automaton(aut.aps, 1, aut.store)
+    out = Automaton(aut.aps, aut.store)
     out.set_acceptance(1, Inf(0))
     s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
     return _explore_macro(aut, out, (s0, s0), _macro_name, step)
@@ -1090,7 +1082,7 @@ def _dealternate_weak(aut):
                 colors |= 1 << (first + k)
         return s_next, o_next, colors
 
-    out = Automaton(aut.aps, words_for(total), aut.store)
+    out = Automaton(aut.aps, aut.store)
     out.set_acceptance(total, f_and([Inf(c) for c in range(total)]))
     s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
     start = (s0, tuple(s for s in s0 if s in multi))
@@ -1156,8 +1148,7 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
     names = ["p%d" % i for i in range(aps)] if isinstance(aps, int) \
         else list(aps)
     nminterms = 1 << len(names)
-    nwords = words_for(colors)
-    aut = Automaton(names, nwords)
+    aut = Automaton(names)
     aut.new_states(states)
     rows = []
     for s in range(states):

@@ -214,9 +214,7 @@ def cmd_randaut(args):
                 acceptance = parse_acceptance(args.acceptance)
             except AcceptanceParseError as exc:
                 raise ValueError("bad --acceptance: %s" % exc)
-            used = used_colors(acceptance)
-            if used:
-                colors = max(colors, used.max_color() + 1)
+            colors = max(colors, used_colors(acceptance).bit_length())
     aut = algorithms.random_automaton(
         args.states, args.ap, density=args.density, colors=colors,
         color_density=args.color_density, acceptance=acceptance,

@@ -24,16 +24,18 @@ n followed by the n member states; each ordered member list is stored
 once.  The initial designator is a single
 destination word, so it too may name a universal group.
 
-Equal color sets are shared: an automaton keeps one ColorSet per value
-(`color_set`), and `new_edge` gives edges with equal colors that one
-object.  ColorSets are never changed in place; an edge gets new colors
-only by assigning `e.acc` or through `map_colors`.
+An edge's colors are a non-negative int whose bit i is color i, as
+Spot's acc_cond::mark_t; it has no width.  Equal values are one object:
+an automaton keeps one int per value, so that sets above 256, which
+CPython does not cache, are not stored once per edge.  `new_edges`, the
+`e.acc` setter and `map_colors` all go through that table.
 
 Packed (`pack_edges`), an edge is five 32-bit fields with one color
-word: src, dst, cond, acc, next -- 20 bytes, plus 4 per extra word.
-That is the binary layout only: live, a built 250x250-state product
-retains about 154 bytes per edge in all (tracemalloc, Python 3.11),
-against 192 when each edge was one record object.
+word: src, dst, cond, acc, next -- 20 bytes, plus 4 per extra word,
+sized by the declared color count or the highest edge color.  That is
+the binary layout only: live, a built 250x250-state product retains
+about 154 bytes per edge in all (tracemalloc, Python 3.11), against 192
+when each edge was one record object.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import operator
 import struct
 import types
 
-from .acceptance import COLORS_PER_WORD, TRUE, ColorSet, used_colors
+from .acceptance import COLORS_PER_WORD, TRUE, used_colors, words_for
 from .guards import FALSE_GUARD, GuardStore
 
 
@@ -80,7 +82,6 @@ _ALL_MAYBE = types.MappingProxyType(dict.fromkeys(FLAG_NAMES, MAYBE))
 
 
 EDGE_COLUMNS = ("edge_src", "edge_dst", "edge_cond", "edge_acc", "edge_next")
-_BITS = operator.attrgetter("bits")
 
 
 def _column(name):
@@ -95,9 +96,10 @@ def _column(name):
 
 class EdgeRecord:
     """A view of edge `index` of `automaton`: src, dst (a destination
-    word, negative for a group), cond (a guard id), acc (a ColorSet) and
-    next_succ (the next out-edge of src, 0 at the end) read and write
-    that entry of the automaton's edge columns."""
+    word, negative for a group), cond (a guard id), acc (an int of color
+    bits; a write takes what new_edges takes) and next_succ (the next
+    out-edge of src, 0 at the end) read and write that entry of the
+    automaton's edge columns."""
 
     __slots__ = ("automaton", "index")
 
@@ -105,6 +107,11 @@ class EdgeRecord:
         self.automaton, self.index = automaton, index
 
     src, dst, cond, acc, next_succ = map(_column, EDGE_COLUMNS)
+
+    @acc.setter
+    def acc(self, value):
+        aut = self.automaton
+        aut.edge_acc[self.index] = aut._shared_colors(value)
 
 
 class _EdgeTable:
@@ -128,9 +135,7 @@ class _EdgeTable:
 class Automaton:
     """A transition-based automaton with Emerson-Lei acceptance."""
 
-    def __init__(self, aps=(), nwords=1, store=None):
-        if nwords < 1:
-            raise ValueError("nwords must be >= 1")
+    def __init__(self, aps=(), store=None):
         self.aps = list(aps)
         if store is None:
             store = GuardStore(len(self.aps))
@@ -138,13 +143,13 @@ class Automaton:
             raise ValueError("guard store has %d APs, automaton has %d"
                              % (store.ap_count, len(self.aps)))
         self.store = store
-        self.nwords = nwords
         self._succ = []               # per state: first out-edge, 0 if none
         self._tail = []               # per state: last out-edge, 0 if none
         self._nguards = 0             # guard ids below this are known valid
         self.edge_src, self.edge_dst, self.edge_cond, self.edge_next = (
             [0], [0], [0], [0])       # slot 0 is the reserved terminator
         self.edge_acc = [None]
+        self._colors = {}             # color bits -> their shared int
         self.dests = []
         self._group_offsets = set()
         self._group_words = {}        # ordered member tuple -> group word
@@ -155,16 +160,6 @@ class Automaton:
         self.named_props = {}
 
     # -- basic shape --------------------------------------------------
-
-    @property
-    def nwords(self):
-        return self._nwords
-
-    @nwords.setter
-    def nwords(self, nwords):
-        # edges already made keep their sets; later ones get the new width
-        self._nwords = nwords
-        self._colors = {0: ColorSet(0, nwords)}
 
     @property
     def num_states(self):
@@ -183,9 +178,6 @@ class Automaton:
         """Per state, its first out-edge (0 for none); read-only, like
         the edge columns."""
         return self._succ
-
-    def max_color(self):
-        return COLORS_PER_WORD * self._nwords - 1
 
     # -- construction -------------------------------------------------
 
@@ -207,40 +199,46 @@ class Automaton:
             raise ValueError("destination word %d names no group" % word)
         return word
 
-    def color_set(self, acc):
-        """The automaton's shared ColorSet of `acc`: None, an int of color
-        bits, a ColorSet of this width or an iterable of colors."""
-        if acc is None:
-            acc = 0
-        elif isinstance(acc, ColorSet):
-            if acc.nwords != self._nwords:
-                raise ValueError("color set width mismatch")
-            acc = acc.bits
-        elif acc.__class__ is not int:
-            acc = ColorSet.of(acc, self._nwords).bits
-        cs = self._colors.get(acc)
-        if cs is None:
-            cs = self._colors[acc] = ColorSet(acc, self._nwords)
-        return cs
+    def _shared_colors(self, acc):
+        """The automaton's one int of the colors `acc`: a non-negative int
+        of color bits or an iterable of non-negative color numbers;
+        ValueError for anything else."""
+        if isinstance(acc, int):
+            bits = int(acc)
+            if bits < 0:
+                raise ValueError("negative color bits %d" % bits)
+        else:
+            bits = 0
+            try:
+                for c in acc:
+                    if not isinstance(c, int) or c < 0:
+                        raise ValueError("bad color %r" % (c,))
+                    bits |= 1 << c
+            except TypeError:
+                raise ValueError("colors must be an int of bits or an "
+                                 "iterable of colors, not %r" % (acc,)) \
+                    from None
+        return self._colors.setdefault(bits, bits)
 
     def map_colors(self, fn):
-        """Give every edge the shared color set of fn(bits), where bits
-        are its current color bits; fn runs once per distinct value."""
-        bits = list(map(_BITS, self.edge_acc[1:]))
-        new = {b: self.color_set(fn(b)) for b in set(bits)}
-        self.edge_acc[1:] = map(new.__getitem__, bits)
+        """Give every edge the colors fn(bits), where bits are its current
+        colors; fn runs once per distinct value."""
+        accs = self.edge_acc[1:]
+        new = {b: self._shared_colors(fn(b)) for b in set(accs)}
+        self.edge_acc[1:] = map(new.__getitem__, accs)
 
     def new_edge(self, src, dst, cond=1, acc=None):
-        """Append an edge and link it after src's current out-edges; it
-        gets the shared color set of `acc` (see color_set)."""
-        self.new_edges(((src, dst, cond, acc),))
+        """Append an edge and link it after src's current out-edges; `acc`
+        is what new_edges takes, or None for no colors."""
+        self.new_edges(((src, dst, cond, acc or 0),))
         return len(self.edge_src) - 1
 
     def new_edges(self, edges):
         """Append edges given as (src, dst, cond, colors), in order; colors
-        is what color_set takes, most cheaply an int of bits.  Each edge
-        is checked (states, group word, guard id, colors) before it is
-        appended, then linked after its source's current out-edges."""
+        is an int of color bits or an iterable of colors (see
+        _shared_colors).  Each edge is checked (states, group word, guard
+        id, colors) before it is appended, then linked after its source's
+        current out-edges."""
         tail = self._tail
         succ = self._succ
         n = len(tail)
@@ -267,11 +265,9 @@ class Automaton:
                 if not 0 <= cond < nguards:
                     raise ValueError("unknown guard id %d" % cond)
             try:
-                acc = colors.get(bits)
-            except TypeError:               # an unhashable list of colors
-                acc = None
-            if acc is None:
-                acc = self.color_set(bits)
+                acc = colors[bits]
+            except (KeyError, TypeError):   # new bits, or a list of colors
+                acc = self._shared_colors(bits)
             add_src(src)
             add_dst(dst)
             add_cond(cond)
@@ -321,13 +317,12 @@ class Automaton:
     def set_acceptance(self, num_sets, formula):
         """Set the acceptance; TypeError unless `formula` is a formula
         (see used_colors)."""
-        if num_sets < 0 or num_sets > COLORS_PER_WORD * self._nwords:
-            raise ValueError("num_sets %d does not fit %d color words"
-                             % (num_sets, self._nwords))
-        uc = used_colors(formula)
-        if uc and uc.max_color() >= num_sets:
+        if num_sets < 0:
+            raise ValueError("num_sets %d is negative" % num_sets)
+        top = used_colors(formula).bit_length()
+        if top > num_sets:
             raise ValueError("acceptance mentions color %d >= num_sets %d"
-                             % (uc.max_color(), num_sets))
+                             % (top - 1, num_sets))
         self.num_sets = num_sets
         self.acceptance = formula
         self.reset_flags()
@@ -406,7 +401,7 @@ class Automaton:
     # -- copying ------------------------------------------------------
 
     def clone(self, keep_flags=False):
-        out = Automaton(self.aps, self._nwords, self.store)
+        out = Automaton(self.aps, self.store)
         out._succ = list(self._succ)
         out._tail = list(self._tail)
         out._colors = dict(self._colors)
@@ -430,16 +425,20 @@ class Automaton:
 
         Each record is src, dst, cond, the acc words, then next, all as
         32-bit little-endian words; dst is two's complement so group words
-        keep their sign bit.
+        keep their sign bit.  The acc words are words_for(n) of them, n
+        being the declared color count or, if an edge has a higher color,
+        that color plus one.
         """
         out = bytearray()
         mask = 0xFFFFFFFF
-        words = range(0, COLORS_PER_WORD * self._nwords, COLORS_PER_WORD)
+        top = max(self.edge_acc[1:], default=0).bit_length()
+        words = range(0, COLORS_PER_WORD * words_for(max(self.num_sets, top)),
+                      COLORS_PER_WORD)
         record = struct.Struct("<%dI" % (4 + len(words))).pack
         for src, dst, cond, acc, nxt in zip(
                 *[getattr(self, name)[1:] for name in EDGE_COLUMNS]):
             out += record(src, dst & mask, cond,
-                          *[acc.bits >> w & mask for w in words], nxt)
+                          *[acc >> w & mask for w in words], nxt)
         return bytes(out)
 
     # -- integrity ----------------------------------------------------
@@ -467,8 +466,9 @@ class Automaton:
                 self._check_word(dst[idx])
                 need(0 <= cond[idx] < len(self.store), "unknown guard id %d",
                      cond[idx])
-                need(acc[idx].nwords == self._nwords,
-                     "color set width mismatch")
+                need(acc[idx].__class__ is int and acc[idx] >= 0,
+                     "edge %d has colors %r, not an int of bits", idx,
+                     acc[idx])
                 last = idx
                 idx = nxt[idx]
             need(self._tail[s] == last, "bad tail for state %d", s)
@@ -479,9 +479,7 @@ class Automaton:
             for m in self.dests[off + 1:off + 1 + n]:
                 need(0 <= m < len(self._succ), "group member %d is not a state",
                      m)
-        need(self.num_sets <= self.max_color() + 1, "num_sets too large")
-        uc = used_colors(self.acceptance)
-        need(not uc or uc.max_color() < self.num_sets,
+        need(used_colors(self.acceptance).bit_length() <= self.num_sets,
              "acceptance mentions a color >= num_sets")
         if self._succ:
             self._check_word(self.init)
@@ -530,16 +528,14 @@ def trim(aut):
 
     One pass walks each kept state's out-list, in new state order, and
     appends its kept edges to the output's columns, each linked to the
-    next; edges are not checked again (see the module docstring).  Color
-    sets stay shared with the input, as `clone` shares them, except that
-    a set of another width than the automaton's gets the output's own
-    set of its bits.
+    next; edges are not checked again (see the module docstring).  Colors
+    stay shared with the input, as `clone` shares them.
     """
     order = sorted(reachable_states(aut))
     state_map = [None] * aut.num_states
     for new, old in enumerate(order):
         state_map[old] = new
-    out = Automaton(aut.aps, aut.nwords, aut.store)
+    out = Automaton(aut.aps, aut.store)
     out._colors = dict(aut._colors)
     first, last = out._succ, out._tail = [0] * len(order), [0] * len(order)
     add_src, add_dst, add_cond, add_acc, add_next = [
@@ -552,7 +548,6 @@ def trim(aut):
 
     succ, nxt = aut._succ, aut.edge_next
     dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
-    nwords = aut.nwords
     edge_map = ({0: 0} if "highlight-edges" in aut.named_props
                 or "strategy" in aut.named_props else None)
     n = 1                             # out's next edge; its edge 0 is reserved
@@ -563,13 +558,10 @@ def trim(aut):
             cond = conds[idx]
             if cond != FALSE_GUARD:
                 dst = dsts[idx]
-                acc = accs[idx]
-                if acc.nwords != nwords:
-                    acc = out.color_set(acc.bits)
                 add_src(new)
                 add_dst(state_map[dst] if dst >= 0 else group(dst))
                 add_cond(cond)
-                add_acc(acc)
+                add_acc(accs[idx])
                 n += 1
                 add_next(n)
                 if edge_map is not None:

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import re
 
-from .acceptance import (FALSE, TRUE, acc_name, eval_acceptance,
-                         parse_acceptance, words_for, AcceptanceParseError)
+from .acceptance import (FALSE, TRUE, acc_name, colors_of, eval_acceptance,
+                         parse_acceptance, AcceptanceParseError)
 from .graph import MAYBE, NO, YES, Automaton, FLAG_NAMES
 from .guards import LabelParseError, TRUE_GUARD
 
@@ -56,6 +56,11 @@ _TOKEN_TO_FLAG = {tok: flag for flag, tok in _FLAG_TOKENS}
 # declared state (or each one up to the largest index named) before any
 # edge, at 16 bytes each, so a short header must not ask for gigabytes.
 MAX_STATES = 1 << 20
+
+# The most colors an `Acceptance:` header may declare: a color set is an
+# int of up to that many bits, and operations on it cost time and memory
+# in proportion.
+MAX_COLORS = 1 << 20
 
 
 class HoaParseError(ValueError):
@@ -312,9 +317,12 @@ class _Parser:
                 h["aps"] = [self.expect("string", "AP name")
                             for _ in range(n)]
             elif val == "Acceptance":
-                h["num_sets"] = self.expect("int", "acceptance set count")
-                h["acceptance"] = self._acceptance_formula(h["num_sets"],
-                                                           off)
+                n = h["num_sets"] = self.expect("int", "acceptance set count")
+                if n > MAX_COLORS:
+                    raise self.error("%d colors exceed the limit of %d"
+                                     % (n, MAX_COLORS),
+                                     self.toks[self.i - 1][2])
+                h["acceptance"] = self._acceptance_formula(n, off)
             elif val == "name":
                 h["name"] = self.expect("string", "automaton name")
             elif val == "acc-name":
@@ -397,7 +405,7 @@ class _Parser:
         if num_sets is None:
             raise self.error("missing Acceptance: header", body_at)
         aps = h["aps"] if h["aps"] is not None else []
-        aut = Automaton(aps, words_for(num_sets))
+        aut = Automaton(aps)
         declared = h["states"]
         if declared is not None:
             aut.new_states(declared)
@@ -627,12 +635,13 @@ def _word_str(aut, word):
     return "&".join(str(m) for m in aut.group_members(word))
 
 
-def _colors_str(acc):
-    return "{%s}" % " ".join(str(c) for c in acc.colors())
+def _colors_str(bits):
+    return "{%s}" % " ".join(map(str, colors_of(bits)))
 
 
 def _state_acc_of(aut, state):
-    """The shared color set of a state's out-edges, for state-based output."""
+    """The colors all of a state's out-edges share, for state-based
+    output."""
     acc = None
     for i in aut.out_indices(state):
         if acc is None:
@@ -712,11 +721,11 @@ def print_hoa(aut):
             if part is None:
                 part = labels[cond] = "[%s] " % print_label(cond)
             part += str(dst)
-            bits = accs[i].bits
+            bits = accs[i]
             if bits and not state_based:
                 text = colors.get(bits)
                 if text is None:
-                    text = colors[bits] = " " + _colors_str(accs[i])
+                    text = colors[bits] = " " + _colors_str(bits)
                 part += text
             lines.append(part)
             i = nxt[i]

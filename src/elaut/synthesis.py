@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
-                         recolor_parity, words_for)
+                         recolor_parity)
 from .algorithms import _tarjan
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
@@ -84,7 +84,7 @@ def _moves(game, n_parity=None):
                 if t < 0:
                     raise ValueError("games need nonalternating automata")
                 if n_parity is not None:
-                    b = accs[i].bits
+                    b = accs[i]
                     # exactly one color, and below n_parity
                     if not (b and not b & (b - 1) and b >> n_parity == 0):
                         raise ValueError("every edge needs exactly one "
@@ -200,7 +200,6 @@ def _colorize(aut, n):
     parity over n colors."""
     total = n + 2
     out = aut.clone()
-    out.nwords = max(aut.nwords, words_for(total))
     recolor_parity(out, n, "max", 1, 2)
     out.set_acceptance(total, make_class(parity("max", "odd", total)))
     return out
@@ -327,7 +326,7 @@ def solve_game(game):
         raise ValueError("unsupported game objective: %s" % game.acceptance)
     # exactly one color on every edge, and below n_parity
     if all(b and not b & (b - 1) and b >> n_parity == 0
-           for b in {acc.bits for acc in game.edge_acc[1:]}):
+           for b in set(game.edge_acc[1:])):
         return solve_parity_max_odd(game, n_parity)
     sol = solve_parity_max_odd(_colorize(game, n_parity), n_parity + 2)
     # the recolored clone shares state and edge numbering
@@ -490,7 +489,7 @@ def simulate_mealy(m, steps):
 def mealy_to_automaton(m):
     """The machine as an automaton: labels combine input and output
     guards, the controllable APs are recorded for serialization."""
-    out = Automaton(m.aps, 1, m.store)
+    out = Automaton(m.aps, m.store)
     out.new_states(m.num_states)
     out.new_edges((s, dst, m.store.g_and(gin, gout), 0)
                   for s in range(m.num_states)

@@ -8,21 +8,30 @@ the library's own graph algorithms, so a shared bug cannot hide.
 import random
 from itertools import product as iproduct
 
-from elaut.acceptance import AccTrue, And, ColorSet, Fin, Inf, \
+from elaut.acceptance import AccTrue, And, Fin, Inf, \
     eval_acceptance, f_and, make_class, parity, parse_acceptance, \
     shift_colors
 from elaut.graph import YES, Automaton
 from elaut.guards import FALSE_GUARD
 
 
-def build(aps, num_sets, acceptance, edges, init=0, players=None,
-          nwords=1):
+def bit_colors(bits):
+    """The colors of an int of color bits, in increasing order."""
+    return [c for c in range(bits.bit_length()) if bits >> c & 1]
+
+
+def color_bits(colors):
+    """The int of color bits of an iterable of colors."""
+    return sum(1 << c for c in set(colors))
+
+
+def build(aps, num_sets, acceptance, edges, init=0, players=None):
     """Compact automaton builder for hand-written test cases.
 
     edges rows are (src, label_text, dst, colors) where dst is an int or
     a tuple for a universal group.
     """
-    aut = Automaton(aps, nwords=nwords)
+    aut = Automaton(aps)
     top = init if isinstance(init, int) else max(init)
     for (s, _, d, _) in edges:
         ds = d if isinstance(d, tuple) else (d,)
@@ -54,7 +63,7 @@ def graph_of(aut):
             continue
         if e.dst < 0:
             raise ValueError("alternating automaton has no plain graph")
-        rows.append((i, e.src, e.dst, frozenset(e.acc.colors())))
+        rows.append((i, e.src, e.dst, frozenset(bit_colors(e.acc))))
         adj.setdefault(e.src, []).append(e.dst)
     reach = set()
     if aut.num_states:
@@ -147,7 +156,7 @@ def _sccs_of_rows(rows):
     return out
 
 
-def rows_nonempty(rows, reach, acceptance, nwords=4):
+def rows_nonempty(rows, reach, acceptance):
     """Brute force: does a reachable strongly connected edge subset exist
     whose combined colors satisfy the formula?
 
@@ -165,8 +174,7 @@ def rows_nonempty(rows, reach, acceptance, nwords=4):
             colors = set()
             for (_, _, _, cols) in chosen:
                 colors |= cols
-            if eval_acceptance(acceptance,
-                               ColorSet.of(colors, nwords)):
+            if eval_acceptance(acceptance, color_bits(colors)):
                 return True
     return False
 
@@ -174,8 +182,7 @@ def rows_nonempty(rows, reach, acceptance, nwords=4):
 def empty_by_edge_subsets(aut):
     """Emptiness by literal enumeration of candidate witness edge sets."""
     rows, reach = graph_of(aut)
-    return not rows_nonempty(rows, reach, aut.acceptance,
-                             nwords=max(4, aut.nwords))
+    return not rows_nonempty(rows, reach, aut.acceptance)
 
 
 # ---------------------------------------------------------------- trim
@@ -202,7 +209,7 @@ def trim_by_rebuild(aut):
                             todo.append(d)
     order = sorted(reach)
     state_map = {old: new for new, old in enumerate(order)}
-    out = Automaton(aut.aps, aut.nwords, aut.store)
+    out = Automaton(aut.aps, store=aut.store)
     out.new_states(len(order))
 
     def word(w):
@@ -216,7 +223,7 @@ def trim_by_rebuild(aut):
     for new, old in enumerate(order):
         for e in aut.out(old):
             if e.cond != FALSE_GUARD:
-                rows.append((new, word(e.dst), e.cond, e.acc.bits))
+                rows.append((new, word(e.dst), e.cond, e.acc))
                 edge_map[e.index] = len(rows)
     out.new_edges(rows)
     if aut.num_states:
@@ -262,8 +269,7 @@ def _accepting_scc_states(aut):
             if s in comp and d in comp:
                 internal = True
                 colors |= cols
-        if internal and eval_acceptance(
-                aut.acceptance, ColorSet.of(colors, max(4, aut.nwords))):
+        if internal and eval_acceptance(aut.acceptance, color_bits(colors)):
             out |= comp
     return out
 
@@ -284,7 +290,7 @@ def product_by_pairs(a, b):
     def weak_side(x, y):
         return (x.get_flag("weak") is YES
                 and not _has_fin(y.acceptance)
-                and not eval_acceptance(y.acceptance, ColorSet(0, 1)))
+                and not eval_acceptance(y.acceptance, 0))
 
     weak_a = weak_side(a, b)
     weak_b = not weak_a and weak_side(b, a)
@@ -298,7 +304,7 @@ def product_by_pairs(a, b):
         num_sets = a.num_sets + b.num_sets
         acceptance = f_and([a.acceptance,
                             shift_colors(b.acceptance, a.num_sets)])
-    out = Automaton(aps, nwords=max(1, (num_sets + 31) // 32))
+    out = Automaton(aps)
 
     def letter(aut, m):
         # assignment m over `aps`, seen over aut's own AP list
@@ -326,8 +332,8 @@ def product_by_pairs(a, b):
                 if (ea.dst, eb.dst) not in pairs:
                     pairs.append((ea.dst, eb.dst))
                     out.new_state()
-                ca = [c for c in ea.acc.colors() if c < a.num_sets]
-                cb = [c for c in eb.acc.colors() if c < b.num_sets]
+                ca = [c for c in bit_colors(ea.acc) if c < a.num_sets]
+                cb = [c for c in bit_colors(eb.acc) if c < b.num_sets]
                 if weak_a:
                     colors = cb if s in gate else []
                 elif weak_b:
@@ -369,7 +375,7 @@ def up_word_graph(aut, letters_prefix, letters_cycle):
         for pos in range(total):
             if aut.store.holds(e.cond, word[pos]):
                 rows.append((i, (e.src, pos), (e.dst, nxt(pos)),
-                             frozenset(e.acc.colors())))
+                             frozenset(bit_colors(e.acc))))
     adj = {}
     for (_, s, d, _) in rows:
         adj.setdefault(s, []).append(d)
@@ -393,8 +399,7 @@ def up_word_in(aut, letters_prefix, letters_cycle):
     """Membership of the ultimately periodic word in a nonalternating
     automaton, by brute force over the unrolled graph."""
     rows, reach = up_word_graph(aut, letters_prefix, letters_cycle)
-    return rows_nonempty(rows, reach, aut.acceptance,
-                         nwords=max(4, aut.nwords))
+    return rows_nonempty(rows, reach, aut.acceptance)
 
 
 def _inf_conjunction_colors(formula):
@@ -439,7 +444,7 @@ def word_in_gen_buchi(aut, letters_prefix, letters_cycle):
             if e.cond == FALSE_GUARD:
                 continue
             assert e.dst >= 0
-            rows.append((e.cond, e.dst, set(e.acc.colors())))
+            rows.append((e.cond, e.dst, set(bit_colors(e.acc))))
         outs.append(rows)
 
     hot = frozenset([0])
@@ -510,7 +515,7 @@ def alt_buchi_word_in(aut, letters_prefix, letters_cycle):
             if e.cond == FALSE_GUARD or not aut.store.holds(e.cond, word[p]):
                 continue
             succs = [(d, nxt(p)) for d in aut.univ_dests(e)]
-            opts.append((e.acc.has(0), succs))
+            opts.append((bool(e.acc & 1), succs))
         moves[(q, p)] = opts
 
     def step(z, y):
@@ -551,7 +556,7 @@ def game_view(aut, players):
         if e is None or e.cond == FALSE_GUARD:
             continue
         assert e.dst >= 0
-        cols = sorted(e.acc.colors())
+        cols = bit_colors(e.acc)
         assert len(cols) == 1, "oracle wants one color per edge"
         per_state[e.src].append((i, e.dst))
         color[i] = cols[0]
@@ -638,7 +643,7 @@ def safety_winners_by_enumeration(aut, players):
     has an odd maximum, and deadlock handling is shared."""
     c = aut.clone()
     for e in c.edge_records():
-        e.acc = ColorSet.of([1], c.nwords)
+        e.acc = [1]
     return parity_winners_by_enumeration(c, players)
 
 
@@ -767,7 +772,7 @@ def random_alt_buchi(seed, max_states=5, max_aps=2):
     rng = random.Random(seed)
     n = rng.randint(1, max_states)
     naps = rng.randint(1, max_aps)
-    aut = Automaton(["p%d" % i for i in range(naps)], nwords=1)
+    aut = Automaton(["p%d" % i for i in range(naps)])
     aut.new_states(n)
     nmin = 1 << naps
     for s in range(n):
@@ -779,8 +784,7 @@ def random_alt_buchi(seed, max_states=5, max_aps=2):
             else:
                 dst = rng.randrange(n)
             acc = [0] if rng.random() < 0.45 else []
-            aut.new_edge(s, dst, aut.store.intern(bits),
-                         ColorSet.of(acc, 1))
+            aut.new_edge(s, dst, aut.store.intern(bits), acc)
     aut.set_acceptance(1, parse_acceptance("Inf(0)"))
     if rng.random() < 0.2 and n >= 2:
         aut.set_init(aut.new_univ_dest_group(rng.sample(range(n), 2)))
@@ -794,12 +798,11 @@ def random_parity_game(seed, max_states=8, ncolors=4):
     color per edge, random ownership."""
     rng = random.Random(seed)
     n = rng.randint(1, max_states)
-    aut = Automaton((), nwords=1)
+    aut = Automaton(())
     aut.new_states(n)
     for s in range(n):
         for _ in range(rng.randint(0, 3)):
-            aut.new_edge(s, rng.randrange(n), 1,
-                         ColorSet.of([rng.randrange(ncolors)], 1))
+            aut.new_edge(s, rng.randrange(n), 1, [rng.randrange(ncolors)])
     aut.set_acceptance(ncolors, make_class(parity("max", "odd", ncolors)))
     aut.set_init(0)
     players = [rng.randint(0, 1) for _ in range(n)]

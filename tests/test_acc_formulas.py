@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from elaut.acceptance import (AccClass, AcceptanceParseError, And, ColorSet,
-                              FALSE, Fin, Inf, Or, TRUE, acc_name,
-                              change_parity, class_colors, dnf_disjuncts,
+from elaut.acceptance import (AccClass, AcceptanceParseError, And, FALSE,
+                              Fin, Inf, Or, TRUE, acc_name, change_parity,
+                              class_colors, colors_of, dnf_disjuncts,
                               dual, eval_acceptance, f_and, f_or,
                               generalized_buchi, generalized_co_buchi,
                               generalized_rabin, is_finless, make_class,
@@ -18,38 +18,34 @@ from elaut.acceptance import (AccClass, AcceptanceParseError, And, ColorSet,
 from elaut.hoa import parse_hoa, print_hoa
 
 
-def cs(colors, nwords=1):
-    return ColorSet.of(colors, nwords)
+def cs(colors):
+    return sum(1 << c for c in set(colors))
 
 
 def ev(formula, colors):
     return eval_acceptance(formula, cs(colors))
 
 
-# ---------------------------------------------------------------- ColorSet
+# --------------------------------------------------------------- color sets
 
 def test_colorset_basics():
+    # a color set is an int whose bit i is color i
     a = cs([0, 3, 31])
-    assert a.has(0) and a.has(3) and a.has(31)
-    assert not a.has(1)
-    assert a.count() == 3
-    assert sorted(a.colors()) == [0, 3, 31]
-    assert a.max_color() == 31
-    b = cs([3, 4])
-    assert sorted((a | b).colors()) == [0, 3, 4, 31]
-    assert sorted((a & b).colors()) == [3]
-    assert not cs([]).count()
+    assert a == 1 | 1 << 3 | 1 << 31
+    assert colors_of(a) == [0, 3, 31]
+    assert colors_of(a | cs([3, 4])) == [0, 3, 4, 31]
+    assert colors_of(a & cs([3, 4])) == [3]
+    assert colors_of(0) == []
+    assert ev(Inf(31), [0, 3, 31]) and not ev(Inf(1), [0, 3, 31])
 
 
 def test_colorset_width():
-    wide = ColorSet.of([63], 2)
-    assert wide.has(63)
-    with pytest.raises(ValueError):
-        ColorSet.of([64], 2)
-    with pytest.raises(ValueError):
-        ColorSet.of([32], 1)
-    assert cs([5]).widened(2).has(5)
-    assert sorted(ColorSet.of([0, 40], 2).shifted(3).colors()) == [3, 43]
+    # color sets have no width: colors past 32 read like any other
+    wide = cs([1, 64, 1023])
+    assert colors_of(wide) == [1, 64, 1023]
+    assert eval_acceptance(f_and([Inf(64), Fin(63)]), wide)
+    assert not eval_acceptance(Inf(1024), wide)
+    assert used_colors(Inf(1023)) == 1 << 1023
 
 
 # ------------------------------------------------------------- construction
@@ -188,7 +184,7 @@ def test_subst_and_shift():
     assert subst(f, {0: False}, {}) is FALSE
     assert subst(f, {}, {1: True}) == Fin(0)
     assert shift_colors(f, 2) == And((Fin(2), Inf(3)))
-    assert used_colors(shift_colors(f, 2)).max_color() == 3
+    assert used_colors(shift_colors(f, 2)) == 0b1100
 
 
 # ------------------------------------------------------------ normal forms
@@ -430,9 +426,8 @@ def edge_subset_statuses(aut, formula):
             continue
         colors = set()
         for i in chosen:
-            colors.update(aut.edges[i].acc.colors())
-        statuses[bits] = eval_acceptance(
-            formula, ColorSet.of(colors, aut.nwords))
+            colors.update(colors_of(aut.edges[i].acc))
+        statuses[bits] = eval_acceptance(formula, cs(colors))
     return statuses
 
 
@@ -528,8 +523,8 @@ def test_parity_inputs_cover_inert_and_uncolored_edges():
         for aut in parity_inputs(mm, eo):
             n = aut.num_sets - 2
             for e in aut.edge_records():
-                uncolored += not e.acc.bits & ((1 << n) - 1)
-                inert += e.acc.bits >> n != 0
+                uncolored += not e.acc & ((1 << n) - 1)
+                inert += e.acc >> n != 0
         assert uncolored and inert
 
 
@@ -592,7 +587,7 @@ def formula_corpus():
 
 def formula_digest_lines(f, rng):
     """What the formula functions make of f, one text line each."""
-    cols = sorted(used_colors(f).colors())
+    cols = colors_of(used_colors(f))
     fin_map = {c: rng.random() < 0.5 for c in cols if rng.random() < 0.4}
     inf_map = {c: rng.random() < 0.5 for c in cols if rng.random() < 0.4}
     dis = dnf_disjuncts(f)
@@ -667,8 +662,7 @@ def test_fold_unwraps_operators_of_one_operand():
     assert f_and([And([Inf(0)])]) == Inf(0)
     assert f_or([Or([Inf(0)])]) == Inf(0)
     assert f_and([TRUE, And([Fin(1)]), Inf(0)]) == f_and([Fin(1), Inf(0)])
-    sets = [ColorSet.of([c for c in range(4) if k >> c & 1])
-            for k in range(16)]
+    sets = range(16)
     for inner in (Inf(0), Fin(1), f_or([Inf(0), Fin(1)]),
                   f_and([Inf(2), Fin(0)])):
         for wrap, fold in ((And, f_and), (Or, f_or)):
@@ -676,5 +670,5 @@ def test_fold_unwraps_operators_of_one_operand():
                 want = fold([inner] + rest)
                 for args in ([wrap([inner])] + rest, rest + [wrap([inner])]):
                     got = fold(args)
-                    assert [eval_acceptance(got, cs) for cs in sets] == \
-                        [eval_acceptance(want, cs) for cs in sets]
+                    assert [eval_acceptance(got, s) for s in sets] == \
+                        [eval_acceptance(want, s) for s in sets]

@@ -12,7 +12,7 @@ import struct
 import time
 
 from elaut import (
-    Automaton, ColorSet, GuardStore, MealyMachine, eval_acceptance,
+    Automaton, GuardStore, MealyMachine, eval_acceptance,
     is_empty, make_class, mealy_to_aiger, parity, parse_acceptance,
     parse_hoa, print_hoa, product, random_automaton, remove_alternation,
     remove_fin, simulate_aig, simulate_mealy, solve_parity_max_odd,
@@ -123,10 +123,10 @@ def test_named_class_catalog_and_parity_nestings():
         lib = make_class(parity(mm, eo, 4))
         hand = parse_acceptance(text)
         for bits in range(16):
-            seen = ColorSet(bits, 1)
-            want = rank_parity_accepts(mm, eo, 4, set(seen.colors()))
-            assert eval_acceptance(hand, seen) == want, (mm, eo, bits)
-            assert eval_acceptance(lib, seen) == want, (mm, eo, bits)
+            seen = {c for c in range(4) if bits >> c & 1}
+            want = rank_parity_accepts(mm, eo, 4, seen)
+            assert eval_acceptance(hand, bits) == want, (mm, eo, bits)
+            assert eval_acceptance(lib, bits) == want, (mm, eo, bits)
     report("named classes round-trip; parity formulas match hand nesting",
            t0, 1)
 
@@ -252,7 +252,7 @@ def test_memory_machine_circuit_cosimulation():
 def test_edge_storage_layout_and_color_capacity():
     t0 = time.perf_counter()
 
-    aut = Automaton(aps=["a"], nwords=1)
+    aut = Automaton(aps=["a"])
     aut.new_states(2)
     t = aut.store.parse_label("t")
     pos = aut.store.parse_label("0")
@@ -267,25 +267,25 @@ def test_edge_storage_layout_and_color_capacity():
     src, dst, cond, acc, nxt = struct.unpack_from("<5I", packed, 20)
     assert (src, dst, cond, acc, nxt) == (1, 0, t, 0b11, 0)
 
-    wide = Automaton(nwords=2)
+    wide = Automaton()
     wide.new_state()
-    assert wide.max_color() == 63
     wide.set_acceptance(64, parse_acceptance("Inf(63)"))
     wide.new_edge(0, 0, 1, [63])
     # one more 32-bit color word: 24 bytes
     assert len(wide.pack_edges()) == 24
-    try:
-        wide.new_edge(0, 0, 1, [64])
-        assert False, "color 64 must not fit two words"
-    except ValueError as err:
-        assert "64" in str(err)
-    try:
-        ColorSet.of([64], 2)
-        assert False, "color 64 must not fit two words"
-    except ValueError:
-        pass
-    report("edge records pack to 4+nwords 32-bit fields; color bounds hold",
-           t0)
+    # colors have no width: a higher edge color widens the packed words
+    wide.new_edge(0, 0, 1, [64])
+    packed = wide.pack_edges()
+    assert len(packed) == 2 * 28
+    assert struct.unpack_from("<7I", packed, 28)[3:6] == (0, 0, 1)
+    for bad in (-1, [-1], None):
+        try:
+            wide.new_edges([(0, 0, 1, bad)])
+            assert False, "%r must not be colors" % (bad,)
+        except ValueError:
+            pass
+    report("edge records pack to 4+words 32-bit fields; colors are "
+           "non-negative ints", t0)
 
 
 # ------------------------------------------------------ 8. HOA identity

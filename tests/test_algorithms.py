@@ -16,7 +16,7 @@ import random
 import pytest
 
 from elaut import (
-    Automaton, ColorSet, Fin, Inf, Lasso, accepting_run, check_run,
+    Automaton, Fin, Inf, Lasso, accepting_run, check_run,
     class_colors, eval_acceptance, f_and, f_or, generalized_buchi,
     generalized_co_buchi, is_complete, is_empty, is_inherently_weak,
     is_terminal, is_universal, is_very_weak, is_weak,
@@ -27,7 +27,7 @@ from elaut import (
 )
 from elaut import algorithms
 from elaut.acceptance import (TRUE, AccClass, AccTrue, And, Or,
-                              change_parity, parity, recognize)
+                              change_parity, colors_of, parity, recognize)
 from oracle_helpers import (
     alt_buchi_word_in, build, empty_by_edge_subsets, product_by_pairs,
     random_alt_buchi, random_parity_game, random_words, up_word_in,
@@ -71,7 +71,7 @@ def test_scc_partition_and_order():
     assert cid0 > cid1 > cid3
     assert not info.internal[cid0]
     assert info.internal[cid1] and info.internal[cid3]
-    assert sorted(info.colors[cid1].colors()) == [0]
+    assert info.colors[cid1] == 1
 
 
 def test_scc_internal_uses_any_group_member():
@@ -88,7 +88,7 @@ def test_scc_internal_uses_any_group_member():
     group_edges = [i for i in range(1, len(aut.edges))
                    if aut.edges[i].dst < 0]
     assert group_edges and group_edges[0] in info.internal[cid]
-    assert sorted(info.colors[cid].colors()) == [0]
+    assert info.colors[cid] == 1
 
 
 def test_reachable_states_discovery_order():
@@ -246,7 +246,7 @@ def _check_short_lasso(aut, run, witness):
     states = {aut.edges[i].src for i in witness}
     colors = set()
     for i in witness:
-        colors.update(aut.edges[i].acc.colors())
+        colors.update(colors_of(aut.edges[i].acc))
     assert check_run(aut, run)
     assert len(run.prefix) < aut.num_states
     assert set(run.cycle) <= set(witness)
@@ -392,7 +392,7 @@ def _weak_by_scc(aut, seed):
     marked = [rng.random() < 0.5 for _ in range(info.num)]
     for e in aut.edge_records():
         cid = info.scc_of[e.src]
-        e.acc = ColorSet(1 if cid >= 0 and marked[cid] else 0, aut.nwords)
+        e.acc = 1 if cid >= 0 and marked[cid] else 0
     assert is_weak(aut)
     return aut
 
@@ -477,7 +477,7 @@ def _operand(rng, kind, aps, seed):
     kind, or is `kind` itself when that is a class or formula."""
     acc = ACCEPTANCE_KINDS[kind](rng) if isinstance(kind, str) else kind
     colors = class_colors(acc) if isinstance(acc, AccClass) \
-        else used_colors(acc).max_color() + 1
+        else used_colors(acc).bit_length()
     return random_automaton(states=rng.randint(1, 7), aps=aps,
                             density=rng.uniform(0.3, 0.9), colors=colors,
                             color_density=rng.uniform(0.1, 0.5),
@@ -758,20 +758,20 @@ def _check_product_lasso(a, b, lasso, run):
         oracle.get_named_prop("product-states", list))}
     steps = set()
     for e in oracle.edge_records():
-        steps.add((e.src, e.dst, oracle.store.bits_of(e.cond), e.acc.bits))
+        steps.add((e.src, e.dst, oracle.store.bits_of(e.cond), e.acc))
     at = 0
     assert pairs[0] == (a.init, b.init)
     for i in run.prefix + run.cycle:
         e = lasso.edges[i]
         assert e.src == at
         assert (index[pairs[e.src]], index[pairs[e.dst]],
-                lasso.store.bits_of(e.cond), e.acc.bits) in steps
+                lasso.store.bits_of(e.cond), e.acc) in steps
         at = e.dst
     assert at == lasso.edges[run.cycle[0]].src
     seen = 0
     for i in run.cycle:
-        seen |= lasso.edges[i].acc.bits
-    assert eval_acceptance(oracle.acceptance, ColorSet(seen, 4))
+        seen |= lasso.edges[i].acc
+    assert eval_acceptance(oracle.acceptance, seen)
     # the lasso numbers its states in the order it first visits them
     order = [0] + [lasso.edges[i].dst for i in run.prefix + run.cycle]
     assert list(dict.fromkeys(order)) == list(range(lasso.num_states))
@@ -923,7 +923,7 @@ def test_weak_dealternation_subsets():
     for seed in range(40):
         rng = random.Random(20_000 + seed)
         n = rng.randint(2, 5)
-        aut = Automaton(["p0"], nwords=1)
+        aut = Automaton(["p0"])
         aut.new_states(n)
         acc_of = [rng.random() < 0.5 for _ in range(n)]
         has_group = False
@@ -935,11 +935,11 @@ def test_weak_dealternation_subsets():
                     members = sorted(rng.sample(range(s, n),
                                                 rng.randint(2, min(3, n - s))))
                     aut.new_edge(s, aut.new_univ_dest_group(members),
-                                 aut.store.intern(bits), ColorSet.of(cols, 1))
+                                 aut.store.intern(bits), cols)
                     has_group = True
                 else:
                     aut.new_edge(s, rng.randrange(s, n),
-                                 aut.store.intern(bits), ColorSet.of(cols, 1))
+                                 aut.store.intern(bits), cols)
         aut.set_acceptance(1, INF0)
         aut.set_init(0)
         if not has_group:
@@ -1005,7 +1005,7 @@ def _random_alt(seed, weak):
     block's edges alike, so components may hold several states."""
     rng = random.Random(seed)
     n = rng.randint(2, 5)
-    aut = Automaton(["p0", "p1"], nwords=1)
+    aut = Automaton(["p0", "p1"])
     aut.new_states(n)
     block = [0] * n
     for s in range(1, n):
@@ -1033,7 +1033,7 @@ def _reference_macro(aut, start, step, stats):
     bits, colors) rows, by brute force over itertools.product."""
     store = aut.store
     rows = [[(store.bits_of(e.cond), tuple(aut.univ_dests(e.dst)),
-              e.acc.bits) for e in aut.out(s)]
+              e.acc) for e in aut.out(s)]
             for s in range(aut.num_states)]
     index = {start: 0}
     keys = [start]
@@ -1070,7 +1070,7 @@ def test_pruned_macro_product_matches_brute_force(monkeypatch):
 
     def table_of(out):
         store = out.store
-        return [[(e.dst, store.bits_of(e.cond), e.acc.bits)
+        return [[(e.dst, store.bits_of(e.cond), e.acc)
                  for e in out.out(s)] for s in range(out.num_states)]
 
     stats = {"empty prefix": 0, "runs": 0, "no edges": 0}
@@ -1087,7 +1087,7 @@ def test_pruned_macro_product_matches_brute_force(monkeypatch):
             (start, name, step), = calls
             assert table_of(out) == _reference_macro(aut, start, step, stats)
             # a start with S empty: one choice, of no edges, under t
-            empty = explore(aut, Automaton(aut.aps, out.nwords, aut.store),
+            empty = explore(aut, Automaton(aut.aps, aut.store),
                             ((), ()), name, step)
             assert table_of(empty) == _reference_macro(aut, ((), ()), step,
                                                        stats)
@@ -1113,7 +1113,7 @@ def test_random_automaton_shape():
     assert len(reachable_states(aut)) == 6
     assert aut.num_sets == 2
     for e in aut.edge_records():
-        assert all(c < 2 for c in e.acc.colors())
+        assert e.acc < 4
     sparse = random_automaton(6, 1, density=0.0, colors=0, seed=4)
     # spanning edges keep everything reachable even at density zero
     assert len(reachable_states(sparse)) == 6

@@ -493,7 +493,7 @@ State: 0
 [t] 0 {39}
 --END--
 """)
-    # the parser widens color storage on its own when the header asks
+    # colors past 32 need no setting: a color set is an int of any width
     assert main(["aut", wide, "--is-empty"]) == 1
     capsys.readouterr()
 

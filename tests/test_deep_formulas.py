@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from elaut import algorithms, synthesis
-from elaut.acceptance import (FALSE, TRUE, And, ColorSet, Fin, Inf, Or,
-                              acc_name, change_parity, dnf_disjuncts, dual,
+from elaut.acceptance import (FALSE, TRUE, And, Fin, Inf, Or, acc_name,
+                              change_parity, colors_of, dnf_disjuncts, dual,
                               eval_acceptance, f_and, f_or, is_finless,
                               make_class, parity, parity_of, parity_readings,
                               parse_acceptance, print_acceptance, recognize,
@@ -64,21 +64,20 @@ def test_every_formula_function_on_100k_nodes():
     # Inf(0), then Fin(1) or else Inf(2), and so on down the chain
     for colors, want in (([0, 2], True), ([0, 1], False), ([1], False),
                          ([0, 1, 2], True)):
-        assert eval_acceptance(f, ColorSet.of(colors)) is want
-    assert sorted(used_colors(f).colors()) == [0, 1, 2]
+        assert eval_acceptance(f, sum(1 << c for c in colors)) is want
+    assert colors_of(used_colors(f)) == [0, 1, 2]
     assert not is_finless(f)
     # with every Fin false the chain folds into one And of 25,001 Infs
     g = subst(f, {0: False, 1: False, 2: False}, {})
     assert is_finless(g) and isinstance(g, And) and len(g.children) == 25001
     assert subst(f, {}, {0: False}) is FALSE
     assert dual(dual(f)) == f
-    assert eval_acceptance(dual(f), ColorSet.of([1])) is True
-    assert sorted(used_colors(shift_colors(f, 5)).colors()) == [5, 6, 7]
+    assert eval_acceptance(dual(f), 0b10) is True
+    assert colors_of(used_colors(shift_colors(f, 5))) == [5, 6, 7]
     d = to_dnf(f)
     assert dnf_disjuncts(d) == dnf_disjuncts(f)
     for bits in range(8):
-        colors = ColorSet(bits)
-        assert eval_acceptance(d, colors) == eval_acceptance(f, colors)
+        assert eval_acceptance(d, bits) == eval_acceptance(f, bits)
     assert recognize(f) is None
     assert acc_name(f, 3) is None
     assert parity_readings(f) == []
@@ -99,7 +98,7 @@ def test_to_dnf_3000_levels():
     d = to_dnf(f)
     rng = random.Random(3)
     for _ in range(50):
-        colors = ColorSet(rng.getrandbits(64), 2)
+        colors = rng.getrandbits(64)
         assert eval_acceptance(d, colors) == eval_acceptance(f, colors)
 
 
@@ -117,16 +116,17 @@ def test_1024_color_parity_pipeline():
     aut = random_automaton(8, 2, density=0.5, colors=n, color_density=0.2,
                            acceptance=parity("max", "odd", n), seed=3)
     aut = parse_hoa(print_hoa(aut))
-    assert aut.nwords == 32
+    # 32 color words per packed edge
+    assert len(aut.pack_edges()) == aut.num_edges * 4 * (4 + 32)
     run = accepting_run(aut)
     assert is_empty(aut) == (run is None)
     assert run is None or check_run(aut, run)
     fin_free = remove_fin(aut)
     assert is_finless(fin_free.acceptance)
     assert is_empty(fin_free) == is_empty(aut)
-    # trim shares the input's 32-word color sets instead of rebuilding them
+    # trim shares the input's color ints instead of rebuilding them
     trimmed = trim(aut)
-    assert trimmed.check() and trimmed.nwords == 32
+    assert trimmed.check()
     assert trimmed.pack_edges() == trim_by_rebuild(aut).pack_edges()
     assert {id(acc) for acc in trimmed.edge_acc[1:]} <= {
         id(acc) for acc in aut.edge_acc[1:]}
@@ -143,7 +143,7 @@ def test_1024_fin_units_cut_at_once(monkeypatch):
     # is a unit of the conjunction, so one cut removes all the loops
     # where one split per Fin would rebuild the SCCs 1,024 times
     n = 1024
-    aut = Automaton(aps=["a"], nwords=32)
+    aut = Automaton(aps=["a"])
     aut.new_states(1)
     aut.set_init(0)
     aut.new_edges([(0, 0, 1, 1 << i) for i in range(n)])
@@ -166,7 +166,7 @@ def test_zielonka_on_1024_nested_attractors(monkeypatch):
     # attractor takes one state and the recursion nests once per color,
     # O(n**2) calls; solved one SCC at a time, two calls per state
     n = 1024
-    game = Automaton(aps=["a"], nwords=32)
+    game = Automaton(aps=["a"])
     game.new_states(n)
     game.set_init(0)
     for i in range(n):

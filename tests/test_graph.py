@@ -5,18 +5,22 @@ import random
 
 import pytest
 
-from elaut.acceptance import ColorSet, Inf, TRUE
-from elaut.algorithms import product, random_automaton, remove_fin
+from elaut.acceptance import Inf, TRUE, change_parity, colors_of, parity
+from elaut.algorithms import (is_empty, is_weak, product,
+                              product_accepting_run, random_automaton,
+                              remove_alternation, remove_fin)
 from elaut.graph import (Automaton, EDGE_COLUMNS, FLAG_NAMES, MAYBE, NO,
                          Trivalent, YES, trim)
 from elaut.guards import FALSE_GUARD, GuardStore, TRUE_GUARD
 from elaut.hoa import parse_hoa, print_dot, print_hoa
+from elaut.synthesis import (MealyMachine, colorize_parity,
+                             mealy_to_automaton)
 
-from oracle_helpers import trim_by_rebuild
+from oracle_helpers import random_alt_buchi, trim_by_rebuild
 
 
-def fresh(nstates=0, naps=1, nwords=1):
-    aut = Automaton(["p%d" % i for i in range(naps)], nwords=nwords)
+def fresh(nstates=0, naps=1):
+    aut = Automaton(["p%d" % i for i in range(naps)])
     for _ in range(nstates):
         aut.new_state()
     return aut
@@ -106,16 +110,14 @@ def test_universal_init():
 
 
 def test_edge_colors_width():
-    aut = fresh(2, nwords=1)
-    i = aut.new_edge(0, 1, TRUE_GUARD, ColorSet.of([31], 1))
-    assert aut.edges[i].acc.has(31)
-    with pytest.raises(ValueError):
-        ColorSet.of([32], 1)
-    wide = fresh(2, nwords=2)
-    j = wide.new_edge(0, 1, TRUE_GUARD, ColorSet.of([63], 2))
-    assert wide.edges[j].acc.has(63)
-    with pytest.raises(ValueError):
-        ColorSet.of([64], 2)
+    # colors have no width: any color fits, as a list or as bits
+    aut = fresh(2)
+    made = [aut.new_edge(0, 1, TRUE_GUARD, [c]) for c in (31, 32, 63, 1023)]
+    assert [aut.edges[i].acc for i in made] == [
+        1 << 31, 1 << 32, 1 << 63, 1 << 1023]
+    j = aut.new_edge(1, 0, TRUE_GUARD, 1 << 64 | 1)
+    assert colors_of(aut.edges[j].acc) == [0, 64]
+    assert aut.check()
 
 
 def test_acceptance_attachment():
@@ -181,15 +183,20 @@ def test_clone_shares_store():
 
 
 def test_pack_edges_layout():
-    # one edge is five 32-bit fields at the default width
-    aut = fresh(2, nwords=1)
-    aut.new_edge(0, 1, TRUE_GUARD, ColorSet.of([3], 1))
+    # one edge is five 32-bit fields while colors fit one word; the
+    # words cover the declared count and the highest edge color
+    aut = fresh(2)
+    aut.new_edge(0, 1, TRUE_GUARD, [3])
     aut.new_edge(1, 0, TRUE_GUARD)
     blob = aut.pack_edges()
     assert len(blob) == 2 * 20
-    wide = fresh(2, nwords=2)
-    wide.new_edge(0, 1, TRUE_GUARD, ColorSet.of([40], 2))
+    wide = fresh(2)
+    wide.new_edge(0, 1, TRUE_GUARD, [40])
     assert len(wide.pack_edges()) == 24
+    declared = fresh(2)
+    declared.new_edge(0, 1, TRUE_GUARD, [3])
+    declared.set_acceptance(65, Inf(64))
+    assert len(declared.pack_edges()) == 28
 
 
 def test_check_invariants():
@@ -266,7 +273,7 @@ def test_trim_remaps_edges_in_one_batch():
     assert out.get_named_prop("trim-map", list) == [0, 1, 2, None, None,
                                                     None]
     # new indices follow the kept states' out-lists: i2, i4, i8, i6, i1
-    assert [(e.src, e.cond, e.acc.bits) for e in out.edge_records()] == [
+    assert [(e.src, e.cond, e.acc) for e in out.edge_records()] == [
         (0, lit, 1), (0, TRUE_GUARD, 0), (0, TRUE_GUARD, 2),
         (1, TRUE_GUARD, 0), (2, aut.edges[i1].cond, 0)]
     assert [e.dst for e in out.edge_records()] == [1, -1, 0, 0, 2]
@@ -280,13 +287,10 @@ def test_trim_remaps_edges_in_one_batch():
 def _random_trim_input(seed):
     """A small automaton with unreachable states, false guards, universal
     groups (sometimes as the initial designator), states without edges
-    and every named property trim rewrites.  Every fifth seed's first
-    edges carry color sets one word wide in a two-word automaton."""
+    and every named property trim rewrites; colors reach past 32."""
     rng = random.Random(seed)
     n = rng.randrange(10)
-    narrow = seed % 5 == 0
-    aut = fresh(n, naps=rng.randrange(3),
-                nwords=1 if narrow else rng.choice((1, 2)))
+    aut = fresh(n, naps=rng.randrange(3))
     store = aut.store
     guards = [FALSE_GUARD, TRUE_GUARD] + [
         store.lit(i, pos) for i in range(len(aut.aps)) for pos in (0, 1)]
@@ -298,10 +302,8 @@ def _random_trim_input(seed):
         return rng.randrange(n)
 
     m = rng.randrange(3 * n + 1) if n else 0
-    for k in range(m):
-        if narrow and k == m // 2:
-            aut.nwords = 2
-        bits = rng.getrandbits(3) << (29 * rng.randrange(aut.nwords))
+    for _ in range(m):
+        bits = rng.getrandbits(3) << (29 * rng.randrange(2))
         aut.new_edge(rng.randrange(n), word(), rng.choice(guards), bits)
     aut.set_acceptance(3, Inf(1))
     if n:
@@ -327,7 +329,7 @@ def _random_trim_input(seed):
 
 def test_trim_matches_a_rebuild():
     seen = dict.fromkeys(("unreachable", "false guard", "group edge",
-                          "group init", "no edges", "narrow"), 0)
+                          "group init", "no edges"), 0)
     for seed in range(240):
         aut = _random_trim_input(seed)
         got, want = trim(aut), trim_by_rebuild(aut)
@@ -336,17 +338,15 @@ def test_trim_matches_a_rebuild():
         assert print_hoa(got) == print_hoa(want)
         assert got.dests == want.dests
         assert got.named_props == want.named_props
-        assert (got.init, got.num_states, got.nwords) == (
-            want.init, want.num_states, want.nwords)
-        for acc in got.edge_acc[1:]:
-            assert acc is got.color_set(acc.bits)
+        assert (got.init, got.num_states) == (want.init, want.num_states)
+        accs = got.edge_acc[1:]
+        assert all(acc.__class__ is int and acc >= 0 for acc in accs)
+        assert len({id(acc) for acc in accs}) == len(set(accs))
         seen["unreachable"] += got.num_states < aut.num_states
         seen["false guard"] += FALSE_GUARD in aut.edge_cond[1:]
         seen["group edge"] += min(got.edge_dst, default=0) < 0
         seen["group init"] += got.num_states > 0 and got.init < 0
         seen["no edges"] += got.num_states > len(set(got.edge_src[1:]))
-        seen["narrow"] += any(acc.nwords < aut.nwords
-                              for acc in aut.edge_acc[1:])
     assert min(seen.values()) >= 20, seen
 
 
@@ -373,7 +373,7 @@ def test_equal_groups_stay_one_group():
 # ---------------------------------------------------------------- errors
 
 def _err_fixture():
-    aut = fresh(3, nwords=1)
+    aut = fresh(3)
     aut.new_univ_dest_group([1, 2])       # word ~0
     return aut
 
@@ -398,11 +398,8 @@ ERROR_ROWS = [
      "unknown guard id -1"),
     ("guard before colors", lambda a: a.new_edge(0, 1, 999, [32]),
      "unknown guard id 999"),
-    ("color beyond the width", lambda a: a.new_edge(0, 1, TRUE_GUARD, [32]),
-     "color 32 out of range for 32-bit set"),
-    ("ColorSet of another width",
-     lambda a: a.new_edge(0, 1, TRUE_GUARD, ColorSet.of([1], 2)),
-     "color set width mismatch"),
+    ("negative color", lambda a: a.new_edge(0, 1, TRUE_GUARD, [2, -1]),
+     "bad color -1"),
     ("group member not a state", lambda a: a.new_univ_dest_group([0, 3]),
      "group member 3 is not a state"),
     ("empty group", lambda a: a.new_univ_dest_group([]),
@@ -438,8 +435,9 @@ BATCH_ERROR_ROWS = [
     ((0, 1, 999, 0), "unknown guard id 999"),
     ((0, 1, -1, 0), "unknown guard id -1"),
     ((0, 1, 999, 1 << 32), "unknown guard id 999"),
-    ((0, 1, TRUE_GUARD, 1 << 32), "color set does not fit in 32 bits"),
-    ((0, 1, TRUE_GUARD, -1), "color set does not fit in 32 bits"),
+    ((0, 1, TRUE_GUARD, -1), "negative color bits -1"),
+    ((0, 1, TRUE_GUARD, 1.5), "colors must be an int of bits or an "
+                              "iterable of colors, not 1.5"),
 ]
 
 
@@ -458,11 +456,10 @@ def test_new_edges_checks_like_new_edge(edge, message):
 def test_new_edges_builds_what_new_edge_builds():
     src = random_automaton(12, 2, density=0.4, colors=3, color_density=0.3,
                            seed=5)
-    one, batch = (Automaton(src.aps, src.nwords, src.store)
-                  for _ in range(2))
+    one, batch = (Automaton(src.aps, src.store) for _ in range(2))
     for aut in (one, batch):
         aut.new_states(src.num_states)
-    rows = [(e.src, e.dst, e.cond, e.acc.bits)
+    rows = [(e.src, e.dst, e.cond, e.acc)
             for s in range(src.num_states) for e in src.out(s)]
     random.Random(1).shuffle(rows)
     for row in rows:
@@ -526,7 +523,8 @@ DERIVED_DIGESTS = [
 def test_random_automaton_encodings_are_stable(colors, seed):
     aut = random_automaton(5 + 4 * seed, 2, density=0.4, colors=colors,
                            color_density=0.3, seed=seed)
-    assert aut.nwords == (1 if colors <= 32 else 2)
+    assert len(aut.pack_edges()) == aut.num_edges * (20 if colors <= 32
+                                                     else 24)
     assert _digest(aut) == RANDOM_DIGESTS[colors, seed]
 
 
@@ -565,10 +563,11 @@ def _checked_fixture():
     (lambda a: (a._succ.__setitem__(1, 0), a._tail.__setitem__(1, 0)),
      "orphaned edges"),
     (lambda a: setattr(a.edges[3], "cond", 999), "unknown guard id 999"),
-    (lambda a: setattr(a.edges[3], "acc", ColorSet(0, 2)),
-     "color set width mismatch"),
+    (lambda a: a.edge_acc.__setitem__(3, None),
+     "edge 3 has colors None, not an int of bits"),
+    (lambda a: a.edge_acc.__setitem__(3, -2),
+     "edge 3 has colors -2, not an int of bits"),
     (lambda a: setattr(a.edges[3], "dst", 5), "destination 5 is not a state"),
-    (lambda a: setattr(a, "num_sets", 40), "num_sets too large"),
     (lambda a: setattr(a, "acceptance", Inf(0)),
      "acceptance mentions a color >= num_sets"),
     (lambda a: a.dests.__setitem__(2, 7), "group member 7 is not a state"),
@@ -587,36 +586,143 @@ def test_check_raises_value_error(corrupt, message):
 # -------------------------------------------------------- shared colors
 
 def test_equal_colors_share_one_color_set():
-    aut = fresh(2, nwords=2)
+    aut = fresh(2)
+    big = 1 << 3 | 1 << 40
     made = [aut.new_edge(0, 1, TRUE_GUARD, [3, 40]),
-            aut.new_edge(1, 0, TRUE_GUARD, ColorSet.of([40, 3], 2)),
-            aut.new_edge(1, 1, TRUE_GUARD, aut.color_set(1 << 3 | 1 << 40))]
+            aut.new_edge(1, 0, TRUE_GUARD, [40, 3]),
+            aut.new_edge(1, 1, TRUE_GUARD, 1 << 40 | 1 << 3)]
+    aut.new_edges([(0, 0, TRUE_GUARD, (1 << 41) >> 1 | 8)])
+    made.append(aut.num_edges)
     plain = [aut.new_edge(0, 0, TRUE_GUARD),
              aut.new_edge(1, 1, TRUE_GUARD, []),
-             aut.new_edge(0, 1, TRUE_GUARD, ColorSet(0, 2))]
+             aut.new_edge(0, 1, TRUE_GUARD, 0)]
     assert len({id(aut.edges[i].acc) for i in made}) == 1
-    assert len({id(aut.edges[i].acc) for i in plain}) == 1
-    assert aut.edges[made[0]].acc is aut.color_set(1 << 3 | 1 << 40)
-    assert aut.edges[plain[0]].acc is aut.color_set(0)
-    assert aut.color_set(5).nwords == 2
-    with pytest.raises(ValueError):
-        aut.color_set(1 << 64)
+    assert {aut.edges[i].acc for i in made} == {big}
+    assert {aut.edges[i].acc for i in plain} == {0}
+    aut.edges[plain[0]].acc = [40, 3]
+    assert aut.edge_acc[plain[0]] is aut.edge_acc[made[0]]
+    aut.map_colors(lambda bits: bits | 1 << 50)
+    assert len({id(acc) for acc in aut.edge_acc[1:]}) == 2
     # a derived automaton shares within itself too
-    out = trim(aut)
-    assert out.edges[1].acc is out.color_set(aut.edges[1].acc.bits)
+    for out in (trim(aut), aut.clone()):
+        out.new_edge(0, 0, TRUE_GUARD, [50])
+        assert len({id(acc) for acc in out.edge_acc[1:]}) == 2
+
+
+def _int_column_automata(seed):
+    """(name, automaton) for each way of making an automaton, from
+    seeded inputs with up to 24 colors."""
+    a = random_automaton(6, 2, density=0.6, colors=12, color_density=0.4,
+                         seed=seed)
+    b = random_automaton(5, ["p1", "q"], density=0.6, colors=12,
+                         color_density=0.4, acceptance=Inf(11),
+                         seed=seed + 1)
+    yield "parse_hoa", parse_hoa(print_hoa(a))
+    yield "random_automaton", a
+    yield "product", product(a, b)
+    got = product_accepting_run(b, b)
+    if got is not None:
+        yield "lasso", got[0]
+    yield "remove_fin", remove_fin(a)
+    yield "trim", trim(remove_fin(b))
+    yield "clone", a.clone()
+    par = random_automaton(6, 2, density=0.6, colors=12, color_density=0.4,
+                           acceptance=parity("max", "odd", 12), seed=seed)
+    yield "change_parity", change_parity(par, "min even")
+    yield "colorize_parity", colorize_parity(par)
+    yield "remove_alternation", remove_alternation(random_alt_buchi(seed))
+    store = GuardStore(2)
+    i, o = store.lit(0), store.lit(1)
+    yield "mealy_to_automaton", mealy_to_automaton(MealyMachine(
+        ["i", "o"], [0], [1], store, 2, 0,
+        [[(i, o, 1), (store.g_not(i), store.g_not(o), 0)],
+         [(TRUE_GUARD, o, 0)]]))
+
+
+def test_edge_colors_are_shared_ints_everywhere():
+    big = {}                          # per maker, its distinct values > 256
+    for seed in range(12):
+        for name, aut in _int_column_automata(seed):
+            accs = aut.edge_acc[1:]
+            assert all(acc.__class__ is int and acc >= 0 for acc in accs), \
+                name
+            # equal values past CPython's small-int cache are one object
+            assert len({id(acc) for acc in accs}) == len(set(accs)), name
+            big[name] = big.get(name, 0) + sum(acc > 256 for acc in set(accs))
+            assert aut.check()
+    # every maker ran, and all but dealternation and Mealy machines,
+    # whose colors stay small, made large values
+    assert len(big) == 11
+    assert all(big[name] for name in big
+               if name not in ("remove_alternation", "mealy_to_automaton")), \
+        big
+
+
+@pytest.mark.parametrize("how", ["int", "list", "map_colors"])
+def test_equal_colors_made_apart_are_equal(how):
+    # {0} given as `how` equals {0} given as a list or an int: the cycle
+    # is weak and state 0's two edges print as one state-acc set
+    aut = fresh(2)
+    aut.new_edge(0, 1, TRUE_GUARD, [0])
+    aut.new_edge(0, 0, TRUE_GUARD, {"int": 1, "list": [0],
+                                    "map_colors": [1]}[how])
+    aut.new_edge(1, 0, TRUE_GUARD, 1)
+    if how == "map_colors":
+        aut.map_colors(lambda bits: 1)
+    aut.set_acceptance(1, Inf(0))
+    aut.set_init(0)
+    assert is_weak(aut)
+    aut.set_flag("state_acc", True)
+    text = print_hoa(aut)
+    assert "State: 0 {0}\n" in text and "State: 1 {0}\n" in text
+    assert print_hoa(parse_hoa(text)) == text
 
 
 def test_new_edge_takes_color_bits():
     aut = fresh(2)
     i = aut.new_edge(0, 1, TRUE_GUARD, 0b1010)
-    assert aut.edges[i].acc is aut.color_set(0b1010)
-    assert list(aut.edges[i].acc.colors()) == [1, 3]
-    for bad in (1 << 32, -1):
+    assert aut.edges[i].acc == 0b1010
+    assert colors_of(aut.edges[i].acc) == [1, 3]
+    for bad, message in ((-1, "negative color bits -1"),
+                         ([0, -3], "bad color -3"),
+                         ([1.0], "bad color 1.0"),
+                         (2.5, "colors must be an int of bits or an "
+                               "iterable of colors, not 2.5")):
         with pytest.raises(ValueError) as exc:
             aut.new_edge(0, 1, TRUE_GUARD, bad)
-        assert str(exc.value) == "color set does not fit in 32 bits"
+        assert str(exc.value) == message
     assert aut.num_edges == 1
     aut.check()
+
+
+ACC_WRITES = [
+    ("int", 5, 5), ("list", [1], 2), ("tuple", (0, 2), 5),
+    ("range", range(3), 7), ("wide int", 1 << 300, 1 << 300),
+    ("negative int", -1, None), ("None", None, None),
+    ("negative color", [-1], None), ("string", "1", None),
+    ("float", 1.0, None)]
+
+
+@pytest.mark.parametrize("value, stored", [r[1:] for r in ACC_WRITES],
+                         ids=[r[0] for r in ACC_WRITES])
+def test_acc_writes_are_checked(value, stored):
+    # a valid write stores the shared int; anything else raises and
+    # leaves the edge as it was
+    aut = fresh(2)
+    aut.new_edge(0, 1, TRUE_GUARD, [0])
+    aut.set_acceptance(1, Inf(0))
+    aut.set_init(0)
+    e = aut.edges[1]
+    if stored is None:
+        with pytest.raises(ValueError):
+            e.acc = value
+        stored = 1
+    else:
+        e.acc = value
+    assert aut.edge_acc[1] == stored and aut.edge_acc[1].__class__ is int
+    assert aut.check()
+    print_hoa(aut)
+    assert is_empty(aut)
 
 
 def test_reassigning_one_edge_leaves_sharers_alone():
@@ -624,11 +730,10 @@ def test_reassigning_one_edge_leaves_sharers_alone():
     i = aut.new_edge(0, 1, TRUE_GUARD, [1])
     j = aut.new_edge(1, 0, TRUE_GUARD, [1])
     shared = aut.edges[i].acc
-    aut.edges[i].acc = aut.color_set(0b101)
+    aut.edges[i].acc = 0b101
     assert aut.edges[j].acc is shared
-    assert list(aut.edges[j].acc.colors()) == [1]
-    assert list(shared.colors()) == [1]
-    assert list(aut.edges[i].acc.colors()) == [0, 2]
+    assert colors_of(aut.edges[j].acc) == [1]
+    assert colors_of(aut.edges[i].acc) == [0, 2]
 
 
 def test_clone_edges_are_independent():
@@ -641,14 +746,14 @@ def test_clone_edges_are_independent():
     for name in EDGE_COLUMNS:         # equal, and not shared
         assert getattr(copy, name) == getattr(aut, name)
         assert getattr(copy, name) is not getattr(aut, name)
-    copy.edges[1].acc = copy.color_set(0b11)
+    copy.edges[1].acc = 0b11
     copy.edges[2].dst = 1
     copy.edges[1].cond = copy.store.lit(0)
     copy.new_edge(0, 0, TRUE_GUARD, [0])
     copy.new_state()
     assert aut.pack_edges() == blob and print_hoa(aut) == text
     assert aut.num_states == 2 and list(aut.out_indices(0)) == [1]
-    assert copy.edges[1].acc is copy.color_set(0b11)
+    assert copy.edges[1].acc == 0b11
     aut.check()
     copy.check()
 
@@ -666,9 +771,9 @@ def test_edge_views_write_through(via):
                                                             TRUE_GUARD, 2)
     e.dst = group
     e.cond = lit
-    e.acc = aut.color_set(0b110)
+    e.acc = [1, 2]
     assert (aut.edge_dst[1], aut.edge_cond[1]) == (group, lit)
-    assert aut.edge_acc[1] is aut.color_set(0b110)
+    assert aut.edge_acc[1] == 0b110
     assert [(f.dst, f.cond) for f in aut.out(0)] == [
         (group, lit), (2, aut.store.lit(0))]
     e.next_succ = 0                   # unlink edge 2, then relink it
@@ -681,19 +786,9 @@ def test_edge_views_write_through(via):
     assert str(exc.value) == "edge 1 strays from state 0"
     e.src = 0
     assert aut.check()
-    assert aut.edges[2].acc is aut.color_set(0) and aut.edges[0] is None
+    assert aut.edges[2].acc == 0 and aut.edges[0] is None
     assert len(aut.edges) == 3 and aut.edges[-1].index == 2
     with pytest.raises(IndexError):
         aut.edges[3]
     with pytest.raises(TypeError):
         aut.edges[1:]
-
-
-def test_width_change_renews_the_shared_sets():
-    aut = fresh(2)
-    aut.new_edge(0, 1, TRUE_GUARD, [1])
-    aut.nwords = 2
-    aut.edges[1].acc = aut.color_set(1 << 33)
-    j = aut.new_edge(1, 0, TRUE_GUARD)
-    assert aut.edges[j].acc.nwords == 2
-    aut.check()

@@ -9,7 +9,7 @@ import pytest
 
 from elaut.acceptance import Inf, TRUE
 from elaut.graph import MAYBE, NO, YES
-from elaut.hoa import (MAX_STATES, HoaParseError, parse_hoa,
+from elaut.hoa import (MAX_COLORS, MAX_STATES, HoaParseError, parse_hoa,
                        parse_hoa_stream, print_dot, print_hoa, stats)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -35,9 +35,9 @@ def same_tables(a, b):
         return False
     for s in range(a.num_states):
         ea = [(a.store.bits_of(e.cond), sorted(a.univ_dests(e.dst)),
-               sorted(e.acc.colors())) for e in a.out(s)]
+               e.acc) for e in a.out(s)]
         eb = [(b.store.bits_of(e.cond), sorted(b.univ_dests(e.dst)),
-               sorted(e.acc.colors())) for e in b.out(s)]
+               e.acc) for e in b.out(s)]
         if ea != eb:
             return False
     return True
@@ -79,7 +79,7 @@ State: 1
     assert aut.num_sets == 1
     assert aut.acceptance == Inf(0)
     e = next(iter(aut.out(0)))
-    assert e.dst == 1 and sorted(e.acc.colors()) == [0]
+    assert e.dst == 1 and e.acc == 1
 
 
 def test_parse_universal_start_and_edges():
@@ -135,7 +135,7 @@ State: 0 {0}
 [!0] 0
 --END--
 """)
-    assert all(sorted(e.acc.colors()) == [0] for e in aut.out(0))
+    assert all(e.acc == 1 for e in aut.out(0))
     assert aut.get_flag("state_acc") is YES
 
 
@@ -288,6 +288,34 @@ def test_state_count_limit_is_reachable():
                     "--BODY--\n--END--\n" % (MAX_STATES, MAX_STATES - 1))
     assert aut.num_states == MAX_STATES
     assert aut.init == MAX_STATES - 1
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("HOA: v1\nAcceptance: 100000000 Inf(0)\n",
+     "100000000 colors exceed the limit of 1048576", 2, 13),
+    ("HOA: v1\nStates: 1\nAcceptance:   1048577 t\n",
+     "1048577 colors exceed the limit of 1048576", 3, 15),
+])
+def test_color_count_limit_allocates_nothing(text, message, line, col):
+    assert MAX_COLORS == 1 << 20
+    tracemalloc.start()
+    try:
+        e = parse_err(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e) == "%d:%d: %s" % (line, col, message)
+    assert peak < 1 << 20
+
+
+def test_color_count_limit_is_reachable():
+    top = MAX_COLORS - 1
+    text = ("HOA: v1\nStates: 1\nStart: 0\nAP: 0\nAcceptance: %d Inf(%d)\n"
+            "--BODY--\nState: 0\n[t] 0 {%d}\n--END--\n"
+            % (MAX_COLORS, top, top))
+    aut = parse_hoa(text)
+    assert aut.num_sets == MAX_COLORS and aut.edge_acc[1] == 1 << top
+    assert print_hoa(aut).endswith("[t] 0 {%d}\n--END--\n" % top)
 
 
 def test_reject_unknown_uppercase_header():

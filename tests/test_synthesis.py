@@ -11,7 +11,7 @@ import random
 import pytest
 
 from elaut import (
-    Automaton, ColorSet, GuardStore, MealyMachine, Solution,
+    Automaton, GuardStore, MealyMachine, Solution,
     automaton_to_mealy, change_parity, colorize_parity, make_class, make_game,
     mealy_to_aiger, mealy_to_automaton, parity, parse_acceptance,
     print_aiger, print_hoa, simulate_aig, simulate_mealy, solve_game,
@@ -77,7 +77,7 @@ def test_solve_safety_matches_enumeration():
     for seed in range(150):
         rng = random.Random(41_000 + seed)
         n = rng.randint(1, 7)
-        aut = Automaton((), nwords=1)
+        aut = Automaton(())
         aut.new_states(n)
         for s in range(n):
             for _ in range(rng.randint(0, 2)):
@@ -101,7 +101,7 @@ def test_solve_parity_hand_game():
               players=[0, 1])
     sol = solve_parity_max_odd(g)
     assert sol.winners == [0, 0]
-    assert g.edges[sol.strategy[0]].acc.has(2)
+    assert g.edges[sol.strategy[0]].acc == 1 << 2
     flipped = build([], 4, MAX_ODD_4,
                     [(0, "t", 1, [1]), (0, "t", 1, [2]),
                      (1, "t", 0, [0])],
@@ -127,7 +127,7 @@ def layered_parity_game(seed, ncolors=6):
     edge of another color, some only a self-loop, some none at all."""
     rng = random.Random(seed)
     sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
-    g = Automaton(["a"], nwords=1)
+    g = Automaton(["a"])
     g.new_states(sum(sizes))
     guards = [1, 1, 1, 0, g.store.parse_label("0")]
     start = 0
@@ -161,7 +161,7 @@ def test_solve_parity_matches_midpoint_reference():
         assert sol.winners == winners, seed
         check_parity_strategy(g, players, sol.winners, sol.strategy)
 
-        rows = [(i, e.src, e.dst, e.acc.bits) for i, e in
+        rows = [(i, e.src, e.dst, e.acc) for i, e in
                 enumerate(g.edge_records(), 1) if e.cond != 0]
         outs = [[r for r in rows if r[1] == s] for s in range(g.num_states)]
         seen["deadlock"] += any(not o for o in outs)
@@ -194,8 +194,8 @@ def test_colorize_parity():
     # colors shift by two, the larger one wins the edge; uncolored
     # edges take the neutral odd bottom color
     recs = list(c.edge_records())
-    assert sorted(recs[0].acc.colors()) == [4]
-    assert sorted(recs[1].acc.colors()) == [1]
+    assert recs[0].acc == 1 << 4
+    assert recs[1].acc == 1 << 1
     assert str(c.acceptance) == str(make_class(parity("max", "odd", 6)))
     with pytest.raises(ValueError):
         colorize_parity(build([], 2, parse_acceptance("Inf(0)&Inf(1)"),
@@ -214,10 +214,10 @@ def test_solve_game_dispatch():
         for e in g.edge_records():
             r = rng.random()
             if r < 0.25:
-                e.acc = ColorSet.of([], g.nwords)
+                e.acc = []
                 blurred = True
             elif r < 0.4:
-                e.acc = e.acc | ColorSet.of([rng.randrange(4)], g.nwords)
+                e.acc |= 1 << rng.randrange(4)
         sol = solve_game(g)
         w0, w1 = parity_winners_by_enumeration(colorize_parity(g), players)
         assert {s for s in range(g.num_states) if sol.winners[s] == 1} == w1
@@ -403,7 +403,7 @@ def test_mealy_automaton_roundtrip():
     steps = ["".join(rng.choice("01")) for _ in range(30)]
     assert simulate_mealy(back, steps) == simulate_mealy(m, steps)
 
-    tangled = Automaton(["a", "b"], 1)
+    tangled = Automaton(["a", "b"])
     tangled.new_state()
     tangled.new_edge(0, 0, tangled.store.parse_label("(0&1)|(!0&!1)"))
     tangled.set_acceptance(0, parse_acceptance("t"))
@@ -457,9 +457,9 @@ def _blur(g, rng):
     for e in g.edge_records():
         r = rng.random()
         if r < 0.25:
-            e.acc = g.color_set(0)
+            e.acc = 0
         elif r < 0.4:
-            e.acc = g.color_set(e.acc.bits | 1 << rng.randrange(8))
+            e.acc |= 1 << rng.randrange(8)
     return g
 
 
@@ -468,7 +468,7 @@ def seeded_games(kind):
         rng = random.Random(53_000 + seed)
         if kind == "safety":
             n = rng.randint(1, 30)
-            g = Automaton((), nwords=1)
+            g = Automaton(())
             g.new_states(n)
             for s in range(n):
                 for _ in range(rng.randint(0, 3)):
