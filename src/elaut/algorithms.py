@@ -5,18 +5,21 @@ Edges whose guard is the false label are never traversable, so every
 algorithm here skips them.  Universal destination groups count each
 member as a successor; algorithms that need a plain (nonalternating)
 transition structure say so and reject inputs with universal branching.
-The model-checking path (product, is_empty, accepting_run) reads each
-edge table once into flat per-state lists of ints and works on those.
-product_is_empty and product_accepting_run answer for a product on the
-fly, from the same lists, without building it: one Couvreur search
-finds an accepting strongly connected edge set, and a run's lasso is an
-automaton of just its states, numbered in the order it visits them.
+Every SCC consumer runs one iterative Couvreur search, _explore, over
+per-state rows of out-edges.  The emptiness check is that search with
+the acceptance: it stops at the first merge of partial SCCs whose colors
+satisfy it, and splits on Fin only in closed SCCs that still need it.
+is_empty and accepting_run run it over an automaton's edges;
+product_is_empty and product_accepting_run run it over the pairs of a
+product, flattened from the operands as first reached, without building
+the product.  A product run's lasso is an automaton of just its states,
+numbered in the order it visits them.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import length_hint
 
@@ -31,84 +34,138 @@ from .guards import FALSE_GUARD, TRUE_GUARD, GuardStore
 # ---------------------------------------------------------------------------
 # Strongly connected components.
 #
-# One routine, _tarjan, finds the components of a graph given as flat
-# per-state successor lists succ[v] = [dst, ...]; SccInfo runs it on a
-# whole automaton and the emptiness search on edge subsets.
+# One routine, _explore, finds the components of a graph given by rows
+# of out-edges (destination, colors, x).  SccInfo runs it on a whole
+# automaton, the emptiness search on automata, on products explored on
+# the fly and on the edge subsets of its Fin splits, and the game solver
+# on its moves.
 
-def _tarjan(succ, roots):
-    """Tarjan's algorithm, iterative, over the states reachable from roots.
+def _explore(roots, rows, acceptance=None, edges=False):
+    """Couvreur's SCC search (FM 1999), iterative, over the states
+    reachable from `roots`.
 
-    Returns the members of each component, numbered in reverse
-    topological order, and the component id of each state (-1 where
-    none is reached).
+    rows gives each state's out-edges as triples (destination, colors,
+    x), x being the caller's own, such as an edge index: a list over the
+    states 0..n-1, or a function of the state for a graph explored
+    lazily.  roots is a stack: each DFS tree starts at the state taken
+    from its end, and a row function may push more roots onto it.
+
+    Yields each SCC as it closes, in reverse topological order, as
+    (members, colors, internal): its states, last visited first; the
+    union of the colors of the edges inside it; and, when `edges` is
+    set, those edges as (source,) + row entry, by source in visit order,
+    else None.
+
+    Each partial SCC on the root stack carries the colors of the edges
+    read inside it.  Those edges are strongly connected, and a closed
+    walk through all of them sees exactly those colors.  Given an
+    acceptance formula, the search therefore stops at the first merge
+    whose colors c satisfy it, and yields (None, c, internal) with the
+    edges read so far inside the merged partial SCC.
     """
-    n = len(succ)
-    scc_of = [-1] * n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in roots:
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
+    # state -> DFS number, -1 once closed, None before it is reached
+    if isinstance(rows, list):
+        order = [None] * len(rows)
+        rows = rows.__getitem__
+    else:
+        order = defaultdict(lambda: None)
+    accepts = {}                # color bits -> eval_acceptance on them
+    kept = []                   # DFS number -> its row
+    live = []                   # the states not closed yet, in DFS order
+    stack = []                  # per partial SCC: DFS number of its root,
+    colors = []                 # the colors of the edges inside it,
+    arcs = []                   # and of the tree edge into its root
+    work = []                   # DFS stack: (DFS number, row iterator,
+                                # live size)
+
+    v = None
+    while True:
+        if v is None:
+            if not roots:
+                return
+            v = roots.pop()
+            if order[v] is not None:
+                v = None
+                continue
+            arc = 0
+        # v is new: number it, and read its row from the top of work
+        row = rows(v)
+        x = order[v] = len(kept)
+        kept.append(row)
+        work.append((x, iter(row), len(live)))
+        live.append(v)
+        stack.append(x)
+        colors.append(0)
+        arcs.append(arc)
+        v = None
         while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
+            x, it, base = work[-1]
+            for d, c, _ in it:
+                w = order[d]
+                if w is None:
+                    v, arc = d, c
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if w < 0:
+                    continue
+                # a cycle back to w: merge every partial SCC above w's
+                while stack[-1] > w:
+                    stack.pop()
+                    c |= colors.pop() | arcs.pop()
+                colors[-1] = c = c | colors[-1]
+                if acceptance is None:
+                    continue
+                ok = accepts.get(c)
+                if ok is None:
+                    ok = accepts[c] = eval_acceptance(acceptance, c)
+                if not ok:
+                    continue
+                # the partial SCC's root is on the DFS stack, and its
+                # states are the live ones from the root's on
+                root = stack[-1]
+                k = len(work) - 1
+                while work[k][0] > root:
+                    k -= 1
+                read = {y: len(kept[y]) - length_hint(rest)
+                        for y, rest, _ in work[k:]}
+                yield None, c, [
+                    (m,) + e for m in live[work[k][2]:]
+                    for e in kept[order[m]][:read.get(order[m])]
+                    if order[e[0]] >= root] if edges else None
+                return
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    cid = len(comps)
-                    comp = []
-                    while True:
-                        x = stack.pop()
-                        on_stack[x] = False
-                        scc_of[x] = cid
-                        comp.append(x)
-                        if x == v:
-                            break
-                    comps.append(comp)
-    return comps, scc_of
+                if stack[-1] != x:
+                    continue
+                # x closes its SCC: the states on live from x's on
+                stack.pop()
+                arcs.pop()
+                members = live[base:]
+                del live[base:]
+                internal = [(m,) + e for m in members
+                            for e in kept[order[m]]
+                            if order[e[0]] >= x] if edges else None
+                for m in members:
+                    order[m] = -1
+                members.reverse()
+                yield members, colors.pop(), internal
+                continue
+            break
 
 
 def _successors(aut):
-    """Per state s, the destinations and the indices of the non-false
-    out-edges of s in order, as two parallel lists dsts[s] and idxs[s]
-    with one entry per destination member."""
-    dsts = [[] for _ in range(aut.num_states)]
-    idxs = [[] for _ in range(aut.num_states)]
-    for i, src, dst, cond in zip(range(1, aut.num_edges + 1),
-                                 aut.edge_src[1:], aut.edge_dst[1:],
-                                 aut.edge_cond[1:]):
+    """Per state s, the non-false out-edges of s in order, as
+    (destination, colors, edge index), one per destination member."""
+    rows = [[] for _ in range(aut.num_states)]
+    for i, src, dst, cond, acc in zip(range(1, aut.num_edges + 1),
+                                      aut.edge_src[1:], aut.edge_dst[1:],
+                                      aut.edge_cond[1:], aut.edge_acc[1:]):
         if cond == FALSE_GUARD:
             continue
         if dst >= 0:
-            dsts[src].append(dst)
-            idxs[src].append(i)
+            rows[src].append((dst, acc, i))
         else:
-            members = aut.group_members(dst)
-            dsts[src].extend(members)
-            idxs[src].extend([i] * len(members))
-    return dsts, idxs
+            rows[src].extend([(d, acc, i) for d in aut.group_members(dst)])
+    return rows
 
 
 class SccInfo:
@@ -119,32 +176,30 @@ class SccInfo:
     every edge between different components goes from a higher id to a
     lower one.  internal[i] lists the edge indices with source in
     component i and at least one destination member back in i; colors[i]
-    is the union of their colors, an int of color bits.  succ is
-    _successors(aut) when the caller has it.
+    is the union of their colors, an int of color bits.
     """
 
-    def __init__(self, aut, succ=None):
+    def __init__(self, aut):
         self.aut = aut
-        dsts, idxs = _successors(aut) if succ is None else succ
-        roots = aut.univ_dests(aut.init) if aut.num_states else ()
-        self.members, self.scc_of = _tarjan(dsts, roots)
-        scc_of = self.scc_of
+        rows = _successors(aut)
+        roots = list(aut.univ_dests(aut.init))[::-1] if aut.num_states \
+            else []
+        self.members, self.colors = [], []
+        self.scc_of = scc_of = [-1] * aut.num_states
+        for members, colors, _ in _explore(roots, rows):
+            for s in members:
+                scc_of[s] = len(self.colors)
+            self.members.append(members)
+            self.colors.append(colors)
         self.internal = [[] for _ in self.members]
-        self.colors = bits = [0] * len(self.members)
-        accs = aut.edge_acc
         for v, cid in enumerate(scc_of):
             if cid < 0:
                 continue
             last = 0             # a group edge counts once
-            for d, i in zip(dsts[v], idxs[v]):
+            for d, _, i in rows[v]:
                 if i != last and scc_of[d] == cid:
                     self.internal[cid].append(i)
-                    bits[cid] |= accs[i]
                     last = i
-
-    @property
-    def num(self):
-        return len(self.members)
 
 
 def scc_info(aut):
@@ -195,31 +250,29 @@ def _check_very_weak(aut):
     info = scc_info(aut)
     if any(len(m) > 1 for m in info.members):
         return False
-    return get_or_compute_flag(aut, "weak")
+    return _flag(aut, "weak", _check_weak, info)
 
 
 def _check_inherently_weak(aut):
     # no component may contain an accepting cycle and a rejecting cycle
     if aut.has_universal_branches():
         raise ValueError("inherently_weak needs a nonalternating automaton")
-    info = scc_info(aut)
     rejecting = dual(aut.acceptance)
-    for edges, colors in zip(info.internal, info.colors):
-        if not edges:
-            continue
-        table = _edge_table(aut, edges)
-        if _search_scc(table, edges, colors, aut.acceptance) is None:
-            continue
-        if _search_scc(table, edges, colors, rejecting) is not None:
+    roots = [aut.init] if aut.num_states else []
+    for _, colors, table in _explore(roots, _successors(aut), edges=True):
+        ids = range(len(table))
+        if table and (
+                _search_scc(table, ids, colors, aut.acceptance) is not None
+                and _search_scc(table, ids, colors, rejecting) is not None):
             return False
     return True
 
 
 def _check_terminal(aut):
     # weak, and every accepting component is a complete sink
-    if not get_or_compute_flag(aut, "weak"):
-        return False
     info = scc_info(aut)
+    if not _flag(aut, "weak", _check_weak, info):
+        return False
     for cid, members in enumerate(info.members):
         if not info.internal[cid]:
             continue
@@ -240,20 +293,25 @@ def _check_terminal(aut):
     return True
 
 
-def get_or_compute_flag(aut, name):
-    """Cached trivalent read: compute once, then answer from the flag."""
+def _flag(aut, name, checker, *args):
+    """The flag's value, from checker(aut, *args) the first time."""
     val = aut.get_flag(name)
     if val is not MAYBE:
         return val is YES
-    checker = {"universal": _check_universal, "complete": _check_complete,
-               "weak": _check_weak, "very_weak": _check_very_weak,
-               "inherently_weak": _check_inherently_weak,
-               "terminal": _check_terminal}.get(name)
     if checker is None:
         raise ValueError("no checker registered for flag %r" % name)
-    result = bool(checker(aut))
+    result = bool(checker(aut, *args))
     aut.set_flag(name, result)
     return result
+
+
+def get_or_compute_flag(aut, name):
+    """Cached trivalent read: compute once, then answer from the flag."""
+    return _flag(aut, name, {
+        "universal": _check_universal, "complete": _check_complete,
+        "weak": _check_weak, "very_weak": _check_very_weak,
+        "inherently_weak": _check_inherently_weak,
+        "terminal": _check_terminal}.get(name))
 
 
 def is_universal(aut):
@@ -283,7 +341,9 @@ def is_terminal(aut):
 # ---------------------------------------------------------------------------
 # Emptiness for arbitrary acceptance conditions.
 #
-# The search decomposes the graph into SCCs.  Colors absent from a
+# The search decomposes the graph into SCCs with _explore, which ends it
+# at the first partial SCC whose colors satisfy the acceptance.  When Fin
+# atoms remain, each closed SCC is searched further.  Colors absent from a
 # component can only be seen finitely often there, which substitutes
 # their atoms by constants, and the edges of a top-level Fin unit go at
 # once (_restrict).  A Fin-free residual formula is satisfied by a
@@ -328,35 +388,19 @@ def _restrict(f, present):
     return f, units
 
 
-def _edge_table(aut, ids):
-    """The plain form the emptiness search reads edges in: edge id ->
-    (src, dst, color bits), over the given plain edges of aut."""
-    src, dst, acc = aut.edge_src, aut.edge_dst, aut.edge_acc
-    return {i: (src[i], dst[i], acc[i]) for i in ids}
-
-
 def _subgraph_sccs(table, ids):
-    """(internal edge ids, their colors as an int) of each nontrivial SCC
-    of the subgraph made of the edges `ids` of `table` (edge id -> (src,
-    dst, color bits)), in reverse topological order."""
-    edges = [table[i] for i in ids]
-    # local state numbers: sources first, in order of appearance
-    local = dict.fromkeys([e[0] for e in edges])
-    roots = range(len(local))
-    local.update(dict.fromkeys([e[1] for e in edges]))
-    local = {x: k for k, x in enumerate(local)}
-    succ = [[] for _ in local]
-    for src, dst, _ in edges:
-        succ[local[src]].append(local[dst])
-    comps, scc_of = _tarjan(succ, roots)
-    internal = [[] for _ in comps]
-    colors = [0] * len(comps)
-    for i, (src, dst, bits) in zip(ids, edges):
-        cid = scc_of[local[src]]
-        if cid == scc_of[local[dst]]:
-            internal[cid].append(i)
-            colors[cid] |= bits
-    return [pair for pair in zip(internal, colors) if pair[0]]
+    """(internal edge ids in increasing order, their colors as an int) of
+    each nontrivial SCC of the subgraph made of the edges `ids` of
+    `table` (edge id -> (src, dst, color bits, ...)), in reverse
+    topological order.  Its DFS trees start at the sources in order."""
+    rows = {}
+    for i in ids:
+        e = table[i]
+        rows.setdefault(e[0], []).append((e[1], e[2], i))
+    return [(sorted(e[3] for e in edges), colors)
+            for _, colors, edges in _explore(
+                list(rows)[::-1], lambda v: rows.get(v, ()), edges=True)
+            if edges]
 
 
 def _search_scc(table, internal, present, formula):
@@ -387,25 +431,61 @@ def _search_scc(table, internal, present, formula):
     return None
 
 
-def _witness(aut, succ=None):
-    """An accepting strongly connected edge set of a nonalternating
-    automaton, or None when its language is empty.  succ is as for
-    SccInfo."""
+def _accepting_cycle(roots, rows, acceptance, present, run):
+    """Couvreur's search (_explore from `roots` over `rows`) for an
+    accepting cycle of a graph whose edges carry only the colors of the
+    int `present`.  None when there is none.  Otherwise, when `run` is
+    set, an accepting strongly connected edge set as (table, ids): table
+    lists edges as (source,) + row entry, ids the set's positions in
+    it; True when `run` is not set.
+
+    The acceptance is restricted to the present colors (_restrict), and
+    an edge of a top-level Fin unit only roots a later DFS tree.  The
+    search stops at the first merge of partial SCCs whose colors satisfy
+    the acceptance, for any Emerson-Lei condition.  When Fin atoms
+    remain, a closed SCC may hold an accepting cycle avoiding some
+    colors, which _search_scc looks for in its internal edges.
+    """
+    acceptance, units = _restrict(acceptance, present)
+    if acceptance is FALSE:
+        return None
+    if units:
+        row = rows.__getitem__ if isinstance(rows, list) else rows
+
+        def cut(v):
+            got = row(v)
+            roots.extend([e[0] for e in got if e[1] & units])
+            return [e for e in got if not e[1] & units]
+        rows = cut
+    split = not is_finless(acceptance)
+    for members, colors, table in _explore(roots, rows, acceptance,
+                                           split or run):
+        if members is None:
+            return (table, range(len(table))) if run else True
+        # without colors, each of its cycles sees the empty set, which
+        # a merge already found rejecting
+        if split and colors:
+            got = _search_scc(table, range(len(table)), colors, acceptance)
+            if got is not None:
+                return (table, got) if run else True
+    return None
+
+
+def _witness(aut, rows, run):
+    """_accepting_cycle on a nonalternating automaton whose _successors
+    are rows."""
     if aut.has_universal_branches():
         raise ValueError("emptiness needs a nonalternating automaton")
-    info = SccInfo(aut, succ)
-    for cid, internal in enumerate(info.internal):
-        if internal:
-            got = _search_scc(_edge_table(aut, internal), internal,
-                              info.colors[cid], aut.acceptance)
-            if got is not None:
-                return got
-    return None
+    present = 0
+    for bits in set(aut.edge_acc[1:]):
+        present |= bits
+    return _accepting_cycle([aut.init] if aut.num_states else [], rows,
+                            aut.acceptance, present, run)
 
 
 def is_empty(aut):
     """True iff the automaton accepts no word."""
-    return _witness(aut) is None
+    return _witness(aut, _successors(aut), False) is None
 
 
 @dataclass
@@ -473,7 +553,7 @@ def _bfs_path(succ, sources, goal):
 def _lasso_cycle(table, witness, first):
     """A closed walk that starts with the edge `first` of the strongly
     connected edge set `witness`, stays inside it and sees each of its k
-    colors.  table maps an edge to its (src, dst, color bits).
+    colors.  table maps an edge to its (src, dst, color bits, ...).
 
     After `first`, the walk repeatedly takes a shortest path through the
     witness to the nearest edge bearing a color not seen yet, then a
@@ -484,9 +564,9 @@ def _lasso_cycle(table, witness, first):
     out = {}
     missing = 0
     for i in witness:
-        src, dst, bits = table[i]
-        out.setdefault(src, []).append((dst, i))
-        missing |= bits
+        e = table[i]
+        out.setdefault(e[0], []).append((e[1], i))
+        missing |= e[2]
     start = table[first][0]
 
     def new_color(i, d):
@@ -511,24 +591,36 @@ def _lasso_cycle(table, witness, first):
                                "connected")
 
 
-def accepting_run(aut):
-    """An accepting Lasso, or None when the language is empty.
+def _lasso_steps(table, ids, init, row):
+    """The prefix and the cycle of a lasso through the accepting strongly
+    connected edge set (table, ids) that _accepting_cycle found, as lists
+    of edges (source,) + row entry.
 
-    The prefix is a shortest path to the source of the first edge of the
-    witness edge set found by the emptiness search, so it is shorter than
-    the number of states; the cycle is _lasso_cycle from that edge.
+    row(v) gives the out-edges of state v as _explore reads them.  The
+    prefix is a shortest path from init to a state of the set, so it is
+    shorter than the number of states; the cycle is _lasso_cycle from
+    the set's first edge out of that state.
     """
-    dsts, idxs = succ = _successors(aut)
-    witness = _witness(aut, succ)
-    if witness is None:
-        return None
-    start = aut.edge_src[witness[0]]
-    prefix = [] if start == aut.init else _bfs_path(
-        lambda v: zip(dsts[v], idxs[v]), [aut.init], lambda i, d: d == start)
+    starts = {table[i][0] for i in ids}
+    prefix = [] if init in starts else _bfs_path(
+        lambda v: [(e[0], (v,) + e) for e in row(v)], [init],
+        lambda edge, d: d in starts)
     if prefix is None:
         raise RuntimeError("accepting_run: witness not reachable")
-    run = Lasso(prefix, _lasso_cycle(_edge_table(aut, witness), witness,
-                                     witness[0]))
+    at = prefix[-1][1] if prefix else init
+    first = next(i for i in ids if table[i][0] == at)
+    return prefix, [table[i] for i in _lasso_cycle(table, ids, first)]
+
+
+def accepting_run(aut):
+    """An accepting Lasso, or None when the language is empty: the
+    _lasso_steps through the witness of the emptiness search."""
+    rows = _successors(aut)
+    witness = _witness(aut, rows, True)
+    if witness is None:
+        return None
+    prefix, cycle = _lasso_steps(*witness, aut.init, rows.__getitem__)
+    run = Lasso([e[3] for e in prefix], [e[3] for e in cycle])
     if not check_run(aut, run):
         raise RuntimeError("accepting_run: the lasso is not accepting")
     return run
@@ -665,7 +757,7 @@ class _FlatRows(dict):
 
 
 def _product_operands(a, b):
-    """What product and product_is_empty share: the merged AP list, the
+    """What product and _product_cycle share: the merged AP list, the
     guard store over it, the color count and acceptance of the product,
     and per operand its flattened rows (_FlatRows) and per-state gate,
     which masks the pair's colors.
@@ -750,12 +842,38 @@ def product(a, b):
     return out
 
 
+def _product_cycle(a, b, run):
+    """_accepting_cycle over the state pairs of product(a, b), numbered
+    s * |b| + t, with run as there.  Returns the _product_operands, the
+    pairs' row function and the search's answer.
+
+    The search runs straight from the flattened operand rows, each built
+    when the search first reaches its state: no product automaton, and
+    no guard is interned.  A pair's row lists its edges in product's
+    order as (pair, colors, guard bits).
+    """
+    ops = _product_operands(a, b)
+    acceptance, succ_a, gate_a, succ_b, gate_b = ops[3:]
+    nb = b.num_states
+
+    def row(key):
+        s, t = divmod(key, nb)
+        keep = gate_a[s] & gate_b[t]
+        row_b = succ_b[t]
+        return [(da * nb + db, (ca | cb) & keep, g)
+                for ga, da, ca in succ_a[s]
+                for gb, db, cb in row_b if (g := ga & gb)]
+
+    roots = [a.init * nb + b.init] if a.num_states and nb else []
+    present = succ_a.colors | succ_b.colors \
+        if any(gate_a) and any(gate_b) else 0
+    return ops, row, _accepting_cycle(roots, row, acceptance, present, run)
+
+
 def product_is_empty(a, b):
-    """is_empty(product(a, b)), decided on the fly, without building the
-    product, by _product_search: the Couvreur search that also finds the
-    witness from which product_accepting_run builds a lasso, with its
-    states numbered in the order the run visits them."""
-    return _product_search(a, b, _product_operands(a, b), False) is None
+    """is_empty(product(a, b)), decided on the fly by _product_cycle,
+    without building the product."""
+    return _product_cycle(a, b, False)[2] is None
 
 
 def product_accepting_run(a, b):
@@ -765,39 +883,20 @@ def product_accepting_run(a, b):
     The lasso is an automaton of just the run's states, numbered in the
     order the run first visits them from the initial pair, 0; its
     "product-states" property maps each number to its pair, as product's
-    does.  run is a Lasso over the lasso's edges: a shortest path in the
-    product from the initial pair to a state of the witness edge set
-    _product_search finds, then _lasso_cycle through the witness.
+    does.  run is a Lasso over the lasso's edges, the _lasso_steps
+    through the witness _product_cycle finds.
     """
-    ops = _product_operands(a, b)
-    witness = _product_search(a, b, ops, True)
+    ops, row, witness = _product_cycle(a, b, True)
     if witness is None:
         return None
-    table, ids = witness
-    aps, store, num_sets, acceptance, succ_a, gate_a, succ_b, gate_b = ops
+    aps, store, num_sets, acceptance = ops[:4]
     nb = b.num_states
-
-    def edges(key):
-        # product's edges out of the pair key: (guard bits, dst, colors)
-        s, t = divmod(key, nb)
-        keep = gate_a[s] & gate_b[t]
-        return [(ga & gb, da * nb + db, (ca | cb) & keep)
-                for ga, da, ca in succ_a[s]
-                for gb, db, cb in succ_b[t] if ga & gb]
-
     init = a.init * nb + b.init
-    starts = {table[i][0] for i in ids}
-    prefix = [] if init in starts else _bfs_path(
-        lambda key: [(d, (key, d, c)) for _, d, c in edges(key)], [init],
-        lambda edge, d: d in starts)
-    at = prefix[-1][1] if prefix else init
-    first = next(i for i in ids if table[i][0] == at)
-    steps = prefix + [table[i] for i in _lasso_cycle(table, ids, first)]
+    prefix, cycle = _lasso_steps(*witness, init, row)
     number = {init: 0}
     rows = []
-    for src, dst, c in steps:
+    for src, dst, c, g in prefix + cycle:
         number.setdefault(dst, len(number))
-        g = next(g for g, d, x in edges(src) if d == dst and x == c)
         rows.append((number[src], number[dst], store.intern(g), c))
     lasso = Automaton(aps, store)
     lasso.new_states(len(number))
@@ -806,136 +905,10 @@ def product_accepting_run(a, b):
     lasso.set_init(0)
     lasso.set_named_prop("product-states", [divmod(key, nb) for key in number])
     run = Lasso(list(range(1, len(prefix) + 1)),
-                list(range(len(prefix) + 1, len(steps) + 1)))
+                list(range(len(prefix) + 1, len(rows) + 1)))
     if not check_run(lasso, run):
         raise RuntimeError("accepting_run: the lasso is not accepting")
     return lasso, run
-
-
-def _product_search(a, b, ops, run):
-    """Couvreur's SCC-based search (FM 1999) for an accepting cycle of
-    product(a, b), whose _product_operands are ops.  None when there is
-    none.  Otherwise, when `run` is set, an accepting strongly connected
-    edge set as (table, ids): table[i] is an edge (src, dst, colors)
-    between pairs s * |b| + t, and ids lists the set's edges in table;
-    True when `run` is not set.
-
-    The search runs depth first over the state pairs that product would
-    build, straight from the flattened operand rows, each built when the
-    search first reaches its state: no product automaton, and no guard is
-    interned.  The acceptance is restricted to the colors the rows carry
-    (_restrict), and an edge of a top-level Fin unit only roots a later
-    DFS tree.  Each partial SCC on the root stack carries the colors of
-    the edges seen inside it.  Those edges are strongly connected, and a
-    closed walk through all of them sees exactly those colors, so the
-    product is nonempty as soon as they satisfy the acceptance, for any
-    Emerson-Lei condition; they are then the witness.  When Fin atoms
-    remain, a closed SCC may hold an accepting cycle avoiding some
-    colors, which _search_scc looks for in its internal edges.  A pair's
-    row of edges is kept only while a split or a witness may need it.
-    """
-    (_, _, num_sets, acceptance,
-     succ_a, gate_a, succ_b, gate_b) = ops
-    acceptance, units = _restrict(acceptance, succ_a.colors | succ_b.colors
-                                  if any(gate_a) and any(gate_b) else 0)
-    if not (a.num_states and b.num_states) or acceptance is FALSE:
-        return None
-    split = not is_finless(acceptance)
-    keep_rows = split or run
-    accepts = {}                # color bits -> eval_acceptance on them
-    nb = b.num_states
-
-    order = {}                  # pair s * nb + t -> DFS number, -1 once closed
-    rows = []                   # DFS number -> its row, while needed
-    live = []                   # the pairs not closed yet, in DFS order
-    roots = []                  # per partial SCC: DFS number of its root,
-    colors = []                 # the colors of the edges inside it,
-    arcs = []                   # and of the tree edge into its root
-    work = []                   # DFS stack: (state, row iterator, live size)
-
-    def push(key, arc):
-        s, t = divmod(key, nb)
-        keep = gate_a[s] & gate_b[t]
-        row_b = succ_b[t]
-        row = [(da * nb + db, (ca | cb) & keep)
-               for ga, da, ca in succ_a[s]
-               for gb, db, cb in row_b if ga & gb]
-        if units:       # a unit edge only roots a later DFS tree
-            later.extend([k for k, c in row if c & units and k not in order])
-            row = [(k, c) for k, c in row if not c & units]
-        v = order[key] = len(rows)
-        rows.append(row if keep_rows else None)
-        work.append((v, iter(row), len(live)))
-        live.append(key)
-        roots.append(v)
-        colors.append(0)
-        arcs.append(arc)
-
-    later = [a.init * nb + b.init]  # roots of the DFS trees still to run
-    while later:
-        key = later.pop()
-        if key not in order:
-            push(key, 0)
-        while work:
-            v, it, base = work[-1]
-            for key, c in it:
-                w = order.get(key)
-                if w is None:
-                    push(key, c)
-                    break
-                if w < 0:
-                    continue
-                # a cycle back to w: merge every partial SCC above w's
-                while roots[-1] > w:
-                    roots.pop()
-                    c |= colors.pop() | arcs.pop()
-                colors[-1] = c = c | colors[-1]
-                ok = accepts.get(c)
-                if ok is None:
-                    ok = accepts[c] = eval_acceptance(acceptance, c)
-                if not ok:
-                    continue
-                if not run:
-                    return True
-                # the witness: the edges read so far inside the partial
-                # SCC, whose root is on the DFS stack and whose states
-                # are the live ones from the root's on
-                root = roots[-1]
-                k = len(work) - 1
-                while work[k][0] > root:
-                    k -= 1
-                read = {x: len(rows[x]) - length_hint(it)
-                        for x, it, _ in work[k:]}
-                table = [(m, key, c) for m in live[work[k][2]:]
-                         for key, c in rows[order[m]][:read.get(order[m])]
-                         if order[key] >= root]
-                return table, range(len(table))
-            else:
-                work.pop()
-                if roots[-1] != v:
-                    continue
-                # v closes its SCC: the pairs on live from v's on
-                roots.pop()
-                present = colors.pop()
-                arcs.pop()
-                members = live[base:]
-                del live[base:]
-                if keep_rows:
-                    xs = [order[m] for m in members]
-                    # its internal edges; without colors, each of its cycles
-                    # sees the empty set, which a merge already found rejecting
-                    if split and present:
-                        table = [(m, key, c) for m, x in zip(members, xs)
-                                 for key, c in rows[x] if order[key] >= v]
-                        got = _search_scc(table, range(len(table)), present,
-                                          acceptance)
-                        if got is not None:
-                            return (table, got) if run else True
-                    for x in xs:
-                        rows[x] = None
-                for member in members:
-                    order[member] = -1
-    return None
 
 
 # ---------------------------------------------------------------------------

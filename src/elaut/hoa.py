@@ -641,12 +641,15 @@ def _colors_str(bits):
 
 def _state_acc_of(aut, state):
     """The colors all of a state's out-edges share, for state-based
-    output."""
+    output.  Colors at or above the declared count are inert and left
+    out."""
+    mask = (1 << aut.num_sets) - 1
     acc = None
     for i in aut.out_indices(state):
+        bits = aut.edge_acc[i] & mask
         if acc is None:
-            acc = aut.edge_acc[i]
-        elif aut.edge_acc[i] != acc:
+            acc = bits
+        elif bits != acc:
             raise ValueError(
                 "state_acc is set but state %d has differing edge colors"
                 % state)
@@ -698,7 +701,8 @@ def print_hoa(aut):
     dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
     labels = {}                       # guard id -> "[label] "
     groups = {}                       # group word -> its text
-    colors = {}                       # color bits -> " {...}"
+    colors = {}                       # color bits -> " {...}", or ""
+    mask = (1 << aut.num_sets) - 1    # colors above it are inert
     for s in range(aut.num_states):
         head = "State: %d" % s
         if names is not None and s < len(names) and names[s]:
@@ -725,7 +729,8 @@ def print_hoa(aut):
             if bits and not state_based:
                 text = colors.get(bits)
                 if text is None:
-                    text = colors[bits] = " " + _colors_str(bits)
+                    text = colors[bits] = (" " + _colors_str(bits & mask)
+                                           if bits & mask else "")
                 part += text
             lines.append(part)
             i = nxt[i]
@@ -842,11 +847,12 @@ def print_dot(aut, hide_sinks=False):
     if init_ref is not None:
         out.append("  I -> %s" % init_ref)
 
+    mask = (1 << aut.num_sets) - 1    # colors above it are inert
     for s in range(aut.num_states):
         if s in hidden:
             continue
         for idx in aut.out_indices(s):
-            acc = aut.edge_acc[idx]
+            acc = aut.edge_acc[idx] & mask
             label = aut.store.print_label(aut.edge_cond[idx])
             if not state_based and acc:
                 label += "\\n" + _colors_str(acc)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
                          recolor_parity)
-from .algorithms import _tarjan
+from .algorithms import _explore
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
@@ -292,8 +292,7 @@ def solve_parity_max_odd(game, n_parity=None):
     rest = set(range(n))
     won = ([s for s in range(n) if not out[s] and players[s] == 1],
            [s for s in range(n) if not out[s] and players[s] == 0])
-    comps, _ = _tarjan([[t for t, _, _ in row] for row in out], range(n))
-    for comp in comps:
+    for comp, _, _ in _explore(list(range(n - 1, -1, -1)), out):
         for q in (0, 1):
             if won[q]:
                 attr, strat_q = _attract(q, won[q], (), rest, n_parity,

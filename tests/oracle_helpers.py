@@ -156,6 +156,33 @@ def _sccs_of_rows(rows):
     return out
 
 
+def sccs_by_reachability(edges, roots):
+    """The SCCs of the states reachable from roots, by mutual
+    reachability: state -> frozenset of the states of its SCC.  edges
+    are tuples (src, dst, ...)."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e[0], []).append(e[1])
+
+    def reach(v):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in adj.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    fwd = {}
+    for r in roots:
+        for v in reach(r):
+            if v not in fwd:
+                fwd[v] = reach(v)
+    return {v: frozenset(u for u in fwd if u in fwd[v] and v in fwd[u])
+            for v in fwd}
+
+
 def rows_nonempty(rows, reach, acceptance):
     """Brute force: does a reachable strongly connected edge subset exist
     whose combined colors satisfy the formula?

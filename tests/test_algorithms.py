@@ -19,18 +19,20 @@ from elaut import (
     Automaton, Fin, Inf, Lasso, accepting_run, check_run,
     class_colors, eval_acceptance, f_and, f_or, generalized_buchi,
     generalized_co_buchi, is_complete, is_empty, is_inherently_weak,
-    is_terminal, is_universal, is_very_weak, is_weak,
+    is_terminal, is_universal, is_very_weak, is_weak, make_game,
     parse_acceptance, parse_hoa, print_hoa, product,
     product_accepting_run, product_is_empty,
     rabin, random_automaton, reachable_states, remove_alternation,
     remove_fin, scc_info, solve_game, streett, used_colors,
 )
-from elaut import algorithms
+from elaut import algorithms, synthesis
 from elaut.acceptance import (TRUE, AccClass, AccTrue, And, Or,
-                              change_parity, colors_of, parity, recognize)
+                              change_parity, colors_of, make_class, parity,
+                              recognize)
 from oracle_helpers import (
-    alt_buchi_word_in, build, empty_by_edge_subsets, product_by_pairs,
-    random_alt_buchi, random_parity_game, random_words, up_word_in,
+    _strongly_connected as strongly_connected, alt_buchi_word_in, build,
+    empty_by_edge_subsets, product_by_pairs, random_alt_buchi,
+    random_parity_game, random_words, sccs_by_reachability, up_word_in,
     word_in_gen_buchi,
 )
 
@@ -89,6 +91,99 @@ def test_scc_internal_uses_any_group_member():
                    if aut.edges[i].dst < 0]
     assert group_edges and group_edges[0] in info.internal[cid]
     assert info.colors[cid] == 1
+
+
+def _random_rows(rng):
+    """Rows of a random graph of 1-12 states, as _explore reads them:
+    (destination, colors, edge number) per out-edge."""
+    n = rng.randint(1, 12)
+    number = itertools.count()
+    return [[(rng.randrange(n), rng.choice([0, 0, 1, 2, 3, 4, 6]),
+              next(number)) for _ in range(rng.randint(0, 3))]
+            for _ in range(n)]
+
+
+def test_explore_matches_mutual_reachability():
+    # partition, reverse topological order, internal edges and their
+    # colors against the brute-force oracle, with DFS numbers in a list
+    # (rows as a list) and in a dict (rows as a function)
+    rng = random.Random(5151)
+    for _ in range(400):
+        rows = _random_rows(rng)
+        roots = rng.sample(range(len(rows)), rng.randint(1, min(3, len(rows))))
+        edges = [(s,) + e for s, row in enumerate(rows) for e in row]
+        oracle = sccs_by_reachability(edges, roots)
+        got = list(algorithms._explore(roots[:], rows, edges=True))
+        assert list(algorithms._explore(roots[:], rows.__getitem__,
+                                        edges=True)) == got
+        comp_of = {}
+        for k, (members, colors, internal) in enumerate(got):
+            assert oracle[members[0]] == set(members)
+            assert len(members) == len(set(members))
+            comp_of.update(dict.fromkeys(members, k))
+            inside = [e for e in edges
+                      if e[0] in members and e[1] in members]
+            assert sorted(internal, key=lambda e: e[3]) == inside
+            bits = 0
+            for e in inside:
+                bits |= e[2]
+            assert colors == bits
+        assert comp_of.keys() == oracle.keys()
+        for src, dst, _, _ in edges:
+            if src in comp_of:
+                assert comp_of[src] >= comp_of[dst]
+
+
+def test_explore_stops_at_an_accepting_merge():
+    # with an Inf-only acceptance, a merge accepts iff some SCC's edges
+    # carry all of its colors, and the edges read inside the merged part
+    # are strongly connected and show exactly the merge's colors
+    acc = parse_acceptance("Inf(0)&Inf(1)")
+    rng = random.Random(5252)
+    stops = 0
+    for _ in range(400):
+        rows = _random_rows(rng)
+        sccs = list(algorithms._explore([0], rows, edges=True))
+        found = [got for got in algorithms._explore([0], rows, acc, True)
+                 if got[0] is None]
+        assert bool(found) == any(internal and eval_acceptance(acc, colors)
+                                  for _, colors, internal in sccs)
+        if not found:
+            continue
+        stops += 1
+        _, c, witness = found[0]
+        bits = 0
+        for e in witness:
+            bits |= e[2]
+        assert bits == c and eval_acceptance(acc, c)
+        assert strongly_connected([(e[3], e[0], e[1], None)
+                                   for e in witness])
+    assert 50 <= stops <= 350
+
+
+def test_every_scc_consumer_runs_explore(monkeypatch):
+    # one SCC routine: a consumer that found components some other way
+    # would not reach the spy
+    calls = _spy(monkeypatch, algorithms, "_explore")
+    monkeypatch.setattr(synthesis, "_explore", algorithms._explore)
+    aut = build(["a"], 1, INF0, [(0, "t", 1, []), (1, "0", 0, [0])])
+    game = make_game(build([], 2, make_class(parity("max", "odd", 2)),
+                           [(0, "t", 1, [0]), (1, "t", 0, [1])]), [0, 1])
+    consumers = {
+        "SccInfo": lambda: algorithms.SccInfo(aut),
+        "_subgraph_sccs": lambda: algorithms._subgraph_sccs(
+            {1: (0, 0, 1)}, [1]),
+        "is_empty": lambda: is_empty(aut),
+        "accepting_run": lambda: accepting_run(aut),
+        "product_is_empty": lambda: product_is_empty(aut, aut),
+        "product_accepting_run": lambda: product_accepting_run(aut, aut),
+        "solve_parity_max_odd": lambda: synthesis.solve_parity_max_odd(
+            game),
+    }
+    for name, run in consumers.items():
+        del calls[:]
+        run()
+        assert calls, name
 
 
 def test_reachable_states_discovery_order():
@@ -228,13 +323,17 @@ def test_emptiness_edge_cases():
 
 @pytest.fixture
 def witnesses(monkeypatch):
-    """The witness edge set of every emptiness search, in call order."""
+    """The witness edge set of every explicit search for a run, as edge
+    indices, in call order."""
     seen = []
     real = algorithms._witness
 
-    def spy(aut, *rest):
-        seen.append(real(aut, *rest))
-        return seen[-1]
+    def spy(aut, rows, run):
+        got = real(aut, rows, run)
+        if run and got is not None:
+            table, ids = got
+            seen.append([table[i][3] for i in ids])
+        return got
 
     monkeypatch.setattr(algorithms, "_witness", spy)
     return seen
@@ -389,7 +488,7 @@ def _weak_by_scc(aut, seed):
     weak."""
     rng = random.Random(seed)
     info = scc_info(aut)
-    marked = [rng.random() < 0.5 for _ in range(info.num)]
+    marked = [rng.random() < 0.5 for _ in range(len(info.members))]
     for e in aut.edge_records():
         cid = info.scc_of[e.src]
         e.acc = 1 if cid >= 0 and marked[cid] else 0
@@ -506,9 +605,9 @@ def _spy(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
     return calls
@@ -800,7 +899,9 @@ def test_product_accepting_run_matches_explicit_product():
 
 def test_product_accepting_run_on_a_fin_split(monkeypatch):
     # generalized co-Buchi products have no Fin unit: some witnesses
-    # come from the Fin split of a closed SCC
+    # come from the Fin split of a closed SCC.  Only the splits made
+    # inside product_accepting_run count, not those of the explicit
+    # check after it.
     calls = []
     real = algorithms._search_scc
 
@@ -811,17 +912,18 @@ def test_product_accepting_run_on_a_fin_split(monkeypatch):
     monkeypatch.setattr(algorithms, "_search_scc", spy)
     rng = random.Random(4949)
     split = 0
-    for k in range(60):
+    for k in range(100):
         a = _operand(rng, generalized_co_buchi(rng.randint(2, 3)),
                      ["p0", "p1"], 37000 + k)
         b = _operand(rng, generalized_co_buchi(rng.randint(2, 3)),
                      ["p0", "p1"], 38000 + k)
         del calls[:]
         got = product_accepting_run(a, b)
+        found = any(c is not None for c in calls)
         assert (got is None) == is_empty(product(a, b))
         if got is not None:
             _check_product_lasso(a, b, *got)
-            split += any(c is not None for c in calls)
+            split += found
     assert split >= 5
 
 

@@ -181,3 +181,27 @@ def test_zielonka_on_1024_nested_attractors(monkeypatch):
     assert sol.winners == [i % 2 for i in range(n)]
     assert sol.strategy == list(range(1, n + 1))
     assert len(calls) <= 2 * n
+
+
+def test_100000_state_cycle():
+    # one SCC of 100,000 states, deeper than any recursion: every SCC
+    # consumer works on explicit stacks
+    n = 100_000
+    aut = Automaton(aps=["a"])
+    aut.new_states(n)
+    aut.set_init(0)
+    aut.new_edges([(i, (i + 1) % n, 1, 1 if i == n - 1 else 0)
+                   for i in range(n)])
+    aut.set_acceptance(1, Inf(0))
+    info = algorithms.scc_info(aut)
+    assert len(info.members) == 1 and len(info.internal[0]) == n
+    assert info.colors == [1]
+    assert not is_empty(aut)
+    run = accepting_run(aut)
+    assert run.prefix == [] and len(run.cycle) == n and check_run(aut, run)
+    # as a game, the one cycle's highest color is odd: player 1 wins
+    game = aut.clone()
+    game.map_colors(lambda bits: 2 if bits else 1)
+    game.set_acceptance(2, make_class(parity("max", "odd", 2)))
+    make_game(game, [s % 2 for s in range(n)])
+    assert solve_game(game).winners == [1] * n

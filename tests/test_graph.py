@@ -5,15 +5,17 @@ import random
 
 import pytest
 
-from elaut.acceptance import Inf, TRUE, change_parity, colors_of, parity
+from elaut.acceptance import (Inf, TRUE, change_parity, colors_of,
+                              make_class, parity)
 from elaut.algorithms import (is_empty, is_weak, product,
-                              product_accepting_run, random_automaton,
-                              remove_alternation, remove_fin)
+                              product_accepting_run, random_acceptance,
+                              random_automaton, remove_alternation,
+                              remove_fin)
 from elaut.graph import (Automaton, EDGE_COLUMNS, FLAG_NAMES, MAYBE, NO,
                          Trivalent, YES, trim)
 from elaut.guards import FALSE_GUARD, GuardStore, TRUE_GUARD
 from elaut.hoa import parse_hoa, print_dot, print_hoa
-from elaut.synthesis import (MealyMachine, colorize_parity,
+from elaut.synthesis import (MealyMachine, colorize_parity, make_game,
                              mealy_to_automaton)
 
 from oracle_helpers import random_alt_buchi, trim_by_rebuild
@@ -609,14 +611,18 @@ def test_equal_colors_share_one_color_set():
         assert len({id(acc) for acc in out.edge_acc[1:]}) == 2
 
 
-def _int_column_automata(seed):
+def _int_column_automata(seed, stray=False):
     """(name, automaton) for each way of making an automaton, from
-    seeded inputs with up to 24 colors."""
+    seeded inputs with up to 24 colors.  With stray, the inputs declare
+    6 colors but their edges carry up to 12."""
     a = random_automaton(6, 2, density=0.6, colors=12, color_density=0.4,
                          seed=seed)
     b = random_automaton(5, ["p1", "q"], density=0.6, colors=12,
                          color_density=0.4, acceptance=Inf(11),
                          seed=seed + 1)
+    if stray:
+        a.set_acceptance(6, random_acceptance(6, random.Random(seed)))
+        b.set_acceptance(6, Inf(5))
     yield "parse_hoa", parse_hoa(print_hoa(a))
     yield "random_automaton", a
     yield "product", product(a, b)
@@ -628,6 +634,8 @@ def _int_column_automata(seed):
     yield "clone", a.clone()
     par = random_automaton(6, 2, density=0.6, colors=12, color_density=0.4,
                            acceptance=parity("max", "odd", 12), seed=seed)
+    if stray:
+        par.set_acceptance(6, make_class(parity("max", "odd", 6)))
     yield "change_parity", change_parity(par, "min even")
     yield "colorize_parity", colorize_parity(par)
     yield "remove_alternation", remove_alternation(random_alt_buchi(seed))
@@ -656,6 +664,24 @@ def test_edge_colors_are_shared_ints_everywhere():
     assert all(big[name] for name in big
                if name not in ("remove_alternation", "mealy_to_automaton")), \
         big
+
+
+def test_every_maker_prints_what_reparses_to_the_same_text():
+    # colors at or above the declared count are inert: print_hoa leaves
+    # them out, so what it prints parses back, and prints the same again
+    for seed in range(12):
+        for stray in (False, True):
+            made = list(_int_column_automata(seed, stray))
+            game = made[1][1].clone()
+            made.append(("make_game", make_game(
+                game, [s % 2 for s in range(game.num_states)])))
+            for name, aut in made:
+                text = print_hoa(aut)
+                assert print_hoa(parse_hoa(text)) == text, (seed, name)
+                if not stray:
+                    # no maker makes a stray color of its own
+                    assert all(acc >> aut.num_sets == 0
+                               for acc in aut.edge_acc[1:]), (seed, name)
 
 
 @pytest.mark.parametrize("how", ["int", "list", "map_colors"])

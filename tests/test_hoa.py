@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from elaut.acceptance import Inf, TRUE
-from elaut.graph import MAYBE, NO, YES
+from elaut.graph import MAYBE, NO, YES, Automaton
 from elaut.hoa import (MAX_COLORS, MAX_STATES, HoaParseError, parse_hoa,
                        parse_hoa_stream, print_dot, print_hoa, stats)
 
@@ -465,6 +465,30 @@ State: 0
     aut.set_flag("state_acc", YES)
     with pytest.raises(ValueError):
         print_hoa(aut)
+
+
+def test_colors_above_the_declared_count_are_left_out_on_print():
+    # they are inert, as eval_acceptance has them, and the parser
+    # rejects them, so the printer leaves them out
+    aut = Automaton(["a"])
+    aut.new_states(1)
+    aut.set_acceptance(1, Inf(0))
+    aut.new_edge(0, 0, 1, [0, 2])
+    aut.new_edge(0, 0, 1, [2])
+    text = print_hoa(aut)
+    assert text.endswith("State: 0\n[t] 0 {0}\n[t] 0\n--END--\n")
+    assert print_hoa(parse_hoa(text)) == text
+    # state-based: the states' shared colors are compared without them
+    aut = Automaton(["a"])
+    aut.new_states(1)
+    aut.set_acceptance(1, Inf(0))
+    aut.new_edge(0, 0, 1, [0, 2])
+    aut.new_edge(0, 0, 1, [0, 3])
+    aut.set_flag("state_acc", YES)
+    text = print_hoa(aut)
+    assert text.endswith("State: 0 {0}\n[t] 0\n[t] 0\n--END--\n")
+    assert print_hoa(parse_hoa(text)) == text
+    assert "{0 2}" not in print_dot(aut)
 
 
 def test_dot_output():
