@@ -16,7 +16,7 @@ import random
 import pytest
 
 from elaut import (
-    Automaton, Fin, Inf, Lasso, accepting_run, check_run,
+    YES, Automaton, Fin, Inf, Lasso, accepting_run, check_run,
     class_colors, eval_acceptance, f_and, f_or, generalized_buchi,
     generalized_co_buchi, is_complete, is_empty, is_inherently_weak,
     is_terminal, is_universal, is_very_weak, is_weak, make_game,
@@ -68,7 +68,7 @@ def test_scc_partition_and_order():
     assert info.scc_of[4] == -1
     cid0, cid1, cid3 = info.scc_of[0], info.scc_of[1], info.scc_of[3]
     assert info.scc_of[2] == cid1
-    assert sorted(info.members[cid1]) == [1, 2]
+    assert info.members[cid1] == [2, 1]     # last visited first
     # edges cross components from higher id to lower id only
     assert cid0 > cid1 > cid3
     assert not info.internal[cid0]
@@ -249,6 +249,18 @@ def test_weak_flags():
     vw = build([], 1, INF0, [(0, "t", 0, [0]), (0, "t", 1, []),
                              (1, "t", 1, [])])
     assert is_very_weak(vw)
+
+
+def test_very_weak_and_terminal_share_one_decomposition(monkeypatch):
+    # each builds one SccInfo, hands it to the weak check, and caches
+    # the weak flag that check computes
+    calls = _spy(monkeypatch, algorithms, "SccInfo")
+    for check in (is_very_weak, is_terminal):
+        aut = build([], 1, INF0, [(0, "t", 1, []), (1, "t", 1, [0])])
+        del calls[:]
+        assert check(aut)
+        assert len(calls) == 1
+        assert aut.get_flag("weak") is YES
 
 
 def test_inherently_weak_flag():
