@@ -186,9 +186,9 @@ class SccInfo:
             else []
         self.members, self.colors = [], []
         self.scc_of = scc_of = [-1] * aut.num_states
-        for members, colors, _ in _explore(roots, rows):
+        for cid, (members, colors, _) in enumerate(_explore(roots, rows)):
             for s in members:
-                scc_of[s] = len(self.colors)
+                scc_of[s] = cid
             self.members.append(members)
             self.colors.append(colors)
         self.internal = [[] for _ in self.members]

@@ -639,11 +639,10 @@ def _colors_str(bits):
     return "{%s}" % " ".join(map(str, colors_of(bits)))
 
 
-def _state_acc_of(aut, state):
+def _state_acc_of(aut, state, mask):
     """The colors all of a state's out-edges share, for state-based
-    output.  Colors at or above the declared count are inert and left
-    out."""
-    mask = (1 << aut.num_sets) - 1
+    output, within `mask`: the colors below the declared count, as the
+    ones above it are inert."""
     acc = None
     for i in aut.out_indices(state):
         bits = aut.edge_acc[i] & mask
@@ -708,7 +707,7 @@ def print_hoa(aut):
         if names is not None and s < len(names) and names[s]:
             head += " " + _quote(names[s])
         if state_based:
-            acc = _state_acc_of(aut, s)
+            acc = _state_acc_of(aut, s, mask)
             if acc:
                 head += " " + _colors_str(acc)
         lines.append(head)
@@ -775,6 +774,7 @@ def print_dot(aut, hide_sinks=False):
     hi_edges = aut.get_named_prop("highlight-edges", dict)
     title = aut.get_named_prop("automaton-name", str)
     state_based = aut.get_flag("state_acc") is YES
+    mask = (1 << aut.num_sets) - 1    # colors above it are inert
 
     hidden = set()
     if hide_sinks:
@@ -824,7 +824,7 @@ def print_dot(aut, hide_sinks=False):
         label = names[s] if names and s < len(names) and names[s] \
             else str(s)
         if state_based:
-            acc = _state_acc_of(aut, s)
+            acc = _state_acc_of(aut, s, mask)
             if acc:
                 label += "\\n" + _colors_str(acc)
         attrs = ['label="%s"' % label.replace('"', '\\"')]
@@ -847,7 +847,6 @@ def print_dot(aut, hide_sinks=False):
     if init_ref is not None:
         out.append("  I -> %s" % init_ref)
 
-    mask = (1 << aut.num_sets) - 1    # colors above it are inert
     for s in range(aut.num_states):
         if s in hidden:
             continue
