@@ -10,10 +10,12 @@ per-state rows of out-edges.  The emptiness check is that search with
 the acceptance: it stops at the first merge of partial SCCs whose colors
 satisfy it, and splits on Fin only in closed SCCs that still need it.
 is_empty and accepting_run run it over an automaton's edges;
-product_is_empty and product_accepting_run run it over the pairs of a
-product, flattened from the operands as first reached, without building
-the product.  A product run's lasso is an automaton of just its states,
-numbered in the order it visits them.
+product_is_empty and product_accepting_run over the rows of a product's
+pairs, without building the product.  Products read one pair-row
+function, made by _product_operands.  The constructions that number the
+states they reach (product, dealternation, synthesis.strategy_to_mealy)
+number them breadth first through _bfs_build; a product run's lasso
+numbers its states in the order it visits them.
 """
 
 from __future__ import annotations
@@ -204,6 +206,27 @@ class SccInfo:
 
 def scc_info(aut):
     return SccInfo(aut)
+
+
+def _bfs_build(start, succ):
+    """Number the states reachable from the state keyed `start`, breadth
+    first, or none when start is None.  succ(key) lists a state's edges
+    as (destination key, x, y).
+
+    Returns (keys, edges): keys[n] is the key of state n, and edges are
+    (source, destination, x, y) by source, then in succ order.
+    """
+    keys = [] if start is None else [start]
+    index = {start: 0}
+    edges = []
+    for src, key in enumerate(keys):      # breadth first: keys grow behind
+        for dst, x, y in succ(key):
+            n = index.get(dst)
+            if n is None:
+                n = index[dst] = len(keys)
+                keys.append(dst)
+            edges.append((src, n, x, y))
+    return keys, edges
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +780,14 @@ class _FlatRows(dict):
 
 
 def _product_operands(a, b):
-    """What product and _product_cycle share: the merged AP list, the
-    guard store over it, the color count and acceptance of the product,
-    and per operand its flattened rows (_FlatRows) and per-state gate,
-    which masks the pair's colors.
+    """(row, init, present, acceptance, build, flat) of product(a, b).
+
+    row(key) lists the edges of the pair keyed s * |b| + t as (pair,
+    colors, guard bits), in a's edge order, then b's, from operand rows
+    flattened when first reached (flat holds the two _FlatRows).  init
+    is the initial pair, None when an operand has no state; present is
+    the union of the colors a pair can carry.  build(keys, edges) makes
+    the automaton of pairs numbered as _bfs_build numbers them over row.
 
     When one operand is known weak and the other side's acceptance is
     Fin-free and rejects colorless cycles, the weak side contributes no
@@ -794,66 +821,6 @@ def _product_operands(a, b):
                        not weak_a)
     succ_b = _FlatRows(b, store, [aps.index(p) for p in b.aps],
                        0 if weak_a or weak_b else a.num_sets, not weak_b)
-    return aps, store, num_sets, acceptance, succ_a, gate_a, succ_b, gate_b
-
-
-def product(a, b):
-    """Intersection product over the union of the AP lists.
-
-    Runs are paired, so neither operand may use universal branching;
-    see _product_operands for the colors of a weak operand.
-
-    Each operand state is flattened into a list of (guard bits,
-    destination, colors) when first reached, with guards translated once
-    per guard id and false edges dropped.  A pair of edges then costs one
-    AND of two ints, and only nonempty conjunctions are interned.  States
-    are numbered in breadth-first discovery order from the initial pair
-    and each state's edges follow a's edge order, then b's.
-    """
-    (aps, store, num_sets, acceptance,
-     succ_a, gate_a, succ_b, gate_b) = _product_operands(a, b)
-    # the operands' guards take the store's first ids, in edge order
-    succ_a.intern_all()
-    succ_b.intern_all()
-    out = Automaton(aps, store)
-    intern = store.intern
-    rows = []
-    pairs = [(a.init, b.init)] if a.num_states and b.num_states else []
-    index = {pair: out.new_state() for pair in pairs}
-    for src, (s, t) in enumerate(pairs):
-        keep = gate_a[s] & gate_b[t]
-        row_b = succ_b[t]
-        for ga, da, ca in succ_a[s]:
-            for gb, db, cb in row_b:
-                g = ga & gb
-                if not g:
-                    continue
-                key = (da, db)
-                dst = index.get(key)
-                if dst is None:
-                    dst = index[key] = out.new_state()
-                    pairs.append(key)
-                rows.append((src, dst, intern(g), (ca | cb) & keep))
-    out.new_edges(rows)
-    out.set_acceptance(num_sets, acceptance)
-    if pairs:
-        out.set_init(0)
-    out.set_named_prop("product-states", pairs)
-    return out
-
-
-def _product_cycle(a, b, run):
-    """_accepting_cycle over the state pairs of product(a, b), numbered
-    s * |b| + t, with run as there.  Returns the _product_operands, the
-    pairs' row function and the search's answer.
-
-    The search runs straight from the flattened operand rows, each built
-    when the search first reaches its state: no product automaton, and
-    no guard is interned.  A pair's row lists its edges in product's
-    order as (pair, colors, guard bits).
-    """
-    ops = _product_operands(a, b)
-    acceptance, succ_a, gate_a, succ_b, gate_b = ops[3:]
     nb = b.num_states
 
     def row(key):
@@ -864,16 +831,45 @@ def _product_cycle(a, b, run):
                 for ga, da, ca in succ_a[s]
                 for gb, db, cb in row_b if (g := ga & gb)]
 
-    roots = [a.init * nb + b.init] if a.num_states and nb else []
+    def build(keys, edges):
+        out = Automaton(aps, store)
+        out.new_states(len(keys))
+        intern = store.intern
+        out.new_edges([(src, dst, intern(g), c) for src, dst, c, g in edges])
+        out.set_acceptance(num_sets, acceptance)
+        if keys:
+            out.set_init(0)
+        out.set_named_prop("product-states", [divmod(k, nb) for k in keys])
+        return out
+
+    init = a.init * nb + b.init if a.num_states and nb else None
     present = succ_a.colors | succ_b.colors \
         if any(gate_a) and any(gate_b) else 0
-    return ops, row, _accepting_cycle(roots, row, acceptance, present, run)
+    return row, init, present, acceptance, build, (succ_a, succ_b)
+
+
+def product(a, b):
+    """Intersection product over the union of the AP lists.
+
+    Runs are paired, so neither operand may use universal branching;
+    see _product_operands for the pairs' edges and the colors of a weak
+    operand.  States are the pairs reached from the initial one,
+    numbered breadth first (_bfs_build), and only nonempty conjunctions
+    are interned.
+    """
+    row, init, _, _, build, flat = _product_operands(a, b)
+    for rows in flat:     # the operands' guards take the store's first ids
+        rows.intern_all()
+    return build(*_bfs_build(init, row))
 
 
 def product_is_empty(a, b):
-    """is_empty(product(a, b)), decided on the fly by _product_cycle,
-    without building the product."""
-    return _product_cycle(a, b, False)[2] is None
+    """is_empty(product(a, b)), decided on the fly by _accepting_cycle
+    over the pairs' rows, without building the product: no guard is
+    interned."""
+    row, init, present, acceptance = _product_operands(a, b)[:4]
+    return _accepting_cycle([] if init is None else [init], row,
+                            acceptance, present, False) is None
 
 
 def product_accepting_run(a, b):
@@ -881,31 +877,24 @@ def product_accepting_run(a, b):
     product is empty, else (lasso, run).
 
     The lasso is an automaton of just the run's states, numbered in the
-    order the run first visits them from the initial pair, 0; its
-    "product-states" property maps each number to its pair, as product's
-    does.  run is a Lasso over the lasso's edges, the _lasso_steps
-    through the witness _product_cycle finds.
+    order the run first visits them from the initial pair, 0, and built
+    by product's assembler.  run is a Lasso over the lasso's edges, the
+    _lasso_steps through the witness of the search product_is_empty runs.
     """
-    ops, row, witness = _product_cycle(a, b, True)
+    row, init, present, acceptance, build, _ = _product_operands(a, b)
+    witness = _accepting_cycle([] if init is None else [init], row,
+                               acceptance, present, True)
     if witness is None:
         return None
-    aps, store, num_sets, acceptance = ops[:4]
-    nb = b.num_states
-    init = a.init * nb + b.init
     prefix, cycle = _lasso_steps(*witness, init, row)
     number = {init: 0}
-    rows = []
+    edges = []
     for src, dst, c, g in prefix + cycle:
         number.setdefault(dst, len(number))
-        rows.append((number[src], number[dst], store.intern(g), c))
-    lasso = Automaton(aps, store)
-    lasso.new_states(len(number))
-    lasso.new_edges(rows)
-    lasso.set_acceptance(num_sets, acceptance)
-    lasso.set_init(0)
-    lasso.set_named_prop("product-states", [divmod(key, nb) for key in number])
+        edges.append((number[src], number[dst], c, g))
+    lasso = build(list(number), edges)
     run = Lasso(list(range(1, len(prefix) + 1)),
-                list(range(len(prefix) + 1, len(rows) + 1)))
+                list(range(len(prefix) + 1, len(edges) + 1)))
     if not check_run(lasso, run):
         raise RuntimeError("accepting_run: the lasso is not accepting")
     return lasso, run
@@ -939,7 +928,7 @@ def _choices(rows, full):
 
 def _explore_macro(aut, out, start, name, step):
     """Build `out`, which has no states yet, from macro states (S, O),
-    breadth first from `start`.
+    numbered breadth first from `start` (_bfs_build).
 
     For each choice of one out-edge per state of S whose guards meet,
     step(S, O, combo) gives the successor's S and O and the macro edge's
@@ -952,21 +941,17 @@ def _explore_macro(aut, out, start, name, step):
     conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
     rows = [[(store.bits_of(conds[i]), aut.univ_dests(dsts[i]), accs[i])
              for i in aut.out_indices(s)] for s in range(aut.num_states)]
-    index = {start: 0}
-    keys = [start]
-    edges = []
-    for src, (S, O) in enumerate(keys):    # breadth first: keys grow behind
+
+    def succ(key):
+        S, O = key
         merged = {}
         for combo, g in _choices([rows[s] for s in S], store.full):
-            key = step(S, O, combo)
-            merged[key] = merged.get(key, 0) | g
-        for (s_next, o_next, colors), g in merged.items():
-            key = (s_next, o_next)
-            dst = index.get(key)
-            if dst is None:
-                dst = index[key] = len(keys)
-                keys.append(key)
-            edges.append((src, dst, store.intern(g), colors))
+            nxt = step(S, O, combo)
+            merged[nxt] = merged.get(nxt, 0) | g
+        return [((s_next, o_next), store.intern(g), colors)
+                for (s_next, o_next, colors), g in merged.items()]
+
+    keys, edges = _bfs_build(start, succ)
     out.new_states(len(keys))
     out.new_edges(edges)
     out.set_init(0)
@@ -1117,6 +1102,8 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
     """
     if states < 1:
         raise ValueError("need at least one state")
+    if colors < 0 or isinstance(aps, int) and aps < 0:
+        raise ValueError("need nonnegative color and AP counts")
     rng = random.Random(seed)
     names = ["p%d" % i for i in range(aps)] if isinstance(aps, int) \
         else list(aps)

@@ -229,7 +229,7 @@ def cmd_game(args):
     for game in games:
         sol = synthesis.solve_game(game)
         init = game.init
-        realizable = init >= 0 and sol.winners[init] == 1
+        realizable = 0 <= init < game.num_states and sol.winners[init] == 1
         if not realizable:
             status = 1
         if args.print_winners:

@@ -26,16 +26,16 @@ from dataclasses import dataclass
 FALSE_GUARD = 0
 TRUE_GUARD = 1
 
-DEFAULT_MAX_APS = 16
+MAX_APS = 16
 
 
 class GuardStore:
     """Interning table for guards over a fixed list of APs."""
 
-    def __init__(self, ap_count, max_aps=DEFAULT_MAX_APS):
-        if ap_count < 0 or ap_count > max_aps:
+    def __init__(self, ap_count):
+        if ap_count < 0 or ap_count > MAX_APS:
             raise ValueError("ap_count %d outside [0, %d]"
-                             % (ap_count, max_aps))
+                             % (ap_count, MAX_APS))
         self.ap_count = ap_count
         self.nminterms = 1 << ap_count
         self.full = (1 << self.nminterms) - 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
                          recolor_parity)
-from .algorithms import _explore
+from .algorithms import _bfs_build, _explore
 from .graph import Automaton
 from .guards import FALSE_GUARD, TRUE_GUARD
 
@@ -386,6 +386,8 @@ def strategy_to_mealy(game, solution=None):
     if game.init < 0:
         raise ValueError("games need nonalternating automata")
     init = game.init
+    if not game.num_states:
+        raise ValueError("player 1 does not win a game with no states")
     if players[init] != 0:
         raise ValueError("the initial state must belong to player 0")
     if winners[init] != 1:
@@ -398,10 +400,8 @@ def strategy_to_mealy(game, solution=None):
     inputs = [i for i in range(len(game.aps)) if i not in outputs]
 
     conds, dsts = game.edge_cond, game.edge_dst
-    index = {init: 0}
-    origin = [init]
-    edges = [[]]
-    for s, row in zip(origin, edges):     # breadth first: both grow behind
+
+    def succ(s):
         for i in game.out_indices(s):
             if conds[i] == FALSE_GUARD:
                 continue
@@ -416,11 +416,12 @@ def strategy_to_mealy(game, solution=None):
             dst = dsts[out_idx]
             if players[dst] != 0:
                 raise ValueError("game is not bipartite at state %d" % mid)
-            if dst not in index:
-                index[dst] = len(origin)
-                origin.append(dst)
-                edges.append([])
-            row.append((conds[i], conds[out_idx], index[dst]))
+            yield dst, conds[i], conds[out_idx]
+
+    origin, found = _bfs_build(init, succ)
+    edges = [[] for _ in origin]
+    for src, dst, gin, gout in found:
+        edges[src].append((gin, gout, dst))
     return MealyMachine(list(game.aps), inputs, outputs, game.store,
                         len(origin), 0, edges, origin)
 

@@ -557,6 +557,62 @@ def test_product_rejects_alternation():
             assert str(err.value) == "product needs nonalternating automata"
 
 
+def test_every_construction_numbers_states_with_bfs_build(monkeypatch):
+    # one numbering loop: a construction that numbered its states some
+    # other way would not reach the spy
+    calls = _spy(monkeypatch, algorithms, "_bfs_build")
+    monkeypatch.setattr(synthesis, "_bfs_build", algorithms._bfs_build)
+    aut = build(["a"], 1, INF0, [(0, "t", 1, []), (1, "0", 0, [0])])
+    alt = build([], 1, INF0, [(0, "t", (0, 1), [0]), (1, "t", 1, [0])])
+    game = build(["i", "o"], 0, parse_acceptance("t"),
+                 [(0, "t", 1, []), (1, "1", 0, [])], players=[0, 1])
+    game.set_named_prop("synthesis-outputs", [1])
+    solve_game(game)
+    constructions = {
+        "product": lambda: product(aut, aut),
+        "_dealternate_buchi": lambda: algorithms._dealternate_buchi(alt),
+        "_dealternate_weak": lambda: algorithms._dealternate_weak(alt),
+        "strategy_to_mealy": lambda: synthesis.strategy_to_mealy(game),
+    }
+    for name, run in constructions.items():
+        del calls[:]
+        run()
+        assert calls, name
+
+
+def test_product_is_bfs_build_over_the_searched_rows(monkeypatch):
+    # one pair loop: product's edges are _bfs_build over the very row
+    # function product_is_empty searches
+    searched = _spy(monkeypatch, algorithms, "_accepting_cycle")
+    rng = random.Random(5151)
+    gated = 0
+    for k in range(30):
+        a = random_automaton(states=rng.randint(1, 6), aps=["p0", "p1"],
+                             density=0.5, colors=rng.randint(0, 2),
+                             seed=51000 + k)
+        b = random_automaton(states=rng.randint(1, 4), aps=["p1", "p2"],
+                             density=0.7, colors=rng.randint(1, 2),
+                             seed=52000 + k)
+        if k % 3 == 0:
+            a = _weak_by_scc(a, k)
+            b.set_acceptance(b.num_sets, INF0)
+        gated += algorithms._weak_product_side(a, b)
+        del searched[:]
+        product_is_empty(a, b)
+        row = searched[0][1]
+        nb = b.num_states
+        keys, edges = algorithms._bfs_build(a.init * nb + b.init, row)
+        prod = product(a, b)
+        assert prod.get_named_prop("product-states", list) == \
+            [divmod(key, nb) for key in keys]
+        assert list(zip(prod.edge_src[1:], prod.edge_dst[1:],
+                        map(prod.store.bits_of, prod.edge_cond[1:]),
+                        prod.edge_acc[1:])) == \
+            [(src, dst, g, c) for src, dst, c, g in edges]
+    assert gated == 10
+    assert algorithms._bfs_build(None, row) == ([], [])
+
+
 # ------------------------------------------- on-the-fly product emptiness
 
 def _fin_heavy(colors, rng):
@@ -1245,6 +1301,12 @@ def test_random_automaton_explicit_acceptance():
     assert str(cls.acceptance) == "Inf(0)"
     with pytest.raises(ValueError):
         random_automaton(0, 1)
+
+
+@pytest.mark.parametrize("colors, aps", [(-1, 2), (0, -3)])
+def test_random_automaton_rejects_negative_counts(colors, aps):
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_automaton(2, aps, colors=colors)
 
 
 def test_acceptance_must_be_a_formula():

@@ -154,6 +154,14 @@ def test_randaut_acceptance_forms(capsys):
     assert main(["randaut", "--acceptance", "parity sideways odd 3"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--colors", "--ap"])
+def test_randaut_rejects_negative_counts(flag, capsys):
+    assert main(["randaut", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("elaut: error:")
+
+
 # ----------------------------------------------------------------- aut
 
 def test_aut_default_prints_hoa(tmp_path, capsys):
@@ -530,6 +538,14 @@ def test_game_unrealizable(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not won" in captured.err
+
+
+def test_game_with_no_states_is_not_won(tmp_path, capsys):
+    f = write(tmp_path, "g.hoa", "HOA: v1\nStates: 0\nAP: 0\n"
+              "Acceptance: 0 t\nspot-state-player:\n--BODY--\n--END--\n")
+    for flags in ([], ["--to-mealy"], ["--print-strategy-dot"]):
+        assert main(["game", f] + flags) == 1
+    assert "not won" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- mealy

@@ -280,6 +280,10 @@ def test_strategy_to_mealy_rejects_bad_games():
     with pytest.raises(ValueError, match="initial state"):
         strategy_to_mealy(flipped, Solution([1, 1, 1], [1, 0, 0]))
 
+    empty = make_game(Automaton(), [])
+    with pytest.raises(ValueError, match="no states"):
+        strategy_to_mealy(empty, solve_game(empty))
+
 
 def two_state_memory_machine():
     # output = input held both now and in the previous step
