@@ -141,6 +141,13 @@ def _explore(roots, rows, acceptance=None, edges=False):
                 # x closes its SCC: the states on live from x's on
                 stack.pop()
                 arcs.pop()
+                if len(live) == base + 1:        # x alone
+                    m = live.pop()
+                    internal = [(m,) + e for e in kept[x]
+                                if order[e[0]] >= x] if edges else None
+                    order[m] = -1
+                    yield [m], colors.pop(), internal
+                    continue
                 members = live[base:]
                 del live[base:]
                 internal = [(m,) + e for m in members
@@ -734,7 +741,9 @@ def _accepting_scc_mask(aut):
 class _FlatRows(dict):
     """rows[s] = [(guard bits, dst, colors), ...] over the edges of state
     s in order, with guards moved into `store` and false ones dropped.
-    A state's row is built the first time it is looked up.
+    A state's row is built the first time it is looked up, from the edge
+    columns of an Automaton, or from the edges a hoa.LazyAutomaton parses
+    for that state alone.
 
     Colors beyond the declared count are inert and masked off; the rest
     are shifted left by `shift`, or all dropped when `keep` is false.
@@ -748,9 +757,15 @@ class _FlatRows(dict):
         self.shift = shift
         self.mask = ((1 << aut.num_sets) - 1) if keep else 0
         self.bits = {}                # guard id in aut -> bits in store
-        bits = 0
-        for acc in aut.edge_acc[1:] if self.mask else ():
-            bits |= acc
+        if isinstance(aut, Automaton):
+            conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
+            self.edges = lambda s: [(s, dsts[i], conds[i], accs[i])
+                                    for i in aut.out_indices(s)]
+            bits = 0
+            for acc in accs[1:] if self.mask else ():
+                bits |= acc
+        else:
+            self.edges, bits = aut.edges_of, aut.colors
         self.colors = (bits & self.mask) << shift   # union over all rows
 
     def _bits(self, cond):
@@ -766,16 +781,13 @@ class _FlatRows(dict):
 
     def __missing__(self, s):
         bits, mask, shift = self.bits, self.mask, self.shift
-        aut = self.aut
-        conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
         row = self[s] = []
-        for i in aut.out_indices(s):
-            cond = conds[i]
+        for _, dst, cond, acc in self.edges(s):
             g = bits.get(cond)
             if g is None:
                 g = self._bits(cond)
             if g:
-                row.append((g, dsts[i], (accs[i] & mask) << shift))
+                row.append((g, dst, (acc & mask) << shift))
         return row
 
 

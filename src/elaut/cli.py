@@ -8,10 +8,12 @@ written as HOA to stdout.
 
 `aut --product FILE` with --is-empty or --accepting-run and no
 transformation flag (--remove-alternation, --remove-fin, --change-parity,
---trim) answers for each product on the fly, without building it.  Such
-a lasso numbers its states in the order it first visits them, from 0 for
-the initial pair.  Any other pipeline with --product builds each product
-explicitly first.
+--trim) answers for each product on the fly, without building it.  It
+reads an input automaton's edges only in the states the search reaches
+when the input is as print_hoa writes it (hoa.parse_hoa_stream_lazy),
+and any other input in full.  Such a lasso numbers its states in the
+order it first visits them, from 0 for the initial pair.  Any other
+pipeline with --product builds each product explicitly first.
 
 Exit status: 0 on success (and on all-yes answers for the query modes),
 1 when a query answers no (a non-empty automaton under --is-empty, a
@@ -35,7 +37,8 @@ from .acceptance import (AccClass, acc_name, change_parity, class_colors,
                          used_colors, AcceptanceParseError, parse_acceptance)
 from .algorithms import get_or_compute_flag
 from .graph import FLAG_NAMES, trim
-from .hoa import parse_hoa_stream, print_dot, print_hoa, stats
+from .hoa import (parse_hoa_stream, parse_hoa_stream_lazy, print_dot,
+                  print_hoa, stats)
 
 
 def _read_text(path):
@@ -45,12 +48,13 @@ def _read_text(path):
         return fh.read()
 
 
-def _read_automata(paths):
+def _read_automata(paths, lazy=False):
     if not paths:
         paths = ["-"]
+    read = parse_hoa_stream_lazy if lazy else parse_hoa_stream
     out = []
     for path in paths:
-        out.extend(parse_hoa_stream(_read_text(path)))
+        out.extend(read(_read_text(path)))
     if not out:
         raise ValueError("no automata in the input")
     return out
@@ -124,7 +128,12 @@ def _report_emptiness(verdicts):
 
 
 def cmd_aut(args):
-    auts = _read_automata(args.files)
+    # a query on the products alone is answered on the fly, and reads
+    # each system automaton's edges only in the states the search reaches
+    on_the_fly = args.product and (args.is_empty or args.accepting_run) \
+        and not (args.remove_alternation or args.remove_fin
+                 or args.change_parity or args.trim)
+    auts = _read_automata(args.files, on_the_fly)
     other = None
     if args.product:
         others = parse_hoa_stream(_read_text(args.product))
@@ -132,17 +141,13 @@ def cmd_aut(args):
             raise ValueError("--product wants exactly one automaton")
         other = others[0]
 
-    if other is not None and not (
-            args.remove_alternation or args.remove_fin or args.change_parity
-            or args.trim):
-        # a query on the products alone: answer it on the fly
-        if args.is_empty:
-            return _report_emptiness(
-                [algorithms.product_is_empty(aut, other) for aut in auts])
-        if args.accepting_run:
-            return _report_runs(
-                algorithms.product_accepting_run(aut, other) or (None, None)
-                for aut in auts)
+    if on_the_fly and args.is_empty:
+        return _report_emptiness(
+            [algorithms.product_is_empty(aut, other) for aut in auts])
+    if on_the_fly:
+        return _report_runs(
+            algorithms.product_accepting_run(aut, other) or (None, None)
+            for aut in auts)
 
     processed = []
     for aut in auts:

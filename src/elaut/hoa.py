@@ -15,20 +15,29 @@ expression (`_TOKEN_RE`, in `_lex`) into a list of tokens up to
 --BODY--, each with the character offset where it starts; a whole [label]
 is one token, and `_Parser` walks that list.  The body is walked an item
 at a time: each match of `_ITEM_RE` is a whole edge (label, destination
-or `&` group, colors), a whole State: line or an end marker, so an edge
-costs one match, one label lookup in the store's memo
-(`GuardStore.parse_label`, which evaluates a label on whole minterm
-vectors once per distinct text) and one tuple; the edges go into the
+or `&` group, colors), a whole State: line or an end marker.  One routine
+(`_Parser._edges`) reads the edges of one state: an edge costs one match,
+one lookup of its label text in a per-body memo (a new text goes through
+`GuardStore.parse_label`) and one tuple, and the edges go into the
 automaton in batches (`Automaton.new_edges`).  Where no whole item
 matches, the token at that offset, read with `_TOKEN_RE`, names the
 error.  A comment in the body is the one exception: the rest of the body
 is copied once with its comments blanked out, offsets unchanged, and the
 walk goes on in the copy.  Only a HoaParseError turns an offset into
 line:col.
+
+`parse_hoa_stream_lazy`, the reader of product queries, defers a body
+that is plain (`_Parser._plain_body`: as print_hoa writes it under a
+States: header, with no comment, state name or colors, `&` group or weak
+property).  A few passes at C speed check the whole body first, and the
+edges of a state are read by `_edges` when the search first asks for
+them (`LazyAutomaton`).  Every other body, malformed ones included, is
+read in full, so each error is raised at the same line:col.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .acceptance import (FALSE, TRUE, acc_name, colors_of, eval_acceptance,
@@ -115,6 +124,23 @@ _BLANKS_RE = re.compile(r"\s*")
 # go in at the next State: line, so the pending tuples stay small.
 _EDGE_BATCH = 1024
 _INT_RE = re.compile(r"[0-9]+")
+
+# the parts of a plain body (see _Parser._plain_body) read after its
+# lines are checked: the State: lines, which split it, and the colors
+_STATE_LINE_RE = re.compile(r"State: ([0-9]+)\n")
+_COLORS_RE = re.compile(r"\{([0-9 ]*)\}")
+
+
+@functools.cache
+def _not_plain_re(num_aps, digits):
+    """Where a line of a body over `num_aps` APs is not plain: its line
+    break, when the line after it is neither an edge nor a State: line
+    (see _Parser._plain_body) with numbers of at most `digits` digits."""
+    ap = ("[0-%d]" % (num_aps - 1) if num_aps <= 10 else
+          "(?:1[0-%d]|[0-9])" % (num_aps - 11)) if num_aps else "(?!)"
+    return re.compile(r"\n(?!\[(?:t|f|!?{0}(?:(?:&| \| )!?{0})*)\] {1}"
+                      r"(?: \{{{2}(?: {2})*\}})?\n|State: {1}\n|\Z)".format(
+                          ap, "[0-9]{1,%d}" % digits, "[0-9]{1,7}"))
 
 
 def _comment_end(text, start):
@@ -272,8 +298,9 @@ class _Parser:
             self.fail(tok, "expected " + what)
         return tok[1]
 
-    def parse_automaton(self):
-        """The automaton, and the offset after its --END--."""
+    def parse_automaton(self, lazy=False):
+        """The automaton, and the offset after its --END--; with `lazy`,
+        a LazyAutomaton when its body is plain (see _plain_body)."""
         tok = self.next()
         if tok[:2] != ("header", "HOA"):
             self.fail(tok, "expected HOA: header")
@@ -357,7 +384,7 @@ class _Parser:
                 # unknown lowercase header: skip its values
                 while self.peek() in _VALUE_KINDS:
                     self.i += 1
-        return self._parse_body(h, at, off)
+        return self._parse_body(h, at, off, lazy)
 
     def _acceptance_formula(self, num_sets, off):
         parts = []
@@ -371,23 +398,24 @@ class _Parser:
             raise self.error("bad acceptance condition: %s" % exc,
                              off) from exc
 
-    def _label(self, aut, text, offset):
+    def _label(self, text, offset):
         try:
-            return aut.store.parse_label(text)
+            return self.aut.store.parse_label(text)
         except LabelParseError as exc:
             raise self.error("bad label: %s" % exc, offset) from exc
 
-    def _new_states(self, aut, declared, idx, offset):
+    def _new_states(self, idx, offset):
         """Make the states up to `idx`, which is not below the count so
         far, and return the new count."""
-        if declared is not None:
+        if self.declared is not None:
             raise self.error("state %d not below the declared count %d"
-                             % (idx, declared), offset)
+                             % (idx, self.declared), offset)
         if idx >= MAX_STATES:
             raise self.error("state %d not below the limit of %d states"
                              % (idx, MAX_STATES), offset)
-        aut.new_states(idx + 1 - aut.num_states)
-        return idx + 1
+        self.aut.new_states(idx + 1 - self.count)
+        self.count = idx + 1
+        return self.count
 
     def _colors(self, digits, offset, num_sets):
         """The bits of the colors written `digits` at `offset`."""
@@ -400,160 +428,214 @@ class _Parser:
             bits |= 1 << c
         return bits
 
-    def _parse_body(self, h, at, body_at):
-        num_sets = h["num_sets"]
-        if num_sets is None:
-            raise self.error("missing Acceptance: header", body_at)
-        aps = h["aps"] if h["aps"] is not None else []
-        aut = Automaton(aps)
-        declared = h["states"]
-        if declared is not None:
-            aut.new_states(declared)
-        count = aut.num_states
-        parse_label = aut.store.parse_label
+    def _edges(self, items, src, label, bits, add):
+        """Read the edges of state `src` (None before any State: line)
+        from the next match of `items`, the body's item matches, on, and
+        append each as (src, destination, guard, color bits) with `add`.
+        `label` (a guard or None) and `bits` are what the State: line
+        gives its edges.  Returns the first match that is not a whole
+        edge, or that a comment cuts short, and its groups."""
+        labels, color_bits, count, blanked = (
+            self.labels, self.color_bits, self.count, self.blanked)
+        for m in items:
+            g = m.groups()
+            (elabel, dst, more, amp, colors, closed, _, _, _, _, _, _,
+             comment) = g
+            if dst is None or comment is not None and not blanked:
+                return m, g
+            guard = labels.get(elabel)
+            if guard is None:                  # not a label read before
+                if src is None:
+                    if elabel is None:
+                        self.integer(dst, m.start(2))  # a lexing error first
+                    raise self.error("edge before any State:", m.start())
+                if elabel is not None:
+                    try:
+                        guard = labels[elabel] = self.parse_label(elabel)
+                    except LabelParseError as exc:
+                        raise self.error("bad label: %s" % exc,
+                                         m.start(1)) from exc
+                elif label is None:
+                    self.integer(dst, m.start(2))
+                    raise self.error("implicit labels are not supported",
+                                     m.start())
+                else:
+                    guard = label
+            try:
+                d = int(dst)
+            except ValueError:
+                d = self.integer(dst, m.start(2))
+            if d >= count:
+                count = self._new_states(d, m.start())
+            if more or amp is not None:
+                if more:
+                    members = [d]
+                    at_more = m.start(3)
+                    for x in _INT_RE.finditer(more):
+                        d = self.integer(x.group(), at_more + x.start())
+                        if d >= count:
+                            count = self._new_states(d, m.start())
+                        members.append(d)
+                    d = self.aut.new_univ_dest_group(members)
+                if amp is not None:
+                    self.fail(_token(m.string, m.end(4)),
+                              "expected a destination state")
+            if colors is None:
+                add((src, d, guard, bits))
+                continue
+            c = color_bits.get(colors)
+            if c is None:             # the first edge with these colors
+                if self.state_acc:
+                    raise self.error("edge colors under state-acc",
+                                     m.start(5) - 1)
+                c = color_bits[colors] = self._colors(colors, m.start(5),
+                                                      self.num_sets)
+            if not closed:
+                self.fail(_token(m.string, m.end(5)),
+                          "expected a color index")
+            add((src, d, guard, c | bits))
+
+    def _plain_body(self, h):
+        """The offset after --END-- when the body is plain, else None:
+        a body _edges reads without an error, of State: lines, each index
+        once, and edges with a label in print_label's form over the APs,
+        a destination below the declared count and colors below theirs."""
+        declared = self.declared
+        if not declared or self.state_acc or "weak" in h["properties"]:
+            return None
+        top = str(declared - 1)       # the highest state index
+        text, pos = self.text, self.end
+        stop = text.find("--END--", pos)
+        if stop < 0 or not text.startswith("\nState: ", pos) or \
+                _not_plain_re(len(self.aut.aps), len(top)).search(
+                    text, pos, stop):
+            return None
+        # each state's edges, by its index; no number in a plain line has
+        # more digits than top, so of the destinations, only those that
+        # may still be above it are read
+        parts = _STATE_LINE_RE.split(text[pos:stop])
+        spans = dict(zip(map(int, parts[1::2]), parts[2::2]))
+        high = re.compile(r"\] ([%s-9][0-9]{%d})" % (top[0], len(top) - 1)) \
+            .findall(text, pos, stop)
+        if len(spans) != len(parts) // 2 or max(spans) >= declared \
+                or max(map(int, high), default=0) >= declared:
+            return None
+        try:
+            colors = {c: self._colors(c, 0, self.num_sets)
+                      for c in set(_COLORS_RE.findall(text, pos, stop))}
+        except HoaParseError:
+            return None
+        self.spans, self.color_bits = spans, colors
+        return stop + len("--END--")
+
+    def _walk_body(self):
+        """Read the body into self.aut item by item; (the state names,
+        whether a State: line has colors, the offset after --END--)."""
+        aut = self.aut
         edges = []                    # (src, dst, guard, color bits)
         add_edge = edges.append
-        color_bits = {}               # colors as written -> their bits
-
-        # print_hoa writes the colors of a state-acc automaton on its
-        # states, so its edges may not carry colors of their own
-        state_acc = "state-acc" in h["properties"]
         cur_state = cur_label = None
         cur_colors = 0
         defined = set()
         names = {}
-        saw_state_colors = saw_edge_colors = False
+        state_bits = {}               # State: colors as written -> their bits
         text = self.text
-        pos = _BLANKS_RE.match(text, self.end).end()
-        blanked = False
-        while True:               # once more after blanking out comments
-            for m in _ITEM_RE.finditer(text, pos):
-                (label, dst, more, amp, colors, closed, slabel, sidx, name,
-                 scolors, sclosed, marker, comment) = m.groups()
-                if comment is not None and marker is None and not blanked:
-                    break
-                if dst is not None:                    # an edge
-                    if label is not None:
-                        if cur_state is None:
-                            raise self.error("edge before any State:",
-                                             m.start())
-                        try:
-                            guard = parse_label(label)
-                        except LabelParseError as exc:
-                            raise self.error("bad label: %s" % exc,
-                                             m.start(1)) from exc
-                    elif cur_label is None or cur_state is None:
-                        self.integer(dst, m.start(2))  # a lexing error first
-                        raise self.error(
-                            "implicit labels are not supported" if cur_state
-                            is not None else "edge before any State:",
-                            m.start())
-                    else:
-                        guard = cur_label
-                    try:
-                        d = int(dst)
-                    except ValueError:
-                        d = self.integer(dst, m.start(2))
-                    if d >= count:
-                        count = self._new_states(aut, declared, d, m.start())
-                    if more:
-                        members = [d]
-                        at_more = m.start(3)
-                        for x in _INT_RE.finditer(more):
-                            d = self.integer(x.group(), at_more + x.start())
-                            if d >= count:
-                                count = self._new_states(aut, declared, d,
-                                                         m.start())
-                            members.append(d)
-                        d = aut.new_univ_dest_group(members)
-                    if amp is not None:
-                        self.fail(_token(text, m.end(4)),
-                                  "expected a destination state")
-                    if colors is None:
-                        bits = cur_colors
-                    else:
-                        if state_acc:
-                            raise self.error("edge colors under state-acc",
-                                             m.start(5) - 1)
-                        bits = color_bits.get(colors)
-                        if bits is None:
-                            bits = color_bits[colors] = self._colors(
-                                colors, m.start(5), num_sets)
-                        if not closed:
-                            self.fail(_token(text, m.end(5)),
-                                      "expected a color index")
-                        bits |= cur_colors
-                        saw_edge_colors = True
-                    add_edge((cur_state, d, guard, bits))
-                elif sidx is not None:                 # a State: line
-                    if len(edges) >= _EDGE_BATCH:
-                        aut.new_edges(edges)
-                        edges.clear()
-                    cur_label = None
-                    if slabel is not None:
-                        cur_label = self._label(aut, slabel, m.start(7))
-                    try:
-                        cur_state = int(sidx)
-                    except ValueError:
-                        cur_state = self.integer(sidx, m.start(8))
-                    if cur_state >= count:
-                        count = self._new_states(aut, declared, cur_state,
-                                                 m.start())
-                    if cur_state in defined:
-                        raise self.error("duplicate State: %d" % cur_state,
-                                         m.start())
-                    defined.add(cur_state)
-                    if name is not None:
-                        names[cur_state] = _ESCAPE_RE.sub(r"\1", name)
-                    cur_colors = 0
-                    if scolors is not None:
-                        cur_colors = color_bits.get(scolors)
-                        if cur_colors is None:
-                            cur_colors = color_bits[scolors] = self._colors(
-                                scolors, m.start(10), num_sets)
-                        if not sclosed:
-                            self.fail(_token(text, m.end(10)),
-                                      "expected a color index")
-                        saw_state_colors = True
-                elif marker == "--END--":
-                    end = m.end(12) + self.base
-                    break
-                elif marker is not None:
-                    raise self.error("aborted automaton", m.start())
-                elif label is not None:                # no destination
-                    if cur_state is None:
-                        raise self.error("edge before any State:", m.start())
-                    self._label(aut, label, m.start(1))
-                    self.fail(_token(text, m.end(1) + 1),
-                              "expected a destination state")
-                elif text.startswith("State:", m.start()):  # no index
-                    after = m.start() + 6
-                    if slabel is not None:
-                        self._label(aut, slabel, m.start(7))
-                        after = m.end(7) + 1
-                    self.fail(_token(text, after), "expected a state index")
-                else:                                  # no item
-                    tok = _token(text, m.start())
-                    if tok[0] == "eof":
-                        raise self.error("missing --END--", tok[2])
-                    if cur_state is None and tok[0] != "error":
-                        raise self.error("edge before any State:", tok[2])
-                    self.fail(tok, "expected an edge or --END--")
-            if marker == "--END--":
+        items = _ITEM_RE.finditer(text, _BLANKS_RE.match(text, self.end).end())
+        while True:
+            m, g = self._edges(items, cur_state, cur_label, cur_colors,
+                               add_edge)
+            (label, _, _, _, _, _, slabel, sidx, name, scolors, sclosed,
+             marker, comment) = g
+            if comment is not None and marker is None and not self.blanked:
+                # a comment follows the item m matched: match that item
+                # again in a copy of the rest of the body without comments
+                text = _blank_comments(text, m.start())
+                self.base, self.blanked = m.start(), True
+                items = _ITEM_RE.finditer(text, _BLANKS_RE.match(text).end())
+            elif sidx is not None:                 # a State: line
+                if len(edges) >= _EDGE_BATCH:
+                    aut.new_edges(edges)
+                    edges.clear()
+                cur_label = None
+                if slabel is not None:
+                    cur_label = self._label(slabel, m.start(7))
+                try:
+                    cur_state = int(sidx)
+                except ValueError:
+                    cur_state = self.integer(sidx, m.start(8))
+                if cur_state >= self.count:
+                    self._new_states(cur_state, m.start())
+                if cur_state in defined:
+                    raise self.error("duplicate State: %d" % cur_state,
+                                     m.start())
+                defined.add(cur_state)
+                if name is not None:
+                    names[cur_state] = _ESCAPE_RE.sub(r"\1", name)
+                cur_colors = 0
+                if scolors is not None:
+                    cur_colors = state_bits.get(scolors)
+                    if cur_colors is None:
+                        cur_colors = state_bits[scolors] = self._colors(
+                            scolors, m.start(10), self.num_sets)
+                    if not sclosed:
+                        self.fail(_token(text, m.end(10)),
+                                  "expected a color index")
+            elif marker == "--END--":
+                end = m.end(12) + self.base
                 break
-            # a comment follows the item m matched: match that item again
-            # in a copy of the rest of the body without comments
-            text = _blank_comments(text, m.start())
-            self.base, blanked = m.start(), True
-            pos = _BLANKS_RE.match(text).end()
+            elif marker is not None:
+                raise self.error("aborted automaton", m.start())
+            elif label is not None:                # no destination
+                if cur_state is None:
+                    raise self.error("edge before any State:", m.start())
+                self._label(label, m.start(1))
+                self.fail(_token(text, m.end(1) + 1),
+                          "expected a destination state")
+            elif text.startswith("State:", m.start()):  # no index
+                after = m.start() + 6
+                if slabel is not None:
+                    self._label(slabel, m.start(7))
+                    after = m.end(7) + 1
+                self.fail(_token(text, after), "expected a state index")
+            else:                                  # no item
+                tok = _token(text, m.start())
+                if tok[0] == "eof":
+                    raise self.error("missing --END--", tok[2])
+                if cur_state is None and tok[0] != "error":
+                    raise self.error("edge before any State:", tok[2])
+                self.fail(tok, "expected an edge or --END--")
         self.base = 0
         aut.new_edges(edges)
+        return names, bool(state_bits), end
+
+    def _parse_body(self, h, at, body_at, lazy):
+        num_sets = self.num_sets = h["num_sets"]
+        if num_sets is None:
+            raise self.error("missing Acceptance: header", body_at)
+        aut = self.aut = Automaton(h["aps"] if h["aps"] is not None else [])
+        self.parse_label = aut.store.parse_label
+        self.labels = {}              # edge labels as written -> guards
+        declared = self.declared = h["states"]
+        if declared is not None:
+            aut.new_states(declared)
+        self.count = aut.num_states
+        self.color_bits = {}          # edge colors as written -> their bits
+        # print_hoa writes the colors of a state-acc automaton on its
+        # states, so its edges may not carry colors of their own
+        self.state_acc = "state-acc" in h["properties"]
+        self.blanked = False
+        end = self._plain_body(h) if lazy else None
+        plain = end is not None
+        if plain:
+            names, saw_state_colors = {}, False
+        else:
+            names, saw_state_colors, end = self._walk_body()
 
         # initial designator
         if h["start"] is not None:
             for s in h["start"]:
-                if s >= count:
-                    count = self._new_states(aut, declared, s, at["Start"])
+                if s >= self.count:
+                    self._new_states(s, at["Start"])
             if len(h["start"]) == 1:
                 aut.set_init(h["start"][0])
             else:
@@ -590,14 +672,14 @@ class _Parser:
             aut.set_flag("state_acc", YES)
         elif "trans-acc" in toks or "!state-acc" in toks:
             aut.set_flag("state_acc", NO)
-        elif saw_state_colors and not saw_edge_colors:
+        elif saw_state_colors and not self.color_bits:
             aut.set_flag("state_acc", YES)
         for tok in toks:
             neg = tok.startswith("!")
             flag = _TOKEN_TO_FLAG.get(tok[1:] if neg else tok)
             if flag is not None:
                 aut.set_flag(flag, NO if neg else YES)
-        return aut, end
+        return LazyAutomaton(aut, self) if plain else aut, end
 
 
 def parse_hoa(text):
@@ -611,16 +693,60 @@ def parse_hoa(text):
     return aut
 
 
-def parse_hoa_stream(text):
-    """Parse a stream of back-to-back HOA automata."""
+def _parse_stream(text, lazy):
     out = []
     pos = 0
     while True:
         toks, pos = _lex(text, pos)
         if toks[0][0] == "eof":
             return out
-        aut, pos = _Parser(text, toks, pos).parse_automaton()
+        aut, pos = _Parser(text, toks, pos).parse_automaton(lazy)
         out.append(aut)
+
+
+def parse_hoa_stream(text):
+    """Parse a stream of back-to-back HOA automata."""
+    return _parse_stream(text, False)
+
+
+def parse_hoa_stream_lazy(text):
+    """parse_hoa_stream, for a product query: each automaton with a
+    plain body (see _Parser._plain_body) comes back as a LazyAutomaton,
+    whose edges are parsed per state when the search reaches it.  The
+    outcome, errors included, is parse_hoa_stream's."""
+    return _parse_stream(text, True)
+
+
+class LazyAutomaton:
+    """An automaton read from a plain HOA body whose edges are parsed
+    one state at a time, on demand.
+
+    It shows what a product reads of an Automaton: aps, store,
+    num_states, init, num_sets, acceptance, flags, get_flag and
+    has_universal_branches.  edges_of(s) parses state s's edges as
+    (s, destination, guard, color bits), in order, and colors is the
+    union of every edge's colors, taken from the distinct color texts.
+    """
+
+    def __init__(self, shell, parser):
+        # shell: the automaton with the header's states and no edge
+        self.aps, self.store = shell.aps, shell.store
+        self.num_states, self.init = shell.num_states, shell.init
+        self.num_sets, self.acceptance = shell.num_sets, shell.acceptance
+        self.flags, self.get_flag = shell.flags, shell.get_flag
+        self.has_universal_branches = shell.has_universal_branches
+        self.colors = functools.reduce(int.__or__,
+                                       parser.color_bits.values(), 0)
+        self._parser = parser
+
+    def edges_of(self, s):
+        row = []
+        span = self._parser.spans.get(s)
+        if span is not None:
+            self._parser._edges(_ITEM_RE.finditer(span), s, None, 0,
+                                row.append)
+        return row
+
 
 # ---------------------------------------------------------------------------
 # Printing.
