@@ -435,13 +435,12 @@ class _Parser:
         `label` (a guard or None) and `bits` are what the State: line
         gives its edges.  Returns the first match that is not a whole
         edge, or that a comment cuts short, and its groups."""
-        labels, color_bits, count, blanked = (
-            self.labels, self.color_bits, self.count, self.blanked)
+        labels = self.labels
         for m in items:
             g = m.groups()
             (elabel, dst, more, amp, colors, closed, _, _, _, _, _, _,
              comment) = g
-            if dst is None or comment is not None and not blanked:
+            if dst is None or comment is not None and not self.blanked:
                 return m, g
             guard = labels.get(elabel)
             if guard is None:                  # not a label read before
@@ -465,16 +464,16 @@ class _Parser:
                 d = int(dst)
             except ValueError:
                 d = self.integer(dst, m.start(2))
-            if d >= count:
-                count = self._new_states(d, m.start())
+            if d >= self.count:
+                self._new_states(d, m.start())
             if more or amp is not None:
                 if more:
                     members = [d]
                     at_more = m.start(3)
                     for x in _INT_RE.finditer(more):
                         d = self.integer(x.group(), at_more + x.start())
-                        if d >= count:
-                            count = self._new_states(d, m.start())
+                        if d >= self.count:
+                            self._new_states(d, m.start())
                         members.append(d)
                     d = self.aut.new_univ_dest_group(members)
                 if amp is not None:
@@ -483,12 +482,12 @@ class _Parser:
             if colors is None:
                 add((src, d, guard, bits))
                 continue
-            c = color_bits.get(colors)
+            c = self.color_bits.get(colors)
             if c is None:             # the first edge with these colors
                 if self.state_acc:
                     raise self.error("edge colors under state-acc",
                                      m.start(5) - 1)
-                c = color_bits[colors] = self._colors(colors, m.start(5),
+                c = self.color_bits[colors] = self._colors(colors, m.start(5),
                                                       self.num_sets)
             if not closed:
                 self.fail(_token(m.string, m.end(5)),
@@ -541,9 +540,10 @@ class _Parser:
         state_bits = {}               # State: colors as written -> their bits
         text = self.text
         items = _ITEM_RE.finditer(text, _BLANKS_RE.match(text, self.end).end())
+        read_edges = self._edges
         while True:
-            m, g = self._edges(items, cur_state, cur_label, cur_colors,
-                               add_edge)
+            m, g = read_edges(items, cur_state, cur_label, cur_colors,
+                              add_edge)
             (label, _, _, _, _, _, slabel, sidx, name, scolors, sclosed,
              marker, comment) = g
             if comment is not None and marker is None and not self.blanked:
