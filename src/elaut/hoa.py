@@ -487,8 +487,8 @@ class _Parser:
                 if self.state_acc:
                     raise self.error("edge colors under state-acc",
                                      m.start(5) - 1)
-                c = self.color_bits[colors] = self._colors(colors, m.start(5),
-                                                      self.num_sets)
+                c = self.color_bits[colors] = self._colors(
+                    colors, m.start(5), self.num_sets)
             if not closed:
                 self.fail(_token(m.string, m.end(5)),
                           "expected a color index")
