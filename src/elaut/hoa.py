@@ -406,7 +406,7 @@ class _Parser:
 
     def _new_states(self, idx, offset):
         """Make the states up to `idx`, which is not below the count so
-        far, and return the new count."""
+        far."""
         if self.declared is not None:
             raise self.error("state %d not below the declared count %d"
                              % (idx, self.declared), offset)
@@ -415,16 +415,15 @@ class _Parser:
                              % (idx, MAX_STATES), offset)
         self.aut.new_states(idx + 1 - self.count)
         self.count = idx + 1
-        return self.count
 
-    def _colors(self, digits, offset, num_sets):
+    def _colors(self, digits, offset):
         """The bits of the colors written `digits` at `offset`."""
         bits = 0
         for d in _INT_RE.finditer(digits):
             c = self.integer(d.group(), offset + d.start())
-            if c >= num_sets:
+            if c >= self.num_sets:
                 raise self.error("color %d not below the declared count %d"
-                                 % (c, num_sets), offset + d.start())
+                                 % (c, self.num_sets), offset + d.start())
             bits |= 1 << c
         return bits
 
@@ -487,8 +486,8 @@ class _Parser:
                 if self.state_acc:
                     raise self.error("edge colors under state-acc",
                                      m.start(5) - 1)
-                c = self.color_bits[colors] = self._colors(
-                    colors, m.start(5), self.num_sets)
+                c = self.color_bits[colors] = self._colors(colors,
+                                                           m.start(5))
             if not closed:
                 self.fail(_token(m.string, m.end(5)),
                           "expected a color index")
@@ -520,7 +519,7 @@ class _Parser:
                 or max(map(int, high), default=0) >= declared:
             return None
         try:
-            colors = {c: self._colors(c, 0, self.num_sets)
+            colors = {c: self._colors(c, 0)
                       for c in set(_COLORS_RE.findall(text, pos, stop))}
         except HoaParseError:
             return None
@@ -576,7 +575,7 @@ class _Parser:
                     cur_colors = state_bits.get(scolors)
                     if cur_colors is None:
                         cur_colors = state_bits[scolors] = self._colors(
-                            scolors, m.start(10), self.num_sets)
+                            scolors, m.start(10))
                     if not sclosed:
                         self.fail(_token(text, m.end(10)),
                                   "expected a color index")
