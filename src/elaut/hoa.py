@@ -406,7 +406,7 @@ class _Parser:
 
     def _new_states(self, idx, offset):
         """Make the states up to `idx`, which is not below the count so
-        far."""
+        far, and return the new count."""
         if self.declared is not None:
             raise self.error("state %d not below the declared count %d"
                              % (idx, self.declared), offset)
@@ -415,6 +415,7 @@ class _Parser:
                              % (idx, MAX_STATES), offset)
         self.aut.new_states(idx + 1 - self.count)
         self.count = idx + 1
+        return self.count
 
     def _colors(self, digits, offset):
         """The bits of the colors written `digits` at `offset`."""
@@ -434,7 +435,7 @@ class _Parser:
         `label` (a guard or None) and `bits` are what the State: line
         gives its edges.  Returns the first match that is not a whole
         edge, or that a comment cuts short, and its groups."""
-        labels = self.labels
+        labels, color_bits, count = self.labels, self.color_bits, self.count
         for m in items:
             g = m.groups()
             (elabel, dst, more, amp, colors, closed, _, _, _, _, _, _,
@@ -463,16 +464,16 @@ class _Parser:
                 d = int(dst)
             except ValueError:
                 d = self.integer(dst, m.start(2))
-            if d >= self.count:
-                self._new_states(d, m.start())
+            if d >= count:
+                count = self._new_states(d, m.start())
             if more or amp is not None:
                 if more:
                     members = [d]
                     at_more = m.start(3)
                     for x in _INT_RE.finditer(more):
                         d = self.integer(x.group(), at_more + x.start())
-                        if d >= self.count:
-                            self._new_states(d, m.start())
+                        if d >= count:
+                            count = self._new_states(d, m.start())
                         members.append(d)
                     d = self.aut.new_univ_dest_group(members)
                 if amp is not None:
@@ -481,13 +482,12 @@ class _Parser:
             if colors is None:
                 add((src, d, guard, bits))
                 continue
-            c = self.color_bits.get(colors)
+            c = color_bits.get(colors)
             if c is None:             # the first edge with these colors
                 if self.state_acc:
                     raise self.error("edge colors under state-acc",
                                      m.start(5) - 1)
-                c = self.color_bits[colors] = self._colors(colors,
-                                                           m.start(5))
+                c = color_bits[colors] = self._colors(colors, m.start(5))
             if not closed:
                 self.fail(_token(m.string, m.end(5)),
                           "expected a color index")

@@ -125,9 +125,14 @@ def test_product_queries_answer_as_with_the_full_reader(tmp_path,
     goldens = [read(os.path.join(GOLDEN, name + ".in.hoa"))
                for name in golden_names()]
     read_in_full = [text for text, error in _mutants() if error is None]
+    prints = _random_prints()
+    # streams of several automata, some read lazily, one malformed
+    streams = ["".join(prints[k:k + 3]) for k in range(0, 18, 3)]
+    streams += [prints[1] + goldens[0] + prints[2],
+                prints[1] + _mutants()[1][0] + prints[2]]
     assert _queries_answer_as_with_the_full_reader(
         tmp_path, monkeypatch,
-        goldens + _random_prints() + read_in_full) == {0, 1, 2}
+        goldens + prints + streams + read_in_full) == {0, 1, 2}
 
 
 def test_product_queries_fail_as_with_the_full_reader(tmp_path, monkeypatch):
