@@ -1269,6 +1269,53 @@ def test_pruned_macro_product_matches_brute_force(monkeypatch):
     assert stats["empty prefix"] > 0 and stats["no edges"] > 0
 
 
+def _wide_alt():
+    """A weak alternating automaton of 70 states whose macro states hold
+    states 64 and up: pairs {4k, 4k+1} are components, the other states
+    components of their own, and every fourth block of four accepts."""
+    n = 70
+    aut = Automaton(["p0", "p1"])
+    aut.new_states(n)
+    p0, not_p0, p1 = (aut.store.lit(0), aut.store.lit(0, False),
+                      aut.store.lit(1))
+    for s in range(n):
+        colors = [0] if s // 4 % 3 == 0 else []
+        nxt = [min(s + 1, n - 1)] + ([66] if s % 7 == 3 else [])
+        aut.new_edge(s, aut.new_univ_dest_group(nxt), p0, colors)
+        aut.new_edge(s, min(s + 2, n - 1), not_p0, colors)
+        if s % 4 == 1:
+            aut.new_edge(s, s - 1, p1, colors)
+    aut.set_acceptance(1, INF0)
+    aut.set_init(aut.new_univ_dest_group([0, 64]))
+    return aut
+
+
+def test_dealternation_outputs_are_stable():
+    # sha256 prefixes of the printed macro automata, recorded before the
+    # macro states became bitmasks; the wide automaton's masks are wider
+    # than a machine word
+    digests = {}
+    for label, construct in (("buchi", algorithms._dealternate_buchi),
+                             ("weak", algorithms._dealternate_weak)):
+        h = hashlib.sha256()
+        for seed in range(200):
+            weak = seed % 2 == 0
+            if weak or label == "buchi":
+                h.update(print_hoa(construct(_random_alt(40_000 + seed,
+                                                         weak))).encode())
+        digests[label] = h.hexdigest()[:16]
+        wide = construct(_wide_alt())
+        assert wide.num_states > 2000
+        assert wide.get_named_prop("state-names", list)[0].startswith(
+            "{0,64}|")
+        digests["wide " + label] = hashlib.sha256(
+            print_hoa(wide).encode()).hexdigest()[:16]
+    assert digests == {"buchi": "e6d03ad07e828f78",
+                       "weak": "af99a05e4fe00b95",
+                       "wide buchi": "e79b75674f8b5426",
+                       "wide weak": "c8782fb741d1fef5"}
+
+
 # ----------------------------------------------------- random automata
 
 def test_random_automaton_is_reproducible():
