@@ -915,51 +915,77 @@ def product_accepting_run(a, b):
 # ---------------------------------------------------------------------------
 # Alternation removal.
 
-def _macro_name(s, o=None):
-    inner = ",".join(str(x) for x in s)
-    if o is None:
-        return "{%s}" % inner
-    return "{%s}|{%s}" % (inner, ",".join(str(x) for x in o))
+def _members(mask):
+    """The states of a bitmask of states, in increasing order."""
+    states = []
+    while mask:
+        states.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return states
 
 
-def _choices(rows, full):
-    """Each choice of one entry per row whose guards meet, with the AND
-    of their guard bits, in itertools.product order: depth first, a
-    prefix is dropped as soon as its AND is 0."""
-    stack = [((), full)]
-    while stack:
-        combo, g = stack.pop()
-        if len(combo) == len(rows):
-            yield combo, g
-            continue
-        for entry in reversed(rows[len(combo)]):   # popped in row order
-            meet = g & entry[0]
-            if meet:
-                stack.append((combo + (entry,), meet))
+def _dest_mask(aut, word):
+    """A word's destination states, which are distinct, as a bitmask."""
+    return sum(1 << q for q in aut.univ_dests(word))
 
 
-def _explore_macro(aut, out, start, name, step):
-    """Build `out`, which has no states yet, from macro states (S, O),
-    numbered breadth first from `start` (_bfs_build).
+def _explore_macro(aut, start, edge, reset, brk, policed):
+    """The automaton of the macro states (S, O) reachable from `start`,
+    numbered breadth first (_bfs_build), which accepts when each of the
+    colors brk | policed shows infinitely often.
 
-    For each choice of one out-edge per state of S whose guards meet,
-    step(S, O, combo) gives the successor's S and O and the macro edge's
-    color bits; choices with the same result share one edge under the
-    union of their guards.  A combo holds, per state of S, its chosen
-    edge as (guard bits, destination states, color bits).  name(S, O)
-    labels each macro state.
+    S and O are bitmasks of states: the active ones and those owing a
+    visit.  Each out-edge of a state q is read once into (guard bits,
+    destination mask D) + edge(q, D, colors), the latter two masks being
+    the destinations that take over q's debt while q is in O, and the
+    progress colors the edge keeps from showing.  The choices of one
+    out-edge per state of S whose guards meet are walked depth first, in
+    itertools.product order.  A choice whose ORs of destinations, debts
+    and kept colors are S', O' and K steps to (S', O') under colors
+    policed & ~K, or, when O' is empty, breaks to (S', S' & reset) under
+    brk | policed & ~K.  Choices with the same step share one edge under
+    the union of their guards.  Macro states are named "{S}|{O}", or
+    "{S}" when brk is 0.
     """
     store = aut.store
+    full = store.full
+    out = Automaton(aut.aps, store)
+    total = (brk | policed).bit_length()
+    out.set_acceptance(total, f_and([Inf(c) for c in range(total)]))
     conds, dsts, accs = aut.edge_cond, aut.edge_dst, aut.edge_acc
-    rows = [[(store.bits_of(conds[i]), aut.univ_dests(dsts[i]), accs[i])
-             for i in aut.out_indices(s)] for s in range(aut.num_states)]
+    owing, free = [], []       # each state's rows while in O and not
+    for q in range(aut.num_states):
+        row = []
+        for i in aut.out_indices(q):
+            d = _dest_mask(aut, dsts[i])
+            row.append((store.bits_of(conds[i]), d) + edge(q, d, accs[i]))
+        owing.append(row)
+        free.append([(b, d, 0, k) for b, d, _, k in row])
 
     def succ(key):
         S, O = key
+        # the last row's entries end leaves, so they are not pushed; no
+        # state at all leaves the one choice of no edges, under t
+        rows = [(owing if O >> q & 1 else free)[q] for q in _members(S)]
+        last = rows.pop() if rows else [(full, 0, 0, 0)]
         merged = {}
-        for combo, g in _choices([rows[s] for s in S], store.full):
-            nxt = step(S, O, combo)
-            merged[nxt] = merged.get(nxt, 0) | g
+        stack = [(0, full, 0, 0, 0)]
+        while stack:
+            depth, g, s, o, k = stack.pop()
+            if depth < len(rows):
+                for b, d, od, kd in reversed(rows[depth]):   # popped in order
+                    if g & b:
+                        stack.append((depth + 1, g & b, s | d, o | od, k | kd))
+                continue
+            for b, d, od, kd in last:
+                meet = g & b
+                if meet:
+                    s_next, o_next = s | d, o | od
+                    if o_next:
+                        nxt = s_next, o_next, policed & ~(k | kd)
+                    else:
+                        nxt = s_next, s_next & reset, brk | policed & ~(k | kd)
+                    merged[nxt] = merged.get(nxt, 0) | meet
         return [((s_next, o_next), store.intern(g), colors)
                 for (s_next, o_next, colors), g in merged.items()]
 
@@ -967,12 +993,15 @@ def _explore_macro(aut, out, start, name, step):
     out.new_states(len(keys))
     out.new_edges(edges)
     out.set_init(0)
-    out.set_named_prop("state-names", [name(*key) for key in keys])
+    out.set_named_prop("state-names", [
+        "|".join("{%s}" % ",".join(map(str, _members(mask)))
+                 for mask in (key if brk else key[:1])) for key in keys])
     return out
 
 
 def _dealternate_buchi(aut):
-    """Breakpoint construction for alternating automata with Inf(0).
+    """Breakpoint construction (Miyano and Hayashi) for alternating
+    automata with Inf(0).
 
     Macro states are pairs (S, O): the set of active states and the
     subset still owing a visit to color 0 since the last breakpoint.
@@ -980,22 +1009,9 @@ def _dealternate_buchi(aut):
     obligation restarts from the full successor set.  At most 3^n macro
     states.
     """
-    def step(S, O, combo):
-        succ = set()
-        owing = set()
-        for s, (_, dests, colors) in zip(S, combo):
-            succ.update(dests)
-            if not colors & 1 and s in O:
-                owing.update(dests)
-        s_next = tuple(sorted(succ))
-        if owing:
-            return s_next, tuple(sorted(owing)), 0
-        return s_next, s_next, 1
-
-    out = Automaton(aut.aps, aut.store)
-    out.set_acceptance(1, Inf(0))
-    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
-    return _explore_macro(aut, out, (s0, s0), _macro_name, step)
+    s0 = _dest_mask(aut, aut.init)
+    return _explore_macro(aut, (s0, s0), lambda q, d, colors:
+                          (0 if colors & 1 else d, 0), -1, 1, 0)
 
 
 def _dealternate_weak(aut):
@@ -1014,50 +1030,28 @@ def _dealternate_weak(aut):
     if not _check_weak(aut, info):
         raise ValueError("weak dealternation needs SCC-uniform colors")
 
-    multi = set()         # states of multi-state rejecting components
+    multi = 0             # states of multi-state rejecting components
+    comp = {}             # each such state's component
     singles = []          # states that are a rejecting component alone
     for cid, members in enumerate(info.members):
         if info.internal[cid] and not eval_acceptance(aut.acceptance,
                                                       info.colors[cid]):
             if len(members) > 1:
-                multi.update(members)
+                mask = sum(1 << q for q in members)
+                multi |= mask
+                comp.update(dict.fromkeys(members, mask))
             else:
                 singles.append(members[0])
-    singles.sort()
-    use_break = bool(multi)
-    first = 1 if use_break else 0     # color 0 marks breakpoints
-    total = first + len(singles)
+    first = 1 if multi else 0     # color 0 marks breakpoints
+    progress = {q: 1 << (first + k) for k, q in enumerate(sorted(singles))}
 
-    def step(S, O, combo):
-        succ = set()
-        owing = set()
-        dests_of = {}
-        for s, (_, dests, _) in zip(S, combo):
-            dests_of[s] = dests
-            succ.update(dests)
-            if s in O:
-                owing.update(d for d in dests
-                             if info.scc_of[d] == info.scc_of[s])
-        colors = 0
-        s_next = tuple(sorted(succ))
-        if not use_break:
-            o_next = ()
-        elif owing:
-            o_next = tuple(sorted(owing))
-        else:
-            colors = 1
-            o_next = tuple(s for s in s_next if s in multi)
-        for k, q in enumerate(singles):
-            if not (q in dests_of and q in dests_of[q]):
-                colors |= 1 << (first + k)
-        return s_next, o_next, colors
+    def edge(q, d, colors):
+        # a single's progress is kept while its chosen edge loops on it
+        return d & comp.get(q, 0), progress.get(q, 0) if d >> q & 1 else 0
 
-    out = Automaton(aut.aps, aut.store)
-    out.set_acceptance(total, f_and([Inf(c) for c in range(total)]))
-    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
-    start = (s0, tuple(s for s in s0 if s in multi))
-    name = _macro_name if use_break else (lambda s, o: _macro_name(s))
-    return _explore_macro(aut, out, start, name, step)
+    s0 = _dest_mask(aut, aut.init)
+    return _explore_macro(aut, (s0, s0 & multi), edge, multi, first,
+                          ((1 << len(singles)) - 1) << first)
 
 
 def remove_alternation(aut):

@@ -57,7 +57,9 @@ class GuardStore:
         self._cubes = {}          # id -> tuple of cubes (to_cubes)
         self._texts = {}          # id -> label text (print_label)
         self._parsed = {}         # label text -> id (parse_label)
-        self._atoms = None        # label literal -> minterms (_parse_label)
+        self._atoms = None        # literal or cube text -> minterms
+        # print_label's literal texts: each AP's, positive and negated
+        self._lits = [("%d" % ap, "!%d" % ap) for ap in range(ap_count)]
 
     def __len__(self):
         return len(self._table)
@@ -148,14 +150,18 @@ class GuardStore:
         """
         got = self._cubes.get(self._check(gid))
         if got is None:
-            got = self._cubes[gid] = tuple(self._cover(self._table[gid]))
+            aps = range(self.ap_count)
+            got = self._cubes[gid] = tuple(
+                Cube(*[frozenset(ap for ap in aps if m >> ap & 1) for m in c])
+                for c in self._cover(self._table[gid]))
         return list(got)
 
     def _cover(self, remaining):
+        """to_cubes's cubes, as (positive AP mask, negative AP mask)."""
         while remaining:
             low = remaining & -remaining
             m = low.bit_length() - 1
-            bits, pos, neg = low, [], []
+            bits, pos, neg = low, 0, 0
             for ap in range(self.ap_count):
                 # the cube's minterms all agree with m on AP ap; freeing it
                 # adds their mirror images across ap
@@ -164,31 +170,26 @@ class GuardStore:
                 widened = bits | (bits >> shift if up else bits << shift)
                 if widened & ~remaining == 0:
                     bits = widened
+                elif up:
+                    pos |= shift
                 else:
-                    (pos if up else neg).append(ap)
-            yield Cube(frozenset(pos), frozenset(neg))
+                    neg |= shift
+            yield pos, neg
             remaining &= ~bits
 
     # -- text form ----------------------------------------------------
 
     def print_label(self, gid):
+        """to_cubes's cubes, "&"s of literals, joined by " | "; or "f"."""
         got = self._texts.get(self._check(gid))
-        if got is not None:
-            return got
-        if gid == FALSE_GUARD:
-            text = "f"
-        elif gid == TRUE_GUARD:
-            text = "t"
-        else:
-            parts = []
-            for cube in self.to_cubes(gid):
-                lits = []
-                for ap in sorted(cube.positive | cube.negative):
-                    lits.append(("%d" if ap in cube.positive else "!%d") % ap)
-                parts.append("&".join(lits) if lits else "t")
-            text = " | ".join(parts)
-        self._texts[gid] = text
-        return text
+        if got is None:
+            lits = self._lits
+            got = self._texts[gid] = " | ".join(
+                "&".join(lits[ap][neg >> ap & 1]
+                         for ap in range((pos | neg).bit_length())
+                         if (pos | neg) >> ap & 1) or "t"
+                for pos, neg in self._cover(self._table[gid])) or "f"
+        return got
 
     def parse_label(self, text):
         """Parse "0&!1 | 2" style Boolean expressions over AP indices."""
@@ -261,8 +262,9 @@ def _parse_label(store, text):
 
     A label that is a disjunction of conjunctions of literals (an AP
     index without leading zeros, `t` or `f`, each maybe after one `!`) is
-    read cube by cube, each literal looked up in `store._atoms`.  Any
-    other label, and every malformed one, goes to the operator-precedence
+    read cube by cube, each literal looked up in `store._atoms`, where a
+    cube's text is kept once all its literals are found.  Any other
+    label, and every malformed one, goes to the operator-precedence
     parser below, the only code that raises.
     """
     atoms = store._atoms
@@ -274,12 +276,15 @@ def _parse_label(store, text):
             atoms["!%d" % ap] = pos ^ full
     disj = 0
     for cube in text.split("|"):
-        conj = -1
-        for lit in cube.split("&"):
-            value = atoms.get(lit.strip())
-            if value is None:
-                return _parse_label_ops(store, text, atoms)
-            conj &= value
+        conj = atoms.get(cube)
+        if conj is None:
+            conj = -1
+            for lit in cube.split("&"):
+                value = atoms.get(lit.strip())
+                if value is None:
+                    return _parse_label_ops(store, text, atoms)
+                conj &= value
+            atoms[cube] = conj
         disj |= conj
     return store.intern(disj)
 

@@ -579,12 +579,13 @@ class Aig:
             return a
         if a ^ b == 1:
             return 0
-        key = (min(a, b), max(a, b))
-        if key in self._cache:
-            return self._cache[key]
-        lhs = 2 * (1 + self.maxvar)
-        self.gates.append((lhs, key[1], key[0]))
-        self._cache[key] = lhs
+        if a > b:
+            a, b = b, a
+        lhs = self._cache.get((a, b))
+        if lhs is None:
+            lhs = self._cache[a, b] = 2 * (
+                1 + self.num_inputs + self.num_latches + len(self.gates))
+            self.gates.append((lhs, b, a))
         return lhs
 
     def lit_or(self, a, b):

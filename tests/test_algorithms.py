@@ -1200,9 +1200,96 @@ def _random_alt(seed, weak):
     return aut
 
 
+def _wide_alt():
+    """A weak alternating automaton of 70 states whose macro states hold
+    states 64 and up: pairs {4k, 4k+1} are components, the other states
+    components of their own, and every fourth block of four accepts."""
+    n = 70
+    aut = Automaton(["p0", "p1"])
+    aut.new_states(n)
+    p0, not_p0, p1 = (aut.store.lit(0), aut.store.lit(0, False),
+                      aut.store.lit(1))
+    for s in range(n):
+        colors = [0] if s // 4 % 3 == 0 else []
+        nxt = [min(s + 1, n - 1)] + ([66] if s % 7 == 3 else [])
+        aut.new_edge(s, aut.new_univ_dest_group(nxt), p0, colors)
+        aut.new_edge(s, min(s + 2, n - 1), not_p0, colors)
+        if s % 4 == 1:
+            aut.new_edge(s, s - 1, p1, colors)
+    aut.set_acceptance(1, INF0)
+    aut.set_init(aut.new_univ_dest_group([0, 64]))
+    return aut
+
+
+def _reference_steps(aut, weak):
+    """The start, step and name of the breakpoint construction (weak
+    False) or the weak one, over sorted state tuples, as the docstrings
+    of _dealternate_buchi and _dealternate_weak describe them.
+
+    step(S, O, combo) gives the successor's S and O and the macro edge's
+    colors; a combo holds, per state of S, its chosen edge as (guard
+    bits, destination states, color bits)."""
+    s0 = tuple(sorted(set(aut.univ_dests(aut.init))))
+    if not weak:
+        def step(S, O, combo):
+            succ, owing = set(), set()
+            for s, (_, dests, colors) in zip(S, combo):
+                succ.update(dests)
+                if s in O and not colors & 1:     # s still owes a visit
+                    owing.update(dests)
+            s_next = tuple(sorted(succ))
+            if owing:
+                return s_next, tuple(sorted(owing)), 0
+            return s_next, s_next, 1              # breakpoint
+        return (s0, s0), step, lambda S, O: "{%s}|{%s}" % (
+            ",".join(map(str, S)), ",".join(map(str, O)))
+
+    # components by mutual reachability; under Inf(0) with colors uniform
+    # on components, one is rejecting iff it has an inner edge and its
+    # inner edges lack color 0
+    inner = [(s, d, e.acc) for s in range(aut.num_states)
+             for e in aut.out(s) for d in aut.univ_dests(e.dst)]
+    comp = sccs_by_reachability(inner, list(aut.univ_dests(aut.init)))
+    colors_in = {}
+    for s, d, acc in inner:
+        if s in comp and d in comp[s]:
+            colors_in[comp[s]] = colors_in.get(comp[s], 0) | acc
+    rejecting = {c for c, acc in colors_in.items() if not acc & 1}
+    multi = {s for s, c in comp.items() if c in rejecting and len(c) > 1}
+    singles = sorted(s for s, c in comp.items()
+                     if c in rejecting and len(c) == 1)
+    first = 1 if multi else 0
+
+    def step(S, O, combo):
+        chosen = {s: dests for s, (_, dests, _) in zip(S, combo)}
+        succ = {d for dests in chosen.values() for d in dests}
+        owing = {d for s in S if s in O for d in chosen[s]
+                 if comp[d] == comp[s]}
+        s_next = tuple(sorted(succ))
+        colors = 0
+        if not multi:
+            o_next = ()
+        elif owing:
+            o_next = tuple(sorted(owing))
+        else:                                     # breakpoint
+            colors = 1
+            o_next = tuple(s for s in s_next if s in multi)
+        for k, q in enumerate(singles):           # q absent or leaving
+            if q not in chosen.get(q, ()):
+                colors |= 1 << (first + k)
+        return s_next, o_next, colors
+
+    def name(S, O):
+        members = ",".join(map(str, S))
+        return "{%s}|{%s}" % (members, ",".join(map(str, O))) if multi \
+            else "{%s}" % members
+    return (s0, tuple(s for s in s0 if s in multi)), step, name
+
+
 def _reference_macro(aut, start, step, stats):
     """Per macro state, its ordered merged map as (successor, guard
-    bits, colors) rows, by brute force over itertools.product."""
+    bits, colors) rows, by brute force over itertools.product, and the
+    macro states in the order they were numbered."""
     store = aut.store
     rows = [[(store.bits_of(e.cond), tuple(aut.univ_dests(e.dst)),
               e.acc) for e in aut.out(s)]
@@ -1228,16 +1315,18 @@ def _reference_macro(aut, start, step, stats):
                 index[key] = len(keys)
                 keys.append(key)
             table[-1].append((index[key], g, colors))
-    return table
+    return table, keys
 
 
 def test_pruned_macro_product_matches_brute_force(monkeypatch):
+    # both constructions against reference steps over sorted tuples and
+    # itertools.product: edges, guards, colors and state names
     calls = []
     explore = algorithms._explore_macro
 
-    def record(aut, out, start, name, step):
-        calls.append((start, name, step))
-        return explore(aut, out, start, name, step)
+    def record(aut, start, *rest):
+        calls.append(rest)
+        return explore(aut, start, *rest)
     monkeypatch.setattr(algorithms, "_explore_macro", record)
 
     def table_of(out):
@@ -1245,49 +1334,40 @@ def test_pruned_macro_product_matches_brute_force(monkeypatch):
         return [[(e.dst, store.bits_of(e.cond), e.acc)
                  for e in out.out(s)] for s in range(out.num_states)]
 
-    stats = {"empty prefix": 0, "runs": 0, "no edges": 0}
+    def check(aut, weak_macro):
+        del calls[:]
+        out = (algorithms._dealternate_weak if weak_macro
+               else algorithms._dealternate_buchi)(aut)
+        start, step, name = _reference_steps(aut, weak_macro)
+        table, keys = _reference_macro(aut, start, step, stats)
+        assert table_of(out) == table
+        names = out.get_named_prop("state-names", list)
+        assert names == [name(S, O) for S, O in keys]
+        stats["weak breakpoints"] += weak_macro and "|" in names[0]
+        rest, = calls
+        return step, rest
+
+    stats = {"empty prefix": 0, "runs": 0, "no edges": 0,
+             "weak breakpoints": 0}
     for seed in range(60):
         weak = seed % 2 == 0
         aut = _random_alt(30_000 + seed, weak)
         stats["no edges"] += any(not list(aut.out(s))
                                  for s in range(aut.num_states))
-        for build_macro in ((algorithms._dealternate_buchi,
-                             algorithms._dealternate_weak) if weak
-                            else (algorithms._dealternate_buchi,)):
-            del calls[:]
-            out = build_macro(aut)
-            (start, name, step), = calls
-            assert table_of(out) == _reference_macro(aut, start, step, stats)
+        for weak_macro in ((False, True) if weak else (False,)):
+            step, rest = check(aut, weak_macro)
             # a start with S empty: one choice, of no edges, under t
-            empty = explore(aut, Automaton(aut.aps, aut.store),
-                            ((), ()), name, step)
+            empty = explore(aut, (0, 0), *rest)
             assert table_of(empty) == _reference_macro(aut, ((), ()), step,
-                                                       stats)
+                                                       stats)[0]
             assert [g for _, g, _ in table_of(empty)[0]] == [aut.store.full]
             stats["runs"] += 1
     assert stats["runs"] == 90
     assert stats["empty prefix"] > 0 and stats["no edges"] > 0
-
-
-def _wide_alt():
-    """A weak alternating automaton of 70 states whose macro states hold
-    states 64 and up: pairs {4k, 4k+1} are components, the other states
-    components of their own, and every fourth block of four accepts."""
-    n = 70
-    aut = Automaton(["p0", "p1"])
-    aut.new_states(n)
-    p0, not_p0, p1 = (aut.store.lit(0), aut.store.lit(0, False),
-                      aut.store.lit(1))
-    for s in range(n):
-        colors = [0] if s // 4 % 3 == 0 else []
-        nxt = [min(s + 1, n - 1)] + ([66] if s % 7 == 3 else [])
-        aut.new_edge(s, aut.new_univ_dest_group(nxt), p0, colors)
-        aut.new_edge(s, min(s + 2, n - 1), not_p0, colors)
-        if s % 4 == 1:
-            aut.new_edge(s, s - 1, p1, colors)
-    aut.set_acceptance(1, INF0)
-    aut.set_init(aut.new_univ_dest_group([0, 64]))
-    return aut
+    assert stats["weak breakpoints"] > 0
+    # masks wider than a machine word
+    check(_wide_alt(), False)
+    check(_wide_alt(), True)
 
 
 def test_dealternation_outputs_are_stable():

@@ -165,6 +165,30 @@ def test_print_label():
     assert txt == "0&!1"
 
 
+def _label_from_cubes(store, gid):
+    """The label text rendered cube by cube from to_cubes."""
+    parts = []
+    for cube in store.to_cubes(gid):
+        lits = [("%d" if ap in cube.positive else "!%d") % ap
+                for ap in sorted(cube.positive | cube.negative)]
+        parts.append("&".join(lits) or "t")
+    return " | ".join(parts) or "f"
+
+
+def test_print_label_matches_the_cubes():
+    st = GuardStore(3)
+    for bits in range(1 << 8):
+        gid = st.intern(bits)
+        assert st.print_label(gid) == _label_from_cubes(st, gid)
+    rng = random.Random(73)
+    for naps in range(17):
+        st = GuardStore(naps)
+        for _ in range(20):
+            gid = (random_guard(st, rng) if naps < 8
+                   else cube_guard(st, rng, rng.randint(1, 4)))
+            assert st.print_label(gid) == _label_from_cubes(st, gid)
+
+
 def test_parse_label_round_trip():
     st = GuardStore(4)
     rng = random.Random(7)
@@ -438,3 +462,29 @@ def test_cube_labels_skip_the_operator_parser(monkeypatch):
         del calls[:]
         assert outcome(st.parse_label, st, text) == want
         assert bool(calls) != all(lit in plain for c in cubes for lit in c)
+
+
+def test_cube_texts_kept_by_one_store_parse_as_in_a_cold_one():
+    # a cube text is kept once all its literals are found; labels that
+    # reuse it, and malformed ones next to it, read as in a fresh store
+    rng = random.Random(79)
+    warm = GuardStore(3)
+    plain = ["0", "1", "2", "t", "!0", "!2", "!f"]
+    odd = ["!!0", "00", "3", "", "x"]
+    for k in range(3000):
+        cubes = [" & ".join(rng.choice(plain + odd if k % 3 == 0 else plain)
+                            for _ in range(rng.randint(1, 2)))
+                 for _ in range(rng.randint(1, 3))]
+        text = " | ".join(cubes)
+        results = []
+        for st in (warm, GuardStore(3)):
+            try:
+                results.append(st.bits_of(guards._parse_label(st, text)))
+            except LabelParseError as err:
+                results.append((str(err), err.pos))
+        assert results[0] == results[1]
+    kept = [t for t in warm._atoms if "&" in t]
+    for text in kept:
+        cold = GuardStore(3)
+        assert warm._atoms[text] == cold.bits_of(cold.parse_label(text))
+    assert len(kept) > 20
