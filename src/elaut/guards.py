@@ -14,8 +14,8 @@ order permutes variables with delta swaps (Knuth, TAOCP 4A, 7.1.3).
 
 Ids are never reused and a guard never changes, so what is derived from
 an id or a label text stays valid for the life of the store: the cube
-cover and printed text of each guard and the guard of each parsed label
-are memoized in dicts on the store, and freed with it.
+cover and printed text of each guard, the guard of each parsed label and
+the minterms of each read cube are memoized on the store, freed with it.
 """
 
 from __future__ import annotations

@@ -1203,7 +1203,7 @@ def _random_alt(seed, weak):
 def _wide_alt():
     """A weak alternating automaton of 70 states whose macro states hold
     states 64 and up: pairs {4k, 4k+1} are components, the other states
-    components of their own, and every fourth block of four accepts."""
+    components of their own, and every third block of four accepts."""
     n = 70
     aut = Automaton(["p0", "p1"])
     aut.new_states(n)
