@@ -11,11 +11,13 @@ of the minterms where that AP is true (and its complement), so a literal
 is a mask, a cube is an AND of masks and the cofactor of g by AP i=1 is
 `h | (h >> 2**i)` with `h = g & mask_i`.  Moving a guard to another AP
 order permutes variables with delta swaps (Knuth, TAOCP 4A, 7.1.3).
+`cover` yields a guard's disjoint cubes as pairs of AP masks (bit i for
+AP i): the APs a cube needs true, and those it needs false.
 
 Ids are never reused and a guard never changes, so what is derived from
-an id or a label text stays valid for the life of the store: the cube
-cover and printed text of each guard, the guard of each parsed label and
-the minterms of each read cube are memoized on the store, freed with it.
+an id or a label text stays valid for the life of the store: the `Cube`s
+and printed text of each guard, the guard of each parsed label and the
+minterms of each read cube are memoized on the store, freed with it.
 """
 
 from __future__ import annotations
@@ -153,11 +155,12 @@ class GuardStore:
             aps = range(self.ap_count)
             got = self._cubes[gid] = tuple(
                 Cube(*[frozenset(ap for ap in aps if m >> ap & 1) for m in c])
-                for c in self._cover(self._table[gid]))
+                for c in self.cover(gid))
         return list(got)
 
-    def _cover(self, remaining):
+    def cover(self, gid):
         """to_cubes's cubes, as (positive AP mask, negative AP mask)."""
+        remaining = self._table[self._check(gid)]
         while remaining:
             low = remaining & -remaining
             m = low.bit_length() - 1
@@ -188,7 +191,7 @@ class GuardStore:
                 "&".join(lits[ap][neg >> ap & 1]
                          for ap in range((pos | neg).bit_length())
                          if (pos | neg) >> ap & 1) or "t"
-                for pos, neg in self._cover(self._table[gid])) or "f"
+                for pos, neg in self.cover(gid)) or "f"
         return got
 
     def parse_label(self, text):

@@ -25,7 +25,7 @@ from .acceptance import (TRUE, AccTrue, make_class, parity, parity_readings,
                          recolor_parity)
 from .algorithms import _bfs_build, _explore
 from .graph import Automaton
-from .guards import FALSE_GUARD, TRUE_GUARD
+from .guards import FALSE_GUARD
 
 
 def make_game(aut, players):
@@ -428,10 +428,12 @@ def strategy_to_mealy(game, solution=None):
 
 def validate_mealy(m):
     """Check input-enabledness and determinism; raises ValueError."""
+    if not m.num_states:
+        raise ValueError("machine has no states")
     inputs = set(m.inputs)
     outputs = set(m.outputs)
     for s in range(m.num_states):
-        union = FALSE_GUARD
+        union = 0
         for (gin, gout, dst) in m.edges[s]:
             if not set(m.store.support(gin)) <= inputs:
                 raise ValueError(
@@ -439,26 +441,24 @@ def validate_mealy(m):
             if not set(m.store.support(gout)) <= outputs:
                 raise ValueError(
                     "state %d: output guard drives an input AP" % s)
-            if not m.store.is_sat(gout):
+            if not m.store.bits_of(gout):
                 raise ValueError("state %d: empty output choice" % s)
-            if m.store.g_and(union, gin) != FALSE_GUARD:
+            bits = m.store.bits_of(gin)
+            if union & bits:
                 raise ValueError(
                     "state %d: overlapping input guards" % s)
-            union = m.store.g_or(union, gin)
-        if union != TRUE_GUARD:
+            union |= bits
+        if union != m.store.full:
             raise ValueError("state %d: not input-enabled" % s)
     return True
 
 
 def _output_choice(store, gout, outputs, ap_count):
-    """The pinned deterministic output valuation of an output guard:
-    first cube of its projection onto the outputs, unmentioned outputs
-    driven false."""
+    """The pinned deterministic output valuation of an output guard, as
+    the mask of the outputs driven true: the positive AP mask of the
+    first cover cube of its projection onto the outputs."""
     others = [a for a in range(ap_count) if a not in outputs]
-    g = store.exists(gout, others)
-    cubes = store.to_cubes(g)
-    cube = cubes[0]
-    return {o: o in cube.positive for o in outputs}
+    return next(store.cover(store.exists(gout, others)))[0]
 
 
 def simulate_mealy(m, steps):
@@ -481,7 +481,7 @@ def simulate_mealy(m, steps):
                              % (s, step, len(hits)))
         gin, gout, dst = hits[0]
         choice = _output_choice(m.store, gout, m.outputs, len(m.aps))
-        rows.append("".join("1" if choice[o] else "0" for o in m.outputs))
+        rows.append("".join("01"[choice >> o & 1] for o in m.outputs))
         s = dst
     return rows
 
@@ -511,7 +511,7 @@ def automaton_to_mealy(aut):
         raise ValueError("automaton declares no outputs")
     outputs = sorted(int(o) for o in outputs)
     inputs = [i for i in range(len(aut.aps)) if i not in outputs]
-    conds, dsts = aut.edge_cond, aut.edge_dst
+    store, conds, dsts = aut.store, aut.edge_cond, aut.edge_dst
     edges = []
     for s in range(aut.num_states):
         row = []
@@ -519,9 +519,9 @@ def automaton_to_mealy(aut):
             cond, dst = conds[i], dsts[i]
             if dst < 0:
                 raise ValueError("machines have no universal branching")
-            gin = aut.store.exists(cond, outputs)
-            gout = aut.store.exists(cond, inputs)
-            if aut.store.g_and(gin, gout) != cond:
+            gin = store.exists(cond, outputs)
+            gout = store.exists(cond, inputs)
+            if store.bits_of(gin) & store.bits_of(gout) != store.bits_of(cond):
                 raise ValueError(
                     "label at state %d is not input-output separable" % s)
             row.append((gin, gout, dst))
@@ -565,9 +565,6 @@ class Aig:
     def latch_lit(self, j):
         return 2 * (1 + self.num_inputs + j)
 
-    def lit_not(self, a):
-        return a ^ 1
-
     def lit_and(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -589,17 +586,17 @@ class Aig:
         return lhs
 
     def lit_or(self, a, b):
-        return self.lit_not(self.lit_and(a ^ 1, b ^ 1))
+        return self.lit_and(a ^ 1, b ^ 1) ^ 1
 
 
 def _guard_circuit(aig, store, gid, lit_of_ap):
     acc = 0
-    for cube in store.to_cubes(gid):
+    for pos, neg in store.cover(gid):
         lit = 1
-        for ap in sorted(cube.positive):
-            lit = aig.lit_and(lit, lit_of_ap[ap])
-        for ap in sorted(cube.negative):
-            lit = aig.lit_and(lit, lit_of_ap[ap] ^ 1)
+        for mask, flip in ((pos, 0), (neg, 1)):
+            for ap in range(mask.bit_length()):
+                if mask >> ap & 1:
+                    lit = aig.lit_and(lit, lit_of_ap[ap] ^ flip)
         acc = aig.lit_or(acc, lit)
     return acc
 
@@ -607,9 +604,9 @@ def _guard_circuit(aig, store, gid, lit_of_ap):
 def mealy_to_aiger(m):
     """Encode the machine as a sequential circuit.
 
-    State codes use the minimal latch count; the initial state takes
-    code 0 so the all-zero reset matches it.  Output bits follow the
-    pinned deterministic output choice of each edge.
+    State codes use the minimal latch count, code 0 for the initial
+    state to match the all-zero reset.  Guards are ORs of their cover
+    cubes' AP masks; outputs follow each edge's pinned output choice.
     """
     num_inputs = len(m.inputs)
     nlatches = (m.num_states - 1).bit_length() if m.num_states > 1 else 0
@@ -650,7 +647,7 @@ def mealy_to_aiger(m):
                 choice = choices[gout] = _output_choice(
                     m.store, gout, m.outputs, len(m.aps))
             for o in m.outputs:
-                if choice[o]:
+                if choice >> o & 1:
                     out_fn[o] = aig.lit_or(out_fn[o], cond)
             for j in range(nlatches):
                 if (code[dst] >> j) & 1:

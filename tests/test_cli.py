@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from elaut import (Automaton, algorithms, graph, is_empty, parity,
+from elaut import (Automaton, algorithms, graph, guards, is_empty, parity,
                    parse_acceptance, parse_hoa, parse_hoa_stream, print_hoa,
                    random_automaton)
 from elaut.cli import main
@@ -588,6 +588,17 @@ State: 0
     assert "input-enabled" in capsys.readouterr().err
 
 
+
+def test_mealy_with_no_states_is_rejected(tmp_path, capsys):
+    f = write(tmp_path, "m.hoa", "HOA: v1\nStates: 0\nAP: 2 \"a\" \"b\"\n"
+              "Acceptance: 0 t\ncontrollable-AP: 1\n--BODY--\n--END--\n")
+    for flags in (["--simulate", "1"], ["--to-aiger"], []):
+        assert main(["mealy", f] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "elaut: error: machine has no states\n"
+
+
 # ------------------------------------------------------ pinned outputs
 
 # sha256 prefixes of (job id, exit code, stdout, stderr) over the stages
@@ -686,6 +697,37 @@ def test_pipelines_build_no_edge_views(workload, kind, bench_jobs, capsys,
         if done == 2:
             break
     assert done == 2 and built == []
+
+
+
+def test_circuit_stage_builds_no_cubes(bench_jobs, capsys, monkeypatch):
+    # the circuit stage reads cover masks and never asks for Cube objects
+    calls = []
+    to_cubes = guards.GuardStore.to_cubes
+
+    def counting_to_cubes(self, gid):
+        calls.append(gid)
+        return to_cubes(self, gid)
+
+    monkeypatch.setattr(guards.GuardStore, "to_cubes", counting_to_cubes)
+    store = guards.GuardStore(1)
+    assert store.to_cubes(1) == [guards.Cube(frozenset(), frozenset())]
+    assert calls == [1]                             # the patch is seen
+    circuits = 0
+    for job in bench_jobs("synth", 1)[0]:
+        game, circuit = job.stages
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        if main(game):
+            capsys.readouterr()
+            continue
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            capsys.readouterr().out))
+        calls.clear()
+        assert main(circuit) == 0
+        assert capsys.readouterr().out.startswith("aag ")
+        assert calls == []
+        circuits += 1
+    assert circuits > 0
 
 
 # ------------------------------------------------------ installed script

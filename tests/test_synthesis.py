@@ -11,7 +11,7 @@ import random
 import pytest
 
 from elaut import (
-    Automaton, GuardStore, MealyMachine, Solution,
+    FALSE_GUARD, TRUE_GUARD, Automaton, GuardStore, MealyMachine, Solution,
     automaton_to_mealy, change_parity, colorize_parity, make_class, make_game,
     mealy_to_aiger, mealy_to_automaton, parity, parse_acceptance,
     print_aiger, print_hoa, simulate_aig, simulate_mealy, solve_game,
@@ -348,6 +348,109 @@ def test_validate_mealy_rejects_bad_machines():
     gap = MealyMachine(["a", "b"], [0], [1], store, 1, 0, [[(a, b, 0)]])
     with pytest.raises(ValueError, match="input-enabled"):
         validate_mealy(gap)
+
+
+def reference_validate_mealy(m):
+    """validate_mealy written with interned g_and and g_or: the
+    reference for the checks on minterm bits."""
+    inputs = set(m.inputs)
+    outputs = set(m.outputs)
+    for s in range(m.num_states):
+        union = FALSE_GUARD
+        for (gin, gout, dst) in m.edges[s]:
+            if not set(m.store.support(gin)) <= inputs:
+                raise ValueError(
+                    "state %d: input guard reads an output AP" % s)
+            if not set(m.store.support(gout)) <= outputs:
+                raise ValueError(
+                    "state %d: output guard drives an input AP" % s)
+            if not m.store.is_sat(gout):
+                raise ValueError("state %d: empty output choice" % s)
+            if m.store.g_and(union, gin) != FALSE_GUARD:
+                raise ValueError(
+                    "state %d: overlapping input guards" % s)
+            union = m.store.g_or(union, gin)
+        if union != TRUE_GUARD:
+            raise ValueError("state %d: not input-enabled" % s)
+    return True
+
+
+def seeded_machine(rng):
+    """A valid machine whose input guards partition the input valuations
+    in blocks of several cubes, with output guards that leave a choice,
+    and at times an AP that is neither input nor output."""
+    ni, no, nfree = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 1)
+    roles = list(range(ni + no + nfree))
+    rng.shuffle(roles)
+    inputs, outputs = sorted(roles[:ni]), sorted(roles[ni:ni + no])
+    store = GuardStore(len(roles))
+
+    def over(aps, vals):
+        # the minterms whose valuation of aps is one of vals
+        return store.intern(sum(
+            1 << m for m in range(store.nminterms)
+            if sum((m >> a & 1) << k for k, a in enumerate(aps)) in vals))
+
+    n = rng.randint(1, 4)
+    edges = []
+    for _ in range(n):
+        vals = list(range(1 << ni))
+        rng.shuffle(vals)
+        cuts = sorted(rng.sample(range(1, len(vals)),
+                                 rng.randint(0, min(3, len(vals) - 1))))
+        row = []
+        for lo, hi in zip([0] + cuts, cuts + [len(vals)]):
+            gout = over(outputs, rng.sample(range(1 << no),
+                                            rng.randint(1, 1 << no)))
+            row.append((over(inputs, vals[lo:hi]), gout, rng.randrange(n)))
+        edges.append(row)
+    return MealyMachine(["p%d" % a for a in roles], inputs, outputs, store,
+                        n, rng.randrange(n), edges)
+
+
+def test_validate_mealy_matches_reference():
+    seen = set()
+    for seed in range(400):
+        rng = random.Random(71_000 + seed)
+        m = seeded_machine(rng)
+        store = m.store
+        row = m.edges[rng.randrange(m.num_states)]
+        k = rng.randrange(len(row))
+        gin, gout, dst = row[k]
+        free = [a for a in range(len(m.aps))
+                if a not in m.inputs and a not in m.outputs]
+        fault = seed % 6                  # 0: none, then one per message
+        if fault == 1:                    # an input guard reads a non-input
+            ap = rng.choice(free + m.outputs)
+            row[k] = (store.g_and(gin, store.lit(ap, rng.random() < 0.5)),
+                      gout, dst)
+        elif fault == 2:                  # an output guard reads a non-output
+            ap = rng.choice(free + m.inputs)
+            row[k] = (gin, store.g_or(gout, store.lit(ap)), dst)
+        elif fault == 3:
+            row[k] = (gin, FALSE_GUARD, dst)
+        elif fault == 4:
+            row.insert(k, (TRUE_GUARD, gout, dst))
+        elif fault == 5:
+            del row[k]
+        size = len(store)
+        try:
+            got = validate_mealy(m)
+        except ValueError as e:
+            got = str(e)
+        assert len(store) == size
+        try:
+            want = reference_validate_mealy(m)
+        except ValueError as e:
+            want = str(e)
+        assert got == want
+        seen.add(want if want is True else want.split(": ")[1])
+        if fault in (1, 2) and ap in free and want is not True:
+            seen.add("free AP")
+    assert seen == {True, "input guard reads an output AP",
+                    "output guard drives an input AP", "empty output choice",
+                    "overlapping input guards", "not input-enabled",
+                    "free AP"}
 
 
 def test_simulate_mealy_errors():
