@@ -131,12 +131,12 @@ class GuardStore:
                           self.restrict(g, ap, True))
         return g
 
-    def support(self, gid):
-        """APs the guard actually depends on."""
+    def support(self, gid, aps=None):
+        """APs the guard actually depends on, of `aps` (default: all)."""
         bits = self._table[self._check(gid)]
         # it depends on AP i iff its minterms with i set, moved onto their
         # partners with i clear, differ from its minterms with i clear
-        return [ap for ap in range(self.ap_count)
+        return [ap for ap in (range(self.ap_count) if aps is None else aps)
                 if (bits & self._pos[ap]) >> (1 << ap) != bits & self._neg[ap]]
 
     # -- cube extraction ----------------------------------------------

@@ -430,15 +430,15 @@ def validate_mealy(m):
     """Check input-enabledness and determinism; raises ValueError."""
     if not m.num_states:
         raise ValueError("machine has no states")
-    inputs = set(m.inputs)
-    outputs = set(m.outputs)
+    not_in = [a for a in range(m.store.ap_count) if a not in m.inputs]
+    not_out = [a for a in range(m.store.ap_count) if a not in m.outputs]
     for s in range(m.num_states):
         union = 0
         for (gin, gout, dst) in m.edges[s]:
-            if not set(m.store.support(gin)) <= inputs:
+            if m.store.support(gin, not_in):
                 raise ValueError(
                     "state %d: input guard reads an output AP" % s)
-            if not set(m.store.support(gout)) <= outputs:
+            if m.store.support(gout, not_out):
                 raise ValueError(
                     "state %d: output guard drives an input AP" % s)
             if not m.store.bits_of(gout):

@@ -319,6 +319,8 @@ def check_against_reference(store, gid, rng, cubes=True):
     aps = rng.sample(range(n), rng.randint(0, n))
     assert truth(store, store.exists(gid, aps)) == ref_exists(f, aps)
     assert store.support(gid) == ref_support(f, n)
+    assert store.support(gid, aps) == [a for a in aps
+                                       if a in ref_support(f, n)]
     if cubes:
         assert store.to_cubes(gid) == ref_to_cubes(f, n)
     # into a store with the same or more APs, in a shuffled order
