@@ -454,11 +454,12 @@ def validate_mealy(m):
 
 
 def _output_choice(store, gout, outputs, ap_count):
-    """The pinned deterministic output valuation of an output guard, as
-    the mask of the outputs driven true: the positive AP mask of the
-    first cover cube of its projection onto the outputs."""
+    """The mask of the outputs an output guard drives true: the positive
+    AP mask of the first cover cube of its projection onto the outputs."""
     others = [a for a in range(ap_count) if a not in outputs]
-    return next(store.cover(store.exists(gout, others)))[0]
+    for pos, _ in store.cover(store.exists(gout, others)):
+        return pos
+    raise ValueError("empty output choice")
 
 
 def simulate_mealy(m, steps):
@@ -479,10 +480,9 @@ def simulate_mealy(m, steps):
         if len(hits) != 1:
             raise ValueError("state %d resolves input %r to %d edges"
                              % (s, step, len(hits)))
-        gin, gout, dst = hits[0]
+        _, gout, s = hits[0]
         choice = _output_choice(m.store, gout, m.outputs, len(m.aps))
         rows.append("".join("01"[choice >> o & 1] for o in m.outputs))
-        s = dst
     return rows
 
 

@@ -464,6 +464,12 @@ def test_simulate_mealy_errors():
                          [[(t, b, 0), (t, b, 0)]])
     with pytest.raises(ValueError, match="resolves"):
         simulate_mealy(fuzzy, ["1"])
+    mute = MealyMachine(["a", "b"], [0], [1], store, 1, 0,
+                        [[(t, FALSE_GUARD, 0)]])
+    with pytest.raises(ValueError, match="empty output choice"):
+        simulate_mealy(mute, ["1"])
+    with pytest.raises(ValueError, match="empty output choice"):
+        mealy_to_aiger(mute)
 
 
 def random_mealy(seed):
