@@ -588,7 +588,6 @@ State: 0
     assert "input-enabled" in capsys.readouterr().err
 
 
-
 def test_mealy_with_no_states_is_rejected(tmp_path, capsys):
     f = write(tmp_path, "m.hoa", "HOA: v1\nStates: 0\nAP: 2 \"a\" \"b\"\n"
               "Acceptance: 0 t\ncontrollable-AP: 1\n--BODY--\n--END--\n")
@@ -697,7 +696,6 @@ def test_pipelines_build_no_edge_views(workload, kind, bench_jobs, capsys,
         if done == 2:
             break
     assert done == 2 and built == []
-
 
 
 def test_circuit_stage_builds_no_cubes(bench_jobs, capsys, monkeypatch):
