@@ -169,6 +169,11 @@ State: 0
     auts = parse_hoa_stream(text * 3)
     assert len(auts) == 3
     assert parse_hoa_stream("  \n") == []
+    # comments between automata and in a later header change nothing
+    commented = parse_hoa_stream(
+        "/* a */" + text + "/* b\n */\n" + text.replace(
+            "AP: 0", "AP: /* c */ 0 /* d */") + "/* e */" + text)
+    assert [print_hoa(a) for a in commented] == [print_hoa(a) for a in auts]
 
 
 def test_comments_and_strings():
@@ -666,6 +671,14 @@ BODY_FORMS = {
     "comment inside a state line":
         'State: /* x */ [0] /* y */ 0 /* z */ "s" /* w */ {1}\n1\n--END--\n',
     "nested comment": "State: 0\n/* a /* b */ c */ [0] 1\n--END--\n",
+    "multi-line comment before an error":
+        "State: 0\n[0] 1 /* a\nb\n */ [1] 2\n[1] @\n--END--\n",
+    "comment holding tokens":
+        'State: 0\n[0] 1 /* " [ ] State: 9 --END-- */\n[1] 2\n--END--\n',
+    "comment opener in a state name": 'State: 0 "a/*b"\n[0] 1\n--END--\n',
+    "comment opener in a label": "State: 0\n[0 /* x */] 1\n--END--\n",
+    "joined: comment right after --BODY--":
+        "/* x */State: 0\n[0] 1\n--END--\n",
     "unterminated comment": "State: 0\n[0] 1 /* a /* b */\n--END--\n",
     "comment at the end": "State: 0\n[0] 1\n--END-- /* x */\n",
     "blanks around &": "State: 0\n[t] 0 & 1  &\t2\n[0] 0&1\n--END--\n",
@@ -743,6 +756,8 @@ def _form_text(form):
         head = head.replace("States: 3\n", "").replace("Start: 0", "Start: 6")
     elif form.startswith("state-acc:"):
         head = head.replace("--BODY--", "properties: state-acc\n--BODY--")
+    elif form.startswith("joined:"):   # no line break after --BODY--
+        head = head[:-1]
     return head + BODY_FORMS[form]
 
 
@@ -780,10 +795,14 @@ BODY_OUTCOMES = {
     'blanks around &': '899e4f9c30eab3d2',
     'color out of range': '8:8: color 2 not below the declared count 2',
     'comment at the end': 'e6654729f834873d',
+    'comment holding tokens': '6a85ea1c2e7f531d',
     'comment inside a destination group': '1d5373242bbc109c',
     'comment inside a state line': '0c36573371e237a8',
     'comment inside an edge': '4498920240efafde',
     'comment inside colors': '49d281f118eede81',
+    'comment opener in a label':
+        '8:2: bad label: trailing input in label at position 2',
+    'comment opener in a state name': '5222cd9c28c759e3',
     'destination out of range': '8:1: state 3 not below the declared count 3',
     'duplicate state': '9:1: duplicate State: 0',
     'edge before State:': '7:1: edge before any State:',
@@ -805,12 +824,14 @@ BODY_OUTCOMES = {
     'identifier in the body': '8:1: expected an edge or --END--',
     'implicit label after a state label': 'aedfd0f907c3578b',
     'implicit labels': '8:1: implicit labels are not supported',
+    'joined: comment right after --BODY--': 'e6654729f834873d',
     'label with newline': '2e0b1ff76ff80c19',
     'label without destination': '9:1: expected a destination state',
     'leading zeros': '2a78c5f66394fdc1',
     'missing destination': '8:5: expected a destination state',
     'missing end': '9:1: missing --END--',
     'missing end after colors': '8:10: missing --END--',
+    'multi-line comment before an error': "11:5: unexpected character '@'",
     'nested comment': 'e6654729f834873d',
     'newline in a group': '7fb6c3feb6395e52',
     'no blanks': 'ee6d042fd48460ad',
