@@ -10,29 +10,30 @@ ownership vector of games, and `controllable-AP:` the output-AP indices of
 synthesized machines.  Both are lowercase, so other tools can ignore
 them.
 
-Reading has two parts.  The header is lexed by one compiled regular
-expression (`_TOKEN_RE`, in `_lex`) into a list of tokens up to
---BODY--, each with the character offset where it starts; a whole [label]
-is one token, and `_Parser` walks that list.  The body is walked an item
-at a time: each match of `_ITEM_RE` is a whole edge (label, destination
-or `&` group, colors), a whole State: line or an end marker.  One routine
-(`_Parser._edges`) reads the edges of one state: an edge costs one match,
-one lookup of its label text in a per-body memo (a new text goes through
-`GuardStore.parse_label`) and one tuple, and the edges go into the
-automaton in batches (`Automaton.new_edges`).  Where no whole item
-matches, the token at that offset, read with `_TOKEN_RE`, names the
-error.  A comment in the body is the one exception: the rest of the body
-is copied once with its comments blanked out, offsets unchanged, and the
-walk goes on in the copy.  Only a HoaParseError turns an offset into
+Reading has three parts.  First, where the text holds "/*", each of its
+comments is made blanks (`_blank_comments`), all but its line breaks,
+so no offset, line or column moves and the rest never sees a comment.
+The header is lexed by one compiled regular expression (`_TOKEN_RE`, in
+`_lex`) into a list of tokens up to --BODY--, each with the character
+offset where it starts; a whole [label] is one token, and `_Parser`
+walks that list.  The body is read by one loop (`_Parser._walk`), an
+item at a time: each match of `_ITEM_RE` is a whole edge (label,
+destination or `&` group, colors), a whole State: line or an end marker.
+An edge costs one match, one lookup of its label text in a per-body memo
+(a new text goes through `GuardStore.parse_label`) and one tuple, and
+the edges go into the automaton in batches (`Automaton.new_edges`).
+Where no whole item matches, the token at that offset, read with
+`_TOKEN_RE`, names the error.  Only a HoaParseError turns an offset into
 line:col.
 
 `parse_hoa_stream_lazy`, the reader of product queries, defers a body
 that is plain (`_Parser._plain_body`: as print_hoa writes it under a
 States: header, with no comment, state name or colors, `&` group or weak
-property).  A few passes at C speed check the whole body first, and the
-edges of a state are read by `_edges` when the search first asks for
-them (`LazyAutomaton`).  Every other body, malformed ones included, is
-read in full, so each error is raised at the same line:col.
+property).  A few passes at C speed check the whole body first, and
+`_walk` reads the edges of a state, from its part of the body, when the
+search first asks for them (`LazyAutomaton`).  Every other body,
+malformed ones included, is read in full, so each error is raised at the
+same line:col.
 """
 
 from __future__ import annotations
@@ -89,19 +90,27 @@ _TOKEN_RE = re.compile(r"""\s*(?:
   | ([a-zA-Z_][0-9a-zA-Z_-]*)(:?)       # 4 identifier, 5 header colon
   | "([^"\\]*(?:\\.[^"\\]*)*)"          # 6 string body
   | --(BODY|END|ABORT)--                # 7 section marker
-  | (/\*)                               # 8 comment
+  | (/\*)                               # 8 a comment never closed
   | (\S)                                # 9 where no token starts
   | \Z
 )""", re.VERBOSE | re.DOTALL)
 _COMMENT_RE = re.compile(r"/\*|\*/")
+# Text up to where the next comment opens, or up to a string or [label]
+# that is not closed: a closed one, read as _TOKEN_RE reads it, may hold
+# "/*".  A match reads at most 1024 parts, as the re module keeps a frame
+# of some 300 bytes for each repetition of a group until the match ends.
+_NOT_COMMENT_RE = re.compile(
+    r'(?:[^"\[/]+|"[^"\\]*(?:\\.[^"\\]*)*"|\[[^\]]*\]|/(?!\*)){0,1024}',
+    re.DOTALL)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 # One item of the body, from where its first token starts, and the blanks
 # after it.  Its tokens are the ones _TOKEN_RE reads.  Every part after
-# an item's first token is optional, so an item cut short, by a comment
-# or by input that is not HOA, still matches up to the cut; _parse_body
-# reads the cut.  Where no item starts, the match is empty.  (An optional
-# part is written "(?:...|)", which the re module runs faster than "?".)
+# an item's first token is optional, so an item cut short by input that
+# is not HOA still matches up to the cut; _walk_body reads the cut.
+# Where no item starts, the match is empty.  (An optional part is written
+# "(?:...|)", which the re module runs faster than "?".)
 _ITEM_RE = re.compile(r"""(?:
     (?:\[([^\]]*)\]\s*|(?=[0-9]))           # 1 edge label, or none
     (?:([0-9]+)\s*                          # 2 destination
@@ -117,8 +126,7 @@ _ITEM_RE = re.compile(r"""(?:
     |)
   | (--(?:END|ABORT)--)                     # 12 end marker
   |                                         # no item starts here
-)(?:(?=/\*)()|)                             # 13 a comment follows
-""", re.VERBOSE | re.DOTALL)
+)""", re.VERBOSE | re.DOTALL)
 _BLANKS_RE = re.compile(r"\s*")
 # Edges read but not yet in the automaton, at most: past this count they
 # go in at the next State: line, so the pending tuples stay small.
@@ -143,15 +151,33 @@ def _not_plain_re(num_aps, digits):
                           ap, "[0-9]{1,%d}" % digits, "[0-9]{1,7}"))
 
 
-def _comment_end(text, start):
-    """The offset after the comment that opens at `start`, with nested
-    comments inside it; -1 if it is never closed."""
-    depth = 0
-    for c in _COMMENT_RE.finditer(text, start):
-        depth += 1 if c.group() == "/*" else -1
-        if not depth:
-            return c.end()
-    return -1
+def _blank_comments(text):
+    """`text` with every character of each comment but its line breaks
+    made a blank, so that no offset, line or column moves.  It stops at
+    a string, [label] or comment that is not closed, where lexing stops
+    with an error."""
+    parts = []
+    pos = 0
+    while text.find("/*", pos) >= 0:
+        start = pos
+        while True:                   # until a match reads nothing
+            end = _NOT_COMMENT_RE.match(text, start).end()
+            if end == start:
+                break
+            start = end
+        if not text.startswith("/*", start):
+            break
+        depth = 0
+        for c in _COMMENT_RE.finditer(text, start):     # nested comments
+            depth += 1 if c.group() == "/*" else -1
+            if not depth:
+                break
+        else:                                           # never closed
+            break
+        parts += (text[pos:start],
+                  _NOT_NEWLINE_RE.sub(" ", text[start:c.end()]))
+        pos = c.end()
+    return "".join(parts) + text[pos:]
 
 
 def _lex(text, pos):
@@ -162,90 +188,63 @@ def _lex(text, pos):
     labels (the text between the brackets), strings (unescaped),
     identifiers and headers (the name before the colon) have the kinds
     "int", "label", "string", "ident" and "header"; a punctuation
-    character is its own kind and value.  Blanks and nested comments are
-    skipped.  Lexing stops after --BODY--, --END-- or --ABORT--, at the
-    end of the text with an "eof" token, and where no token can start
-    with an "error" token that holds the message.  The parser raises that
-    error only when it reaches the token, so the error reported is the
-    first one in the text.
+    character is its own kind and value.  Blanks are skipped; comments
+    are blanks already (see _blank_comments), so one left is not closed.
+    Lexing stops after --BODY--, --END-- or --ABORT--, at the end of the
+    text with an "eof" token, and where no token can start with an
+    "error" token that holds the message.  The parser raises that error
+    only when it reaches the token, so the error reported is the first
+    one in the text.
     """
     toks = []
     append = toks.append
-    while True:                       # once more after each comment
-        for m in _TOKEN_RE.finditer(text, pos):
-            k = m.lastindex
-            if k == 1:
-                try:
-                    append(("int", int(m.group(1)), m.start(1)))
-                except ValueError:    # more digits than int() converts
-                    append(("error", "integer of %d digits too large"
-                            % len(m.group(1)), m.start(1)))
-                    return toks, m.end()
-            elif k == 2:
-                append(("label", m.group(2), m.start(2) - 1))
-            elif k == 3:
-                ch = m.group(3)
-                append((ch, ch, m.start(3)))
-            elif k == 5:
-                append(("header" if m.group(5) else "ident", m.group(4),
-                        m.start(4)))
-            elif k == 6:
-                append(("string", _ESCAPE_RE.sub(r"\1", m.group(6)),
-                        m.start(6) - 1))
-            elif k == 7:
-                append((m.group(7).lower(), None, m.start(7) - 2))
+    for m in _TOKEN_RE.finditer(text, pos):
+        k = m.lastindex
+        if k == 1:
+            try:
+                append(("int", int(m.group(1)), m.start(1)))
+            except ValueError:        # more digits than int() converts
+                append(("error", "integer of %d digits too large"
+                        % len(m.group(1)), m.start(1)))
                 return toks, m.end()
-            elif k == 8:
-                break
-            elif k is None:
-                append(("eof", None, len(text)))
-                return toks, len(text)
-            else:
-                start = m.start(9)
-                ch = text[start]
-                if ch == '"':
-                    message = "unterminated string"
-                elif ch == "[":
-                    message, start = "missing ']'", start + 1
-                elif text.startswith("--", start):
-                    message = "stray '--'"
-                else:
-                    message = "unexpected character %r" % ch
-                append(("error", message, start))
-                return toks, m.end()
-        pos = _comment_end(text, m.start(8))
-        if pos < 0:
+        elif k == 2:
+            append(("label", m.group(2), m.start(2) - 1))
+        elif k == 3:
+            ch = m.group(3)
+            append((ch, ch, m.start(3)))
+        elif k == 5:
+            append(("header" if m.group(5) else "ident", m.group(4),
+                    m.start(4)))
+        elif k == 6:
+            append(("string", _ESCAPE_RE.sub(r"\1", m.group(6)),
+                    m.start(6) - 1))
+        elif k == 7:
+            append((m.group(7).lower(), None, m.start(7) - 2))
+            return toks, m.end()
+        elif k == 8:
             append(("error", "unterminated comment", m.start(8)))
             return toks, len(text)
+        elif k is None:
+            append(("eof", None, len(text)))
+            return toks, len(text)
+        else:
+            start = m.start(9)
+            ch = text[start]
+            if ch == '"':
+                message = "unterminated string"
+            elif ch == "[":
+                message, start = "missing ']'", start + 1
+            elif text.startswith("--", start):
+                message = "stray '--'"
+            else:
+                message = "unexpected character %r" % ch
+            append(("error", message, start))
+            return toks, m.end()
 
 
 def _token(text, pos):
     """The first token at or after `pos`, as _lex reads it."""
     return _lex(text, pos)[0][0]
-
-
-def _blank_comments(text, pos):
-    """The automaton's text from `pos` on, with each comment replaced by
-    blanks of its length, so that offsets into it do not move.  It ends
-    after the automaton's --END-- or --ABORT--, or, where lexing stops
-    first, at the end of the text."""
-    parts = []
-    start = pos
-    while True:
-        m = _TOKEN_RE.match(text, pos)
-        k = m.lastindex
-        pos = m.end()
-        if k == 8:
-            end = _comment_end(text, m.start(8))
-            if end < 0:
-                break
-            parts += (text[start:m.start(8)], " " * (end - m.start(8)))
-            start = pos = end
-        elif k == 7 and m.group(7) != "BODY":
-            return "".join(parts) + text[start:pos]
-        elif k is None or k == 9:
-            break
-    return "".join(parts) + text[start:]
 
 
 # what an unknown header's values and an acceptance formula are made of
@@ -263,12 +262,10 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.end = end
-        self.base = 0         # offset in text of what the body walk reads
 
     def error(self, message, offset):
-        """The HoaParseError at a character offset into what is read."""
+        """The HoaParseError at a character offset into the text."""
         text = self.text
-        offset += self.base
         return HoaParseError(message, text.count("\n", 0, offset) + 1,
                              offset - text.rfind("\n", 0, offset))
 
@@ -428,20 +425,49 @@ class _Parser:
             bits |= 1 << c
         return bits
 
-    def _edges(self, items, src, label, bits, add):
-        """Read the edges of state `src` (None before any State: line)
-        from the next match of `items`, the body's item matches, on, and
-        append each as (src, destination, guard, color bits) with `add`.
-        `label` (a guard or None) and `bits` are what the State: line
-        gives its edges.  Returns the first match that is not a whole
-        edge, or that a comment cuts short, and its groups."""
+    def _walk(self, items, src, edges):
+        """Read the items that `items`, an iterator of _ITEM_RE matches,
+        yields, and append each edge to `edges` as (src, destination,
+        guard, color bits): src is the state of the last State: line, or
+        the `src` given (None, no state yet).  Returns (match, groups,
+        src) at the first item that is neither a whole edge nor a whole
+        State: line."""
         labels, color_bits, count = self.labels, self.color_bits, self.count
+        names, state_bits = self.names, self.state_bits
+        add = edges.append
+        label, bits = None, 0         # what the State: line gives its edges
         for m in items:
             g = m.groups()
-            (elabel, dst, more, amp, colors, closed, _, _, _, _, _, _,
-             comment) = g
-            if dst is None or comment is not None and not self.blanked:
-                return m, g
+            (elabel, dst, more, amp, colors, closed, slabel, sidx, name,
+             scolors, sclosed, _) = g
+            if dst is None:
+                if sidx is None:
+                    return m, g, src
+                if len(edges) >= _EDGE_BATCH:         # a State: line
+                    self.aut.new_edges(edges)
+                    edges.clear()
+                label = None
+                if slabel is not None:
+                    label = self._label(slabel, m.start(7))
+                try:
+                    src = int(sidx)
+                except ValueError:
+                    src = self.integer(sidx, m.start(8))
+                if src >= count:
+                    count = self._new_states(src, m.start())
+                if src in names:
+                    raise self.error("duplicate State: %d" % src, m.start())
+                names[src] = name
+                bits = 0
+                if scolors is not None:
+                    bits = state_bits.get(scolors)
+                    if bits is None:
+                        bits = state_bits[scolors] = self._colors(
+                            scolors, m.start(10))
+                    if not sclosed:
+                        self.fail(_token(m.string, m.end(10)),
+                                  "expected a color index")
+                continue
             guard = labels.get(elabel)
             if guard is None:                  # not a label read before
                 if src is None:
@@ -449,11 +475,7 @@ class _Parser:
                         self.integer(dst, m.start(2))  # a lexing error first
                     raise self.error("edge before any State:", m.start())
                 if elabel is not None:
-                    try:
-                        guard = labels[elabel] = self.parse_label(elabel)
-                    except LabelParseError as exc:
-                        raise self.error("bad label: %s" % exc,
-                                         m.start(1)) from exc
+                    guard = labels[elabel] = self._label(elabel, m.start(1))
                 elif label is None:
                     self.integer(dst, m.start(2))
                     raise self.error("implicit labels are not supported",
@@ -495,9 +517,11 @@ class _Parser:
 
     def _plain_body(self, h):
         """The offset after --END-- when the body is plain, else None:
-        a body _edges reads without an error, of State: lines, each index
-        once, and edges with a label in print_label's form over the APs,
-        a destination below the declared count and colors below theirs."""
+        as print_hoa writes it, one item a line: State: lines, a first
+        one first and each index once, and edges with a label in
+        print_label's form over the APs, a destination below the declared
+        count and colors below theirs.  self.spans keeps each state's
+        edges as text, which _walk reads without an error."""
         declared = self.declared
         if not declared or self.state_acc or "weak" in h["properties"]:
             return None
@@ -527,108 +551,57 @@ class _Parser:
         return stop + len("--END--")
 
     def _walk_body(self):
-        """Read the body into self.aut item by item; (the state names,
-        whether a State: line has colors, the offset after --END--)."""
-        aut = self.aut
-        edges = []                    # (src, dst, guard, color bits)
-        add_edge = edges.append
-        cur_state = cur_label = None
-        cur_colors = 0
-        defined = set()
-        names = {}
-        state_bits = {}               # State: colors as written -> their bits
+        """Read the body into self.aut and return the offset after
+        --END--, or raise the error where _walk stopped."""
         text = self.text
-        items = _ITEM_RE.finditer(text, _BLANKS_RE.match(text, self.end).end())
-        read_edges = self._edges
-        while True:
-            m, g = read_edges(items, cur_state, cur_label, cur_colors,
-                              add_edge)
-            (label, _, _, _, _, _, slabel, sidx, name, scolors, sclosed,
-             marker, comment) = g
-            if comment is not None and marker is None and not self.blanked:
-                # a comment follows the item m matched: match that item
-                # again in a copy of the rest of the body without comments
-                text = _blank_comments(text, m.start())
-                self.base, self.blanked = m.start(), True
-                items = _ITEM_RE.finditer(text, _BLANKS_RE.match(text).end())
-            elif sidx is not None:                 # a State: line
-                if len(edges) >= _EDGE_BATCH:
-                    aut.new_edges(edges)
-                    edges.clear()
-                cur_label = None
-                if slabel is not None:
-                    cur_label = self._label(slabel, m.start(7))
-                try:
-                    cur_state = int(sidx)
-                except ValueError:
-                    cur_state = self.integer(sidx, m.start(8))
-                if cur_state >= self.count:
-                    self._new_states(cur_state, m.start())
-                if cur_state in defined:
-                    raise self.error("duplicate State: %d" % cur_state,
-                                     m.start())
-                defined.add(cur_state)
-                if name is not None:
-                    names[cur_state] = _ESCAPE_RE.sub(r"\1", name)
-                cur_colors = 0
-                if scolors is not None:
-                    cur_colors = state_bits.get(scolors)
-                    if cur_colors is None:
-                        cur_colors = state_bits[scolors] = self._colors(
-                            scolors, m.start(10))
-                    if not sclosed:
-                        self.fail(_token(text, m.end(10)),
-                                  "expected a color index")
-            elif marker == "--END--":
-                end = m.end(12) + self.base
-                break
-            elif marker is not None:
-                raise self.error("aborted automaton", m.start())
-            elif label is not None:                # no destination
-                if cur_state is None:
-                    raise self.error("edge before any State:", m.start())
-                self._label(label, m.start(1))
-                self.fail(_token(text, m.end(1) + 1),
-                          "expected a destination state")
-            elif text.startswith("State:", m.start()):  # no index
-                after = m.start() + 6
-                if slabel is not None:
-                    self._label(slabel, m.start(7))
-                    after = m.end(7) + 1
-                self.fail(_token(text, after), "expected a state index")
-            else:                                  # no item
-                tok = _token(text, m.start())
-                if tok[0] == "eof":
-                    raise self.error("missing --END--", tok[2])
-                if cur_state is None and tok[0] != "error":
-                    raise self.error("edge before any State:", tok[2])
-                self.fail(tok, "expected an edge or --END--")
-        self.base = 0
-        aut.new_edges(edges)
-        return names, bool(state_bits), end
+        edges = []                    # (src, dst, guard, color bits)
+        m, g, src = self._walk(_ITEM_RE.finditer(
+            text, _BLANKS_RE.match(text, self.end).end()), None, edges)
+        label, slabel, marker = g[0], g[6], g[11]
+        if marker == "--END--":
+            self.aut.new_edges(edges)
+            return m.end(12)
+        if marker is not None:
+            raise self.error("aborted automaton", m.start())
+        if label is not None:                  # no destination
+            if src is None:
+                raise self.error("edge before any State:", m.start())
+            self._label(label, m.start(1))
+            self.fail(_token(text, m.end(1) + 1),
+                      "expected a destination state")
+        if text.startswith("State:", m.start()):  # no index
+            after = m.start() + 6
+            if slabel is not None:
+                self._label(slabel, m.start(7))
+                after = m.end(7) + 1
+            self.fail(_token(text, after), "expected a state index")
+        tok = _token(text, m.start())          # no item
+        if tok[0] == "eof":
+            raise self.error("missing --END--", tok[2])
+        if src is None and tok[0] != "error":
+            raise self.error("edge before any State:", tok[2])
+        self.fail(tok, "expected an edge or --END--")
 
     def _parse_body(self, h, at, body_at, lazy):
         num_sets = self.num_sets = h["num_sets"]
         if num_sets is None:
             raise self.error("missing Acceptance: header", body_at)
         aut = self.aut = Automaton(h["aps"] if h["aps"] is not None else [])
-        self.parse_label = aut.store.parse_label
         self.labels = {}              # edge labels as written -> guards
         declared = self.declared = h["states"]
         if declared is not None:
             aut.new_states(declared)
         self.count = aut.num_states
         self.color_bits = {}          # edge colors as written -> their bits
+        self.state_bits = {}          # State: colors as written -> their bits
+        self.names = {}               # each State: index -> its name or None
         # print_hoa writes the colors of a state-acc automaton on its
         # states, so its edges may not carry colors of their own
         self.state_acc = "state-acc" in h["properties"]
-        self.blanked = False
         end = self._plain_body(h) if lazy else None
         plain = end is not None
-        if plain:
-            names, saw_state_colors = {}, False
-        else:
-            names, saw_state_colors, end = self._walk_body()
+        if not plain:
+            end = self._walk_body()
 
         # initial designator
         if h["start"] is not None:
@@ -656,6 +629,8 @@ class _Parser:
         aut.acceptance = h["acceptance"]
         if h["name"] is not None:
             aut.set_named_prop("automaton-name", h["name"])
+        names = {s: _ESCAPE_RE.sub(r"\1", name)
+                 for s, name in self.names.items() if name is not None}
         if names:
             aut.set_named_prop(
                 "state-names",
@@ -671,7 +646,7 @@ class _Parser:
             aut.set_flag("state_acc", YES)
         elif "trans-acc" in toks or "!state-acc" in toks:
             aut.set_flag("state_acc", NO)
-        elif saw_state_colors and not self.color_bits:
+        elif self.state_bits and not self.color_bits:
             aut.set_flag("state_acc", YES)
         for tok in toks:
             neg = tok.startswith("!")
@@ -683,6 +658,7 @@ class _Parser:
 
 def parse_hoa(text):
     """Parse one HOA automaton; trailing input is an error."""
+    text = _blank_comments(text)
     toks, end = _lex(text, 0)
     p = _Parser(text, toks, end)
     aut, end = p.parse_automaton()
@@ -695,6 +671,7 @@ def parse_hoa(text):
 def _parse_stream(text, lazy):
     out = []
     pos = 0
+    text = _blank_comments(text)
     while True:
         toks, pos = _lex(text, pos)
         if toks[0][0] == "eof":
@@ -742,16 +719,16 @@ class LazyAutomaton:
         row = []
         span = self._parser.spans.get(s)
         if span is not None:
-            self._parser._edges(_ITEM_RE.finditer(span), s, None, 0,
-                                row.append)
+            self._parser._walk(_ITEM_RE.finditer(span), s, row)
         return row
 
 
 # ---------------------------------------------------------------------------
 # Printing.
 
-def _quote(s):
-    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+def _quote(s, tail=""):
+    """`s` as an HOA or DOT string, with `tail` added unescaped."""
+    return '"%s%s"' % (s.replace("\\", "\\\\").replace('"', '\\"'), tail)
 
 
 def _word_str(aut, word):
@@ -910,7 +887,7 @@ def print_dot(aut, hide_sinks=False):
 
     out = ["digraph automaton {", "  rankdir=LR"]
     if title:
-        out.append('  label="%s"' % title.replace('"', '\\"'))
+        out.append("  label=" + _quote(title))
         out.append("  labelloc=t")
     out.append('  I [label="", style=invis, width=0]')
 
@@ -948,11 +925,9 @@ def print_dot(aut, hide_sinks=False):
             continue
         label = names[s] if names and s < len(names) and names[s] \
             else str(s)
-        if state_based:
-            acc = _state_acc_of(aut, s, mask)
-            if acc:
-                label += "\\n" + _colors_str(acc)
-        attrs = ['label="%s"' % label.replace('"', '\\"')]
+        acc = state_based and _state_acc_of(aut, s, mask)
+        attrs = ["label=" + _quote(label, "\\n" + _colors_str(acc)
+                                   if acc else "")]
         if players is not None and s < len(players) and players[s]:
             attrs.append("shape=diamond")
         else:
@@ -976,11 +951,10 @@ def print_dot(aut, hide_sinks=False):
         if s in hidden:
             continue
         for idx in aut.out_indices(s):
-            acc = aut.edge_acc[idx] & mask
-            label = aut.store.print_label(aut.edge_cond[idx])
-            if not state_based and acc:
-                label += "\\n" + _colors_str(acc)
-            attrs = ['label="%s"' % label.replace('"', '\\"')]
+            acc = not state_based and aut.edge_acc[idx] & mask
+            attrs = ["label=" + _quote(
+                aut.store.print_label(aut.edge_cond[idx]),
+                "\\n" + _colors_str(acc) if acc else "")]
             if hi_edges is not None and idx in hi_edges:
                 attrs.append("color=%s"
                              % _PALETTE[hi_edges[idx] % len(_PALETTE)])

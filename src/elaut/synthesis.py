@@ -462,18 +462,21 @@ def _output_choice(store, gout, outputs, ap_count):
     raise ValueError("empty output choice")
 
 
+def _input_row(step, width):
+    """The bits of `step`, a row of `width` "0"s and "1"s."""
+    if len(step) != width or step.strip("01"):
+        raise ValueError("expected %d input bits, got %r" % (width, step))
+    return [c == "1" for c in step]
+
+
 def simulate_mealy(m, steps):
     """Run input rows ("10" per step, one bit per input AP in order)
     through the machine; returns the output rows."""
     s = m.init
     rows = []
     for step in steps:
-        vals = [bool(int(ch)) for ch in step]
-        if len(vals) != len(m.inputs):
-            raise ValueError("expected %d input bits, got %r"
-                             % (len(m.inputs), step))
         minterm = 0
-        for ap, v in zip(m.inputs, vals):
+        for ap, v in zip(m.inputs, _input_row(step, len(m.inputs))):
             if v:
                 minterm |= 1 << ap
         hits = [t for t in m.edges[s] if m.store.holds(t[0], minterm)]
@@ -689,11 +692,7 @@ def simulate_aig(aig, steps):
 
     rows = []
     for step in steps:
-        vals = [bool(int(ch)) for ch in step]
-        if len(vals) != aig.num_inputs:
-            raise ValueError("expected %d input bits, got %r"
-                             % (aig.num_inputs, step))
-        for i, v in enumerate(vals):
+        for i, v in enumerate(_input_row(step, aig.num_inputs)):
             table[1 + i] = v
         for j, v in enumerate(latch_vals):
             table[1 + aig.num_inputs + j] = v

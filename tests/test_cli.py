@@ -554,6 +554,10 @@ def test_mealy_simulate(tmp_path, capsys):
     f = write(tmp_path, "m.hoa", MEMORY_MACHINE)
     assert main(["mealy", f, "--simulate", "1,1,0"]) == 0
     assert capsys.readouterr().out == "0\n1\n0\n"
+    # only "0" and "1" are input bits
+    assert main(["mealy", f, "--simulate", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "elaut: error: expected 1 input bits, got '2'\n")
 
 
 def test_mealy_to_aiger(tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 
 from elaut.acceptance import Inf, TRUE
 from elaut.graph import MAYBE, NO, YES, Automaton
-from elaut.hoa import (MAX_COLORS, MAX_STATES, HoaParseError, parse_hoa,
+from elaut.hoa import (_COMMENT_RE, _TOKEN_RE, MAX_COLORS, MAX_STATES,
+                       HoaParseError, _blank_comments, parse_hoa,
                        parse_hoa_stream, print_dot, print_hoa, stats)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -503,6 +504,15 @@ def test_dot_output():
     assert dot.rstrip().endswith("}")
     assert "shape=diamond" in dot  # player-1 states
     assert "->" in dot
+    # names are escaped, backslash first, before DOT's own "\n" and colors
+    aut = parse_hoa('HOA: v1\nname: "t\\\\"\nStates: 2\nStart: 0\nAP: 0\n'
+                    'Acceptance: 1 Inf(0)\nproperties: state-acc\n--BODY--\n'
+                    'State: 0 "a\\\\" {0}\n[t] 1\nState: 1 "q\\""\n[t] 1\n'
+                    '--END--\n')
+    dot = print_dot(aut)
+    assert '  label="t\\\\"\n' in dot
+    assert '  0 [label="a\\\\\\n{0}", shape=circle]\n' in dot
+    assert '  1 [label="q\\"", shape=circle]\n' in dot
 
 
 def test_dot_universal_groups():
@@ -619,14 +629,18 @@ def _mutate(rng, text):
     return text
 
 
-def test_mutated_goldens_are_rejected_in_place_or_round_trip():
+def _mutant_texts():
+    """10,000 mutants of the goldens, from seed 2015."""
     rng = random.Random(2015)
     sources = [read(os.path.join(GOLDEN, name + ".in.hoa"))
                for name in golden_names()]
+    return [_mutate(rng, rng.choice(sources)) for _ in range(10000)]
+
+
+def test_mutated_goldens_are_rejected_in_place_or_round_trip():
     parsed = 0
     h = hashlib.sha256()
-    for _ in range(10000):
-        text = _mutate(rng, rng.choice(sources))
+    for text in _mutant_texts():
         try:
             aut = parse_hoa(text)
         except HoaParseError as e:
@@ -645,6 +659,74 @@ def test_mutated_goldens_are_rejected_in_place_or_round_trip():
 
 
 MUTANT_DIGEST = "d93776a30535f7ab"
+
+
+def _comment_spans(text):
+    """The comments of `text` as (start, end) offsets, found by a token
+    walk with _TOKEN_RE from its start: each comment is skipped to where
+    it closes, nested ones counted, and a stray character is stepped
+    over.  The walk stops where lexing cannot go on: at a string, [label]
+    or comment that is never closed."""
+    spans = []
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        k = m.lastindex
+        if k == 8:
+            depth = 0
+            for c in _COMMENT_RE.finditer(text, m.start(8)):
+                depth += 1 if c.group() == "/*" else -1
+                if not depth:
+                    break
+            else:
+                return spans
+            spans.append((m.start(8), c.end()))
+            pos = c.end()
+        elif k is None or k == 9 and text[m.start(9)] in '"[':
+            return spans
+        else:
+            pos = m.end()
+
+
+def _blanked(text, spans):
+    """`text` with each span's characters but line breaks made blanks."""
+    for start, end in spans:
+        text = text[:start] + "".join(
+            c if c == "\n" else " " for c in text[start:end]) + text[end:]
+    return text
+
+
+_COMMENTS = ("/**/", "/* x */", "/*\n*/", "/* a /* b\n */ c */",
+             '/* " [ ] State: 9 --END-- */', "/* {0} & [t] 1 */")
+# strings and labels that hold "/*" but open no comment
+_DECOYS = ('"/*"', '"a\\"/* "', "[/* 0]", "[0 | /*]")
+
+
+def _inserted(rng, text, pieces):
+    """`text` with one to four of `pieces` put where tokens start or
+    end."""
+    bounds = [pos for m in _TOKEN_RE.finditer(text) if m.lastindex
+              for pos in (m.end() - len(m.group().lstrip()), m.end())]
+    for pos in sorted(rng.sample(bounds, rng.randint(1, 4)), reverse=True):
+        text = text[:pos] + rng.choice(pieces) + text[pos:]
+    return text
+
+
+def test_comments_are_blanked_as_the_token_walk_finds_them():
+    rng = random.Random(2015)
+    sources = [read(os.path.join(GOLDEN, name + ".in.hoa"))
+               for name in golden_names()]
+    texts = _mutant_texts()
+    for _ in range(2000):
+        source = rng.choice(sources)
+        text = _inserted(rng, source, _COMMENTS)
+        # comments between tokens are blanks, which change no reading
+        assert _outcome(text) == _outcome(source), text
+        decoyed = _inserted(rng, text, _COMMENTS + _DECOYS)
+        texts += [text, decoyed, _mutate(rng, decoyed)]
+    for text in texts:
+        assert _blank_comments(text) == \
+            _blanked(text, _comment_spans(text)), text
 
 
 def _outcome(text):

@@ -7,7 +7,6 @@ import contextlib
 import functools
 import io
 import os
-import random
 
 import pytest
 
@@ -16,7 +15,7 @@ from elaut.acceptance import AccClass, parse_acceptance
 from elaut.algorithms import random_automaton
 from elaut.hoa import (HoaParseError, LazyAutomaton, parse_hoa_stream,
                        parse_hoa_stream_lazy, print_hoa)
-from test_hoa import GOLDEN, _mutate, golden_names, read
+from test_hoa import GOLDEN, _mutant_texts, golden_names, read
 
 
 def _rows(aut, s):
@@ -55,11 +54,8 @@ def _outcome(read_stream, text):
 def _mutants():
     """The mutant corpus of test_hoa (seed 2015), each text with the full
     reader's error, or None where it reads the text."""
-    rng = random.Random(2015)
-    sources = [read(os.path.join(GOLDEN, name + ".in.hoa"))
-               for name in golden_names()]
-    texts = [_mutate(rng, rng.choice(sources)) for _ in range(10000)]
-    return [(text, _outcome(parse_hoa_stream, text)[0]) for text in texts]
+    return [(text, _outcome(parse_hoa_stream, text)[0])
+            for text in _mutant_texts()]
 
 
 def _random_prints():
@@ -212,7 +208,7 @@ def test_product_query_parses_only_the_states_it_reaches(tmp_path,
     system = tmp_path / "sys.hoa"
     system.write_text(text)
     argv = ["aut", str(system), "--product", str(prop), "--accepting-run"]
-    parsed = _spy(monkeypatch, hoa._Parser, "_edges")
+    parsed = _spy(monkeypatch, hoa._Parser, "_walk")
     flattened = _spy(monkeypatch, algorithms._FlatRows, "__missing__")
     code, out, err = _run(argv)
     assert code == 0 and "cycle:" in out and err == ""

@@ -455,8 +455,9 @@ def test_validate_mealy_matches_reference():
 
 def test_simulate_mealy_errors():
     m = two_state_memory_machine()
-    with pytest.raises(ValueError, match="input bits"):
-        simulate_mealy(m, ["10"])
+    for row in ("10", "", "2", "9", "x", " 1", "-1"):
+        with pytest.raises(ValueError, match="expected 1 input bits"):
+            simulate_mealy(m, ["0", row])
     store = GuardStore(2)
     t = store.parse_label("t")
     b = store.parse_label("1")
@@ -528,8 +529,9 @@ def test_mealy_automaton_roundtrip():
 
 def test_simulate_aig_input_width():
     aig = mealy_to_aiger(two_state_memory_machine())
-    with pytest.raises(ValueError, match="input bits"):
-        simulate_aig(aig, ["11"])
+    for row in ("11", "", "2", "9", "x", " 1", "-1"):
+        with pytest.raises(ValueError, match="expected 1 input bits"):
+            simulate_aig(aig, ["0", row])
 
 
 def sixteen_ap_machine():
