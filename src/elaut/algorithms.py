@@ -822,8 +822,9 @@ def _product_operands(a, b):
         acceptance = a.acceptance
     else:
         num_sets = a.num_sets + b.num_sets
-        acceptance = f_and([a.acceptance,
-                            shift_colors(b.acceptance, a.num_sets)])
+        acceptance = shift_colors(b.acceptance, a.num_sets)
+        if a.acceptance is not TRUE:      # t & x folds to x
+            acceptance = f_and([a.acceptance, acceptance])
     store = GuardStore(len(aps))
     # the partner's colors pass only where the weak side sits in an
     # accepting SCC

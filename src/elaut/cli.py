@@ -6,6 +6,12 @@ generates random ones, `game` solves ownership-annotated automata, and
 read as HOA from file arguments or stdin ("-" also means stdin) and
 written as HOA to stdout.
 
+`main(argv)` gives the arguments after a subcommand's name straight to
+that subcommand's parser.  The top-level parser runs only for what no
+subcommand parser takes: no argument, an unknown name, `-h`, and
+arguments the subcommand leaves over, which it reports as unrecognized
+just as a parse from the top would.
+
 `aut --product FILE` with --is-empty or --accepting-run and no
 transformation flag (--remove-alternation, --remove-fin, --change-parity,
 --trim) answers for each product on the fly, without building it.  It
@@ -42,10 +48,16 @@ from .hoa import (parse_hoa_stream, parse_hoa_stream_lazy, print_dot,
 
 
 def _read_text(path):
+    """The text of a file, or of stdin for "-".  A file is read as text
+    mode reads it, UTF-8 with universal newlines, but from one unbuffered
+    read, which costs less per file than a text stream."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _read_automata(paths, lazy=False):
@@ -276,7 +288,8 @@ def cmd_mealy(args):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once: parsing leaves it unchanged."""
+    """The top-level parser and each subcommand's parser by name, built
+    once: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="elaut",
         description="transition-based automata with Emerson-Lei acceptance")
@@ -343,12 +356,21 @@ def build_parser():
     p.add_argument("--simulate", metavar="STEPS",
                    help="comma-separated input rows, e.g. '10,11,00'")
     p.set_defaults(func=cmd_mealy)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = sub.parse_known_args(argv[1:],
+                                           argparse.Namespace(cmd=argv[0]))
+        if extra:                     # the top-level parser reports them
+            parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -238,7 +238,10 @@ class Automaton:
         is an int of color bits or an iterable of colors (see
         _shared_colors).  Each edge is checked (states, group word, guard
         id, colors) before it is appended, then linked after its source's
-        current out-edges."""
+        current out-edges.  The cached flags are cleared first, so a batch
+        that stops at a bad edge keeps none that the edges before it
+        made stale."""
+        self.flags = _ALL_MAYBE
         tail = self._tail
         succ = self._succ
         n = len(tail)
@@ -280,7 +283,6 @@ class Automaton:
                 succ[src] = idx
             tail[src] = idx
             idx += 1
-        self.flags = _ALL_MAYBE
 
     def new_univ_dest_group(self, members):
         """Intern a universal destination group; returns its word.

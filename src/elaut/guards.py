@@ -18,11 +18,20 @@ Ids are never reused and a guard never changes, so what is derived from
 an id or a label text stays valid for the life of the store: the `Cube`s
 and printed text of each guard, the guard of each parsed label and the
 minterms of each read cube are memoized on the store, freed with it.
+
+What depends only on the AP count is made once per count, on first use,
+and shared by every store over that many APs (`_ap_tables`): the AP
+masks, the literal texts print_label writes and the literal atoms that
+each store copies into its own cube memo.  So is the plan of each AP map
+that `translator` moves guards by (`_mover`, the last 256 maps).  No
+shared table depends on a label, a guard or a text that was read.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import types
 from dataclasses import dataclass
 
 FALSE_GUARD = 0
@@ -40,28 +49,16 @@ class GuardStore:
                              % (ap_count, MAX_APS))
         self.ap_count = ap_count
         self.nminterms = 1 << ap_count
-        self.full = (1 << self.nminterms) - 1
-        self._table = []          # id -> minterm bits
-        self._ids = {}            # minterm bits -> id
-        self.intern(0)            # FALSE_GUARD
-        self.intern(self.full)    # TRUE_GUARD
-        # _pos[i]: minterms where AP i holds, _neg[i]: where it does not.
-        # Blocks of 2**i zeros then 2**i ones, doubled up to the full width.
-        self._pos, self._neg = [], []
-        for ap in range(ap_count):
-            shift = 1 << ap
-            mask, width = ((1 << shift) - 1) << shift, 2 * shift
-            while width < self.nminterms:
-                mask |= mask << width
-                width *= 2
-            self._pos.append(mask)
-            self._neg.append(mask >> shift)
+        # _pos[i]: minterms where AP i holds, _neg[i]: where it does not;
+        # _lits[i]: print_label's texts of AP i, positive and negated
+        full, self._pos, self._neg, self._lits, atoms = _ap_tables(ap_count)
+        self.full = full
+        self._table = [0, full]   # id -> minterm bits: false, then true
+        self._ids = {0: 0, full: 1}                 # minterm bits -> id
         self._cubes = {}          # id -> tuple of cubes (to_cubes)
         self._texts = {}          # id -> label text (print_label)
         self._parsed = {}         # label text -> id (parse_label)
-        self._atoms = None        # literal or cube text -> minterms
-        # print_label's literal texts: each AP's, positive and negated
-        self._lits = [("%d" % ap, "!%d" % ap) for ap in range(ap_count)]
+        self._atoms = atoms.copy()  # literal or cube text -> minterms
 
     def __len__(self):
         return len(self._table)
@@ -213,34 +210,78 @@ class GuardStore:
     def translator(self, other, ap_map):
         """The function that moves a minterm vector of `other` into this
         store (see translate_from), planned once per AP map."""
-        k, n = other.ap_count, self.ap_count
-        dest = [ap_map[i] for i in range(k)]
-        if len(set(dest)) != k or not all(0 <= d < n for d in dest):
-            raise ValueError("AP map %r is not one-to-one into %d APs"
-                             % (dest, n))
-        # APs k..n-1 are new: the guard does not depend on them
-        widen = [1 << ap for ap in range(k, n)]
-        # target[p]: the position the variable now at p must move to; the
-        # new APs take the positions no mapped AP takes, in order.  Bubble
-        # sort it, O(n**2) exchanges of neighbouring variables p, p+1, each
-        # a delta swap of the minterms with p set and p+1 clear with their
-        # partners that have p+1 set and p clear.
-        target = dest + [p for p in range(n) if p not in dest]
-        swaps = []
-        for done in range(n):
-            for p in range(n - 1 - done):
-                if target[p] > target[p + 1]:
-                    swaps.append((1 << p, self._pos[p] & self._neg[p + 1]))
-                    target[p], target[p + 1] = target[p + 1], target[p]
+        return _mover(self.ap_count,
+                      tuple([ap_map[i] for i in range(other.ap_count)]))
 
-        def move(bits):
-            for w in widen:
-                bits |= bits << w
-            for shift, mask in swaps:
-                t = ((bits >> shift) ^ bits) & mask
-                bits ^= t | (t << shift)
-            return bits
-        return move
+
+@functools.cache
+def _ap_tables(ap_count):
+    """What every store over `ap_count` APs starts from: (full, pos,
+    neg, lits, atoms), made on first use.  full is the true guard's
+    minterms; pos[i] and neg[i] the minterms where AP i holds and where
+    it does not; lits[i] print_label's texts of AP i, positive and
+    negated; atoms the literal texts parse_label reads, with their
+    minterms, read-only: each store copies them."""
+    nminterms = 1 << ap_count
+    full = (1 << nminterms) - 1
+    pos, neg = [], []
+    atoms = {"t": full, "f": 0, "!t": 0, "!f": full}
+    for ap in range(ap_count):
+        # blocks of 2**ap zeros then 2**ap ones, doubled up to the width
+        shift = 1 << ap
+        mask, width = ((1 << shift) - 1) << shift, 2 * shift
+        while width < nminterms:
+            mask |= mask << width
+            width *= 2
+        pos.append(mask)
+        neg.append(mask >> shift)
+        atoms[str(ap)], atoms["!%d" % ap] = pos[ap], neg[ap]
+    lits = tuple(("%d" % ap, "!%d" % ap) for ap in range(ap_count))
+    return (full, tuple(pos), tuple(neg), lits,
+            types.MappingProxyType(atoms))
+
+
+@functools.lru_cache(maxsize=256)
+def _mover(n, dest):
+    """translator's function for the AP map `dest`, a tuple, into a store
+    of n APs."""
+    k = len(dest)
+    if len(set(dest)) != k or not all(0 <= d < n for d in dest):
+        raise ValueError("AP map %r is not one-to-one into %d APs"
+                         % (list(dest), n))
+    exchange = _exchanges(n)
+    # APs k..n-1 are new: the guard does not depend on them
+    widen = [1 << ap for ap in range(k, n)]
+    # target[p]: the position the variable now at p must move to; the
+    # new APs take the positions no mapped AP takes, in order.  Bubble
+    # sort it, O(n**2) exchanges of neighbouring variables p, p+1, each
+    # a delta swap of the minterms with p set and p+1 clear with their
+    # partners that have p+1 set and p clear.
+    target = list(dest) + [p for p in range(n) if p not in dest]
+    swaps = []
+    for done in range(n):
+        for p in range(n - 1 - done):
+            if target[p] > target[p + 1]:
+                swaps.append(exchange[p])
+                target[p], target[p + 1] = target[p + 1], target[p]
+
+    def move(bits):
+        for w in widen:
+            bits |= bits << w
+        for shift, mask in swaps:
+            t = ((bits >> shift) ^ bits) & mask
+            bits ^= t | (t << shift)
+        return bits
+    return move
+
+
+@functools.cache
+def _exchanges(n):
+    """Per p below n - 1, the delta swap that exchanges the variables p
+    and p + 1 of a vector over n APs, as (shift, mask), shared by the
+    plans of _mover so that a plan holds no mask of its own."""
+    _, pos, neg = _ap_tables(n)[:3]
+    return tuple((1 << p, pos[p] & neg[p + 1]) for p in range(n - 1))
 
 
 @dataclass(frozen=True)
@@ -271,12 +312,6 @@ def _parse_label(store, text):
     parser below, the only code that raises.
     """
     atoms = store._atoms
-    if atoms is None:
-        full = store.full
-        atoms = store._atoms = {"t": full, "f": 0, "!t": 0, "!f": full}
-        for ap, pos in enumerate(store._pos):
-            atoms[str(ap)] = pos
-            atoms["!%d" % ap] = pos ^ full
     disj = 0
     for cube in text.split("|"):
         conj = atoms.get(cube)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 
 from .acceptance import (FALSE, TRUE, acc_name, colors_of, eval_acceptance,
                          parse_acceptance, AcceptanceParseError)
@@ -180,9 +181,9 @@ def _blank_comments(text):
     return "".join(parts) + text[pos:]
 
 
-def _lex(text, pos):
+def _lex(text, pos, endpos=sys.maxsize):
     """The header tokens of the automaton that starts at offset `pos`,
-    and the offset where they end.
+    and the offset where they end; tokens end at `endpos` at the latest.
 
     A token is (kind, value, offset of its first character).  Integers,
     labels (the text between the brackets), strings (unescaped),
@@ -198,26 +199,28 @@ def _lex(text, pos):
     """
     toks = []
     append = toks.append
-    for m in _TOKEN_RE.finditer(text, pos):
+    for m in _TOKEN_RE.finditer(text, pos, endpos):
         k = m.lastindex
-        if k == 1:
+        if k == 5:
+            append(("header" if m.group(5) else "ident", m.group(4),
+                    m.start(4)))
+        elif k == 1:
             try:
                 append(("int", int(m.group(1)), m.start(1)))
             except ValueError:        # more digits than int() converts
                 append(("error", "integer of %d digits too large"
                         % len(m.group(1)), m.start(1)))
                 return toks, m.end()
-        elif k == 2:
-            append(("label", m.group(2), m.start(2) - 1))
+        elif k == 6:
+            value = m.group(6)
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
+            append(("string", value, m.start(6) - 1))
         elif k == 3:
             ch = m.group(3)
             append((ch, ch, m.start(3)))
-        elif k == 5:
-            append(("header" if m.group(5) else "ident", m.group(4),
-                    m.start(4)))
-        elif k == 6:
-            append(("string", _ESCAPE_RE.sub(r"\1", m.group(6)),
-                    m.start(6) - 1))
+        elif k == 2:
+            append(("label", m.group(2), m.start(2) - 1))
         elif k == 7:
             append((m.group(7).lower(), None, m.start(7) - 2))
             return toks, m.end()
@@ -243,8 +246,9 @@ def _lex(text, pos):
 
 
 def _token(text, pos):
-    """The first token at or after `pos`, as _lex reads it."""
-    return _lex(text, pos)[0][0]
+    """The first token at or after `pos`, as _lex reads it: _lex stops
+    where that token's match ends, so it reads no further token."""
+    return _lex(text, pos, _TOKEN_RE.match(text, pos).end())[0][0]
 
 
 # what an unknown header's values and an acceptance formula are made of
@@ -282,28 +286,32 @@ class _Parser:
             raise self.error("integer of %d digits too large" % len(digits),
                              offset) from None
 
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def next(self):
-        self.i += 1
-        return self.toks[self.i - 1]
-
     def expect(self, kind, what):
-        tok = self.next()
+        tok = self.toks[self.i]
+        self.i += 1
         if tok[0] != kind:
             self.fail(tok, "expected " + what)
         return tok[1]
 
+    def run(self, kinds):
+        """The values of the tokens from here on whose kinds are in
+        `kinds`, up to the first that is not, which is read next."""
+        toks = self.toks
+        i = j = self.i
+        while toks[j][0] in kinds:
+            j += 1
+        self.i = j
+        return [tok[1] for tok in toks[i:j]]
+
     def parse_automaton(self, lazy=False):
         """The automaton, and the offset after its --END--; with `lazy`,
         a LazyAutomaton when its body is plain (see _plain_body)."""
-        tok = self.next()
-        if tok[:2] != ("header", "HOA"):
-            self.fail(tok, "expected HOA: header")
-        tok = self.next()
-        if tok[:2] != ("ident", "v1"):
-            self.fail(tok, "unsupported format version")
+        toks = self.toks
+        if toks[0][:2] != ("header", "HOA"):
+            self.fail(toks[0], "expected HOA: header")
+        if toks[1][:2] != ("ident", "v1"):
+            self.fail(toks[1], "unsupported format version")
+        self.i = 2
 
         h = {
             "states": None, "start": None, "aps": None,
@@ -313,27 +321,26 @@ class _Parser:
         at = {}   # header name -> offset of its last occurrence
 
         while True:
-            tok = self.next()
-            kind, val, off = tok
-            if kind == "body":
-                break
-            if kind == "eof":
-                raise self.error("missing --BODY--", off)
+            kind, val, off = tok = toks[self.i]
+            self.i += 1
             if kind != "header":
+                if kind == "body":
+                    break
+                if kind == "eof":
+                    raise self.error("missing --BODY--", off)
                 self.fail(tok, "expected a header")
-            if val in ("States", "Start", "AP", "Acceptance", "name",
-                       "acc-name", "tool") and val in at:
+            if val in at and val in ("States", "Start", "AP", "Acceptance",
+                                     "name", "acc-name", "tool"):
                 raise self.error("duplicate %s: header" % val, off)
             at[val] = off
             if val == "States":
                 n = h["states"] = self.expect("int", "state count")
                 if n > MAX_STATES:
                     raise self.error("%d states exceed the limit of %d"
-                                     % (n, MAX_STATES),
-                                     self.toks[self.i - 1][2])
+                                     % (n, MAX_STATES), toks[self.i - 1][2])
             elif val == "Start":
                 h["start"] = [self.expect("int", "initial state")]
-                while self.peek() == "&":
+                while toks[self.i][0] == "&":
                     self.i += 1
                     h["start"].append(self.expect("int", "initial state"))
             elif val == "AP":
@@ -344,53 +351,40 @@ class _Parser:
                 n = h["num_sets"] = self.expect("int", "acceptance set count")
                 if n > MAX_COLORS:
                     raise self.error("%d colors exceed the limit of %d"
-                                     % (n, MAX_COLORS),
-                                     self.toks[self.i - 1][2])
+                                     % (n, MAX_COLORS), toks[self.i - 1][2])
                 h["acceptance"] = self._acceptance_formula(n, off)
             elif val == "name":
                 h["name"] = self.expect("string", "automaton name")
             elif val == "acc-name":
-                while self.peek() in ("ident", "int"):
-                    self.i += 1
+                self.run(("ident", "int"))
             elif val == "tool":
-                while self.peek() == "string":
-                    self.i += 1
+                self.run(("string",))
             elif val == "properties":
-                while True:
-                    kind = self.peek()
-                    if kind == "ident":
-                        h["properties"].append(self.next()[1])
-                    elif kind == "!":
-                        self.i += 1
-                        h["properties"].append(
-                            "!" + self.expect("ident", "a property token"))
-                    else:
-                        break
+                while toks[self.i][0] in ("ident", "!"):
+                    kind, prop, _ = toks[self.i]
+                    self.i += 1
+                    if kind == "!":
+                        prop = "!" + self.expect("ident", "a property token")
+                    h["properties"].append(prop)
             elif val == "spot-state-player":
-                h["players"] = []
-                while self.peek() == "int":
-                    h["players"].append(self.next()[1])
+                h["players"] = self.run(("int",))
             elif val == "controllable-AP":
-                h["controllable"] = []
-                while self.peek() == "int":
-                    h["controllable"].append(self.next()[1])
+                h["controllable"] = self.run(("int",))
             elif val[0].isupper():
                 raise self.error("unknown header %s: requires support" % val,
                                  off)
             else:
-                # unknown lowercase header: skip its values
-                while self.peek() in _VALUE_KINDS:
-                    self.i += 1
+                self.run(_VALUE_KINDS)    # an unknown lowercase header
         return self._parse_body(h, at, off, lazy)
 
     def _acceptance_formula(self, num_sets, off):
-        parts = []
-        while self.peek() in _FORMULA_KINDS:
-            parts.append(str(self.next()[1]))
-        if self.peek() == "error":        # it comes first in the text
-            self.fail(self.toks[self.i], "")
+        parts = self.run(_FORMULA_KINDS)
+        tok = self.toks[self.i]
+        if tok[0] == "error":             # it comes first in the text
+            self.fail(tok, "")
         try:
-            return parse_acceptance(" ".join(parts), max_colors=num_sets)
+            return parse_acceptance(" ".join(map(str, parts)),
+                                    max_colors=num_sets)
         except AcceptanceParseError as exc:
             raise self.error("bad acceptance condition: %s" % exc,
                              off) from exc
@@ -629,7 +623,7 @@ class _Parser:
         aut.acceptance = h["acceptance"]
         if h["name"] is not None:
             aut.set_named_prop("automaton-name", h["name"])
-        names = {s: _ESCAPE_RE.sub(r"\1", name)
+        names = {s: _ESCAPE_RE.sub(r"\1", name) if "\\" in name else name
                  for s, name in self.names.items() if name is not None}
         if names:
             aut.set_named_prop(
@@ -672,12 +666,11 @@ def _parse_stream(text, lazy):
     out = []
     pos = 0
     text = _blank_comments(text)
-    while True:
+    while _BLANKS_RE.match(text, pos).end() < len(text):
         toks, pos = _lex(text, pos)
-        if toks[0][0] == "eof":
-            return out
         aut, pos = _Parser(text, toks, pos).parse_automaton(lazy)
         out.append(aut)
+    return out
 
 
 def parse_hoa_stream(text):

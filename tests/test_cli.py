@@ -602,6 +602,64 @@ def test_mealy_with_no_states_is_rejected(tmp_path, capsys):
         assert captured.err == "elaut: error: machine has no states\n"
 
 
+# ------------------------------------------------------------ argv
+
+USAGE = "usage: elaut [-h] {aut,randaut,game,mealy} ...\n"
+EMPTY = "e3b0c44298fc1c14"            # sha256 prefix of no output
+
+# (argv, exit code or SystemExit code, sha256 prefix of stdout, stderr)
+# of main(argv) with COLUMNS=80, recorded on Python 3.11 when the
+# top-level parser read every argv; {tmp} is a directory that holds
+# BUCHI_AB, GRANT_GAME and MEMORY_MACHINE as aut.hoa, game.hoa and
+# mealy.hoa
+ARGV_OUTCOMES = [
+    ([], 2, EMPTY,
+     USAGE + "elaut: error: the following arguments are required: cmd\n"),
+    (["-h"], 0, "ade1ae43f2c42b9e", ""),
+    (["nope"], 2, EMPTY,
+     USAGE + "elaut: error: argument cmd: invalid choice: 'nope' (choose "
+     "from 'aut', 'randaut', 'game', 'mealy')\n"),
+    (["aut", "-h"], 0, "e8f814692b50420f", ""),
+    (["aut", "--bogus"], 2, EMPTY,
+     USAGE + "elaut: error: unrecognized arguments: --bogus\n"),
+    (["aut", "x.hoa", "--bogus"], 2, EMPTY,
+     USAGE + "elaut: error: unrecognized arguments: --bogus\n"),
+    (["randaut", "--states", "x"], 2, EMPTY,
+     "usage: elaut randaut [-h] [--states STATES] [--ap AP] "
+     "[--density DENSITY]\n"
+     "                     [--colors COLORS] [--color-density "
+     "COLOR_DENSITY]\n"
+     "                     [--seed SEED] [--acceptance NAME]\n"
+     "elaut randaut: error: argument --states: invalid int value: 'x'\n"),
+    (["game", "--to-mealy", "--nope"], 2, EMPTY,
+     USAGE + "elaut: error: unrecognized arguments: --nope\n"),
+    (["aut", "{tmp}/aut.hoa", "--stats"], 0, "98eaa4dabf0b1e96", ""),
+    (["randaut", "--states", "2", "--seed", "0"], 0, "76518130a729f1c8", ""),
+    (["game", "{tmp}/game.hoa", "--print-winners"], 0, "64520386f36600cf",
+     ""),
+    (["mealy", "{tmp}/mealy.hoa", "--simulate", "1,0,1"], 0,
+     "f456c1ffc6a33cd5", ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", ARGV_OUTCOMES)
+def test_argv_outcomes_are_stable(argv, code, out, err, tmp_path, capsys,
+                                  monkeypatch):
+    # main gives a subcommand's arguments to its own parser, and what no
+    # subcommand takes to the top-level one, as a parse from the top did
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in (("aut.hoa", BUCHI_AB), ("game.hoa", GRANT_GAME),
+                       ("mealy.hoa", MEMORY_MACHINE)):
+        write(tmp_path, name, text)
+    try:
+        got = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, hashlib.sha256(captured.out.encode()).hexdigest()[:16],
+            captured.err) == (code, out, err)
+
+
 # ------------------------------------------------------ pinned outputs
 
 # sha256 prefixes of (job id, exit code, stdout, stderr) over the stages

@@ -7,10 +7,10 @@ import pytest
 
 from elaut.acceptance import (Inf, TRUE, change_parity, colors_of,
                               make_class, parity)
-from elaut.algorithms import (is_empty, is_weak, product,
-                              product_accepting_run, random_acceptance,
-                              random_automaton, remove_alternation,
-                              remove_fin)
+from elaut.algorithms import (get_or_compute_flag, is_empty, is_weak,
+                              product, product_accepting_run,
+                              random_acceptance, random_automaton,
+                              remove_alternation, remove_fin)
 from elaut.graph import (Automaton, EDGE_COLUMNS, FLAG_NAMES, MAYBE, NO,
                          Trivalent, YES, trim)
 from elaut.guards import FALSE_GUARD, GuardStore, TRUE_GUARD
@@ -453,6 +453,22 @@ def test_new_edges_checks_like_new_edge(edge, message):
         assert str(exc.value) == message
         assert aut.num_edges <= 1
         aut.check()
+
+
+def test_failed_new_edges_batch_leaves_no_stale_flag():
+    # the first edge goes in before the second is rejected, and makes
+    # the automaton complete, so a flag cached before the batch is stale
+    aut = Automaton(["a"])
+    aut.new_states(2)
+    aut.new_edge(0, 1)
+    assert get_or_compute_flag(aut, "complete") is False
+    assert aut.get_flag("complete") is NO
+    with pytest.raises(ValueError, match="source 5 is not a state"):
+        aut.new_edges([(1, 0, TRUE_GUARD, 0), (5, 0, TRUE_GUARD, 0)])
+    assert aut.num_edges == 2
+    assert aut.get_flag("complete") is MAYBE
+    assert get_or_compute_flag(aut, "complete") is True
+    assert get_or_compute_flag(aut.clone(), "complete") is True
 
 
 def test_new_edges_builds_what_new_edge_builds():

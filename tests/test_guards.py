@@ -7,7 +7,7 @@ import pytest
 
 from elaut import guards
 from elaut.guards import (Cube, FALSE_GUARD, GuardStore, LabelParseError,
-                          TRUE_GUARD)
+                          MAX_APS, TRUE_GUARD)
 
 
 def minterms_of(store, gid, naps):
@@ -363,6 +363,55 @@ def test_translate_rejects_maps_that_merge_aps():
         dst.translate_from(src, src.lit(0), [1, 1])
     with pytest.raises(ValueError):
         dst.translate_from(src, src.lit(0), [0, 3])
+
+
+def _literal_atoms(k):
+    """The literal texts of k APs and their minterms, made by hand."""
+    full = (1 << (1 << k)) - 1
+    atoms = {"t": full, "f": 0, "!t": 0, "!f": full}
+    for ap in range(k):
+        # bit m of pos is bit ap of m; the string lists the highest m first
+        pos = int("".join("01"[m >> ap & 1]
+                          for m in reversed(range(1 << k))), 2)
+        atoms[str(ap)], atoms["!%d" % ap] = pos, pos ^ full
+    return atoms
+
+
+@pytest.mark.parametrize("k", range(MAX_APS + 1))
+def test_stores_over_one_ap_count_share_no_mutable_state(k):
+    used = GuardStore(k)
+    top = max(k - 1, 0)
+    texts = ["t", "f", "!t"] + (["0", "!%d" % top, "0 & !%d" % top,
+                                 "!0&%d | %d & 0" % (top, top), "(0 | !0)"]
+                                if k else [])
+    for text in texts:
+        used.print_label(used.parse_label(text))
+        used.to_cubes(used.parse_label(text))
+    assert k == 0 or any("&" in t for t in used._atoms)   # a cube text
+    fresh = GuardStore(k)
+    assert len(fresh) == 2
+    assert fresh._atoms == _literal_atoms(k)
+    assert fresh._cubes == fresh._texts == fresh._parsed == {}
+    # what stores share per AP count is what a first store makes
+    assert guards._ap_tables(k) == guards._ap_tables.__wrapped__(k)
+    assert fresh._lits == tuple((str(ap), "!%d" % ap) for ap in range(k))
+    assert [fresh._atoms[str(ap)] for ap in range(k)] == list(fresh._pos)
+    assert [fresh._atoms["!%d" % ap] for ap in range(k)] == list(fresh._neg)
+
+
+@pytest.mark.parametrize("k", range(MAX_APS + 1))
+def test_shared_translator_plans_move_as_fresh_ones(k):
+    rng = random.Random(k)
+    src = GuardStore(k)
+    for n in sorted({k, min(k + 1, MAX_APS), MAX_APS}):
+        dst = GuardStore(n)
+        ap_map = rng.sample(range(n), k)
+        move = dst.translator(src, ap_map)
+        assert move is dst.translator(src, list(ap_map))   # planned once
+        fresh = guards._mover.__wrapped__(n, tuple(ap_map))
+        for bits in [0, src.full, rng.getrandbits(src.nminterms)] \
+                + list(src._pos):
+            assert move(bits) == fresh(bits)
 
 
 # ------------------------------------------------------------ memos

@@ -7,7 +7,9 @@ import tracemalloc
 
 import pytest
 
+from elaut import hoa
 from elaut.acceptance import Inf, TRUE
+from elaut.algorithms import random_automaton
 from elaut.graph import MAYBE, NO, YES, Automaton
 from elaut.hoa import (_COMMENT_RE, _TOKEN_RE, MAX_COLORS, MAX_STATES,
                        HoaParseError, _blank_comments, parse_hoa,
@@ -943,3 +945,42 @@ BODY_OUTCOMES = {
     'unterminated comment': '8:7: unterminated comment',
     'unterminated label': "8:2: missing ']'",
 }
+
+
+class _CountingPattern:
+    """A stand-in for a compiled pattern that counts the matches its
+    match and finditer return."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.matches = 0
+
+    def match(self, *args):
+        self.matches += 1
+        return self.pattern.match(*args)
+
+    def finditer(self, *args):
+        for m in self.pattern.finditer(*args):
+            self.matches += 1
+            yield m
+
+
+@pytest.mark.parametrize("line,message", [
+    ("[0] 1 & {0}", "24:9: expected a destination state"),
+    ("[0] }", "24:5: expected a destination state"),
+    ("foo", "24:1: expected an edge or --END--"),
+])
+def test_body_error_token_is_read_alone(line, message, monkeypatch):
+    # the token that names a body error is lexed by itself, not with
+    # every token after it; the messages are those of a full lex
+    lines = print_hoa(random_automaton(2000, ["a", "b"], density=0.1,
+                                       seed=3)).split("\n")
+    lines[23] = line
+    text = "\n".join(lines)
+    header = len(hoa._lex(text, 0)[0])      # one match per header token
+    spy = _CountingPattern(_TOKEN_RE)
+    monkeypatch.setattr(hoa, "_TOKEN_RE", spy)
+    with pytest.raises(HoaParseError) as exc:
+        parse_hoa(text)
+    assert str(exc.value) == message
+    assert header < spy.matches <= header + 3
