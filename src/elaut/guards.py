@@ -12,7 +12,9 @@ is a mask, a cube is an AND of masks and the cofactor of g by AP i=1 is
 `h | (h >> 2**i)` with `h = g & mask_i`.  Moving a guard to another AP
 order permutes variables with delta swaps (Knuth, TAOCP 4A, 7.1.3).
 `cover` yields a guard's disjoint cubes as pairs of AP masks (bit i for
-AP i): the APs a cube needs true, and those it needs false.
+AP i): the APs a cube needs true, and those it needs false.  Each cube
+grows from the lowest minterm not yet covered, and that minterm is its
+positive mask, so only the APs the minterm leaves clear are tried.
 
 Ids are never reused and a guard never changes, so what is derived from
 an id or a label text stays valid for the life of the store: the `Cube`s
@@ -142,10 +144,11 @@ class GuardStore:
         """A pairwise-disjoint cover of the guard by cubes.
 
         Greedy: take the lowest uncovered minterm, widen it into a cube by
-        freeing APs while the cube stays inside the uncovered part, emit,
-        subtract, repeat.  Deterministic; true gives one empty cube, false
-        gives no cubes, and OR-ing the cubes back reconstructs the guard.
-        Returns a new list on every call.
+        freeing APs, lowest first, while the cube stays inside the
+        uncovered part, emit, subtract, repeat.  A cube's positive APs
+        are those its first minterm sets.  Deterministic; true gives one
+        empty cube, false gives no cubes, and OR-ing the cubes back
+        reconstructs the guard.  Returns a new list on every call.
         """
         got = self._cubes.get(self._check(gid))
         if got is None:
@@ -156,26 +159,31 @@ class GuardStore:
         return list(got)
 
     def cover(self, gid):
-        """to_cubes's cubes, as (positive AP mask, negative AP mask)."""
+        """to_cubes's cubes, as (positive AP mask, negative AP mask).
+
+        Every minterm below the lowest uncovered one, m, is covered, so
+        freeing an AP that m sets would take in one of them: a cube's
+        positive mask is m itself, and only the APs m leaves clear are
+        tried, in increasing order.
+        """
         remaining = self._table[self._check(gid)]
+        outside = ~remaining
+        aps = (1 << self.ap_count) - 1
         while remaining:
-            low = remaining & -remaining
-            m = low.bit_length() - 1
-            bits, pos, neg = low, 0, 0
-            for ap in range(self.ap_count):
-                # the cube's minterms all agree with m on AP ap; freeing it
-                # adds their mirror images across ap
-                up = (m >> ap) & 1
-                shift = 1 << ap
-                widened = bits | (bits >> shift if up else bits << shift)
-                if widened & ~remaining == 0:
-                    bits = widened
-                elif up:
-                    pos |= shift
-                else:
+            cube = remaining & -remaining
+            m = cube.bit_length() - 1
+            free, neg = aps & ~m, 0
+            while free:
+                shift = free & -free
+                free ^= shift
+                # freeing AP log2(shift) adds the cube's mirror images
+                if (cube << shift) & outside:
                     neg |= shift
-            yield pos, neg
-            remaining &= ~bits
+                else:
+                    cube |= cube << shift
+            yield m, neg
+            remaining ^= cube
+            outside |= cube
 
     # -- text form ----------------------------------------------------
 
@@ -184,11 +192,11 @@ class GuardStore:
         got = self._texts.get(self._check(gid))
         if got is None:
             lits = self._lits
-            got = self._texts[gid] = " | ".join(
-                "&".join(lits[ap][neg >> ap & 1]
-                         for ap in range((pos | neg).bit_length())
-                         if (pos | neg) >> ap & 1) or "t"
-                for pos, neg in self.cover(gid)) or "f"
+            got = self._texts[gid] = " | ".join([
+                "&".join([lits[ap][neg >> ap & 1]
+                          for ap in range((pos | neg).bit_length())
+                          if (pos | neg) >> ap & 1]) or "t"
+                for pos, neg in self.cover(gid)]) or "f"
         return got
 
     def parse_label(self, text):
@@ -307,24 +315,41 @@ def _parse_label(store, text):
     A label that is a disjunction of conjunctions of literals (an AP
     index without leading zeros, `t` or `f`, each maybe after one `!`) is
     read cube by cube, each literal looked up in `store._atoms`, where a
-    cube's text is kept once all its literals are found.  Any other
-    label, and every malformed one, goes to the operator-precedence
-    parser below, the only code that raises.
+    cube's text is kept once all its literals are found.  The cubes are
+    split first at print_label's " | ", then, if one is not found, at
+    every "|".  Any other label, and every malformed one, goes to the
+    operator-precedence parser below, the only code that raises.
     """
     atoms = store._atoms
-    disj = 0
-    for cube in text.split("|"):
-        conj = atoms.get(cube)
-        if conj is None:
-            conj = -1
-            for lit in cube.split("&"):
-                value = atoms.get(lit.strip())
-                if value is None:
-                    return _parse_label_ops(store, text, atoms)
-                conj &= value
-            atoms[cube] = conj
-        disj |= conj
-    return store.intern(disj)
+    for sep in (" | ", "|"):
+        disj = 0
+        for cube in text.split(sep):
+            conj = atoms.get(cube)
+            if conj is None:
+                conj = _cube_bits(atoms, cube)
+                if conj is None:
+                    break
+            disj |= conj
+        else:
+            return store.intern(disj)
+    return _parse_label_ops(store, text, atoms)
+
+
+def _cube_bits(atoms, cube):
+    """The minterms of a cube text whose "&"-separated literals, maybe
+    blank-padded, are all in `atoms`, which then keeps the text; None if
+    one is not there.  No key of `atoms` holds a "|", so neither can a
+    cube that is found."""
+    conj = -1
+    for lit in cube.split("&"):
+        value = atoms.get(lit)
+        if value is None:
+            value = atoms.get(lit.strip())
+            if value is None:
+                return None
+        conj &= value
+    atoms[cube] = conj
+    return conj
 
 
 def _parse_label_ops(store, text, atoms):

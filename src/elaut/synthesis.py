@@ -454,12 +454,17 @@ def validate_mealy(m):
 
 
 def _output_choice(store, gout, outputs, ap_count):
-    """The mask of the outputs an output guard drives true: the positive
-    AP mask of the first cover cube of its projection onto the outputs."""
+    """The mask of the outputs an output guard drives true: the lowest
+    minterm of its projection onto the outputs, which is the positive AP
+    mask of that projection's first cover cube.  Only a guard that reads
+    another AP is projected."""
     others = [a for a in range(ap_count) if a not in outputs]
-    for pos, _ in store.cover(store.exists(gout, others)):
-        return pos
-    raise ValueError("empty output choice")
+    if store.support(gout, others):
+        gout = store.exists(gout, others)
+    bits = store.bits_of(gout)
+    if not bits:
+        raise ValueError("empty output choice")
+    return (bits & -bits).bit_length() - 1
 
 
 def _input_row(step, width):
@@ -508,7 +513,10 @@ def automaton_to_mealy(aut):
     """Read a machine back from its automaton form.
 
     Requires the synthesis-outputs property; every label must split into
-    an input part and an output part."""
+    an input part and an output part.  The parts are the label with its
+    output APs, then its input APs, fixed as in its lowest minterm: for
+    a label that splits, these are its two parts, and for one that does
+    not, their AND is not the label.  False splits into false, false."""
     outputs = aut.get_named_prop("synthesis-outputs", list)
     if outputs is None:
         raise ValueError("automaton declares no outputs")
@@ -522,9 +530,15 @@ def automaton_to_mealy(aut):
             cond, dst = conds[i], dsts[i]
             if dst < 0:
                 raise ValueError("machines have no universal branching")
-            gin = store.exists(cond, outputs)
-            gout = store.exists(cond, inputs)
-            if store.bits_of(gin) & store.bits_of(gout) != store.bits_of(cond):
+            bits = store.bits_of(cond)
+            m = (bits & -bits).bit_length() - 1     # -1 for false
+            gin = gout = cond
+            for ap in outputs:
+                # restrict rejects an AP out of range, negative ones too
+                gin = store.restrict(gin, ap, ap >= 0 and m >> ap & 1)
+            for ap in inputs:
+                gout = store.restrict(gout, ap, m >> ap & 1)
+            if store.bits_of(gin) & store.bits_of(gout) != bits:
                 raise ValueError(
                     "label at state %d is not input-output separable" % s)
             row.append((gin, gout, dst))

@@ -357,6 +357,75 @@ def test_matches_reference_at_16_aps():
     assert st.parse_label(st.print_label(g)) == g
 
 
+def greedy_cover(store, gid):
+    """cover as it was before it read a cube's positive APs off its
+    lowest minterm: every AP is tried on every cube.  The oracle for
+    cover; yields each cube's AP masks and its minterms."""
+    remaining = store.bits_of(gid)
+    while remaining:
+        low = remaining & -remaining
+        m = low.bit_length() - 1
+        bits, pos, neg = low, 0, 0
+        for ap in range(store.ap_count):
+            up = (m >> ap) & 1
+            shift = 1 << ap
+            widened = bits | (bits >> shift if up else bits << shift)
+            if widened & ~remaining == 0:
+                bits = widened
+            elif up:
+                pos |= shift
+            else:
+                neg |= shift
+        yield pos, neg, bits
+        remaining &= ~bits
+
+
+def cover_cases(store, rng):
+    """Constants, random guards, a few scattered minterms and ORs of
+    random cubes over the store's APs."""
+    n = store.ap_count
+    yield from (FALSE_GUARD, TRUE_GUARD)
+    for k in range(3):
+        if k == 0 or n < 12:          # a dense 16-AP guard has ~10^4 cubes
+            yield random_guard(store, rng)
+        bits = 0
+        for _ in range(rng.randint(1, 6)):
+            bits |= 1 << rng.randrange(store.nminterms)
+        yield store.intern(bits)
+    for ncubes in (1, 2, 5, 12):
+        g = FALSE_GUARD
+        for _ in range(ncubes):
+            c = TRUE_GUARD
+            for ap in rng.sample(range(n), rng.randint(0, n)):
+                c = store.g_and(c, store.lit(ap, rng.random() < 0.5))
+            g = store.g_or(g, c)
+        yield g
+
+
+@pytest.mark.parametrize("n", range(MAX_APS + 1))
+def test_cover_matches_the_greedy_loop(n):
+    rng = random.Random(4_100 + n)
+    warm = GuardStore(n)
+    for g in cover_cases(warm, rng):
+        want = list(greedy_cover(warm, g))
+        got = list(warm.cover(g))
+        assert got == [(pos, neg) for pos, neg, _ in want]
+        assert warm.to_cubes(g) == [
+            Cube(frozenset(ap for ap in range(n) if pos >> ap & 1),
+                 frozenset(ap for ap in range(n) if neg >> ap & 1))
+            for pos, neg in got]
+        # each cube's positive mask is the lowest minterm left to cover
+        remaining = warm.bits_of(g)
+        for pos, _, cube in want:
+            assert pos == (remaining & -remaining).bit_length() - 1
+            remaining &= ~cube
+        # warm has printed every earlier case; a cold store prints alike
+        cold = GuardStore(n)
+        text = warm.print_label(g)
+        assert cold.print_label(cold.intern(warm.bits_of(g))) == text
+        assert cold.parse_label(text) == cold.intern(warm.bits_of(g))
+
+
 def test_translate_rejects_maps_that_merge_aps():
     src, dst = GuardStore(2), GuardStore(3)
     with pytest.raises(ValueError):

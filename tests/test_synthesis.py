@@ -13,12 +13,13 @@ import pytest
 from elaut import (
     FALSE_GUARD, TRUE_GUARD, Automaton, GuardStore, MealyMachine, Solution,
     automaton_to_mealy, change_parity, colorize_parity, make_class, make_game,
-    mealy_to_aiger, mealy_to_automaton, parity, parse_acceptance,
+    mealy_to_aiger, mealy_to_automaton, parity, parse_acceptance, parse_hoa,
     print_aiger, print_hoa, simulate_aig, simulate_mealy, solve_game,
     solve_parity_max_odd, solve_safety, state_players, strategy_to_mealy,
     validate_mealy,
 )
 from elaut.cli import main
+from elaut.synthesis import _output_choice
 from oracle_helpers import (
     _sccs_of_rows, build, check_parity_strategy, midpoint_zielonka,
     parity_winners_by_enumeration, random_parity_game,
@@ -525,6 +526,150 @@ def test_mealy_automaton_roundtrip():
     tangled.set_named_prop("synthesis-outputs", [1])
     with pytest.raises(ValueError, match="separable"):
         automaton_to_mealy(tangled)
+
+
+def exists_split_mealy(aut):
+    """automaton_to_mealy as it was when it split each label with two
+    exists calls: the reference for the split at the lowest minterm."""
+    outputs = aut.get_named_prop("synthesis-outputs", list)
+    if outputs is None:
+        raise ValueError("automaton declares no outputs")
+    outputs = sorted(int(o) for o in outputs)
+    inputs = [i for i in range(len(aut.aps)) if i not in outputs]
+    store = aut.store
+    edges = []
+    for s in range(aut.num_states):
+        row = []
+        for i in aut.out_indices(s):
+            cond, dst = aut.edge_cond[i], aut.edge_dst[i]
+            if dst < 0:
+                raise ValueError("machines have no universal branching")
+            gin = store.exists(cond, outputs)
+            gout = store.exists(cond, inputs)
+            if store.bits_of(gin) & store.bits_of(gout) != store.bits_of(cond):
+                raise ValueError(
+                    "label at state %d is not input-output separable" % s)
+            row.append((gin, gout, dst))
+        edges.append(row)
+    if aut.init < 0:
+        raise ValueError("machines have no universal branching")
+    return MealyMachine(list(aut.aps), inputs, outputs, aut.store,
+                        aut.num_states, aut.init, edges, None)
+
+
+def _mealy_outcome(read, aut):
+    """What `read` makes of aut: the machine with its guards as minterm
+    bits, or the error message."""
+    try:
+        m = read(aut)
+    except ValueError as err:
+        return str(err)
+    bits = m.store.bits_of
+    return (m.inputs, m.outputs, m.num_states, m.init,
+            [[(bits(gin), bits(gout), dst) for gin, gout, dst in row]
+             for row in m.edges])
+
+
+def split_cases():
+    """Automaton forms of seeded machines, some with a label that is not
+    separable or false, or with no inputs, no outputs or an output AP
+    out of range; each with the fault it carries."""
+    for seed in range(300):
+        rng = random.Random(29_000 + seed)
+        aut = mealy_to_automaton(seeded_machine(rng))
+        store, n = aut.store, len(aut.aps)
+        edges = list(aut.edge_records())
+        fault = seed % 7
+        if fault == 1:                # a label over all APs, seldom separable
+            rng.choice(edges).cond = store.intern(
+                rng.getrandbits(store.nminterms))
+        elif fault == 2:              # an input AP xor an output AP
+            outs = aut.get_named_prop("synthesis-outputs", list)
+            i = rng.choice([a for a in range(n) if a not in outs])
+            o = rng.choice(outs)
+            rng.choice(edges).cond = store.g_or(
+                store.g_and(store.lit(i), store.lit(o, False)),
+                store.g_and(store.lit(i, False), store.lit(o)))
+        elif fault == 3:
+            for e in rng.sample(edges, rng.randint(1, len(edges))):
+                e.cond = FALSE_GUARD
+        elif fault == 4:              # every AP an output: no inputs
+            aut.set_named_prop("synthesis-outputs", list(range(n)))
+        elif fault == 5:              # no outputs
+            aut.set_named_prop("synthesis-outputs", [])
+        elif fault == 6:
+            aut.set_named_prop("synthesis-outputs",
+                               [rng.choice([n, n + 3, -1])] + list(range(n)))
+        yield fault, aut
+
+
+def test_mealy_split_matches_the_exists_split():
+    seen = set()
+    for fault, aut in split_cases():
+        want = _mealy_outcome(exists_split_mealy, aut)
+        assert _mealy_outcome(automaton_to_mealy, aut) == want
+        if not isinstance(want, str):
+            want = "machine"
+        elif want.startswith("AP index"):
+            want = "negative AP" if "-" in want else "AP out of range"
+        seen.add((fault, want.split(" at state")[0]))
+    assert seen == {(0, "machine"), (1, "machine"), (1, "label"),
+                    (2, "label"), (3, "machine"), (4, "machine"),
+                    (5, "machine"), (6, "AP out of range"),
+                    (6, "negative AP")}
+
+
+def cover_output_choice(store, gout, outputs, ap_count):
+    """_output_choice as it was when it built a cover: the positive AP
+    mask of the first cube of the projection onto the outputs."""
+    others = [a for a in range(ap_count) if a not in outputs]
+    for pos, _ in store.cover(store.exists(gout, others)):
+        return pos
+    raise ValueError("empty output choice")
+
+
+def test_output_choice_matches_the_cover_choice():
+    def choice(pick, store, gout, outputs):
+        try:
+            return pick(store, gout, outputs, store.ap_count)
+        except ValueError as err:
+            return str(err)
+
+    seen = set()
+    for seed in range(200):
+        rng = random.Random(37_000 + seed)
+        m = seeded_machine(rng)
+        store = m.store
+        gouts = [gout for row in m.edges for _, gout, _ in row]
+        # unchecked machines: output guards that read other APs, or none
+        gouts += [store.intern(rng.getrandbits(store.nminterms)),
+                  store.g_and(rng.choice(gouts),
+                              store.lit(rng.randrange(store.ap_count))),
+                  FALSE_GUARD]
+        for gout in gouts:
+            want = choice(cover_output_choice, store, gout, m.outputs)
+            assert choice(_output_choice, store, gout, m.outputs) == want
+            seen.add(want if isinstance(want, str)
+                     else bool(store.support(gout, m.inputs)))
+    assert seen == {"empty output choice", False, True}
+
+
+def test_mealy_split_interns_one_guard_per_ap_and_edge(monkeypatch):
+    # the split fixes each AP once per edge; splitting by exists would
+    # intern two cofactors and an OR per AP
+    aut = parse_hoa(print_hoa(mealy_to_automaton(sixteen_ap_machine())))
+    store = aut.store
+    interned = []
+    intern = store.intern
+    monkeypatch.setattr(store, "intern",
+                        lambda bits: interned.append(bits) or intern(bits))
+    size = len(store)
+    m = automaton_to_mealy(aut)
+    budget = sum(len(row) for row in m.edges) * (len(m.inputs)
+                                                  + len(m.outputs))
+    assert 0 < len(interned) <= budget
+    assert len(store) - size <= budget
+    validate_mealy(m)
 
 
 def test_simulate_aig_input_width():
