@@ -407,7 +407,12 @@ def parse_acceptance(text, max_colors=None):
                 pos += 1
             if pos == digits:
                 raise AcceptanceParseError("expected a number", digits)
-            color = int(text[digits:pos])
+            try:
+                color = int(text[digits:pos])
+            except ValueError:            # more digits than int() converts
+                raise AcceptanceParseError(
+                    "color index of %d digits out of range" % (pos - digits),
+                    digits) from None
             pos = _expect(text, pos, ")")
             if max_colors is not None and color >= max_colors:
                 raise AcceptanceParseError(
@@ -469,6 +474,30 @@ class AccClass:
         if self.kind in ("Buchi", "co-Buchi", "Fin-less"):
             return self.kind
         return "%s %d" % (self.kind, self.count)
+
+    @staticmethod
+    def parse(text):
+        """The class whose name() is `text`, up to blanks; None if `text`
+        names no class, ValueError if a class name has bad numbers."""
+        toks = text.split()
+        if len(toks) == 1 and toks[0] in ("Buchi", "co-Buchi", "Fin-less"):
+            return AccClass(toks[0])
+        try:
+            if len(toks) == 2 and toks[0] in (
+                    "generalized-Buchi", "generalized-co-Buchi", "Rabin",
+                    "Streett"):
+                return AccClass(toks[0], int(toks[1]))
+            if len(toks) >= 2 and toks[0] == "generalized-Rabin":
+                sizes = [int(t) for t in toks[2:]]
+                if len(sizes) != int(toks[1]):
+                    raise ValueError("generalized-Rabin wants %s sizes"
+                                     % toks[1])
+                return generalized_rabin(sizes)
+            if len(toks) == 4 and toks[0] == "parity":
+                return parity(toks[1], toks[2], int(toks[3]))
+        except ValueError as exc:
+            raise ValueError("bad acceptance class %r: %s" % (text, exc))
+        return None
 
     def __str__(self):
         return self.name()

@@ -30,7 +30,7 @@ from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, Fin, Inf,
                          eval_acceptance, f_and, f_or, is_finless,
                          make_class, recognize, shift_colors, subst)
 from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
-from .guards import FALSE_GUARD, TRUE_GUARD, GuardStore
+from .guards import FALSE_GUARD, GuardStore
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +243,26 @@ def _check_universal(aut):
     # no universal branching and, per state, pairwise disjoint guards
     if aut.has_universal_branches():
         return False
-    conds = aut.edge_cond
+    bits_of, conds = aut.store.bits_of, aut.edge_cond
     for s in range(aut.num_states):
-        union = FALSE_GUARD
+        union = 0
         for i in aut.out_indices(s):
-            if conds[i] == FALSE_GUARD:
-                continue
-            if aut.store.g_and(union, conds[i]) != FALSE_GUARD:
+            bits = bits_of(conds[i])
+            if union & bits:
                 return False
-            union = aut.store.g_or(union, conds[i])
+            union |= bits
     return True
 
 
 def _check_complete(aut):
     if aut.num_states == 0:
         return False
-    conds = aut.edge_cond
+    bits_of, conds, full = aut.store.bits_of, aut.edge_cond, aut.store.full
     for s in range(aut.num_states):
-        union = FALSE_GUARD
+        union = 0
         for i in aut.out_indices(s):
-            union = aut.store.g_or(union, conds[i])
-        if union != TRUE_GUARD:
+            union |= bits_of(conds[i])
+        if union != full:
             return False
     return True
 
@@ -309,7 +308,7 @@ def _check_terminal(aut):
         if not eval_acceptance(aut.acceptance, info.colors[cid]):
             continue
         for s in members:
-            union = FALSE_GUARD
+            union = 0
             for i in aut.out_indices(s):
                 cond = aut.edge_cond[i]
                 if cond == FALSE_GUARD:
@@ -317,8 +316,8 @@ def _check_terminal(aut):
                 if any(info.scc_of[d] != cid
                        for d in aut.univ_dests(aut.edge_dst[i])):
                     return False
-                union = aut.store.g_or(union, cond)
-            if union != TRUE_GUARD:
+                union |= aut.store.bits_of(cond)
+            if union != aut.store.full:
                 return False
     return True
 

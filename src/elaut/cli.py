@@ -38,13 +38,11 @@ import traceback
 
 from . import algorithms, synthesis
 from .acceptance import (AccClass, acc_name, change_parity, class_colors,
-                         generalized_buchi, generalized_co_buchi,
-                         generalized_rabin, parity, rabin, streett,
                          used_colors, AcceptanceParseError, parse_acceptance)
 from .algorithms import get_or_compute_flag
 from .graph import FLAG_NAMES, trim
-from .hoa import (parse_hoa_stream, parse_hoa_stream_lazy, print_dot,
-                  print_hoa, stats)
+from .hoa import (MAX_COLORS, MAX_STATES, parse_hoa_stream,
+                  parse_hoa_stream_lazy, print_dot, print_hoa, stats)
 
 
 def _read_text(path):
@@ -70,37 +68,6 @@ def _read_automata(paths, lazy=False):
     if not out:
         raise ValueError("no automata in the input")
     return out
-
-
-def _parse_class(text):
-    """An AccClass from its conventional name, or None."""
-    toks = text.split()
-    try:
-        if toks == ["Buchi"]:
-            return AccClass("Buchi")
-        if toks == ["co-Buchi"]:
-            return AccClass("co-Buchi")
-        if toks == ["Fin-less"]:
-            return AccClass("Fin-less")
-        if len(toks) == 2 and toks[0] == "generalized-Buchi":
-            return generalized_buchi(int(toks[1]))
-        if len(toks) == 2 and toks[0] == "generalized-co-Buchi":
-            return generalized_co_buchi(int(toks[1]))
-        if len(toks) == 2 and toks[0] == "Rabin":
-            return rabin(int(toks[1]))
-        if len(toks) == 2 and toks[0] == "Streett":
-            return streett(int(toks[1]))
-        if len(toks) >= 2 and toks[0] == "generalized-Rabin":
-            sizes = [int(t) for t in toks[2:]]
-            if len(sizes) != int(toks[1]):
-                raise ValueError("generalized-Rabin wants %s sizes"
-                                 % toks[1])
-            return generalized_rabin(sizes)
-        if len(toks) == 4 and toks[0] == "parity":
-            return parity(toks[1], toks[2], int(toks[3]))
-    except ValueError as exc:
-        raise ValueError("bad acceptance class %r: %s" % (text, exc))
-    return None
 
 
 def _print_run(aut, run):
@@ -219,19 +186,27 @@ def cmd_aut(args):
 
 
 def cmd_randaut(args):
+    # at most what parse_hoa reads back, checked before anything is built
+    if args.states > MAX_STATES:
+        raise ValueError("--states %d exceeds the limit of %d"
+                         % (args.states, MAX_STATES))
     acceptance = None
     colors = args.colors
     if args.acceptance and args.acceptance != "random":
-        cls = _parse_class(args.acceptance)
+        cls = AccClass.parse(args.acceptance)
         if cls is not None:
             acceptance = cls
             colors = max(colors, class_colors(cls))
         else:
             try:
-                acceptance = parse_acceptance(args.acceptance)
+                acceptance = parse_acceptance(args.acceptance,
+                                              max_colors=MAX_COLORS)
             except AcceptanceParseError as exc:
                 raise ValueError("bad --acceptance: %s" % exc)
             colors = max(colors, used_colors(acceptance).bit_length())
+    if colors > MAX_COLORS:
+        raise ValueError("%d colors exceed the limit of %d"
+                         % (colors, MAX_COLORS))
     aut = algorithms.random_automaton(
         args.states, args.ap, density=args.density, colors=colors,
         color_density=args.color_density, acceptance=acceptance,

@@ -91,6 +91,7 @@ def _column(name):
 
     def put(edge, value):
         getattr(edge.automaton, name)[edge.index] = value
+        edge.automaton.reset_flags()
     return property(get, put)
 
 
@@ -99,7 +100,8 @@ class EdgeRecord:
     word, negative for a group), cond (a guard id), acc (an int of color
     bits; a write takes what new_edges takes) and next_succ (the next
     out-edge of src, 0 at the end) read and write that entry of the
-    automaton's edge columns."""
+    automaton's edge columns.  A write clears the cached flags, as
+    new_edges does."""
 
     __slots__ = ("automaton", "index")
 
@@ -112,6 +114,7 @@ class EdgeRecord:
     def acc(self, value):
         aut = self.automaton
         aut.edge_acc[self.index] = aut._shared_colors(value)
+        aut.reset_flags()
 
 
 class _EdgeTable:
@@ -222,10 +225,12 @@ class Automaton:
 
     def map_colors(self, fn):
         """Give every edge the colors fn(bits), where bits are its current
-        colors; fn runs once per distinct value."""
+        colors; fn runs once per distinct value.  Clears the cached
+        flags."""
         accs = self.edge_acc[1:]
         new = {b: self._shared_colors(fn(b)) for b in set(accs)}
         self.edge_acc[1:] = map(new.__getitem__, accs)
+        self.reset_flags()
 
     def new_edge(self, src, dst, cond=1, acc=None):
         """Append an edge and link it after src's current out-edges; `acc`

@@ -16,10 +16,10 @@ AP i): the APs a cube needs true, and those it needs false.  Each cube
 grows from the lowest minterm not yet covered, and that minterm is its
 positive mask, so only the APs the minterm leaves clear are tried.
 
-Ids are never reused and a guard never changes, so what is derived from
-an id or a label text stays valid for the life of the store: the `Cube`s
-and printed text of each guard, the guard of each parsed label and the
-minterms of each read cube are memoized on the store, freed with it.
+Inside an operation a guard is its minterm bits: a store interns only
+the guard an operation returns, never a partial result.  Its one memo
+is the minterms of each cube text parse_label has read (`_atoms`);
+covers, printed labels and parsed labels are made on every call.
 
 What depends only on the AP count is made once per count, on first use,
 and shared by every store over that many APs (`_ap_tables`): the AP
@@ -57,9 +57,6 @@ class GuardStore:
         self.full = full
         self._table = [0, full]   # id -> minterm bits: false, then true
         self._ids = {0: 0, full: 1}                 # minterm bits -> id
-        self._cubes = {}          # id -> tuple of cubes (to_cubes)
-        self._texts = {}          # id -> label text (print_label)
-        self._parsed = {}         # label text -> id (parse_label)
         self._atoms = atoms.copy()  # literal or cube text -> minterms
 
     def __len__(self):
@@ -123,12 +120,14 @@ class GuardStore:
         return self.intern(half | (half << shift))
 
     def exists(self, gid, aps):
-        """Existentially quantify the given AP indices away."""
-        g = gid
+        """Existentially quantify the given AP indices away: copy the
+        minterms on each side of each AP onto their partners."""
+        bits = self._table[self._check(gid)]
         for ap in aps:
-            g = self.g_or(self.restrict(g, ap, False),
-                          self.restrict(g, ap, True))
-        return g
+            shift = 1 << self._check_ap(ap)
+            hi, lo = bits & self._pos[ap], bits & self._neg[ap]
+            bits = hi | hi >> shift | lo | lo << shift
+        return self.intern(bits)
 
     def support(self, gid, aps=None):
         """APs the guard actually depends on, of `aps` (default: all)."""
@@ -148,15 +147,11 @@ class GuardStore:
         uncovered part, emit, subtract, repeat.  A cube's positive APs
         are those its first minterm sets.  Deterministic; true gives one
         empty cube, false gives no cubes, and OR-ing the cubes back
-        reconstructs the guard.  Returns a new list on every call.
+        reconstructs the guard.  Built from `cover` on every call.
         """
-        got = self._cubes.get(self._check(gid))
-        if got is None:
-            aps = range(self.ap_count)
-            got = self._cubes[gid] = tuple(
-                Cube(*[frozenset(ap for ap in aps if m >> ap & 1) for m in c])
-                for c in self.cover(gid))
-        return list(got)
+        aps = range(self.ap_count)
+        return [Cube(*[frozenset(ap for ap in aps if m >> ap & 1) for m in c])
+                for c in self.cover(gid)]
 
     def cover(self, gid):
         """to_cubes's cubes, as (positive AP mask, negative AP mask).
@@ -189,22 +184,16 @@ class GuardStore:
 
     def print_label(self, gid):
         """to_cubes's cubes, "&"s of literals, joined by " | "; or "f"."""
-        got = self._texts.get(self._check(gid))
-        if got is None:
-            lits = self._lits
-            got = self._texts[gid] = " | ".join([
-                "&".join([lits[ap][neg >> ap & 1]
-                          for ap in range((pos | neg).bit_length())
-                          if (pos | neg) >> ap & 1]) or "t"
-                for pos, neg in self.cover(gid)]) or "f"
-        return got
+        lits = self._lits
+        return " | ".join([
+            "&".join([lits[ap][neg >> ap & 1]
+                      for ap in range((pos | neg).bit_length())
+                      if (pos | neg) >> ap & 1]) or "t"
+            for pos, neg in self.cover(gid)]) or "f"
 
     def parse_label(self, text):
         """Parse "0&!1 | 2" style Boolean expressions over AP indices."""
-        got = self._parsed.get(text)
-        if got is None:
-            got = self._parsed[text] = _parse_label(self, text)
-        return got
+        return _parse_label(self, text)
 
     def translate_from(self, other, gid, ap_map):
         """Re-express a guard from another store in this one.

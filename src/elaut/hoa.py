@@ -45,7 +45,7 @@ import sys
 from .acceptance import (FALSE, TRUE, acc_name, colors_of, eval_acceptance,
                          parse_acceptance, AcceptanceParseError)
 from .graph import MAYBE, NO, YES, Automaton, FLAG_NAMES
-from .guards import LabelParseError, TRUE_GUARD
+from .guards import LabelParseError
 
 
 # properties: tokens for the trivalent flags (state_acc is special-cased)
@@ -843,13 +843,13 @@ def _accepting_sink(aut, state):
     edges = list(aut.out_indices(state))
     if not edges:
         return False
-    cond_union = 0
+    union = 0
     acc = aut.edge_acc[edges[0]]
     for i in edges:
         if aut.edge_dst[i] != state or aut.edge_acc[i] != acc:
             return False
-        cond_union = aut.store.g_or(cond_union, aut.edge_cond[i])
-    return cond_union == TRUE_GUARD and eval_acceptance(aut.acceptance, acc)
+        union |= aut.store.bits_of(aut.edge_cond[i])
+    return union == aut.store.full and eval_acceptance(aut.acceptance, acc)
 
 
 def print_dot(aut, hide_sinks=False):

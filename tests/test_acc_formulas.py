@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -94,6 +95,59 @@ def test_parse_color_width_limit():
     with pytest.raises(AcceptanceParseError):
         parse_acceptance("Inf(32)", max_colors=32)
     assert parse_acceptance("Inf(32)", max_colors=64) == Inf(32)
+
+
+def test_oversized_color_index_is_a_parse_error():
+    # one digit past what int() converts by default
+    digits = sys.get_int_max_str_digits() + 1
+    for text, pos in [("Inf(%s)" % ("9" * digits), 4),
+                      ("Fin(0) | Inf( %s)" % ("9" * digits), 14)]:
+        with pytest.raises(AcceptanceParseError) as err:
+            parse_acceptance(text)
+        assert err.value.pos == pos
+        assert str(err.value) == ("color index of %d digits out of range "
+                                  "at position %d" % (digits, pos))
+
+
+def _every_class_kind():
+    rows = [AccClass("Buchi"), AccClass("co-Buchi"), AccClass("Fin-less")]
+    for k in (1, 2, 3):
+        rows += [generalized_buchi(k), generalized_co_buchi(k), rabin(k),
+                 streett(k), generalized_rabin(tuple(range(1, k + 1)))]
+    rows += [parity(mm, eo, n) for mm in ("min", "max")
+             for eo in ("even", "odd") for n in (1, 2, 5)]
+    return rows
+
+
+def test_class_names_parse_back():
+    rows = _every_class_kind()
+    assert len({cls.kind for cls in rows}) == 12
+    for cls in rows:
+        assert AccClass.parse(cls.name()) == cls
+        assert AccClass.parse("  %s \t" % cls.name().replace(" ", "   ")) \
+            == cls
+
+
+@pytest.mark.parametrize("text", [
+    "", "buchi", "Buchi 1", "Fin-less 2", "Rabin", "Rabin 1 2",
+    "generalized-Rabin", "parity min even", "parity min even 3 4",
+    "Inf(0)", "Fin(0)|Inf(1)", "random"])
+def test_other_texts_name_no_class(text):
+    assert AccClass.parse(text) is None
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("generalized-Buchi x", "invalid literal for int()"),
+    ("Streett 1.5", "invalid literal for int()"),
+    ("generalized-Rabin 2 1", "generalized-Rabin wants 2 sizes"),
+    ("generalized-Rabin x 1", "invalid literal for int()"),
+    ("parity sideways odd 3", "bad parity kind 'parity sideways odd'"),
+    ("parity min even three", "invalid literal for int()")])
+def test_bad_class_numbers_are_errors(text, reason):
+    with pytest.raises(ValueError) as err:
+        AccClass.parse(text)
+    assert str(err.value).startswith("bad acceptance class %r: %s"
+                                     % (text, reason))
 
 
 def test_print_parse_fixpoint_random():

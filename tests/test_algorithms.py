@@ -16,7 +16,7 @@ import random
 import pytest
 
 from elaut import (
-    YES, Automaton, Fin, Inf, Lasso, accepting_run, check_run,
+    MAYBE, YES, Automaton, Fin, Inf, Lasso, accepting_run, check_run,
     class_colors, eval_acceptance, f_and, f_or, generalized_buchi,
     generalized_co_buchi, is_complete, is_empty, is_inherently_weak,
     is_terminal, is_universal, is_very_weak, is_weak, make_game,
@@ -1168,6 +1168,23 @@ def test_dealternation_dispatch():
     lying.set_flag("weak", True)
     with pytest.raises(ValueError, match="SCC-uniform"):
         remove_alternation(lying)
+
+
+def test_dealternation_detects_weakness_past_inf0():
+    # weak, not yet known to be, and under Fin(0): the weakness check
+    # picks the subset construction
+    alt = parse_hoa('HOA: v1\nStates: 3\nStart: 0\nAP: 1 "a"\n'
+                    'Acceptance: 1 Fin(0)\n--BODY--\nState: 0\n[0] 1&2\n'
+                    '[!0] 0 {0}\nState: 1\n[t] 1\nState: 2\n[0] 2 {0}\n'
+                    '[!0] 2 {0}\n--END--\n')
+    assert alt.get_flag("weak") is MAYBE
+    assert print_hoa(remove_alternation(alt)) == (
+        'HOA: v1\nStates: 2\nStart: 0\nAP: 1 "a"\n'
+        'acc-name: generalized-Buchi 2\nAcceptance: 2 Inf(0)&Inf(1)\n'
+        'properties: trans-labels explicit-labels\n--BODY--\n'
+        'State: 0 "{0}"\n[0] 1 {0 1}\n[!0] 0 {1}\n'
+        'State: 1 "{1,2}"\n[t] 1 {0}\n--END--\n')
+    assert alt.get_flag("weak") is YES
 
 
 def _random_alt(seed, weak):

@@ -10,9 +10,9 @@ import sys
 
 import pytest
 
-from elaut import (Automaton, algorithms, graph, guards, is_empty, parity,
-                   parse_acceptance, parse_hoa, parse_hoa_stream, print_hoa,
-                   random_automaton)
+from elaut import (Automaton, algorithms, graph, guards, hoa, is_empty,
+                   parity, parse_acceptance, parse_hoa, parse_hoa_stream,
+                   print_hoa, random_automaton)
 from elaut.cli import main
 
 BUCHI_AB = """HOA: v1
@@ -160,6 +160,50 @@ def test_randaut_rejects_negative_counts(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("elaut: error:")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--states", str(hoa.MAX_STATES + 1)],
+     "--states %d exceeds the limit of %d"
+     % (hoa.MAX_STATES + 1, hoa.MAX_STATES)),
+    (["--colors", str(hoa.MAX_COLORS + 1)],
+     "%d colors exceed the limit of %d"
+     % (hoa.MAX_COLORS + 1, hoa.MAX_COLORS)),
+    (["--acceptance", "Inf(%d)" % hoa.MAX_COLORS],
+     "bad --acceptance: color %d exceeds the declared count of %d at "
+     "position 0" % (hoa.MAX_COLORS, hoa.MAX_COLORS)),
+    (["--acceptance", "Inf(%s)" % ("9" * (sys.get_int_max_str_digits()
+                                          + 1))],
+     "bad --acceptance: color index of %d digits out of range at "
+     "position 4" % (sys.get_int_max_str_digits() + 1)),
+    (["--acceptance", "parity max odd %d" % (hoa.MAX_COLORS + 1)],
+     "%d colors exceed the limit of %d"
+     % (hoa.MAX_COLORS + 1, hoa.MAX_COLORS)),
+    (["--acceptance", "Rabin %d" % (hoa.MAX_COLORS // 2 + 1)],
+     "%d colors exceed the limit of %d"
+     % (hoa.MAX_COLORS + 2, hoa.MAX_COLORS)),
+    (["--acceptance", "generalized-Rabin 1 %d" % hoa.MAX_COLORS],
+     "%d colors exceed the limit of %d"
+     % (hoa.MAX_COLORS + 1, hoa.MAX_COLORS))])
+def test_randaut_writes_only_what_the_reader_takes(args, message, capsys,
+                                                   monkeypatch):
+    # each is rejected before an automaton is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built past a limit")
+    monkeypatch.setattr(algorithms, "random_automaton", unreachable)
+    assert main(["randaut"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "elaut: error: %s\n" % message
+
+
+def test_randaut_at_the_limits_reads_back(capsys):
+    # the largest color index parse_hoa takes is written and read back
+    assert main(["randaut", "--states", "1", "--ap", "0", "--seed", "2",
+                 "--acceptance", "Inf(%d)" % (hoa.MAX_COLORS - 1),
+                 "--color-density", "0"]) == 0
+    aut = parse_hoa(capsys.readouterr().out)
+    assert aut.num_sets == hoa.MAX_COLORS
 
 
 # ----------------------------------------------------------------- aut

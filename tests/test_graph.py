@@ -471,6 +471,44 @@ def test_failed_new_edges_batch_leaves_no_stale_flag():
     assert get_or_compute_flag(aut.clone(), "complete") is True
 
 
+def _weak_buchi_loop():
+    return parse_hoa("HOA: v1\nStates: 2\nStart: 0\nAP: 1 \"a\"\n"
+                     "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n"
+                     "[t] 1 {0}\nState: 1\n[t] 0 {0}\n--END--\n")
+
+
+@pytest.mark.parametrize("column", ["src", "dst", "cond", "acc",
+                                    "next_succ"])
+def test_edge_view_writes_clear_the_flags(column):
+    aut = _weak_buchi_loop()
+    assert is_weak(aut) and get_or_compute_flag(aut, "complete")
+    e = aut.edges[1]
+    setattr(e, column, getattr(e, column))
+    assert all(aut.get_flag(name) is MAYBE for name in FLAG_NAMES)
+
+
+def test_edge_edits_are_seen_by_the_flags():
+    aut = _weak_buchi_loop()
+    assert is_weak(aut)
+    aut.edges[1].acc = 0
+    assert is_weak(aut) is False
+    assert is_weak(aut.clone()) is False
+    aut = _weak_buchi_loop()
+    assert get_or_compute_flag(aut, "complete") and is_weak(aut)
+    assert "complete weak" in print_hoa(aut)
+    aut.edges[2].cond = FALSE_GUARD
+    assert "complete" not in print_hoa(aut)
+    assert get_or_compute_flag(aut, "complete") is False
+
+
+def test_map_colors_clears_the_flags():
+    aut = _weak_buchi_loop()
+    assert is_weak(aut)
+    aut.map_colors(lambda bits: 0 if bits else 1)
+    assert aut.get_flag("weak") is MAYBE
+    assert is_weak(aut) is True
+
+
 def test_new_edges_builds_what_new_edge_builds():
     src = random_automaton(12, 2, density=0.4, colors=3, color_density=0.3,
                            seed=5)

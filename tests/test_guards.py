@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from elaut import guards
+from elaut import (guards, is_complete, is_terminal, is_universal, parse_hoa,
+                   print_dot)
 from elaut.guards import (Cube, FALSE_GUARD, GuardStore, LabelParseError,
                           MAX_APS, TRUE_GUARD)
 
@@ -460,7 +461,6 @@ def test_stores_over_one_ap_count_share_no_mutable_state(k):
     fresh = GuardStore(k)
     assert len(fresh) == 2
     assert fresh._atoms == _literal_atoms(k)
-    assert fresh._cubes == fresh._texts == fresh._parsed == {}
     # what stores share per AP count is what a first store makes
     assert guards._ap_tables(k) == guards._ap_tables.__wrapped__(k)
     assert fresh._lits == tuple((str(ap), "!%d" % ap) for ap in range(k))
@@ -495,6 +495,29 @@ def test_to_cubes_returns_a_fresh_list():
     assert second == expect and second is not first
     second.clear()
     assert st.to_cubes(g) == expect
+
+
+def test_read_only_queries_intern_only_what_they_return():
+    # the state's guards are on edges; their union 0&1 | !0&!1 is not
+    aut = parse_hoa("HOA: v1\nStates: 1\nStart: 0\nAP: 2 \"a\" \"b\"\n"
+                    "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n"
+                    "[0&1] 0 {0}\n[!0&!1] 0 {0}\n--END--\n")
+    size = len(aut.store)
+    assert is_universal(aut) is True
+    assert is_complete(aut) is False
+    assert is_terminal(aut) is False
+    assert "0 -> 0" in print_dot(aut, hide_sinks=True)
+    assert [aut.store.print_label(c) for c in aut.edge_cond[1:]] == [
+        "0&1", "!0&!1"]
+    assert len(aut.store) == size
+    # an existential projection interns its result and nothing else
+    st = GuardStore(3)
+    g = st.parse_label("0&1&2")
+    size = len(st)
+    got = st.exists(g, [0, 1])
+    assert len(st) == size + 1
+    assert st.bits_of(got) == st.bits_of(st.lit(2))
+    assert st.exists(g, []) == g and len(st) == size + 1
 
 
 def test_failed_parse_raises_again():

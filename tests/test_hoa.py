@@ -9,7 +9,7 @@ import pytest
 
 from elaut import hoa
 from elaut.acceptance import Inf, TRUE
-from elaut.algorithms import random_automaton
+from elaut.algorithms import is_complete, is_weak, random_automaton
 from elaut.graph import MAYBE, NO, YES, Automaton
 from elaut.hoa import (_COMMENT_RE, _TOKEN_RE, MAX_COLORS, MAX_STATES,
                        HoaParseError, _blank_comments, parse_hoa,
@@ -533,6 +533,65 @@ def test_stats():
     assert blob["acceptance"] == "Inf(0)"
     assert blob["acc-name"] == "Buchi"
     assert blob["sccs"] == 1
+
+
+# state 1 is an accepting sink; state 2 loops accepting, but not on !a
+_SINK_HOA = ('HOA: v1\nStates: 3\nStart: 0\nAP: 1 "a"\n'
+             'Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[0] 1\n[!0] 2\n'
+             'State: 1\n[t] 1 {0}\nState: 2\n[0] 2 {0}\n[!0] 0\n--END--\n')
+
+
+def test_dot_hides_an_accepting_sink():
+    assert print_dot(parse_hoa(_SINK_HOA), hide_sinks=True) == (
+        'digraph automaton {\n  rankdir=LR\n'
+        '  I [label="", style=invis, width=0]\n'
+        '  0 [label="0", shape=circle]\n  2 [label="2", shape=circle]\n'
+        '  I -> 0\n  0 -> h0 [label="0"]\n'
+        '  h0 [label="", style=invis, width=0]\n  0 -> 2 [label="!0"]\n'
+        '  2 -> 2 [label="0\\n{0}"]\n  2 -> 0 [label="!0"]\n}\n')
+
+
+def test_dot_highlight_palettes_wrap():
+    aut = parse_hoa(_SINK_HOA)
+    aut.set_named_prop("highlight-states", {0: 1, 2: 9})
+    aut.set_named_prop("highlight-edges", {1: 4, 4: 10})
+    assert print_dot(aut) == (
+        'digraph automaton {\n  rankdir=LR\n'
+        '  I [label="", style=invis, width=0]\n'
+        '  0 [label="0", shape=circle, color=green, penwidth=3]\n'
+        '  1 [label="1", shape=circle]\n'
+        '  2 [label="2", shape=circle, color=green, penwidth=3]\n'
+        '  I -> 0\n  0 -> 1 [label="0", color=purple, penwidth=3]\n'
+        '  0 -> 2 [label="!0"]\n  1 -> 1 [label="t\\n{0}"]\n'
+        '  2 -> 2 [label="0\\n{0}", color=blue, penwidth=3]\n'
+        '  2 -> 0 [label="!0"]\n}\n')
+
+
+def test_trans_acc_negated_properties_and_tool_round_trip():
+    aut = parse_hoa('HOA: v1\ntool: "elaut" "0.1"\nStates: 1\nStart: 0\n'
+                    'AP: 1 "a"\nAcceptance: 1 Inf(0)\nproperties: '
+                    'trans-labels explicit-labels trans-acc !complete !weak\n'
+                    '--BODY--\nState: 0\n[0] 0 {0}\n--END--\n')
+    text = ('HOA: v1\nStates: 1\nStart: 0\nAP: 1 "a"\nacc-name: Buchi\n'
+            'Acceptance: 1 Inf(0)\nproperties: trans-labels explicit-labels '
+            'trans-acc !complete !weak\n--BODY--\nState: 0\n[0] 0 {0}\n'
+            '--END--\n')
+    assert print_hoa(aut) == text
+    assert print_hoa(parse_hoa(text)) == text
+    assert stats(aut) == {
+        "states": 1, "edges": 1, "aps": 1, "colors": 1,
+        "acceptance": "Inf(0)", "acc-name": "Buchi",
+        "flags": {"state_acc": "no", "complete": "no", "weak": "no"}}
+
+
+def test_stats_lists_the_flags_computed():
+    aut = parse_hoa(_SINK_HOA)
+    assert "flags" not in stats(aut)
+    assert is_complete(aut) and not is_weak(aut)
+    assert stats(aut) == {
+        "states": 3, "edges": 5, "aps": 1, "colors": 1,
+        "acceptance": "Inf(0)", "acc-name": "Buchi",
+        "flags": {"complete": "yes", "weak": "no"}}
 
 
 _BODY_HEAD = ('HOA: v1\nStates: 2\nStart: 0\nAP: 2 "a" "b"\n'
