@@ -23,13 +23,15 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import length_hint
 
-from .acceptance import (BUCHI, FALSE, TRUE, AccClass, AccFalse, Fin, Inf,
-                         _first_fin, colors_of, dnf_disjuncts, dual,
-                         eval_acceptance, f_and, f_or, is_finless,
+from .acceptance import (AND, BUCHI, FALSE, OR, TRUE, AccClass, AccFalse,
+                         Inf, _first_fin, _fold, colors_of, dnf_disjuncts,
+                         dual, eval_acceptance, f_and, f_or, is_finless,
                          make_class, recognize, shift_colors, subst)
-from .graph import MAYBE, YES, Automaton, reachable_states  # re-exported
+from .graph import (EDGE_COLUMNS, MAYBE, YES, Automaton,
+                    reachable_states)  # re-exported
 from .guards import FALSE_GUARD, GuardStore
 
 
@@ -667,6 +669,14 @@ def remove_fin(aut):
     part into any copy at any moment.  Every copy edge carries a fresh
     marker color, so staying in a copy forever is observable even for
     disjuncts with no Inf atoms.
+
+    The output's states are the original n, then n per copy.  Its edges
+    are, in index order: the m original edges; then each edge's jump
+    into every copy, edge-major; then each copy's kept edges.  Every
+    out-list is in index order, whatever the order of the input's, so a
+    state's originals come before its jumps.  Both first parts are
+    written as whole columns and linked from one pass over the input
+    edges (see the graph module on unchecked writes).
     """
     if aut.has_universal_branches():
         raise ValueError("Fin removal needs a nonalternating automaton")
@@ -679,17 +689,52 @@ def remove_fin(aut):
         disjuncts = [(frozenset(), frozenset())]
     scc_of = scc_info(aut).scc_of
     n = aut.num_states
-
-    # rows (src, dst, cond, color bits): the original edges, then each
-    # edge's jumps into every copy, then each copy's edges, in that order
-    edges = list(zip(aut.edge_src[1:], aut.edge_dst[1:], aut.edge_cond[1:],
-                     aut.edge_acc[1:]))
     bases = [n * (d + 1) for d in range(len(disjuncts))]
-    rows = [(src, dst, cond, 0) for src, dst, cond, _ in edges]
-    rows += [(src, base + dst, cond, 0)
-             for src, dst, cond, _ in edges for base in bases]
-    internal = [(src, dst, cond, bits) for src, dst, cond, bits in edges
+    jumps = len(bases)
+    srcs, dsts, conds, accs = [getattr(aut, name)[1:]
+                               for name in EDGE_COLUMNS[:4]]
+    m = len(srcs)
+    # J(e, j), edge e's jump into copy j, is edge m + 1 + (e - 1) * jumps + j
+    after = [0] * m                   # per edge: the next edge of its source
+    first, last = [0] * n, [0] * n
+    for e in range(m, 0, -1):
+        s = srcs[e - 1]
+        after[e - 1] = first[s]
+        if not first[s]:
+            last[s] = e
+        first[s] = e
+    out = Automaton(aut.aps, aut.store)
+    out.edge_src += srcs
+    out.edge_dst += dsts
+    out.edge_cond += conds
+    out.edge_acc += [0] * (m * (1 + jumps))
+    # an original edge is followed by the next one of its source, the last
+    # by its source's first jump
+    out.edge_next += [a or jumps and m + 1 + (first[s] - 1) * jumps
+                      for a, s in zip(after, srcs)]
+    if jumps:
+        out.edge_src += chain.from_iterable(zip(*[srcs] * jumps))
+        out.edge_dst += [base + d for d in dsts for base in bases]
+        out.edge_cond += chain.from_iterable(zip(*[conds] * jumps))
+        # J(e, j) is followed by J(e, j + 1), the last by J(after[e], 0)
+        jump_next = list(range(m + 2, m + 2 + m * jumps))
+        jump_next[jumps - 1::jumps] = [a and m + 1 + (a - 1) * jumps
+                                       for a in after]
+        out.edge_next += jump_next
+        last = [e and m + e * jumps for e in last]
+    succ = out._succ = first + [0] * (n * jumps)
+    tail = out._tail = last + [0] * (n * jumps)
+
+    # each copy keeps the edges inside an original SCC that avoid its Fin
+    # colors, appended and linked as new_edges would
+    internal = [(src, dst, cond, bits)
+                for src, dst, cond, bits in zip(srcs, dsts, conds, accs)
                 if scc_of[src] >= 0 and scc_of[dst] == scc_of[src]]
+    add_src, add_dst, add_cond, add_acc, add_next = [
+        getattr(out, name).append for name in EDGE_COLUMNS]
+    nxt = out.edge_next
+    colors = out._colors
+    idx = len(nxt)
     terms = []
     total = 0
     for base, (fins, infs) in zip(bases, disjuncts):
@@ -702,16 +747,28 @@ def remove_fin(aut):
         for src, dst, cond, bits in internal:
             got = copy_bits.get(bits)
             if got is None:
-                got = copy_bits[bits] = -1 if bits & fin_bits else (
-                    1 << total | sum(1 << (total + 1 + k)
-                                     for k, c in enumerate(infs)
-                                     if bits >> c & 1))
+                got = -1
+                if not bits & fin_bits:
+                    got = 1 << total | sum(1 << (total + 1 + k)
+                                           for k, c in enumerate(infs)
+                                           if bits >> c & 1)
+                    got = colors.setdefault(got, got)
+                copy_bits[bits] = got
             if got >= 0:
-                rows.append((base + src, base + dst, cond, got))
+                src += base
+                add_src(src)
+                add_dst(base + dst)
+                add_cond(cond)
+                add_acc(got)
+                add_next(0)
+                prev = tail[src]
+                if prev:
+                    nxt[prev] = idx
+                else:
+                    succ[src] = idx
+                tail[src] = idx
+                idx += 1
         total += 1 + len(infs)
-    out = Automaton(aut.aps, aut.store)
-    out.new_states(n * (1 + len(disjuncts)))
-    out.new_edges(rows)
     out.set_acceptance(total, f_or(terms))
     if n:
         out.set_init(aut.init)
@@ -1078,19 +1135,53 @@ def remove_alternation(aut):
 # Random generation.
 
 def random_acceptance(colors, rng):
-    """A random positive formula using each of the colors exactly once."""
+    """A random positive formula using each of the colors exactly once.
+
+    The shuffled atoms stand in a row, and a random pair of neighbours
+    is replaced by its And or Or until one formula is left.  A Fenwick
+    tree over the row's slots finds the pair, and the merges are kept as
+    tree nodes and folded as one postfix code at the end, so n colors
+    take O(n log n) steps."""
     if colors == 0:
         return TRUE
-    atoms = [Fin(c) if rng.random() < 0.5 else Inf(c)
-             for c in range(colors)]
+    atoms = [4 * c + (rng.random() >= 0.5) for c in range(colors)]
     rng.shuffle(atoms)
-    while len(atoms) > 1:
-        i = rng.randrange(len(atoms) - 1)
-        a = atoms.pop(i)
-        b = atoms.pop(i)
-        merged = f_and([a, b]) if rng.random() < 0.5 else f_or([a, b])
-        atoms.insert(i, merged)
-    return atoms[0]
+    live = [k & -k for k in range(colors + 1)]    # Fenwick tree of 0/1
+    node = list(range(colors))    # per slot: the atom or merge it holds
+    merges = []                   # merge k is node colors + k
+    high = 1 << colors.bit_length()
+
+    def slot(rank):               # the slot of the rank-th live slot
+        at, step = 0, high
+        while step:
+            if at + step <= colors and live[at + step] <= rank:
+                at += step
+                rank -= live[at]
+            step >>= 1
+        return at
+
+    for count in range(colors, 1, -1):
+        i = rng.randrange(count - 1)
+        a, b = slot(i), slot(i + 1)
+        merges.append((node[a], node[b],
+                       4 * 2 + (AND if rng.random() < 0.5 else OR)))
+        node[a] = colors + len(merges) - 1
+        b += 1
+        while b <= colors:
+            live[b] -= 1
+            b += b & -b
+    raw = []                      # the postfix code, read backwards
+    todo = [node[0]]              # slot 0 is never merged away
+    while todo:
+        k = todo.pop()
+        if k < colors:
+            raw.append(atoms[k])
+        else:
+            left, right, op = merges[k - colors]
+            raw.append(op)
+            todo += (left, right)
+    raw.reverse()
+    return _fold(raw)
 
 
 def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
@@ -1110,6 +1201,9 @@ def random_automaton(states, aps, density=0.5, colors=0, color_density=0.2,
         raise ValueError("need at least one state")
     if colors < 0 or isinstance(aps, int) and aps < 0:
         raise ValueError("need nonnegative color and AP counts")
+    for name, p in ("density", density), ("color density", color_density):
+        if not 0 <= p <= 1:           # also false for nan
+            raise ValueError("%s %r is not in [0, 1]" % (name, p))
     rng = random.Random(seed)
     names = ["p%d" % i for i in range(aps)] if isinstance(aps, int) \
         else list(aps)

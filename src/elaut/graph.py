@@ -13,9 +13,13 @@ loop walks an out-list itself, from `first_edges[s]` along `edge_next`.
 The columns are lists, not `array('i')`: in CPython an array read boxes
 a new int, and both its reads and appends cost more than a list's.
 
-`trim` writes its output's columns directly, one append per column per
-kept edge, as `clone` copies them: the input's edges were checked when
-they were added, so they are not checked again.
+Three builders write an output's columns and `_succ`/`_tail` directly,
+without `new_edges`: `clone` copies them, `trim` appends each kept edge,
+and `algorithms.remove_fin` writes its original and jump edges with list
+operations and appends its copies' edges.  Each edge they write is made
+from an input edge (a state shifted into a copy, a color set remapped),
+and the input's edges were checked when they were added, so they are
+not checked again; `check()` validates the result.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`

@@ -1453,6 +1453,14 @@ def test_random_automaton_rejects_negative_counts(colors, aps):
         random_automaton(2, aps, colors=colors)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 2, -1, -0.001, 1.5])
+def test_random_automaton_rejects_densities_outside_0_1(bad):
+    with pytest.raises(ValueError, match="density"):
+        random_automaton(2, 1, density=bad)
+    with pytest.raises(ValueError, match="color density"):
+        random_automaton(2, 1, colors=1, color_density=bad)
+
+
 def test_acceptance_must_be_a_formula():
     # refused when set, not later when accepting_run evaluates it
     with pytest.raises(TypeError):

@@ -162,6 +162,17 @@ def test_randaut_rejects_negative_counts(flag, capsys):
     assert captured.err.startswith("elaut: error:")
 
 
+@pytest.mark.parametrize("flag, name", [("--density", "density"),
+                                        ("--color-density", "color density")])
+@pytest.mark.parametrize("value", ["nan", "2", "-1", "inf", "1.0000001"])
+def test_randaut_rejects_densities_outside_0_1(flag, name, value, capsys):
+    assert main(["randaut", "--colors", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "elaut: error: %s %r is not in [0, 1]\n" % (
+        name, float(value))
+
+
 @pytest.mark.parametrize("args, message", [
     (["--states", str(hoa.MAX_STATES + 1)],
      "--states %d exceeds the limit of %d"
