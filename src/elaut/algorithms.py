@@ -722,8 +722,9 @@ def remove_fin(aut):
                                        for a in after]
         out.edge_next += jump_next
         last = [e and m + e * jumps for e in last]
-    succ = out._succ = first + [0] * (n * jumps)
-    tail = out._tail = last + [0] * (n * jumps)
+    succ = first + [0] * (n * jumps)
+    tail = last + [0] * (n * jumps)
+    shared = out.adopt_states(succ, tail)
 
     # each copy keeps the edges inside an original SCC that avoid its Fin
     # colors, appended and linked as new_edges would
@@ -733,7 +734,6 @@ def remove_fin(aut):
     add_src, add_dst, add_cond, add_acc, add_next = [
         getattr(out, name).append for name in EDGE_COLUMNS]
     nxt = out.edge_next
-    colors = out._colors
     idx = len(nxt)
     terms = []
     total = 0
@@ -752,7 +752,7 @@ def remove_fin(aut):
                     got = 1 << total | sum(1 << (total + 1 + k)
                                            for k, c in enumerate(infs)
                                            if bits >> c & 1)
-                    got = colors.setdefault(got, got)
+                    got = shared(got, got)
                 copy_bits[bits] = got
             if got >= 0:
                 src += base

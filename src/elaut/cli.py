@@ -6,11 +6,11 @@ generates random ones, `game` solves ownership-annotated automata, and
 read as HOA from file arguments or stdin ("-" also means stdin) and
 written as HOA to stdout.
 
-`main(argv)` gives the arguments after a subcommand's name straight to
-that subcommand's parser.  The top-level parser runs only for what no
-subcommand parser takes: no argument, an unknown name, `-h`, and
-arguments the subcommand leaves over, which it reports as unrecognized
-just as a parse from the top would.
+`main(argv)` reads a plain argv, `CMD POSITIONAL... (--flag | --opt
+VALUE)...` with exact long options of CMD, no positional or value but
+"-" that starts with "-" and values of their options' types, into the
+namespace argparse would build, without running argparse.  Any other
+argv goes to argparse, which alone gives help, usage errors and exit 2.
 
 `aut --product FILE` with --is-empty or --accepting-run and no
 transformation flag (--remove-alternation, --remove-fin, --change-parity,
@@ -96,13 +96,12 @@ def _report_runs(runs):
     return status
 
 
-def _report_emptiness(verdicts):
-    """Print each verdict as it comes; return 1 if any is nonempty."""
+def _report(answers, yes="yes", no="no"):
+    """Print each answer as it comes; return 1 if any is no."""
     status = 0
-    for empty in verdicts:
-        print("empty" if empty else "nonempty")
-        if not empty:
-            status = 1
+    for answer in answers:
+        print(yes if answer else no)
+        status |= not answer
     return status
 
 
@@ -121,8 +120,8 @@ def cmd_aut(args):
         other = others[0]
 
     if on_the_fly and args.is_empty:
-        return _report_emptiness(
-            [algorithms.product_is_empty(aut, other) for aut in auts])
+        return _report([algorithms.product_is_empty(aut, other)
+                        for aut in auts], "empty", "nonempty")
     if on_the_fly:
         return _report_runs(
             algorithms.product_accepting_run(aut, other) or (None, None)
@@ -143,7 +142,8 @@ def cmd_aut(args):
         processed.append(aut)
 
     if args.is_empty:
-        return _report_emptiness(algorithms.is_empty(aut) for aut in processed)
+        return _report((algorithms.is_empty(aut) for aut in processed),
+                       "empty", "nonempty")
     if args.accepting_run:
         return _report_runs((aut, algorithms.accepting_run(aut))
                             for aut in processed)
@@ -152,13 +152,7 @@ def cmd_aut(args):
         if name not in FLAG_NAMES:
             raise ValueError("unknown flag %r (one of: %s)"
                              % (args.check, ", ".join(FLAG_NAMES)))
-        status = 0
-        for aut in processed:
-            answer = get_or_compute_flag(aut, name)
-            print("yes" if answer else "no")
-            if not answer:
-                status = 1
-        return status
+        return _report(get_or_compute_flag(aut, name) for aut in processed)
     if args.acceptance_name:
         for aut in processed:
             name = acc_name(aut.acceptance, aut.num_sets)
@@ -261,91 +255,121 @@ def cmd_mealy(args):
     return 0
 
 
+BOOL = {"action": "store_true"}
+
+# Each subcommand's help, function and arguments as (name or option,
+# add_argument keywords, help), read by build_parser and _plain_args.
+COMMANDS = {
+    "aut": ("inspect and transform automata", cmd_aut, [
+        ("files", {"nargs": "*"}, "HOA files ('-' or none: stdin)"),
+        ("--stats", BOOL, "print shape statistics"),
+        ("--json", BOOL, "with --stats, print JSON"),
+        ("--dot", BOOL, "print Graphviz"),
+        ("--hide-sinks", BOOL, "with --dot, drop all-accepting sink states"),
+        ("--is-empty", BOOL,
+         "report emptiness; exit 0 iff every automaton is empty"),
+        ("--accepting-run", BOOL, "print an accepting lasso when one exists"),
+        ("--remove-fin", BOOL, "rewrite into Fin-free acceptance"),
+        ("--remove-alternation", BOOL, "rewrite away universal branching"),
+        ("--product", {"metavar": "FILE"},
+         "intersect with the automaton in FILE"),
+        ("--change-parity", {"metavar": "KIND"},
+         "convert parity style, e.g. 'max odd' or 'min-even'"),
+        ("--trim", BOOL, "drop unreachable states and false edges"),
+        ("--acceptance-name", BOOL, "print the conventional acceptance name"),
+        ("--check", {"metavar": "FLAG"},
+         "decide a structural flag (e.g. universal, weak)"),
+    ]),
+    "randaut": ("generate a random automaton", cmd_randaut, [
+        ("--states", {"type": int, "default": 10}, None),
+        ("--ap", {"type": int, "default": 2}, "number of atomic propositions"),
+        ("--density", {"type": float, "default": 0.2},
+         "per-state, per-letter edge probability"),
+        ("--colors", {"type": int, "default": 0}, None),
+        ("--color-density", {"type": float, "default": 0.2},
+         "per-edge, per-color probability"),
+        ("--seed", {"type": int, "default": 0}, None),
+        ("--acceptance", {"metavar": "NAME"},
+         "a class name ('parity min even 4'), a formula, or 'random'"),
+    ]),
+    "game": ("solve ownership-annotated automata", cmd_game, [
+        ("files", {"nargs": "*"}, None),
+        ("--print-winners", BOOL, None),
+        ("--print-strategy-dot", BOOL, None),
+        ("--to-mealy", BOOL, "print the induced machine as HOA"),
+    ]),
+    "mealy": ("work with machines in HOA form", cmd_mealy, [
+        ("files", {"nargs": "*"}, None),
+        ("--to-aiger", BOOL, "print an AIGER ascii circuit"),
+        ("--simulate", {"metavar": "STEPS"},
+         "comma-separated input rows, e.g. '10,11,00'"),
+    ]),
+}
+
+
 @functools.cache
 def build_parser():
-    """The top-level parser and each subcommand's parser by name, built
-    once: parsing leaves them unchanged."""
+    """The argparse parser, built once from COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="elaut",
         description="transition-based automata with Emerson-Lei acceptance")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (summary, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs, text in arguments:
+            p.add_argument(flag, help=text, **kwargs)
+        p.set_defaults(func=func)
+    return parser
 
-    p = sub.add_parser("aut", help="inspect and transform automata")
-    p.add_argument("files", nargs="*", help="HOA files ('-' or none: stdin)")
-    p.add_argument("--stats", action="store_true",
-                   help="print shape statistics")
-    p.add_argument("--json", action="store_true",
-                   help="with --stats, print JSON")
-    p.add_argument("--dot", action="store_true", help="print Graphviz")
-    p.add_argument("--hide-sinks", action="store_true",
-                   help="with --dot, drop all-accepting sink states")
-    p.add_argument("--is-empty", action="store_true",
-                   help="report emptiness; exit 0 iff every automaton is "
-                        "empty")
-    p.add_argument("--accepting-run", action="store_true",
-                   help="print an accepting lasso when one exists")
-    p.add_argument("--remove-fin", action="store_true",
-                   help="rewrite into Fin-free acceptance")
-    p.add_argument("--remove-alternation", action="store_true",
-                   help="rewrite away universal branching")
-    p.add_argument("--product", metavar="FILE",
-                   help="intersect with the automaton in FILE")
-    p.add_argument("--change-parity", metavar="KIND",
-                   help="convert parity style, e.g. 'max odd' or "
-                        "'min-even'")
-    p.add_argument("--trim", action="store_true",
-                   help="drop unreachable states and false edges")
-    p.add_argument("--acceptance-name", action="store_true",
-                   help="print the conventional acceptance name")
-    p.add_argument("--check", metavar="FLAG",
-                   help="decide a structural flag (e.g. universal, weak)")
-    p.set_defaults(func=cmd_aut)
 
-    p = sub.add_parser("randaut", help="generate a random automaton")
-    p.add_argument("--states", type=int, default=10)
-    p.add_argument("--ap", type=int, default=2,
-                   help="number of atomic propositions")
-    p.add_argument("--density", type=float, default=0.2,
-                   help="per-state, per-letter edge probability")
-    p.add_argument("--colors", type=int, default=0)
-    p.add_argument("--color-density", type=float, default=0.2,
-                   help="per-edge, per-color probability")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--acceptance", metavar="NAME",
-                   help="a class name ('parity min even 4'), a formula, "
-                        "or 'random'")
-    p.set_defaults(func=cmd_randaut)
+@functools.cache
+def _plain_spec(name):
+    """Subcommand `name`'s positional, its options as {option: (dest,
+    type, or None for a flag)} and its namespace's defaults."""
+    positional, options, defaults = None, {}, {"func": COMMANDS[name][1]}
+    for flag, kwargs, _ in COMMANDS[name][2]:
+        dest = flag.lstrip("-").replace("-", "_")
+        if flag[0] != "-":
+            positional = dest
+        elif kwargs is BOOL:
+            options[flag], defaults[dest] = (dest, None), False
+        else:
+            options[flag] = dest, kwargs.get("type", str)
+            defaults[dest] = kwargs.get("default")
+    return positional, options, defaults
 
-    p = sub.add_parser("game", help="solve ownership-annotated automata")
-    p.add_argument("files", nargs="*")
-    p.add_argument("--print-winners", action="store_true")
-    p.add_argument("--print-strategy-dot", action="store_true")
-    p.add_argument("--to-mealy", action="store_true",
-                   help="print the induced machine as HOA")
-    p.set_defaults(func=cmd_game)
 
-    p = sub.add_parser("mealy", help="work with machines in HOA form")
-    p.add_argument("files", nargs="*")
-    p.add_argument("--to-aiger", action="store_true",
-                   help="print an AIGER ascii circuit")
-    p.add_argument("--simulate", metavar="STEPS",
-                   help="comma-separated input rows, e.g. '10,11,00'")
-    p.set_defaults(func=cmd_mealy)
-    return parser, sub.choices
+def _plain_args(argv):
+    """The namespace argparse makes of a plain argv (see above), or
+    None."""
+    positional, options, defaults = _plain_spec(argv[0])
+    n = 1
+    while n < len(argv) and (argv[n][:1] != "-" or argv[n] == "-"):
+        n += 1
+    if n > 1 and positional is None:
+        return None
+    args = argparse.Namespace(cmd=argv[0], **defaults)
+    if positional:
+        setattr(args, positional, argv[1:n])
+    words = iter(argv[n:])
+    try:
+        for word in words:
+            dest, kind = options[word]
+            value = kind and next(words)          # a flag takes no value
+            if kind and value[:1] == "-" != value:
+                return None
+            setattr(args, dest, kind(value) if kind else True)
+    except (KeyError, StopIteration, TypeError, ValueError):
+        return None
+    return args
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = build_parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        args = parser.parse_args(argv)
-    else:
-        args, extra = sub.parse_known_args(argv[1:],
-                                           argparse.Namespace(cmd=argv[0]))
-        if extra:                     # the top-level parser reports them
-            parser.parse_args(argv)
+    args = argv and argv[0] in COMMANDS and _plain_args(argv)
+    if not args:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -13,7 +13,7 @@ loop walks an out-list itself, from `first_edges[s]` along `edge_next`.
 The columns are lists, not `array('i')`: in CPython an array read boxes
 a new int, and both its reads and appends cost more than a list's.
 
-Three builders write an output's columns and `_succ`/`_tail` directly,
+Three builders write an output's columns and state links directly,
 without `new_edges`: `clone` copies them, `trim` appends each kept edge,
 and `algorithms.remove_fin` writes its original and jump edges with list
 operations and appends its copies' edges.  Each edge they write is made
@@ -226,6 +226,12 @@ class Automaton:
                                  "iterable of colors, not %r" % (acc,)) \
                     from None
         return self._colors.setdefault(bits, bits)
+
+    def adopt_states(self, first, last):
+        """Install the state columns of a builder that links its own
+        edges; returns the color table's setdefault (see _shared_colors)."""
+        self._succ, self._tail = first, last
+        return self._colors.setdefault
 
     def map_colors(self, fn):
         """Give every edge the colors fn(bits), where bits are its current

@@ -408,7 +408,7 @@ class _Parser:
         self.count = idx + 1
         return self.count
 
-    def _colors(self, digits, offset):
+    def _color_bits(self, digits, offset):
         """The bits of the colors written `digits` at `offset`."""
         bits = 0
         for d in _INT_RE.finditer(digits):
@@ -456,7 +456,7 @@ class _Parser:
                 if scolors is not None:
                     bits = state_bits.get(scolors)
                     if bits is None:
-                        bits = state_bits[scolors] = self._colors(
+                        bits = state_bits[scolors] = self._color_bits(
                             scolors, m.start(10))
                     if not sclosed:
                         self.fail(_token(m.string, m.end(10)),
@@ -503,7 +503,7 @@ class _Parser:
                 if self.state_acc:
                     raise self.error("edge colors under state-acc",
                                      m.start(5) - 1)
-                c = color_bits[colors] = self._colors(colors, m.start(5))
+                c = color_bits[colors] = self._color_bits(colors, m.start(5))
             if not closed:
                 self.fail(_token(m.string, m.end(5)),
                           "expected a color index")
@@ -537,7 +537,7 @@ class _Parser:
                 or max(map(int, high), default=0) >= declared:
             return None
         try:
-            colors = {c: self._colors(c, 0)
+            colors = {c: self._color_bits(c, 0)
                       for c in set(_COLORS_RE.findall(text, pos, stop))}
         except HoaParseError:
             return None

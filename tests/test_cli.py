@@ -13,7 +13,10 @@ import pytest
 from elaut import (Automaton, algorithms, graph, guards, hoa, is_empty,
                    parity, parse_acceptance, parse_hoa, parse_hoa_stream,
                    print_hoa, random_automaton)
+from elaut import cli
 from elaut.cli import main
+
+import argv_check
 
 BUCHI_AB = """HOA: v1
 States: 1
@@ -700,8 +703,8 @@ ARGV_OUTCOMES = [
 @pytest.mark.parametrize("argv,code,out,err", ARGV_OUTCOMES)
 def test_argv_outcomes_are_stable(argv, code, out, err, tmp_path, capsys,
                                   monkeypatch):
-    # main gives a subcommand's arguments to its own parser, and what no
-    # subcommand takes to the top-level one, as a parse from the top did
+    # main reads the plain ones itself and gives the rest to argparse,
+    # with the outcomes of a parse from the top
     monkeypatch.setenv("COLUMNS", "80")
     for name, text in (("aut.hoa", BUCHI_AB), ("game.hoa", GRANT_GAME),
                        ("mealy.hoa", MEMORY_MACHINE)):
@@ -713,6 +716,16 @@ def test_argv_outcomes_are_stable(argv, code, out, err, tmp_path, capsys,
     captured = capsys.readouterr()
     assert (got, hashlib.sha256(captured.out.encode()).hexdigest()[:16],
             captured.err) == (code, out, err)
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_plain_reader_agrees_with_argparse(name):
+    argv_check.check_short_argvs(name)
+
+
+@pytest.mark.parametrize("workload", argv_check.WORKLOADS)
+def test_plain_reader_takes_every_bench_stage(workload, bench_jobs):
+    argv_check.check_stages(bench_jobs(workload, 1)[0])
 
 
 # ------------------------------------------------------ pinned outputs

@@ -1,10 +1,13 @@
 """Automaton storage: edge lists, destination groups, flags, properties."""
 
+import ast
 import hashlib
+import pathlib
 import random
 
 import pytest
 
+from elaut import graph
 from elaut.acceptance import (Inf, TRUE, change_parity, colors_of,
                               make_class, parity)
 from elaut.algorithms import (get_or_compute_flag, is_empty, is_weak,
@@ -872,3 +875,28 @@ def test_edge_views_write_through(via):
         aut.edges[3]
     with pytest.raises(TypeError):
         aut.edges[1:]
+
+
+# the fields and helpers of Automaton that only graph.py may name
+AUTOMATON_PRIVATE = {"_succ", "_tail", "_colors", "_group_offsets",
+                     "_group_words", "_nguards", "_shared_colors",
+                     "_check_word"}
+
+
+def test_only_graph_names_automaton_private_fields():
+    # as an attribute (x._succ) or as a string (getattr(x, "_succ"))
+    src = pathlib.Path(graph.__file__).parent
+    named = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if isinstance(name, str) and name in AUTOMATON_PRIVATE:
+                named.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert named == []
