@@ -672,11 +672,11 @@ def remove_fin(aut):
 
     The output's states are the original n, then n per copy.  Its edges
     are, in index order: the m original edges; then each edge's jump
-    into every copy, edge-major; then each copy's kept edges.  Every
-    out-list is in index order, whatever the order of the input's, so a
-    state's originals come before its jumps.  Both first parts are
-    written as whole columns and linked from one pass over the input
-    edges (see the graph module on unchecked writes).
+    into every copy, edge-major; then each copy's kept edges.  They are
+    written as columns through `Automaton.extend_edges`, the first two
+    parts in one call and each copy in one more, so every out-list is in
+    index order, whatever the order of the input's, and a state's
+    originals come before its jumps.
     """
     if aut.has_universal_branches():
         raise ValueError("Fin removal needs a nonalternating automaton")
@@ -693,48 +693,18 @@ def remove_fin(aut):
     jumps = len(bases)
     srcs, dsts, conds, accs = [getattr(aut, name)[1:]
                                for name in EDGE_COLUMNS[:4]]
-    m = len(srcs)
-    # J(e, j), edge e's jump into copy j, is edge m + 1 + (e - 1) * jumps + j
-    after = [0] * m                   # per edge: the next edge of its source
-    first, last = [0] * n, [0] * n
-    for e in range(m, 0, -1):
-        s = srcs[e - 1]
-        after[e - 1] = first[s]
-        if not first[s]:
-            last[s] = e
-        first[s] = e
     out = Automaton(aut.aps, aut.store)
-    out.edge_src += srcs
-    out.edge_dst += dsts
-    out.edge_cond += conds
-    out.edge_acc += [0] * (m * (1 + jumps))
-    # an original edge is followed by the next one of its source, the last
-    # by its source's first jump
-    out.edge_next += [a or jumps and m + 1 + (first[s] - 1) * jumps
-                      for a, s in zip(after, srcs)]
-    if jumps:
-        out.edge_src += chain.from_iterable(zip(*[srcs] * jumps))
-        out.edge_dst += [base + d for d in dsts for base in bases]
-        out.edge_cond += chain.from_iterable(zip(*[conds] * jumps))
-        # J(e, j) is followed by J(e, j + 1), the last by J(after[e], 0)
-        jump_next = list(range(m + 2, m + 2 + m * jumps))
-        jump_next[jumps - 1::jumps] = [a and m + 1 + (a - 1) * jumps
-                                       for a in after]
-        out.edge_next += jump_next
-        last = [e and m + e * jumps for e in last]
-    succ = first + [0] * (n * jumps)
-    tail = last + [0] * (n * jumps)
-    shared = out.adopt_states(succ, tail)
+    out.new_states(n * (1 + jumps))
+    out.extend_edges(
+        srcs + list(chain.from_iterable(zip(*[srcs] * jumps))),
+        dsts + [base + d for d in dsts for base in bases],
+        conds + list(chain.from_iterable(zip(*[conds] * jumps))),
+        [out.shared_colors(0)] * (len(srcs) * (1 + jumps)))
 
     # each copy keeps the edges inside an original SCC that avoid its Fin
-    # colors, appended and linked as new_edges would
-    internal = [(src, dst, cond, bits)
-                for src, dst, cond, bits in zip(srcs, dsts, conds, accs)
-                if scc_of[src] >= 0 and scc_of[dst] == scc_of[src]]
-    add_src, add_dst, add_cond, add_acc, add_next = [
-        getattr(out, name).append for name in EDGE_COLUMNS]
-    nxt = out.edge_next
-    idx = len(nxt)
+    # colors
+    internal = [(s, d, c, b) for s, d, c, b in zip(srcs, dsts, conds, accs)
+                if scc_of[s] >= 0 and scc_of[d] == scc_of[s]]
     terms = []
     total = 0
     for base, (fins, infs) in zip(bases, disjuncts):
@@ -743,31 +713,15 @@ def remove_fin(aut):
         terms.append(f_and([Inf(c) for c in range(total,
                                                   total + 1 + len(infs))]))
         fin_bits = sum(1 << c for c in fins)
-        copy_bits = {}                # input color bits -> copy's, or -1
-        for src, dst, cond, bits in internal:
-            got = copy_bits.get(bits)
-            if got is None:
-                got = -1
-                if not bits & fin_bits:
-                    got = 1 << total | sum(1 << (total + 1 + k)
-                                           for k, c in enumerate(infs)
-                                           if bits >> c & 1)
-                    got = shared(got, got)
-                copy_bits[bits] = got
-            if got >= 0:
-                src += base
-                add_src(src)
-                add_dst(base + dst)
-                add_cond(cond)
-                add_acc(got)
-                add_next(0)
-                prev = tail[src]
-                if prev:
-                    nxt[prev] = idx
-                else:
-                    succ[src] = idx
-                tail[src] = idx
-                idx += 1
+        kept = [e for e in internal if not e[3] & fin_bits]
+        copy_bits = {bits: out.shared_colors(
+            1 << total | sum(1 << (total + 1 + k)
+                             for k, c in enumerate(infs) if bits >> c & 1))
+            for bits in {e[3] for e in kept}}
+        out.extend_edges([e[0] + base for e in kept],
+                         [e[1] + base for e in kept],
+                         [e[2] for e in kept],
+                         [copy_bits[e[3]] for e in kept])
         total += 1 + len(infs)
     out.set_acceptance(total, f_or(terms))
     if n:

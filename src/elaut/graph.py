@@ -13,13 +13,15 @@ loop walks an out-list itself, from `first_edges[s]` along `edge_next`.
 The columns are lists, not `array('i')`: in CPython an array read boxes
 a new int, and both its reads and appends cost more than a list's.
 
-Three builders write an output's columns and state links directly,
-without `new_edges`: `clone` copies them, `trim` appends each kept edge,
-and `algorithms.remove_fin` writes its original and jump edges with list
-operations and appends its copies' edges.  Each edge they write is made
-from an input edge (a state shifted into a copy, a color set remapped),
-and the input's edges were checked when they were added, so they are
-not checked again; `check()` validates the result.
+Edges are added four ways, all in this module.  `new_edges` checks
+each (src, dst, cond, colors) tuple before it appends and links it.
+`extend_edges` appends trusted columns and links them the same way;
+`algorithms.remove_fin` writes every edge through it.  `clone` copies
+the columns and state links, and `trim` appends and links its kept
+edges inline, state by state.  The last three write edges made from an
+input's edges (a state shifted or renumbered, a color set remapped and
+shared), and the input's edges were checked when they were added, so
+they are not checked again; `check()` validates the result.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -32,7 +34,8 @@ An edge's colors are a non-negative int whose bit i is color i, as
 Spot's acc_cond::mark_t; it has no width.  Equal values are one object:
 an automaton keeps one int per value, so that sets above 256, which
 CPython does not cache, are not stored once per edge.  `new_edges`, the
-`e.acc` setter and `map_colors` all go through that table.
+`e.acc` setter and `map_colors` all go through that table, and
+`extend_edges` takes ints that `shared_colors` handed out.
 
 Packed (`pack_edges`), an edge is five 32-bit fields with one color
 word: src, dst, cond, acc, next -- 20 bytes, plus 4 per extra word,
@@ -117,7 +120,7 @@ class EdgeRecord:
     @acc.setter
     def acc(self, value):
         aut = self.automaton
-        aut.edge_acc[self.index] = aut._shared_colors(value)
+        aut.edge_acc[self.index] = aut.shared_colors(value)
         aut.reset_flags()
 
 
@@ -206,7 +209,7 @@ class Automaton:
             raise ValueError("destination word %d names no group" % word)
         return word
 
-    def _shared_colors(self, acc):
+    def shared_colors(self, acc):
         """The automaton's one int of the colors `acc`: a non-negative int
         of color bits or an iterable of non-negative color numbers;
         ValueError for anything else."""
@@ -227,18 +230,12 @@ class Automaton:
                     from None
         return self._colors.setdefault(bits, bits)
 
-    def adopt_states(self, first, last):
-        """Install the state columns of a builder that links its own
-        edges; returns the color table's setdefault (see _shared_colors)."""
-        self._succ, self._tail = first, last
-        return self._colors.setdefault
-
     def map_colors(self, fn):
         """Give every edge the colors fn(bits), where bits are its current
         colors; fn runs once per distinct value.  Clears the cached
         flags."""
         accs = self.edge_acc[1:]
-        new = {b: self._shared_colors(fn(b)) for b in set(accs)}
+        new = {b: self.shared_colors(fn(b)) for b in set(accs)}
         self.edge_acc[1:] = map(new.__getitem__, accs)
         self.reset_flags()
 
@@ -251,7 +248,7 @@ class Automaton:
     def new_edges(self, edges):
         """Append edges given as (src, dst, cond, colors), in order; colors
         is an int of color bits or an iterable of colors (see
-        _shared_colors).  Each edge is checked (states, group word, guard
+        shared_colors).  Each edge is checked (states, group word, guard
         id, colors) before it is appended, then linked after its source's
         current out-edges.  The cached flags are cleared first, so a batch
         that stops at a bad edge keeps none that the edges before it
@@ -285,7 +282,7 @@ class Automaton:
             try:
                 acc = colors[bits]
             except (KeyError, TypeError):   # new bits, or a list of colors
-                acc = self._shared_colors(bits)
+                acc = self.shared_colors(bits)
             add_src(src)
             add_dst(dst)
             add_cond(cond)
@@ -298,6 +295,29 @@ class Automaton:
                 succ[src] = idx
             tail[src] = idx
             idx += 1
+
+    def extend_edges(self, src, dst, cond, acc):
+        """Append trusted edges given as four equal-length column lists,
+        and link each after its source's current out-edges, as new_edges
+        does.  Nothing is checked: each edge must be one new_edges would
+        take, with colors as shared_colors returns them (see the module
+        docstring).  Clears the cached flags."""
+        self.flags = _ALL_MAYBE
+        nxt = self.edge_next
+        start = len(nxt)
+        self.edge_src += src
+        self.edge_dst += dst
+        self.edge_cond += cond
+        self.edge_acc += acc
+        nxt += [0] * len(src)
+        succ, tail = self._succ, self._tail
+        for idx, s in enumerate(src, start):
+            last = tail[s]
+            if last:
+                nxt[last] = idx
+            else:
+                succ[s] = idx
+            tail[s] = idx
 
     def new_univ_dest_group(self, members):
         """Intern a universal destination group; returns its word.

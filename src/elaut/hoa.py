@@ -39,6 +39,7 @@ same line:col.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import sys
 
@@ -861,22 +862,20 @@ def print_dot(aut, hide_sinks=False):
     With hide_sinks, a state whose true-labeled self-loops accept
     unconditionally is dropped and edges into it end in arrows to nowhere.
     """
-    names = aut.get_named_prop("state-names", list)
-    players = aut.get_named_prop("state-player", list)
-    winners = aut.get_named_prop("state-winner", list)
-    strategy = aut.get_named_prop("strategy", list)
-    hi_states = aut.get_named_prop("highlight-states", dict)
-    hi_edges = aut.get_named_prop("highlight-edges", dict)
+    names = aut.get_named_prop("state-names", list) or ()
+    players = aut.get_named_prop("state-player", list) or ()
+    winners = aut.get_named_prop("state-winner", list) or ()
+    strategy = aut.get_named_prop("strategy", list) or ()
+    hi_states = aut.get_named_prop("highlight-states", dict) or {}
+    hi_edges = aut.get_named_prop("highlight-edges", dict) or {}
     title = aut.get_named_prop("automaton-name", str)
     state_based = aut.get_flag("state_acc") is YES
     mask = (1 << aut.num_sets) - 1    # colors above it are inert
 
     hidden = set()
-    if hide_sinks:
-        for s in range(aut.num_states):
-            if _accepting_sink(aut, s):
-                hidden.add(s)
-        hidden -= set(aut.univ_dests(aut.init)) if aut.num_states else set()
+    if hide_sinks and aut.num_states:
+        hidden = {s for s in range(aut.num_states)
+                  if _accepting_sink(aut, s)} - set(aut.univ_dests(aut.init))
 
     out = ["digraph automaton {", "  rankdir=LR"]
     if title:
@@ -884,59 +883,51 @@ def print_dot(aut, hide_sinks=False):
         out.append("  labelloc=t")
     out.append('  I [label="", style=invis, width=0]')
 
-    def node_name(s):
-        return str(s)
+    def attrs(label, acc, color, *more):
+        # acc: the color bits shown under the label, or false for none
+        shown = "\\n" + _colors_str(acc) if acc else ""
+        return ", ".join(["label=" + _quote(label, shown), *more]
+                         + (["color=" + color, "penwidth=3"] if color else []))
 
-    groups_used = {}
-    hole_count = [0]
+    groups_used = set()
+    holes = itertools.count()
+    extra = []                        # group and hole nodes met since flushed
 
-    def dest_ref(word, extra):
+    def dest_ref(word):
         # returns the dot node to point at, materializing group nodes
         if word >= 0:
             if word in hidden:
-                h = "h%d" % hole_count[0]
-                hole_count[0] += 1
+                h = "h%d" % next(holes)
                 extra.append('  %s [label="", style=invis, width=0]' % h)
                 return h
-            return node_name(word)
+            return str(word)
         off = ~word
         gname = "u%d" % off
         if off not in groups_used:
-            groups_used[off] = gname
+            groups_used.add(off)
             extra.append("  %s [shape=point]" % gname)
             for m in aut.group_members(word):
-                extra.append("  %s -> %s" % (gname, dest_ref(m, extra)))
+                extra.append("  %s -> %s" % (gname, dest_ref(m)))
         return gname
 
-    extra = []
-    init_ref = None
-    if aut.num_states:
-        init_ref = dest_ref(aut.init, extra)
+    init_ref = dest_ref(aut.init) if aut.num_states else None
 
     for s in range(aut.num_states):
         if s in hidden:
             continue
-        label = names[s] if names and s < len(names) and names[s] \
-            else str(s)
+        label = names[s] if s < len(names) and names[s] else str(s)
         acc = state_based and _state_acc_of(aut, s, mask)
-        attrs = ["label=" + _quote(label, "\\n" + _colors_str(acc)
-                                   if acc else "")]
-        if players is not None and s < len(players) and players[s]:
-            attrs.append("shape=diamond")
-        else:
-            attrs.append("shape=circle")
         color = None
-        if hi_states is not None and s in hi_states:
+        if s in hi_states:
             color = _PALETTE[hi_states[s] % len(_PALETTE)]
-        elif winners is not None and s < len(winners):
+        elif s < len(winners):
             color = "green" if winners[s] else "red"
-        if color:
-            attrs.append("color=%s" % color)
-            attrs.append("penwidth=3")
-        out.append("  %s [%s]" % (node_name(s), ", ".join(attrs)))
+        shape = "diamond" if s < len(players) and players[s] else "circle"
+        out.append("  %d [%s]" % (s, attrs(label, acc, color,
+                                           "shape=" + shape)))
 
-    out.extend(extra)
-    extra = []
+    out += extra
+    extra.clear()
     if init_ref is not None:
         out.append("  I -> %s" % init_ref)
 
@@ -944,23 +935,17 @@ def print_dot(aut, hide_sinks=False):
         if s in hidden:
             continue
         for idx in aut.out_indices(s):
-            acc = not state_based and aut.edge_acc[idx] & mask
-            attrs = ["label=" + _quote(
-                aut.store.print_label(aut.edge_cond[idx]),
-                "\\n" + _colors_str(acc) if acc else "")]
-            if hi_edges is not None and idx in hi_edges:
-                attrs.append("color=%s"
-                             % _PALETTE[hi_edges[idx] % len(_PALETTE)])
-                attrs.append("penwidth=3")
-            elif strategy is not None and s < len(strategy) \
-                    and strategy[s] == idx:
-                attrs.append("color=green")
-                attrs.append("penwidth=3")
-            out.append("  %s -> %s [%s]"
-                       % (node_name(s), dest_ref(aut.edge_dst[idx], extra),
-                          ", ".join(attrs)))
-            out.extend(extra)
-            extra = []
+            color = None
+            if idx in hi_edges:
+                color = _PALETTE[hi_edges[idx] % len(_PALETTE)]
+            elif s < len(strategy) and strategy[s] == idx:
+                color = "green"
+            out.append("  %d -> %s [%s]" % (
+                s, dest_ref(aut.edge_dst[idx]),
+                attrs(aut.store.print_label(aut.edge_cond[idx]),
+                      not state_based and aut.edge_acc[idx] & mask, color)))
+            out += extra
+            extra.clear()
     out.append("}")
     return "\n".join(out) + "\n"
 

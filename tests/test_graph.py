@@ -528,6 +528,52 @@ def test_new_edges_builds_what_new_edge_builds():
     assert batch.check()
 
 
+def _tails(aut):
+    return [list(aut.out_indices(s))[-1:] for s in range(aut.num_states)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extend_edges_builds_what_new_edges_builds(seed):
+    # seeded rows in chunks, onto states that already have edges, with
+    # group destinations and colors past bit 32
+    rng = random.Random(seed)
+    src = random_automaton(9, 2, density=0.5, colors=3, color_density=0.4,
+                           seed=seed)
+    checked, trusted = (Automaton(src.aps, src.store) for _ in range(2))
+    rows = [(e.src, e.dst, e.cond, e.acc)
+            for s in range(src.num_states) for e in src.out(s)]
+    members = [rng.sample(range(9), 3) for _ in range(3)]
+    for aut in (checked, trusted):
+        aut.new_states(src.num_states)
+        aut.new_edges(rows[:5])
+        groups = list(map(aut.new_univ_dest_group, members))
+        aut.set_acceptance(40, Inf(39))
+        aut.set_init(groups[0])
+    wide = [(rng.randrange(9), rng.choice(groups + [rng.randrange(9)]),
+             rng.choice([TRUE_GUARD, FALSE_GUARD]),
+             sum(1 << c for c in rng.choice([(), (33,), (39, 34), (0, 2)])))
+            for _ in range(40)]           # a new int object per row
+    rows = rows[5:] + wide
+    rng.shuffle(rows)
+    cut = sorted(rng.sample(range(1, len(rows)), 3))
+    for chunk in map(rows.__getitem__, map(slice, [0] + cut, cut + [None])):
+        checked.new_edges(chunk)
+        srcs, dsts, conds, accs = zip(*chunk)
+        trusted.extend_edges(list(srcs), list(dsts), list(conds),
+                             [trusted.shared_colors(a) for a in accs])
+    assert trusted.check()
+    for aut in (checked, trusted):    # a new edge lands after each tail
+        aut.new_edges([(s, s, TRUE_GUARD, 1 << 39) for s in range(9)])
+    assert trusted.check()
+    assert trusted.pack_edges() == checked.pack_edges()
+    assert trusted.first_edges == checked.first_edges
+    assert _tails(trusted) == _tails(checked)
+    assert print_hoa(trusted) == print_hoa(checked)
+    accs = trusted.edge_acc[1:]
+    assert len({id(c) for c in accs}) == len(set(accs))
+    assert {1 << 33, 1 << 39 | 1 << 34, 1 << 39} <= set(accs)
+
+
 # ------------------------------------------------------ universal branches
 
 def test_universal_branches_group_interned_but_unused():
@@ -879,8 +925,7 @@ def test_edge_views_write_through(via):
 
 # the fields and helpers of Automaton that only graph.py may name
 AUTOMATON_PRIVATE = {"_succ", "_tail", "_colors", "_group_offsets",
-                     "_group_words", "_nguards", "_shared_colors",
-                     "_check_word"}
+                     "_group_words", "_nguards", "_check_word"}
 
 
 def test_only_graph_names_automaton_private_fields():
@@ -900,3 +945,103 @@ def test_only_graph_names_automaton_private_fields():
             if isinstance(name, str) and name in AUTOMATON_PRIVATE:
                 named.append("%s:%d %s" % (path.name, node.lineno, name))
     assert named == []
+
+
+# an automaton's edge columns and state links, readable by every module
+STORAGE_LISTS = set(EDGE_COLUMNS) | {"first_edges"}
+LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "clear",
+               "sort", "reverse"}
+
+
+def _storage_read(node):
+    """Whether node reads an edge column or the state links: x.edge_src
+    and the like, or getattr(x, name) with a name that may be one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in STORAGE_LISTS
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "getattr" and len(node.args) >= 2:
+        name = node.args[1]
+        return not isinstance(name, ast.Constant) \
+            or name.value in STORAGE_LISTS
+    return False
+
+
+def _storage_writes(tree):
+    """The line numbers in tree that write an edge column or a state
+    link, directly or through a local name bound to one in the same
+    top-level function."""
+    lines = []
+    for top in tree.body:
+        aliases = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) \
+                            and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    aliases.update(t.id for t, v in pairs
+                                   if isinstance(t, ast.Name)
+                                   and _storage_read(v))
+
+        def storage(node):
+            return _storage_read(node) or (isinstance(node, ast.Name)
+                                           and node.id in aliases)
+
+        def written(target):
+            if isinstance(target, (ast.Tuple, ast.List)):
+                return any(map(written, target.elts))
+            if isinstance(target, ast.Starred):
+                return written(target.value)
+            if isinstance(target, ast.Attribute):
+                return target.attr in STORAGE_LISTS
+            return isinstance(target, ast.Subscript) and storage(target.value)
+
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                hit = any(map(written, node.targets))
+            elif isinstance(node, ast.AugAssign):
+                hit = written(node.target) or storage(node.target)
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr in LIST_WRITES and storage(node.value)
+            else:
+                continue
+            if hit:
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_graph_writes_edge_columns_and_state_links():
+    # reading them is fine; assigning, augmenting, deleting or calling a
+    # list method that changes them is graph.py's alone
+    src = pathlib.Path(graph.__file__).parent
+    written = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "graph.py":
+            tree = ast.parse(path.read_text(), str(path))
+            written += ["%s:%d" % (path.name, line)
+                        for line in _storage_writes(tree)]
+    assert written == []
+
+
+def test_storage_write_lint_sees_each_form():
+    code = """
+def f(aut, out, name):
+    out.edge_src += [1]
+    out.edge_dst = []
+    out.edge_cond[3] = 0
+    out.first_edges[0] = 1
+    out.edge_acc.append(0)
+    add = getattr(out, name).extend
+    nxt = out.edge_next
+    nxt[2] = 1
+    a, b = aut.edge_dst, out.edge_acc
+    b.pop()
+    del a[0]
+    x = aut.edge_next[1]
+    y = [getattr(aut, name)[1:] for name in EDGE_COLUMNS]
+    y[0].append(x)
+    z = list(aut.edge_src)
+    z.append(0)
+"""
+    assert _storage_writes(ast.parse(code)) == [3, 4, 5, 6, 7, 8, 10, 12, 13]

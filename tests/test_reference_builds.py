@@ -1,9 +1,10 @@
 """Constructions that were rewritten for speed, against the plain code
 they replaced, kept here as the reference.
 
-remove_fin writes its output's edge columns and out-lists itself; the
-reference builds the same edges as (src, dst, cond, colors) rows and
-hands them to Automaton.new_edges, which checks and links each one.
+remove_fin writes its output's edges as trusted columns through
+Automaton.extend_edges; the reference builds the same edges as (src,
+dst, cond, colors) rows and hands them to Automaton.new_edges, which
+checks and links each one.
 random_acceptance picks its merges with a Fenwick tree and folds one
 postfix code; the reference pops and inserts formulas in a list.  Both
 must give byte-identical results.
