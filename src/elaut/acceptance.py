@@ -637,7 +637,7 @@ def _same_formula(a, b):
             and _shape(a._code, ids) == _shape(b._code, ids))
 
 
-def recognize(formula, num_sets=None):
+def recognize(formula):
     """Name the classical class a formula belongs to, or None.
 
     Matching is structural, up to And/Or child order.  The most specific
@@ -763,16 +763,19 @@ def parity_readings(formula):
 def acc_name(formula, num_sets):
     """The advisory acc-name string for a formula, or None.
 
-    Only names whose conventional shape matches our canonical one are
-    produced, so a foreign reader never sees a name contradicting the
-    formula.
+    Only names whose conventional shape matches our canonical one and
+    whose color count is the declared `num_sets` are produced, so a
+    foreign reader never sees a name contradicting the formula: with
+    `Acceptance: 3 Inf(0)` nothing is named, as Spot's is_buchi() wants
+    exactly one set.
     """
     if isinstance(formula, AccTrue):
         return "all"
     if isinstance(formula, AccFalse):
         return "none"
-    cls = recognize(formula, num_sets)
-    if cls is None or cls.kind in ("Fin-less", "generalized-Rabin"):
+    cls = recognize(formula)
+    if cls is None or cls.kind in ("Fin-less", "generalized-Rabin") \
+            or class_colors(cls) != num_sets:
         return None
     return cls.name()
 

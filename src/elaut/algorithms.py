@@ -1077,7 +1077,7 @@ def remove_alternation(aut):
         return aut.clone(keep_flags=True)
     if aut.get_flag("weak") is YES:
         return _dealternate_weak(aut)
-    if recognize(aut.acceptance, aut.num_sets) == BUCHI:
+    if recognize(aut.acceptance) == BUCHI:
         return _dealternate_buchi(aut)
     if get_or_compute_flag(aut, "weak"):
         return _dealternate_weak(aut)

@@ -17,11 +17,13 @@ Edges are added four ways, all in this module.  `new_edges` checks
 each (src, dst, cond, colors) tuple before it appends and links it.
 `extend_edges` appends trusted columns and links them the same way;
 `algorithms.remove_fin` writes every edge through it.  `clone` copies
-the columns and state links, and `trim` appends and links its kept
-edges inline, state by state.  The last three write edges made from an
-input's edges (a state shifted or renumbered, a color set remapped and
-shared), and the input's edges were checked when they were added, so
-they are not checked again; `check()` validates the result.
+the columns and state links.  `trim` leaves the edges it keeps in
+storage order: when nothing drops it is a `clone`, else it compresses
+each column through a keep mask and relinks each kept state's out-list
+in its old order.  The last three write edges made from an input's
+edges (a state shifted or renumbered, a color set remapped and shared),
+and the input's edges were checked when they were added, so they are
+not checked again; `check()` validates the result.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -51,6 +53,7 @@ import enum
 import operator
 import struct
 import types
+from itertools import accumulate, compress
 
 from .acceptance import COLORS_PER_WORD, TRUE, used_colors, words_for
 from .guards import FALSE_GUARD, GuardStore
@@ -563,70 +566,82 @@ def trim(aut):
     state indices to new ones (None for removed states).  Per-state list
     properties and highlight/strategy annotations are rewritten to match.
 
-    One pass walks each kept state's out-list, in new state order, and
-    appends its kept edges to the output's columns, each linked to the
-    next; edges are not checked again (see the module docstring).  Colors
-    stay shared with the input, as `clone` shares them.
+    Kept states and kept edges keep their storage order, and each kept
+    state's out-list keeps its order, so when nothing drops the result is
+    a `clone` with an identity trim-map.  Otherwise a keep mask compresses
+    each edge column, a running count of it numbers the kept edges, and
+    each kept state's out-list is relinked through those numbers; edges
+    are not checked again (see the module docstring).  Colors stay shared
+    with the input, as `clone` shares them.
     """
-    order = sorted(reachable_states(aut))
-    state_map = [None] * aut.num_states
-    for new, old in enumerate(order):
-        state_map[old] = new
-    out = Automaton(aut.aps, aut.store)
-    out._colors = dict(aut._colors)
-    first, last = out._succ, out._tail = [0] * len(order), [0] * len(order)
-    add_src, add_dst, add_cond, add_acc, add_next = [
-        getattr(out, name).append for name in EDGE_COLUMNS]
-    out_next = out.edge_next
+    n = aut.num_states
+    order = reachable_states(aut)
+    srcs, dsts, conds = aut.edge_src, aut.edge_dst, aut.edge_cond
+    if len(order) == n and FALSE_GUARD not in conds[1:]:
+        out = aut.clone()
+        order = range(n)
+        state_map = list(order)
+        edge_map = range(len(conds))
+    else:
+        order.sort()
+        state_map = [None] * n
+        for new, old in enumerate(order):
+            state_map[old] = new
+        keep = [state_map[s] is not None and c != FALSE_GUARD
+                for s, c in zip(srcs, conds)]
+        keep[0] = False               # the terminator; out has its own
+        # per old edge, its new index, 0 if it drops
+        edge_map = [i if k else 0 for k, i in zip(keep, accumulate(keep))]
+        out = Automaton(aut.aps, aut.store)
+        out._colors = dict(aut._colors)
+        first = out._succ = [0] * len(order)
+        last = out._tail = [0] * len(order)
 
-    def group(word):
-        return out.new_univ_dest_group(
-            [state_map[m] for m in aut.group_members(word)])
+        def group(word):
+            return out.new_univ_dest_group(
+                [state_map[m] for m in aut.group_members(word)])
 
-    succ, nxt = aut._succ, aut.edge_next
-    dsts, conds, accs = aut.edge_dst, aut.edge_cond, aut.edge_acc
-    edge_map = ({0: 0} if "highlight-edges" in aut.named_props
-                or "strategy" in aut.named_props else None)
-    n = 1                             # out's next edge; its edge 0 is reserved
-    for new, old in enumerate(order):
-        head = n
-        idx = succ[old]
-        while idx:
-            cond = conds[idx]
-            if cond != FALSE_GUARD:
-                dst = dsts[idx]
-                add_src(new)
-                add_dst(state_map[dst] if dst >= 0 else group(dst))
-                add_cond(cond)
-                add_acc(accs[idx])
-                n += 1
-                add_next(n)
-                if edge_map is not None:
-                    edge_map[idx] = n - 1
-            idx = nxt[idx]
-        if n > head:
-            first[new], last[new] = head, n - 1
-            out_next[-1] = 0
-    if order:
+        out.edge_src += map(state_map.__getitem__, compress(srcs, keep))
+        out.edge_dst += [state_map[d] if d >= 0 else group(d)
+                         for d in compress(dsts, keep)]
+        out.edge_cond += compress(conds, keep)
+        out.edge_acc += compress(aut.edge_acc, keep)
+        out_next = out.edge_next = [0] * len(out.edge_src)
+        succ, nxt = aut._succ, aut.edge_next
+        for new, old in enumerate(order):
+            prev = out_next[0] = 0        # slot 0 takes the first link
+            idx = succ[old]
+            while idx:
+                e = edge_map[idx]
+                if e:
+                    out_next[prev] = e
+                    prev = e
+                idx = nxt[idx]
+            first[new], last[new] = out_next[0], prev
+        out_next[0] = 0
         out.init = state_map[aut.init] if aut.init >= 0 else group(aut.init)
-    out.num_sets = aut.num_sets
-    out.acceptance = aut.acceptance
+        out.num_sets = aut.num_sets
+        out.acceptance = aut.acceptance
 
+    edges = range(len(edge_map))
     for name, value in aut.named_props.items():
         if name in _STATE_LIST_PROPS and isinstance(value, list) \
-                and len(value) == aut.num_states:
+                and len(value) == n:
             out.named_props[name] = [value[old] for old in order]
         elif name == "highlight-states" and isinstance(value, dict):
             new_of = {old: new for new, old in enumerate(order)}
             out.named_props[name] = {
                 new_of[s]: v for s, v in value.items() if s in new_of}
         elif name == "highlight-edges" and isinstance(value, dict):
+            # a key of 0 names no edge and is kept as 0
             out.named_props[name] = {
-                edge_map[i]: v for i, v in value.items() if i in edge_map}
+                edge_map[i]: v for i, v in value.items()
+                if i in edges and (edge_map[i] or not i)}
         elif name == "strategy" and isinstance(value, list) \
-                and len(value) == aut.num_states:
+                and len(value) == n:
             out.named_props[name] = [
-                edge_map.get(value[old], 0) for old in order]
+                edge_map[value[old]] if value[old] in edges else 0
+                for old in order]
         else:
             out.named_props[name] = value
     out.named_props["trim-map"] = state_map

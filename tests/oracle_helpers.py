@@ -212,6 +212,18 @@ def empty_by_edge_subsets(aut):
     return not rows_nonempty(rows, reach, aut.acceptance)
 
 
+def reorder_out_lists(aut):
+    """Reverse the middle of every out-list of four or more edges through
+    next_succ writes, so out-list order is no longer index order."""
+    for s in range(aut.num_states):
+        idx = list(aut.out_indices(s))
+        if len(idx) >= 4:
+            order = [idx[0]] + idx[-2:0:-1] + [idx[-1]]
+            for a, b in zip(order, order[1:]):
+                aut.edges[a].next_succ = b
+    aut.check()
+
+
 # ---------------------------------------------------------------- trim
 
 _TRIM_STATE_LISTS = ("state-names", "state-player", "state-winner",
@@ -221,8 +233,9 @@ _TRIM_STATE_LISTS = ("state-names", "state-player", "state-winner",
 def trim_by_rebuild(aut):
     """trim() as a rebuild: the states a plain search reaches, in index
     order, and every edge of theirs without a false guard re-added
-    through new_edges, state by state in out-list order; groups are
-    re-interned in first-use order, the initial designator's last."""
+    through new_edges in index order; groups are re-interned in
+    first-use order, the initial designator's last.  Each kept state's
+    out-list is then put back in the input's order by next_succ writes."""
     reach = set()
     if aut.num_states:
         todo = list(aut.univ_dests(aut.init))
@@ -247,12 +260,17 @@ def trim_by_rebuild(aut):
 
     rows = []
     edge_map = {0: 0}
-    for new, old in enumerate(order):
-        for e in aut.out(old):
-            if e.cond != FALSE_GUARD:
-                rows.append((new, word(e.dst), e.cond, e.acc))
-                edge_map[e.index] = len(rows)
+    for e in aut.edge_records():
+        if e.src in reach and e.cond != FALSE_GUARD:
+            rows.append((state_map[e.src], word(e.dst), e.cond, e.acc))
+            edge_map[e.index] = len(rows)
     out.new_edges(rows)
+    for new, old in enumerate(order):
+        kept = [edge_map[i] for i in aut.out_indices(old) if i in edge_map]
+        if kept:
+            out.first_edges[new], out._tail[new] = kept[0], kept[-1]
+            for a, b in zip(kept, kept[1:] + [0]):
+                out.edges[a].next_succ = b
     if aut.num_states:
         out.init = word(aut.init)
     out.num_sets = aut.num_sets

@@ -111,7 +111,7 @@ def test_named_class_catalog_and_parity_nestings():
     for cls in rows:
         f = make_class(cls)
         assert parse_acceptance(str(f)) == f
-        rec = recognize(f, class_colors(cls))
+        rec = recognize(f)
         if cls.name() in COLLAPSED:
             assert rec == COLLAPSED[cls.name()]
             # a collapse is only legal when the formulas coincide

@@ -1141,7 +1141,7 @@ def test_weak_dealternation_generalized_buchi():
     assert is_weak(alt)
     out = remove_alternation(alt)
     assert not out.has_universal_branches()
-    assert recognize(out.acceptance, out.num_sets) is not None
+    assert recognize(out.acceptance) is not None
     assert not is_empty(out)
     # after the free first letter, both p0 and p1 must hold at every step
     assert word_in_gen_buchi(out, [0], [3])

@@ -828,6 +828,38 @@ def test_pipelines_build_no_edge_views(workload, kind, bench_jobs, capsys,
     assert done == 2 and built == []
 
 
+def test_trim_copies_exactly_the_outputs_that_drop_nothing(
+        bench_jobs, capsys, monkeypatch):
+    # --trim copies an automaton whose states are all reachable and whose
+    # guards are all satisfiable, and relinks the rest
+    clone = graph.Automaton.clone
+    clones, trims = [], []
+
+    def counting_clone(self, keep_flags=False):
+        clones.append(self)
+        return clone(self, keep_flags)
+
+    def watched_trim(aut):
+        before = len(clones)
+        out = graph.trim(aut)
+        drops = (out.num_states, out.num_edges) != (aut.num_states,
+                                                    aut.num_edges)
+        trims.append((drops, clones[before:] == [aut]))
+        return out
+
+    monkeypatch.setattr(graph.Automaton, "clone", counting_clone)
+    monkeypatch.setattr(cli, "trim", watched_trim)
+    jobs = [job for job in bench_jobs("transform", 1)[0]
+            if job.kind == "remove-fin"]
+    for job in jobs:
+        [argv] = job.stages
+        assert argv[-1] == "--trim" and main(argv) == 0
+        capsys.readouterr()
+    assert len(trims) == len(jobs) == 36
+    assert all(drops != copied for drops, copied in trims)
+    assert sum(copied for _, copied in trims) == 29
+
+
 def test_circuit_stage_builds_no_cubes(bench_jobs, capsys, monkeypatch):
     # the circuit stage reads cover masks and never asks for Cube objects
     calls = []

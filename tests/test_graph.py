@@ -21,7 +21,8 @@ from elaut.hoa import parse_hoa, print_dot, print_hoa
 from elaut.synthesis import (MealyMachine, colorize_parity, make_game,
                              mealy_to_automaton)
 
-from oracle_helpers import random_alt_buchi, trim_by_rebuild
+from oracle_helpers import (random_alt_buchi, reorder_out_lists,
+                            trim_by_rebuild)
 
 
 def fresh(nstates=0, naps=1):
@@ -277,16 +278,16 @@ def test_trim_remaps_edges_in_one_batch():
     assert out.check()
     assert out.get_named_prop("trim-map", list) == [0, 1, 2, None, None,
                                                     None]
-    # new indices follow the kept states' out-lists: i2, i4, i8, i6, i1
+    # kept edges keep their storage order: i1, i2, i4, i6, i8
     assert [(e.src, e.cond, e.acc) for e in out.edge_records()] == [
-        (0, lit, 1), (0, TRUE_GUARD, 0), (0, TRUE_GUARD, 2),
-        (1, TRUE_GUARD, 0), (2, aut.edges[i1].cond, 0)]
-    assert [e.dst for e in out.edge_records()] == [1, -1, 0, 0, 2]
+        (2, aut.edges[i1].cond, 0), (0, lit, 1), (0, TRUE_GUARD, 0),
+        (1, TRUE_GUARD, 0), (0, TRUE_GUARD, 2)]
+    assert [e.dst for e in out.edge_records()] == [2, 1, -1, 0, 0]
     assert out.group_members(-1) == [2, 1]
-    assert out.get_named_prop("highlight-edges", dict) == {5: 3, 3: 4}
-    assert out.get_named_prop("strategy", list) == [3, 4, 5]
-    assert [list(out.out_indices(s)) for s in range(3)] == [[1, 2, 3], [4],
-                                                            [5]]
+    assert out.get_named_prop("highlight-edges", dict) == {1: 3, 5: 4}
+    assert out.get_named_prop("strategy", list) == [5, 4, 1]
+    assert [list(out.out_indices(s)) for s in range(3)] == [[2, 3, 5], [4],
+                                                            [1]]
 
 
 def _random_trim_input(seed):
@@ -353,6 +354,53 @@ def test_trim_matches_a_rebuild():
         seen["group init"] += got.num_states > 0 and got.init < 0
         seen["no edges"] += got.num_states > len(set(got.edge_src[1:]))
     assert min(seen.values()) >= 20, seen
+
+
+def test_trim_copies_when_nothing_drops():
+    aut = random_automaton(6, 2, density=0.6, colors=3, seed=5)
+    aut.new_edge(0, aut.new_univ_dest_group([1, 2]), TRUE_GUARD, [2])
+    aut.new_univ_dest_group([3, 2])       # unused: the copy keeps it
+    aut.set_flag("weak", True)
+    aut.set_named_prop("state-names", ["s%d" % s for s in range(6)])
+    aut.set_named_prop("highlight-states", {0: 1, 4: 2})
+    aut.set_named_prop("highlight-edges", {1: 3, aut.num_edges: 4})
+    aut.set_named_prop("strategy", list(aut.first_edges))
+    props = {name: type(v)(v) for name, v in aut.named_props.items()}
+    out = trim(aut)
+    assert out.check()
+    assert out.pack_edges() == aut.pack_edges()
+    assert out.dests == aut.dests
+    assert out.get_named_prop("trim-map", list) == list(range(6))
+    assert all(out.get_flag(f) is MAYBE for f in FLAG_NAMES)
+    assert aut.get_flag("weak") is YES
+    for name, value in props.items():
+        got = out.named_props[name]
+        assert got == value and got is not aut.named_props[name]
+        got.clear()                       # the input keeps its own
+    assert aut.named_props == props
+    assert print_hoa(trim(aut)) == print_hoa(trim_by_rebuild(aut))
+
+
+def test_trim_keeps_reordered_out_lists_on_both_paths():
+    # next_succ writes put out-lists out of index order; the copy (nothing
+    # drops) and the relinking path (a state and a false edge drop) keep
+    # that order and give the same edge table
+    for seed in range(4):
+        aut = random_automaton(7, 2, density=0.8, colors=2, seed=seed)
+        reorder_out_lists(aut)
+        lists = [list(aut.out_indices(s)) for s in range(aut.num_states)]
+        assert lists != [sorted(idx) for idx in lists]
+        grown = aut.clone()
+        extra = grown.new_state()
+        grown.new_edge(extra, 0, TRUE_GUARD)
+        grown.new_edge(0, extra, FALSE_GUARD)
+        copied, relinked = trim(aut), trim(grown)
+        assert relinked.num_edges == copied.num_edges == aut.num_edges
+        assert relinked.pack_edges() == copied.pack_edges() \
+            == aut.pack_edges()
+        assert print_hoa(relinked) == print_hoa(copied) == print_hoa(aut)
+        assert relinked.get_named_prop("trim-map", list) == \
+            copied.get_named_prop("trim-map", list) + [None]
 
 
 def _one_shared_group():
@@ -609,7 +657,10 @@ def _digest(aut):
 
 
 # sha256 prefixes of pack_edges() + print_hoa() for seeded automata;
-# both encodings are part of the storage contract and may not drift
+# both encodings are part of the storage contract and may not drift.
+# The trim column was re-recorded when trim came to keep edges in
+# storage order; its printed HOA is unchanged, only the packed edge
+# order moved.
 RANDOM_DIGESTS = {
     (3, 0): "16d0567a0dedd8e8", (3, 1): "157ed6d8d9dc3e82",
     (3, 2): "890ca496b72b67d8", (3, 3): "f711d673afbbd5fc",
@@ -617,10 +668,10 @@ RANDOM_DIGESTS = {
     (40, 2): "7c2f663b153275fd", (40, 3): "98b002de8944daa1",
 }
 DERIVED_DIGESTS = [
-    ("cd30e8d7ea9d1cb1", "fa73973ba544ade7", "3e06fef2bc1d4bbc"),
-    ("f442d9bbc998828a", "62f211ac4c33f81c", "c29a0944d026b7e4"),
-    ("e00da5e5079e3f42", "0e6a12c72658eb84", "9a6f04062cb48d38"),
-    ("3a76480faa67cc11", "a5736fd7ae22e782", "38711bcd22d56aee"),
+    ("cd30e8d7ea9d1cb1", "fa73973ba544ade7", "3d98fa9bf89991a9"),
+    ("f442d9bbc998828a", "62f211ac4c33f81c", "446628604ff3773d"),
+    ("e00da5e5079e3f42", "0e6a12c72658eb84", "3cfdf59b024a964b"),
+    ("3a76480faa67cc11", "a5736fd7ae22e782", "5f5b98c583223682"),
 ]
 
 

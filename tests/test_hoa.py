@@ -719,7 +719,10 @@ def test_mutated_goldens_are_rejected_in_place_or_round_trip():
     assert h.hexdigest()[:16] == MUTANT_DIGEST
 
 
-MUTANT_DIGEST = "d93776a30535f7ab"
+# re-recorded when acc-name came to be printed only for a class of
+# exactly the declared color count: 4 of the 10,000 mutants declare
+# another count, and their reprints lost the acc-name line, nothing else
+MUTANT_DIGEST = "46ce2bf82406c07f"
 
 
 def _comment_spans(text):

@@ -20,6 +20,8 @@ from elaut.acceptance import TRUE, AccTrue, Or, dnf_disjuncts, is_finless
 from elaut.algorithms import random_acceptance
 from elaut.guards import FALSE_GUARD
 
+from oracle_helpers import reorder_out_lists
+
 
 def reference_remove_fin(aut):
     """remove_fin as a list of rows for new_edges: the original edges,
@@ -83,18 +85,6 @@ def reference_random_acceptance(colors, rng):
 
 # ---------------------------------------------------------- remove_fin
 
-def _reorder_out_lists(aut):
-    """Reverse the middle of every out-list of four or more edges through
-    next_succ writes, so out-list order is no longer index order."""
-    for s in range(aut.num_states):
-        idx = list(aut.out_indices(s))
-        if len(idx) >= 4:
-            order = [idx[0]] + idx[-2:0:-1] + [idx[-1]]
-            for a, b in zip(order, order[1:]):
-                aut.edges[a].next_succ = b
-    aut.check()
-
-
 def _random_input(seed):
     rng = random.Random(seed)
     colors = rng.randint(1, 4)
@@ -112,7 +102,7 @@ def _random_input(seed):
                      rng.choice([FALSE_GUARD, 1]),
                      rng.getrandbits(colors + 2))
     if rng.random() < 0.5:
-        _reorder_out_lists(aut)
+        reorder_out_lists(aut)
     return aut
 
 
