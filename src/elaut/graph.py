@@ -16,14 +16,16 @@ a new int, and both its reads and appends cost more than a list's.
 Edges are added four ways, all in this module.  `new_edges` checks
 each (src, dst, cond, colors) tuple before it appends and links it.
 `extend_edges` appends trusted columns and links them the same way;
-`algorithms.remove_fin` writes every edge through it.  `clone` copies
-the columns and state links.  `trim` leaves the edges it keeps in
-storage order: when nothing drops it is a `clone`, else it compresses
-each column through a keep mask and relinks each kept state's out-list
-in its old order.  The last three write edges made from an input's
-edges (a state shifted or renumbered, a color set remapped and shared),
-and the input's edges were checked when they were added, so they are
-not checked again; `check()` validates the result.
+`algorithms.remove_fin` writes every edge through it, and the HOA
+reader the edges of a body in print_hoa's form, whose lines it has
+checked.  `clone` copies the columns and state links.  `trim` leaves
+the edges it keeps in storage order: when nothing drops it is a
+`clone`, else it compresses each column through the kept-edge numbers
+and renumbers the links as columns, walking only the out-lists of
+states with a false-guard edge.  The last three write edges made from
+an input's edges (a state shifted or renumbered, a color set remapped
+and shared), and the input's edges were checked when they were added,
+so they are not checked again; `check()` validates the result.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -53,7 +55,7 @@ import enum
 import operator
 import struct
 import types
-from itertools import accumulate, compress
+from itertools import compress, count, islice
 
 from .acceptance import COLORS_PER_WORD, TRUE, used_colors, words_for
 from .guards import FALSE_GUARD, GuardStore
@@ -568,16 +570,20 @@ def trim(aut):
 
     Kept states and kept edges keep their storage order, and each kept
     state's out-list keeps its order, so when nothing drops the result is
-    a `clone` with an identity trim-map.  Otherwise a keep mask compresses
-    each edge column, a running count of it numbers the kept edges, and
-    each kept state's out-list is relinked through those numbers; edges
-    are not checked again (see the module docstring).  Colors stay shared
-    with the input, as `clone` shares them.
+    a `clone` with an identity trim-map, and when only states without
+    edges drop, the edge columns are copies with states renumbered.
+    Otherwise a running count numbers the kept edges, and each column is
+    compressed through it.  A kept edge's next edge is then kept too, or
+    0, so the links are renumbered as columns, except in the states with
+    a false-guard edge: only their out-lists are walked and relinked.
+    Edges are not checked again (see the module docstring).  Colors stay
+    shared with the input, as `clone` shares them.
     """
     n = aut.num_states
     order = reachable_states(aut)
     srcs, dsts, conds = aut.edge_src, aut.edge_dst, aut.edge_cond
-    if len(order) == n and FALSE_GUARD not in conds[1:]:
+    falses = conds.count(FALSE_GUARD) > 1     # slot 0 holds one
+    if len(order) == n and not falses:
         out = aut.clone()
         order = range(n)
         state_map = list(order)
@@ -587,28 +593,52 @@ def trim(aut):
         state_map = [None] * n
         for new, old in enumerate(order):
             state_map[old] = new
-        keep = [state_map[s] is not None and c != FALSE_GUARD
-                for s, c in zip(srcs, conds)]
-        keep[0] = False               # the terminator; out has its own
-        # per old edge, its new index, 0 if it drops
-        edge_map = [i if k else 0 for k, i in zip(keep, accumulate(keep))]
+        succ, tail, nxt = aut._succ, aut._tail, aut.edge_next
+        if falses or any(map(succ.__getitem__,
+                             set(range(n)).difference(order))):
+            # per old edge, its new index, 0 if it drops (the
+            # terminator's guard is false)
+            new_index = count(1)
+            edge_map = [next(new_index) if c != FALSE_GUARD and
+                        state_map[s] is not None else 0
+                        for s, c in zip(srcs, conds)]
+
+            def kept(column):
+                return compress(column, edge_map)
+
+            def renumber(edges):
+                return map(edge_map.__getitem__, edges)
+        else:                         # only states without edges drop
+            edge_map = range(len(conds))
+
+            def kept(column):
+                return islice(column, 1, None)
+
+            def renumber(edges):
+                return edges
         out = Automaton(aut.aps, aut.store)
         out._colors = dict(aut._colors)
-        first = out._succ = [0] * len(order)
-        last = out._tail = [0] * len(order)
+        first = out._succ = list(renumber(map(succ.__getitem__, order)))
+        last = out._tail = list(renumber(map(tail.__getitem__, order)))
 
         def group(word):
             return out.new_univ_dest_group(
                 [state_map[m] for m in aut.group_members(word)])
 
-        out.edge_src += map(state_map.__getitem__, compress(srcs, keep))
+        out.edge_src += map(state_map.__getitem__, kept(srcs))
         out.edge_dst += [state_map[d] if d >= 0 else group(d)
-                         for d in compress(dsts, keep)]
-        out.edge_cond += compress(conds, keep)
-        out.edge_acc += compress(aut.edge_acc, keep)
-        out_next = out.edge_next = [0] * len(out.edge_src)
-        succ, nxt = aut._succ, aut.edge_next
-        for new, old in enumerate(order):
+                         for d in kept(dsts)]
+        out.edge_cond += kept(conds)
+        out.edge_acc += kept(aut.edge_acc)
+        out_next = out.edge_next
+        out_next += renumber(kept(nxt))
+        # the states with a false-guard edge, and the terminator's 0
+        walk = set(compress(srcs, map(FALSE_GUARD.__eq__, conds))) \
+            if falses else ()
+        for old in walk:
+            new = state_map[old]
+            if new is None:
+                continue
             prev = out_next[0] = 0        # slot 0 takes the first link
             idx = succ[old]
             while idx:

@@ -16,24 +16,28 @@ so no offset, line or column moves and the rest never sees a comment.
 The header is lexed by one compiled regular expression (`_TOKEN_RE`, in
 `_lex`) into a list of tokens up to --BODY--, each with the character
 offset where it starts; a whole [label] is one token, and `_Parser`
-walks that list.  The body is read by one loop (`_Parser._walk`), an
-item at a time: each match of `_ITEM_RE` is a whole edge (label,
-destination or `&` group, colors), a whole State: line or an end marker.
-An edge costs one match, one lookup of its label text in a per-body memo
-(a new text goes through `GuardStore.parse_label`) and one tuple, and
-the edges go into the automaton in batches (`Automaton.new_edges`).
-Where no whole item matches, the token at that offset, read with
-`_TOKEN_RE`, names the error.  Only a HoaParseError turns an offset into
-line:col.
+walks that list.  A body as print_hoa writes it (one State: line or
+edge a line, under a States: header and no state-acc) is read by
+`_Parser._plain_read`: `_LINE_RE`'s findall makes each line of a chunk
+one tuple at C speed, a new label text goes through
+`GuardStore.parse_label` once per body, and the edges go in as columns
+(`Automaton.extend_edges`).  At a line it does not take, it starts the
+automaton again and the item walker (`_Parser._walk_items`) reads the
+body: each match of `_ITEM_RE` is a whole edge (label, destination or
+`&` group, colors), a whole State: line or an end marker, and the edges
+go in, checked, in batches (`Automaton.new_edges`).  Only the walker
+raises: where no whole item matches, the token at that offset, read
+with `_TOKEN_RE`, names the error.  Only a HoaParseError turns an
+offset into line:col.
 
 `parse_hoa_stream_lazy`, the reader of product queries, defers a body
 that is plain (`_Parser._plain_body`: as print_hoa writes it under a
 States: header, with no comment, state name or colors, `&` group or weak
 property).  A few passes at C speed check the whole body first, and
-`_walk` reads the edges of a state, from its part of the body, when the
-search first asks for them (`LazyAutomaton`).  Every other body,
-malformed ones included, is read in full, so each error is raised at the
-same line:col.
+the line loop (`_Parser._walk`) reads the edges of a state, from its
+part of the body, when the search first asks for them
+(`LazyAutomaton`).  Every other body, malformed ones included, is read
+in full, so each error is raised at the same line:col.
 """
 
 from __future__ import annotations
@@ -130,6 +134,14 @@ _ITEM_RE = re.compile(r"""(?:
   |                                         # no item starts here
 )""", re.VERBOSE | re.DOTALL)
 _BLANKS_RE = re.compile(r"\s*")
+# One line of a body as print_hoa writes it: an edge (1 label, 2
+# destination, 3 colors) or a State: line (4 its index).  Elsewhere 5
+# takes the rest of the text, so findall's last tuple tells whether it
+# took every line.  A chunk for findall ends at the first line break
+# past _CHUNK characters.
+_LINE_RE = re.compile(r"\[([^\]\n]*)\] ([0-9]+)(?: \{([0-9 ]*)\})?\n"
+                      r"|State: ([0-9]+)\n|(.+)", re.DOTALL)
+_CHUNK = 1 << 15
 # Edges read but not yet in the automaton, at most: past this count they
 # go in at the next State: line, so the pending tuples stay small.
 _EDGE_BATCH = 1024
@@ -420,16 +432,16 @@ class _Parser:
             bits |= 1 << c
         return bits
 
-    def _walk(self, items, src, edges):
+    def _walk_items(self, items, edges):
         """Read the items that `items`, an iterator of _ITEM_RE matches,
         yields, and append each edge to `edges` as (src, destination,
-        guard, color bits): src is the state of the last State: line, or
-        the `src` given (None, no state yet).  Returns (match, groups,
-        src) at the first item that is neither a whole edge nor a whole
-        State: line."""
+        guard, color bits): src is the state of the last State: line
+        (None, no state yet).  Returns (match, groups, src) at the first
+        item that is neither a whole edge nor a whole State: line."""
         labels, color_bits, count = self.labels, self.color_bits, self.count
         names, state_bits = self.names, self.state_bits
         add = edges.append
+        src = None
         label, bits = None, 0         # what the State: line gives its edges
         for m in items:
             g = m.groups()
@@ -510,6 +522,75 @@ class _Parser:
                           "expected a color index")
             add((src, d, guard, c | bits))
 
+    def _walk(self, found, src, cols):
+        """Append the edges of `found`, _LINE_RE's tuples of whole lines,
+        to `cols`, the columns extend_edges takes, each from the last
+        State: line's state or `src`; returns that state.  ValueError at
+        a line the walker reads otherwise or rejects: a bad label, color
+        or number, a state not below the declared count, a State: line
+        repeated."""
+        labels, color_bits, names = self.labels, self.color_bits, self.names
+        declared, aut = self.declared, self.aut
+        parse, shared = aut.store.parse_label, aut.shared_colors
+        add_src, add_dst, add_cond, add_acc = [col.append for col in cols]
+        for label, dst, colors, state, _ in found:
+            if not dst:                               # a State: line
+                src = int(state)
+                if src >= declared or src in names:
+                    raise ValueError(state)
+                names[src] = None
+                continue
+            guard = labels.get(label)
+            if guard is None:
+                guard = labels[label] = parse(label)
+            d = int(dst)
+            if d >= declared:
+                raise ValueError(dst)
+            acc = 0
+            if colors:
+                acc = color_bits.get(colors)
+                if acc is None:
+                    acc = color_bits[colors] = shared(
+                        self._color_bits(colors, 0))
+            add_src(src)
+            add_dst(d)
+            add_cond(guard)
+            add_acc(acc)
+        return src
+
+    def _plain_read(self):
+        """Read a body as print_hoa writes it into self.aut, a chunk of
+        lines at a time, and return the offset after --END--.  None where
+        a line is not one _walk takes, or the first line is an edge:
+        self.aut is then a new automaton with the declared states and no
+        edge, for the walker to read the body from its start, and the
+        guards interned so far are those it interns first, in order."""
+        text, pos = self.text, self.end
+        stop = text.find("--END--", pos)
+        if self.declared is None or self.state_acc or stop < 0 or \
+                not text.startswith("\n", pos):
+            return None
+        aut = self.aut
+        src = None                    # no State: line yet
+        start = pos + 1
+        try:
+            while start < stop:
+                end = text.find("\n", start + _CHUNK, stop) + 1 or stop
+                found = _LINE_RE.findall(text, start, end)
+                if found[-1][4] or src is None and found[0][1]:
+                    raise ValueError(start)
+                cols = [], [], [], []
+                src = self._walk(found, src, cols)
+                aut.extend_edges(*cols)
+                start = end
+        except ValueError:
+            self.names.clear()
+            self.color_bits.clear()
+            self.aut = Automaton(aut.aps, aut.store)
+            self.aut.new_states(self.declared)
+            return None
+        return stop + len("--END--")
+
     def _plain_body(self, h):
         """The offset after --END-- when the body is plain, else None:
         as print_hoa writes it, one item a line: State: lines, a first
@@ -547,11 +628,11 @@ class _Parser:
 
     def _walk_body(self):
         """Read the body into self.aut and return the offset after
-        --END--, or raise the error where _walk stopped."""
+        --END--, or raise the error where _walk_items stopped."""
         text = self.text
         edges = []                    # (src, dst, guard, color bits)
-        m, g, src = self._walk(_ITEM_RE.finditer(
-            text, _BLANKS_RE.match(text, self.end).end()), None, edges)
+        m, g, src = self._walk_items(_ITEM_RE.finditer(
+            text, _BLANKS_RE.match(text, self.end).end()), edges)
         label, slabel, marker = g[0], g[6], g[11]
         if marker == "--END--":
             self.aut.new_edges(edges)
@@ -578,6 +659,9 @@ class _Parser:
         self.fail(tok, "expected an edge or --END--")
 
     def _parse_body(self, h, at, body_at, lazy):
+        """Read the body: with `lazy` a plain one is deferred (see
+        _plain_body), else _plain_read reads print_hoa's form and
+        _walk_body any other, or one _plain_read gives up on."""
         num_sets = self.num_sets = h["num_sets"]
         if num_sets is None:
             raise self.error("missing Acceptance: header", body_at)
@@ -596,7 +680,8 @@ class _Parser:
         end = self._plain_body(h) if lazy else None
         plain = end is not None
         if not plain:
-            end = self._walk_body()
+            end = self._plain_read() or self._walk_body()
+            aut = self.aut
 
         # initial designator
         if h["start"] is not None:
@@ -710,11 +795,12 @@ class LazyAutomaton:
         self._parser = parser
 
     def edges_of(self, s):
-        row = []
         span = self._parser.spans.get(s)
-        if span is not None:
-            self._parser._walk(_ITEM_RE.finditer(span), s, row)
-        return row
+        if span is None:
+            return []
+        cols = [], [], [], []
+        self._parser._walk(_LINE_RE.findall(span), s, cols)
+        return list(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

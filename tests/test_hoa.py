@@ -14,6 +14,10 @@ from elaut.graph import MAYBE, NO, YES, Automaton
 from elaut.hoa import (_COMMENT_RE, _TOKEN_RE, MAX_COLORS, MAX_STATES,
                        HoaParseError, _blank_comments, parse_hoa,
                        parse_hoa_stream, print_dot, print_hoa, stats)
+from elaut.guards import FALSE_GUARD
+
+import reader_check
+from oracle_helpers import reorder_out_lists
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -1046,3 +1050,128 @@ def test_body_error_token_is_read_alone(line, message, monkeypatch):
         parse_hoa(text)
     assert str(exc.value) == message
     assert header < spy.matches <= header + 3
+
+
+# ---------------------------------------------------------------------------
+# The two body readers: the line reader takes print_hoa's form, the item
+# walker everything else.
+
+def _irregular(text):
+    """`text` with one line that the line reader refuses and the walker
+    reads as before: two blanks after the label of its first edge or,
+    with no edge, a blank line after --BODY--."""
+    at = text.find("] ", text.index("--BODY--"))
+    if at < 0:
+        return text.replace("--BODY--\n", "--BODY--\n\n", 1)
+    return text[:at] + "]  " + text[at + 2:]
+
+
+def _line_reader_inputs():
+    """print_hoa texts of seeded automata with colors, false guards,
+    unreachable states, out-lists reordered by next_succ and states
+    without edges, and of one automaton without states."""
+    texts = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        aut = random_automaton(1 + seed * 4, seed % 4, density=0.5,
+                               colors=seed % 3 * 2, color_density=0.4,
+                               seed=seed)
+        n = aut.num_states
+        extra = aut.new_states(3)     # unreachable; the last has no edge
+        for s in range(extra, extra + 2):
+            aut.new_edge(s, rng.randrange(n), 1, rng.getrandbits(2))
+        for _ in range(seed % 4):
+            aut.new_edge(rng.randrange(n), rng.randrange(n), FALSE_GUARD)
+        reorder_out_lists(aut)
+        texts.append(print_hoa(aut))
+    none = Automaton(["a"])
+    none.set_acceptance(1, Inf(0))
+    texts.append(print_hoa(none))
+    return texts
+
+
+def test_both_body_readers_build_the_same_automata():
+    for text in _line_reader_inputs():
+        # one automaton, its canonical body read by the line reader
+        assert reader_check.check_text(text, _irregular(text)) == (1, 1)
+
+
+def test_canonical_bodies_never_reach_the_walker():
+    texts = _line_reader_inputs()
+    with reader_check.counting_walks() as walks:
+        for text in texts:
+            parse_hoa(text)
+        assert walks == []
+        for text in texts:
+            parse_hoa(_irregular(text))
+        assert len(walks) == len(texts)
+
+
+# a last edge line; the error it raises, if any; whether _walk is what
+# refuses it, and not _LINE_RE's catch-all
+@pytest.mark.parametrize("line,error,by_walk", [
+    ("[0]  1", None, False),
+    ("[0] x", "expected a destination state", False),
+    ("[0] 3000", "state 3000 not below the declared count 3000", True),
+    ("[0&&1] 1", "bad label", True),
+])
+def test_a_line_refused_in_the_last_chunk(line, error, by_walk,
+                                          monkeypatch):
+    text = print_hoa(random_automaton(3000, 2, density=0.5, colors=2,
+                                      color_density=0.3, seed=3))
+    chunks = _spy_chunks(monkeypatch)
+    parse_hoa(text)
+    whole = chunks[:]                 # the lines of each chunk
+    assert len(whole) >= 3
+    del chunks[:]
+    at = text.rindex("\n[") + 1       # the last edge line
+    text = text[:at] + line + text[text.index("\n", at):]
+    if error is None:
+        assert reader_check.check_text(text) == (1, 0)
+    else:
+        with pytest.raises(HoaParseError) as plain:
+            parse_hoa(text)
+        with reader_check.walker_only():
+            with pytest.raises(HoaParseError) as walked:
+                parse_hoa(text)
+        assert str(plain.value) == str(walked.value)
+        assert error in str(plain.value)
+    # every chunk before the last went through _walk, and the last one
+    # too where _walk refuses the line
+    assert chunks == (whole if by_walk else whole[:-1])
+
+
+def _spy_chunks(monkeypatch):
+    """The number of lines of each chunk _walk is given."""
+    chunks = []
+    real = hoa._Parser._walk
+
+    def walk(self, found, src, cols):
+        chunks.append(len(found))
+        return real(self, found, src, cols)
+    monkeypatch.setattr(hoa._Parser, "_walk", walk)
+    return chunks
+
+
+def test_line_reader_memory_stays_bounded():
+    # the line reader holds one chunk's lines and edges at a time
+    text = print_hoa(random_automaton(20000, 1, density=0.5, colors=2,
+                                      color_density=0.3, seed=5))
+
+    def peak(text):
+        tracemalloc.start()
+        try:
+            parse_hoa(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    plain = peak(text)
+    walked = peak(text.replace("--BODY--\n", "--BODY--\n\n", 1))
+    assert plain <= 1.1 * walked
+
+
+@pytest.mark.parametrize("workload", reader_check.WORKLOADS)
+def test_bench_inputs_read_alike_both_ways(workload, bench_jobs):
+    automata, taken = reader_check.check_texts(
+        bench_jobs(workload, 1)[1].values())
+    assert taken >= automata * 2 // 3
