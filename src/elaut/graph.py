@@ -13,19 +13,20 @@ loop walks an out-list itself, from `first_edges[s]` along `edge_next`.
 The columns are lists, not `array('i')`: in CPython an array read boxes
 a new int, and both its reads and appends cost more than a list's.
 
-Edges are added four ways, all in this module.  `new_edges` checks
-each (src, dst, cond, colors) tuple before it appends and links it.
-`extend_edges` appends trusted columns and links them the same way;
-`algorithms.remove_fin` writes every edge through it, and the HOA
-reader the edges of a body in print_hoa's form, whose lines it has
-checked.  `clone` copies the columns and state links.  `trim` leaves
-the edges it keeps in storage order: when nothing drops it is a
-`clone`, else it compresses each column through the kept-edge numbers
-and renumbers the links as columns, walking only the out-lists of
-states with a false-guard edge.  The last three write edges made from
-an input's edges (a state shifted or renumbered, a color set remapped
-and shared), and the input's edges were checked when they were added,
-so they are not checked again; `check()` validates the result.
+`extend_edges` is the one method that appends edges: it takes four
+columns, appends them and links each edge after its source's last
+out-edge, checking nothing.  `new_edges` is the checks in front of it,
+one (src, dst, cond, colors) tuple at a time; `algorithms.remove_fin`
+and the HOA reader, for a body in print_hoa's form whose lines it has
+checked, call `extend_edges` directly.  `clone` copies the columns and
+state links.  `trim` leaves the edges it keeps in storage order: when
+nothing drops it is a `clone`, else it compresses each column through
+the kept-edge numbers and renumbers the links as columns, walking only
+the out-lists of states with a false-guard edge.  `remove_fin`, `clone`
+and `trim` write edges made from an input's edges (a state shifted or
+renumbered, a color set remapped and shared), which were checked when
+they were added, so they are not checked again; `check()` validates
+the result.
 
 A destination word is either a plain state index (>= 0) or, for universal
 branching, the bitwise complement ~offset of an offset into the `dests`
@@ -113,7 +114,7 @@ class EdgeRecord:
     bits; a write takes what new_edges takes) and next_succ (the next
     out-edge of src, 0 at the end) read and write that entry of the
     automaton's edge columns.  A write clears the cached flags, as
-    new_edges does."""
+    adding an edge does."""
 
     __slots__ = ("automaton", "index")
 
@@ -254,67 +255,54 @@ class Automaton:
         """Append edges given as (src, dst, cond, colors), in order; colors
         is an int of color bits or an iterable of colors (see
         shared_colors).  Each edge is checked (states, group word, guard
-        id, colors) before it is appended, then linked after its source's
-        current out-edges.  The cached flags are cleared first, so a batch
-        that stops at a bad edge keeps none that the edges before it
-        made stale."""
-        self.flags = _ALL_MAYBE
-        tail = self._tail
-        succ = self._succ
-        n = len(tail)
+        id, colors) as it is read, and the edges read are then appended
+        and linked by extend_edges, also when the batch stops at a bad
+        edge or its iterator raises: the edges before that point go in,
+        and the cached flags are cleared."""
+        n = len(self._succ)
         groups = self._group_offsets
         colors = self._colors
-        nxt = self.edge_next
-        add_src = self.edge_src.append
-        add_dst = self.edge_dst.append
-        add_cond = self.edge_cond.append
-        add_acc = self.edge_acc.append
-        add_next = nxt.append
-        idx = len(nxt)
         nguards = self._nguards
-        for src, dst, cond, bits in edges:
-            if not 0 <= src < n:
-                raise ValueError("source %d is not a state" % src)
-            if dst >= n:
-                raise ValueError("destination %d is not a state" % dst)
-            if dst < 0 and ~dst not in groups:
-                raise ValueError("destination word %d names no group" % dst)
-            if not 0 <= cond < nguards:
-                # the store only grows: re-read its size past the largest id
-                nguards = self._nguards = len(self.store)
+        srcs, dsts, conds, accs = [], [], [], []
+        try:
+            for src, dst, cond, bits in edges:
+                if not 0 <= src < n:
+                    raise ValueError("source %d is not a state" % src)
+                if dst >= n:
+                    raise ValueError("destination %d is not a state" % dst)
+                if dst < 0 and ~dst not in groups:
+                    raise ValueError("destination word %d names no group"
+                                     % dst)
                 if not 0 <= cond < nguards:
-                    raise ValueError("unknown guard id %d" % cond)
-            try:
-                acc = colors[bits]
-            except (KeyError, TypeError):   # new bits, or a list of colors
-                acc = self.shared_colors(bits)
-            add_src(src)
-            add_dst(dst)
-            add_cond(cond)
-            add_acc(acc)
-            add_next(0)
-            last = tail[src]
-            if last:
-                nxt[last] = idx
-            else:
-                succ[src] = idx
-            tail[src] = idx
-            idx += 1
+                    # the store only grows: re-read its size for a larger id
+                    nguards = self._nguards = len(self.store)
+                    if not 0 <= cond < nguards:
+                        raise ValueError("unknown guard id %d" % cond)
+                try:
+                    acc = colors[bits]
+                except (KeyError, TypeError):   # new bits, or a list of colors
+                    acc = self.shared_colors(bits)
+                srcs.append(src)
+                dsts.append(dst)
+                conds.append(cond)
+                accs.append(acc)
+        finally:
+            self.extend_edges(srcs, dsts, conds, accs)
 
     def extend_edges(self, src, dst, cond, acc):
-        """Append trusted edges given as four equal-length column lists,
-        and link each after its source's current out-edges, as new_edges
-        does.  Nothing is checked: each edge must be one new_edges would
+        """Append edges given as four equal-length column lists, and link
+        each after its source's current out-edges; the one writer of new
+        edges.  Nothing is checked: each edge must be one new_edges would
         take, with colors as shared_colors returns them (see the module
         docstring).  Clears the cached flags."""
         self.flags = _ALL_MAYBE
         nxt = self.edge_next
         start = len(nxt)
-        self.edge_src += src
-        self.edge_dst += dst
-        self.edge_cond += cond
-        self.edge_acc += acc
-        nxt += [0] * len(src)
+        self.edge_src.extend(src)
+        self.edge_dst.extend(dst)
+        self.edge_cond.extend(cond)
+        self.edge_acc.extend(acc)
+        nxt.extend([0] * len(src))
         succ, tail = self._succ, self._tail
         for idx, s in enumerate(src, start):
             last = tail[s]

@@ -522,6 +522,25 @@ def test_failed_new_edges_batch_leaves_no_stale_flag():
     assert get_or_compute_flag(aut.clone(), "complete") is True
 
 
+def test_new_edges_keeps_what_a_raising_iterator_gave():
+    aut = Automaton(["a"])
+    aut.new_states(2)
+    aut.new_edge(0, 1)
+    assert get_or_compute_flag(aut, "complete") is False
+
+    def rows():
+        yield 1, 0, TRUE_GUARD, 0
+        yield 0, 0, TRUE_GUARD, 1
+        raise RuntimeError("the source failed")
+
+    with pytest.raises(RuntimeError, match="the source failed"):
+        aut.new_edges(rows())
+    assert aut.num_edges == 3
+    assert [list(aut.out_indices(s)) for s in range(2)] == [[1, 3], [2]]
+    assert all(aut.get_flag(name) is MAYBE for name in FLAG_NAMES)
+    assert aut.check()
+
+
 def _weak_buchi_loop():
     return parse_hoa("HOA: v1\nStates: 2\nStart: 0\nAP: 1 \"a\"\n"
                      "Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n"
@@ -1000,66 +1019,107 @@ def test_only_graph_names_automaton_private_fields():
 
 # an automaton's edge columns and state links, readable by every module
 STORAGE_LISTS = set(EDGE_COLUMNS) | {"first_edges"}
+# inside graph.py, the state links are the private _succ and _tail too
+GRAPH_STORAGE_LISTS = STORAGE_LISTS | {"_succ", "_tail"}
 LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "clear",
                "sort", "reverse"}
 
 
-def _storage_read(node):
-    """Whether node reads an edge column or the state links: x.edge_src
-    and the like, or getattr(x, name) with a name that may be one."""
-    if isinstance(node, ast.Attribute):
-        return node.attr in STORAGE_LISTS
+def _getattr_of(node, lists, func="getattr", dynamic=True):
+    """Whether node calls func(x, name, ...) with a name that may be in
+    lists: a constant in lists or, if dynamic, any other expression."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id == "getattr" and len(node.args) >= 2:
+            and node.func.id == func and len(node.args) >= 2:
         name = node.args[1]
-        return not isinstance(name, ast.Constant) \
-            or name.value in STORAGE_LISTS
+        if isinstance(name, ast.Constant):
+            return name.value in lists
+        return dynamic
     return False
 
 
-def _storage_writes(tree):
-    """The line numbers in tree that write an edge column or a state
-    link, directly or through a local name bound to one in the same
-    top-level function."""
-    lines = []
+def _storage_read(node, lists):
+    """Whether node reads an edge column or the state links: x.edge_src
+    and the like, or getattr(x, name) with a name that may be one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in lists
+    return _getattr_of(node, lists)
+
+
+def _units(tree):
+    """The top-level statements of tree, each member of a top-level class
+    standing in for the class, with a name: the function's (as
+    Class.method for a member), else the class's or None."""
     for top in tree.body:
-        aliases = set()
-        for node in ast.walk(top):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    pairs = [(target, node.value)]
-                    if isinstance(target, ast.Tuple) \
-                            and isinstance(node.value, ast.Tuple):
-                        pairs = zip(target.elts, node.value.elts)
-                    aliases.update(t.id for t, v in pairs
-                                   if isinstance(t, ast.Name)
-                                   and _storage_read(v))
+        if isinstance(top, ast.ClassDef):
+            for member in top.body:
+                name = getattr(member, "name", None)
+                yield top.name + ("." + name if name else ""), member
+        else:
+            yield getattr(top, "name", None), top
 
-        def storage(node):
-            return _storage_read(node) or (isinstance(node, ast.Name)
-                                           and node.id in aliases)
 
-        def written(target):
-            if isinstance(target, (ast.Tuple, ast.List)):
-                return any(map(written, target.elts))
-            if isinstance(target, ast.Starred):
-                return written(target.value)
-            if isinstance(target, ast.Attribute):
-                return target.attr in STORAGE_LISTS
-            return isinstance(target, ast.Subscript) and storage(target.value)
+def _unit_writes(top, lists):
+    """The line numbers in top, one unit of _units, that write a list
+    named in lists, directly or through a local name bound to one in top:
+    by assignment (a = x.edge_src; a = x.edge_src = ...; a, b =
+    [getattr(x, n) for n in ...]), not through a copy or a slice."""
+    def storage_read(node):
+        return _storage_read(node, lists)
 
-        for node in ast.walk(top):
-            if isinstance(node, (ast.Assign, ast.Delete)):
-                hit = any(map(written, node.targets))
-            elif isinstance(node, ast.AugAssign):
-                hit = written(node.target) or storage(node.target)
-            elif isinstance(node, ast.Attribute):
-                hit = node.attr in LIST_WRITES and storage(node.value)
-            else:
-                continue
-            if hit:
-                lines.append(node.lineno)
-    return sorted(set(lines))
+    aliases = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            if any(map(storage_read, node.targets)):    # a = x.edge_src = v
+                aliases.update(names)
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple):
+                    value = node.value
+                    if isinstance(value, ast.Tuple):
+                        pairs = zip(target.elts, value.elts)
+                    elif isinstance(value, (ast.ListComp, ast.GeneratorExp)):
+                        pairs = [(t, value.elt) for t in target.elts]
+                aliases.update(t.id for t, v in pairs
+                               if isinstance(t, ast.Name) and storage_read(v))
+
+    def storage(node):
+        return storage_read(node) or (isinstance(node, ast.Name)
+                                      and node.id in aliases)
+
+    def written(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(written, target.elts))
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        if isinstance(target, ast.Attribute):
+            return target.attr in lists
+        return isinstance(target, ast.Subscript) and storage(target.value)
+
+    # setattr(x, name, v) with a computed name writes a column only where
+    # the names come from EDGE_COLUMNS (cli.py sets parsed options so)
+    dynamic = any(isinstance(node, ast.Name) and node.id == "EDGE_COLUMNS"
+                  for node in ast.walk(top))
+    lines = set()
+    for node in ast.walk(top):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            hit = any(map(written, node.targets))
+        elif isinstance(node, ast.AugAssign):
+            hit = written(node.target) or storage(node.target)
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in LIST_WRITES and storage(node.value)
+        else:
+            hit = _getattr_of(node, lists, "setattr", dynamic)
+        if hit:
+            lines.add(node.lineno)
+    return lines
+
+
+def _storage_writes(tree, lists=STORAGE_LISTS):
+    """The line numbers in tree that write a list named in lists (see
+    _unit_writes)."""
+    return sorted(set().union(*[_unit_writes(top, lists)
+                                for _, top in _units(tree)]))
 
 
 def test_only_graph_writes_edge_columns_and_state_links():
@@ -1073,6 +1133,23 @@ def test_only_graph_writes_edge_columns_and_state_links():
             written += ["%s:%d" % (path.name, line)
                         for line in _storage_writes(tree)]
     assert written == []
+
+
+# the functions of graph.py that write an edge column or a state link:
+# the empty automaton, new states, the one appender of new edges, the
+# whole-column copies and compressions, and in-place edits of edges
+GRAPH_STORAGE_WRITERS = {
+    "Automaton.__init__", "Automaton.new_states", "Automaton.extend_edges",
+    "Automaton.clone", "Automaton.map_colors", "_column", "EdgeRecord.acc",
+    "trim"}
+
+
+def test_extend_edges_is_the_one_edge_appender():
+    path = pathlib.Path(graph.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    writers = {name for name, top in _units(tree)
+               if _unit_writes(top, GRAPH_STORAGE_LISTS)}
+    assert writers == GRAPH_STORAGE_WRITERS
 
 
 def test_storage_write_lint_sees_each_form():
@@ -1094,5 +1171,18 @@ def f(aut, out, name):
     y[0].append(x)
     z = list(aut.edge_src)
     z.append(0)
+    setattr(out, name, [])
+    setattr(out, "edge_src", [])
+    setattr(out, "aps", [])
+    first = out.first_edges = list(z)
+    first[0] = 1
+    c, d = [getattr(aut, name) for name in EDGE_COLUMNS]
+    d[1] = 0
+
+
+def g(args, dest):
+    setattr(args, dest, [])
 """
-    assert _storage_writes(ast.parse(code)) == [3, 4, 5, 6, 7, 8, 10, 12, 13]
+    assert _storage_writes(ast.parse(code)) == [
+        3, 4, 5, 6, 7, 8, 10, 12, 13, 19, 20, 22, 23, 25]
+

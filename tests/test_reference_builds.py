@@ -4,7 +4,7 @@ they replaced, kept here as the reference.
 remove_fin writes its output's edges as trusted columns through
 Automaton.extend_edges; the reference builds the same edges as (src,
 dst, cond, colors) rows and hands them to Automaton.new_edges, which
-checks and links each one.
+checks each one before extend_edges appends and links them.
 random_acceptance picks its merges with a Fenwick tree and folds one
 postfix code; the reference pops and inserts formulas in a list.  Both
 must give byte-identical results.
